@@ -5,6 +5,28 @@ classical 2-line arbiter PUF.  A mux select of 0 keeps each line on itself;
 a select of 1 applies the cyclic rotation T->C->B->T (a plain swap for the
 2-line chain), i.e. with select 1 output T reads line B, C reads T and B
 reads C.
+
+Without feed-forward taps the chain has a closed form.  A delay added on
+line m at stage i moves one line on at every later select-1 stage, so with
+L lines and S_{i+1} the number of 1 bits after stage i,
+
+    times[l] = sum_i delay[i, c_i, (l - S_{i+1}) mod L].
+
+The stage code k_i = i*2L + c_i*L + (S_{i+1} mod L) depends only on the
+challenge; a device enters only through its weight table
+W[k, l] = delay[i, c, (l - r) mod L], the delay table rolled by r.  The
+tables of several devices sit side by side as columns, so one set of codes
+serves a whole population.  The rows W[k_0], W[k_1], ... are added in
+stage order, which makes the sum bit-identical to stepping the chain.
+
+``arrival_time_blocks`` is that kernel.  It works through row blocks of
+about BLOCK_VALUES floats, so nothing of size devices x rows x lines, and
+no one-hot encoding of the codes, is ever allocated.  Tapless
+``propagate_many``, ``propagate_blocks`` (whole populations),
+``clean_arrival_times`` and ``repeated_reads`` all go through it;
+feed-forward netlists keep the stage loop in ``propagate_many``.  Noise and
+tie streams are consumed row by row, so block boundaries never change a
+bit.
 """
 
 from __future__ import annotations
@@ -17,9 +39,14 @@ from .device import NOISE_TAG, TIE_TAG, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
 
-# Source line per output line under the select=1 permutation.
+# Source line per output line under the select=1 permutation of the 3-line
+# chain; only the feed-forward stage loop applies it explicitly.
 ROT3 = np.array([2, 0, 1])
-ROT2 = np.array([1, 0])
+
+# Target size of one row block of the closed-form kernel, in float64 values
+# (512 KiB): it bounds the stage codes, the arrival times and the jitter of
+# one block alike.
+BLOCK_VALUES = 1 << 16
 
 # Strict arrival orderings (fastest line first) that produce response 1:
 # exactly the cyclic rotations of (T, C, B).  The other three orderings give
@@ -64,6 +91,16 @@ def _tie_rng(tie_seed: int, point: int) -> np.random.Generator:
 
 def _noise_rng(eval_seed: int, point: int) -> np.random.Generator:
     return np.random.default_rng([eval_seed & SEED_MASK, NOISE_TAG, point])
+
+
+def _tie_bits(rng: np.random.Generator, n_eval: int, pairs: int) -> np.ndarray:
+    """(n_eval, pairs) fair tie bits, one per arbiter flip-flop.
+
+    Drawn as uint32, which consumes the stream in whole words: uint8 draws
+    drop the unused bits of their last word at the end of every call, so
+    the bits would depend on how the rows were split into calls.
+    """
+    return rng.integers(0, 2, size=(n_eval, pairs), dtype=np.uint32).astype(np.uint8)
 
 
 def simple_arbiter(t_data: float, t_clock: float, metastability_window: float = 0.0, tie_seed: int = 0) -> int:
@@ -135,6 +172,108 @@ def _validate_challenges(netlist: Netlist, challenges: np.ndarray) -> np.ndarray
     return np.ascontiguousarray(challenges, dtype=np.uint8)
 
 
+def _pairs(lines: int) -> int:
+    """Flip-flops of the terminal arbiter: one pair for 2 lines, three for 3."""
+    return 1 if lines == 2 else 3
+
+
+def _arbitrate(final: np.ndarray, window: float, lut: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Response bits of (N, lines) sampled arrival times, given (N, pairs) tie bits."""
+    if final.shape[1] == 2:
+        return _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
+    q0 = _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
+    q1 = _cmp_vec(final[:, 1], final[:, 2], window, tie[:, 1])
+    q2 = _cmp_vec(final[:, 2], final[:, 0], window, tie[:, 2])
+    return lut[(q0.astype(np.intp) << 2) | (q1.astype(np.intp) << 1) | q2]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernel for tapless netlists
+
+
+def _weight_table(delay_table: np.ndarray) -> np.ndarray:
+    """(stages*2*L, L) table; row i*2L + c*L + r is delay[i, c] rolled by r."""
+    stages, _, lines = delay_table.shape
+    rolled = np.stack([np.roll(delay_table, r, axis=2) for r in range(lines)], axis=2)
+    return rolled.reshape(stages * 2 * lines, lines)
+
+
+def _stage_codes(challenges: np.ndarray, lines: int) -> np.ndarray:
+    """(stages, N) weight-table row of every stage of a (N, stages) batch."""
+    bits = challenges.T.astype(np.intp)
+    ones_after = np.cumsum(bits[::-1], axis=0)[::-1] - bits
+    base = np.arange(bits.shape[0], dtype=np.intp)[:, None] * (2 * lines)
+    return base + bits * lines + ones_after % lines
+
+
+def _block_rows(values_per_row: int, multiple: int = 1) -> int:
+    """Rows per kernel block: about BLOCK_VALUES values, a multiple of ``multiple``."""
+    return max(1, BLOCK_VALUES // (values_per_row * multiple)) * multiple
+
+
+def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarray, block_rows: int):
+    """Clean arrival times of tapless devices, one row block at a time.
+
+    ``challenges`` is a validated (N, stages) uint8 batch and the devices
+    share its netlist.  Yields (rows, times) per block of ``block_rows``
+    rows; times is (B, D*lines) with device d in columns d*lines to
+    (d+1)*lines.
+    """
+    lines = devices[0].netlist.lines
+    weights = np.hstack([_weight_table(device.delay_table) for device in devices])
+    for start in range(0, challenges.shape[0], block_rows):
+        rows = slice(start, min(start + block_rows, challenges.shape[0]))
+        codes = _stage_codes(challenges[rows], lines)
+        times = np.take(weights, codes[0], axis=0)
+        gathered = np.empty_like(times)
+        for code in codes[1:]:
+            np.take(weights, code, axis=0, out=gathered, mode="clip")
+            times += gathered
+        yield rows, times
+
+
+def propagate_blocks(
+    devices: Sequence[DeviceInstance],
+    challenges: np.ndarray,
+    eval_seeds: Sequence[Sequence[int]],
+    decision_lut: np.ndarray | None = None,
+    block_multiple: int = 1,
+):
+    """Noisy reads of a tapless population, one row block at a time.
+
+    ``eval_seeds[d][r]`` seeds repetition r of device d; every device gets
+    the same number of repetitions R, and all share one netlist and
+    parameter set.  Yields (rows, bits) with bits of shape (D, R, B); block
+    starts are multiples of ``block_multiple``.  Each (device, repetition)
+    keeps its noise and tie streams open across blocks, so the bits equal
+    ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
+    """
+    netlist = devices[0].netlist
+    if netlist.ff_taps:
+        raise ValueError("closed-form propagation is undefined for feed-forward netlists")
+    challenges = _validate_challenges(netlist, challenges)
+    lines, pairs = netlist.lines, _pairs(netlist.lines)
+    sigma = devices[0].params.sigma_noise
+    window = devices[0].params.metastability_window
+    lut = DEFAULT_DECISION_LUT if decision_lut is None else decision_lut
+    n_dev, n_rep = len(devices), len(eval_seeds[0])
+    streams = [(_noise_rng(s, 0), _tie_rng(s, 0)) for seeds in eval_seeds for s in seeds]
+    block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
+    for rows, times in arrival_time_blocks(devices, challenges, block_rows):
+        size = times.shape[0]
+        final = np.empty((len(streams), size, lines))
+        tie = np.empty((len(streams), size, pairs), dtype=np.uint8)
+        for j, (noise_rng, tie_rng) in enumerate(streams):
+            noise_rng.standard_normal(out=final[j])
+            tie[j] = _tie_bits(tie_rng, size, pairs)
+        final *= sigma
+        # sigma*z + t equals t + sigma*z bit for bit: IEEE addition commutes
+        per_job = final.reshape(n_dev, n_rep, size, lines)
+        per_job += times.reshape(size, n_dev, 1, lines).transpose(1, 2, 0, 3)
+        bits = _arbitrate(final.reshape(-1, lines), window, lut, tie.reshape(-1, pairs))
+        yield rows, bits.reshape(n_dev, n_rep, size)
+
+
 def propagate_many(
     device: DeviceInstance,
     challenges: np.ndarray,
@@ -149,26 +288,31 @@ def propagate_many(
     arbiter).  The whole batch is deterministic under (device, challenges,
     eval_seed); standard-normal draws are scaled by sigma_noise, so rescaling
     delays, noise and window together never changes a response bit.
+    Tapless netlists use the closed-form kernel, feed-forward netlists step
+    the chain stage by stage.
     """
     netlist = device.netlist
     challenges = _validate_challenges(netlist, challenges)
     n_eval = challenges.shape[0]
-    lines = netlist.lines
+    if not netlist.ff_taps:
+        out = np.empty(n_eval, dtype=np.uint8)
+        for rows, bits in propagate_blocks([device], challenges, [[eval_seed]], decision_lut):
+            out[rows] = bits[0, 0]
+        return out
+
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
     delay = device.delay_table
-    rot = ROT3 if lines == 3 else ROT2
     lut = DEFAULT_DECISION_LUT if decision_lut is None else decision_lut
-
     taps_at_stage: dict[int, list[tuple[int, int]]] = {}
     for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
         taps_at_stage.setdefault(tap, []).append((point, target))
     pending: dict[int, np.ndarray] = {}
 
-    times = np.zeros((n_eval, lines))
-    line_idx = np.arange(lines)
+    times = np.zeros((n_eval, 3))
+    line_idx = np.arange(3)
     for i in range(netlist.stages):
-        rotated = times[:, rot]
+        rotated = times[:, ROT3]
         if i in pending:
             sel = pending.pop(i)  # (N, 3) per-line selects from a feed-forward arbiter
             times = np.where(sel.astype(bool), rotated, times) + delay[i][sel, line_idx]
@@ -176,8 +320,8 @@ def propagate_many(
             sel = challenges[:, i]
             times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
         for point, target in taps_at_stage.get(i, ()):
-            sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, lines))
-            tie = _tie_rng(eval_seed, point).integers(0, 2, size=(n_eval, 3), dtype=np.uint8)
+            sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
+            tie = _tie_bits(_tie_rng(eval_seed, point), n_eval, 3)
             pending[target] = np.stack(
                 [
                     _cmp_vec(sampled[:, 0], sampled[:, 1], window, tie[:, 0]),
@@ -187,26 +331,8 @@ def propagate_many(
                 axis=1,
             )
 
-    final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, lines))
-    return _arbitrate(final, window, lut, _tie_rng(eval_seed, 0), lines)
-
-
-def _arbitrate(
-    final: np.ndarray,
-    window: float,
-    lut: np.ndarray,
-    tie_rng: np.random.Generator,
-    lines: int,
-) -> np.ndarray:
-    n_eval = final.shape[0]
-    if lines == 2:
-        tie = tie_rng.integers(0, 2, size=(n_eval, 1), dtype=np.uint8)
-        return _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
-    tie = tie_rng.integers(0, 2, size=(n_eval, 3), dtype=np.uint8)
-    q0 = _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
-    q1 = _cmp_vec(final[:, 1], final[:, 2], window, tie[:, 1])
-    q2 = _cmp_vec(final[:, 2], final[:, 0], window, tie[:, 2])
-    return lut[(q0.astype(np.intp) << 2) | (q1.astype(np.intp) << 1) | q2]
+    final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, 3))
+    return _arbitrate(final, window, lut, _tie_bits(_tie_rng(eval_seed, 0), n_eval, 3))
 
 
 def propagate(
@@ -232,13 +358,11 @@ def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.nd
     if netlist.ff_taps:
         raise ValueError("clean arrival times are undefined for feed-forward netlists")
     challenges = _validate_challenges(netlist, challenges)
-    rot = ROT3 if netlist.lines == 3 else ROT2
-    times = np.zeros((challenges.shape[0], netlist.lines))
-    delay = device.delay_table
-    for i in range(netlist.stages):
-        sel = challenges[:, i]
-        times = np.where((sel == 1)[:, None], times[:, rot], times) + delay[i][sel]
-    return times
+    out = np.empty((challenges.shape[0], netlist.lines))
+    block_rows = _block_rows(max(netlist.stages, netlist.lines))
+    for rows, times in arrival_time_blocks([device], challenges, block_rows):
+        out[rows] = times
+    return out
 
 
 def repeated_reads(
@@ -275,11 +399,12 @@ def repeated_reads(
     done = 0
     while done < repetitions:
         size = min(chunk, repetitions - done)
-        jitter = sigma * noise_rng.standard_normal((size, n_eval, lines))
-        final = clean[None, :, :] + jitter
-        flat = final.reshape(size * n_eval, lines)
+        final = noise_rng.standard_normal((size, n_eval, lines))
+        final *= sigma
+        final += clean  # sigma*z + t equals t + sigma*z bit for bit
+        tie = _tie_bits(tie_rng, size * n_eval, _pairs(lines))
         out[done : done + size] = _arbitrate(
-            flat, window, DEFAULT_DECISION_LUT, tie_rng, lines
+            final.reshape(size * n_eval, lines), window, DEFAULT_DECISION_LUT, tie
         ).reshape(size, n_eval)
         done += size
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class DelayParams:
     metastability_window: float = 0.0
 
     def __post_init__(self):
+        for name in ("mean_delay", "sigma_process", "sigma_noise", "metastability_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mean_delay > 0:
             raise ValueError(f"mean_delay must be positive, got {self.mean_delay}")
         for name in ("sigma_process", "sigma_noise", "metastability_window"):
@@ -179,15 +183,19 @@ def load_device(path) -> DeviceInstance:
             else:
                 key, value = line.split("=", 1)
                 fields[key] = value
-    taps = ()
-    if fields["ff_taps"] != "none":
-        taps = tuple(tuple(int(x) for x in pair.split(":")) for pair in fields["ff_taps"].split(","))
-    netlist = Netlist(Design(fields["design"]), int(fields["stages"]), taps)
-    params = DelayParams(
-        mean_delay=float(fields["mean_delay"]),
-        sigma_process=float(fields["sigma_process"]),
-        sigma_noise=float(fields["sigma_noise"]),
-        metastability_window=float(fields["metastability_window"]),
-    )
+    try:
+        taps = ()
+        if fields["ff_taps"] != "none":
+            taps = tuple(tuple(int(x) for x in pair.split(":")) for pair in fields["ff_taps"].split(","))
+        netlist = Netlist(Design(fields["design"]), int(fields["stages"]), taps)
+        params = DelayParams(
+            mean_delay=float(fields["mean_delay"]),
+            sigma_process=float(fields["sigma_process"]),
+            sigma_noise=float(fields["sigma_noise"]),
+            metastability_window=float(fields["metastability_window"]),
+        )
+        device_id, seed = fields["device_id"], int(fields["seed"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: device file lacks {exc.args[0]!r}") from None
     table = np.array(rows, dtype=np.float64).reshape(netlist.stages, 2, netlist.lines)
-    return DeviceInstance(fields["device_id"], netlist, params, int(fields["seed"]), table)
+    return DeviceInstance(device_id, netlist, params, seed, table)

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .bch import BchCode
-from .circuit import _noise_rng, _tie_rng
+from .circuit import _noise_rng, _tie_bits, _tie_rng
 from .device import DeviceInstance
 
 MAX_ORACLE_STAGES = 4
@@ -46,9 +46,6 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
     lines = netlist.lines
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
-    # source line per output line, for select 0 and select 1
-    identity = list(range(lines))
-    rotation = [2, 0, 1] if lines == 3 else [1, 0]
 
     tap_points = {}
     for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
@@ -61,14 +58,10 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
             selects = pending.pop(stage)
         else:
             selects = [challenge[stage]] * lines
-        new_times = []
-        for line in range(lines):
-            source = rotation[line] if selects[line] == 1 else identity[line]
-            new_times.append(times[source] + float(device.delay_table[stage][selects[line]][line]))
-        times = new_times
+        times = _oracle_stage(device, stage, times, selects)
         for point, target in tap_points.get(stage, ()):
             jitter = sigma * _noise_rng(eval_seed, point).standard_normal((1, lines))[0]
-            tie = _tie_rng(eval_seed, point).integers(0, 2, size=(1, 3), dtype=np.uint8)[0]
+            tie = _tie_bits(_tie_rng(eval_seed, point), 1, 3)[0]
             sampled = [times[l] + float(jitter[l]) for l in range(lines)]
             pending[target] = [
                 _oracle_compare(sampled[0], sampled[1], window, int(tie[0])),
@@ -79,13 +72,42 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
     jitter = sigma * _noise_rng(eval_seed, 0).standard_normal((1, lines))[0]
     final = [times[l] + float(jitter[l]) for l in range(lines)]
     if lines == 2:
-        tie = _tie_rng(eval_seed, 0).integers(0, 2, size=(1, 1), dtype=np.uint8)[0]
+        tie = _tie_bits(_tie_rng(eval_seed, 0), 1, 1)[0]
         return _oracle_compare(final[0], final[1], window, int(tie[0]))
-    tie = _tie_rng(eval_seed, 0).integers(0, 2, size=(1, 3), dtype=np.uint8)[0]
+    tie = _tie_bits(_tie_rng(eval_seed, 0), 1, 3)[0]
     q_t = _oracle_compare(final[0], final[1], window, int(tie[0]))
     q_c = _oracle_compare(final[1], final[2], window, int(tie[1]))
     q_b = _oracle_compare(final[2], final[0], window, int(tie[2]))
     return 1 ^ (q_t ^ q_c ^ q_b)
+
+
+def _oracle_stage(device: DeviceInstance, stage: int, times: list[float], selects: list[int]) -> list[float]:
+    """One mux stage by explicit permutation: select 1 makes line l read line l-1."""
+    lines = len(times)
+    rotation = [2, 0, 1] if lines == 3 else [1, 0]  # source line per output line
+    return [
+        times[rotation[line] if selects[line] == 1 else line]
+        + float(device.delay_table[stage][selects[line]][line])
+        for line in range(lines)
+    ]
+
+
+def reference_clean_times(device: DeviceInstance, challenges) -> np.ndarray:
+    """Noise-free terminal arrival times of a tapless netlist, (N, lines).
+
+    Steps every challenge through the chain one stage at a time in plain
+    Python floats; no stage limit, so it serves as the reference for the
+    closed-form kernel at full chain length.
+    """
+    if device.netlist.ff_taps:
+        raise ValueError("clean arrival times are undefined for feed-forward netlists")
+    rows = []
+    for challenge in challenges:
+        times = [0.0] * device.netlist.lines
+        for stage, bit in enumerate(int(b) for b in challenge):
+            times = _oracle_stage(device, stage, times, [bit] * len(times))
+        rows.append(times)
+    return np.array(rows, dtype=np.float64).reshape(-1, device.netlist.lines)
 
 
 def _oracle_compare(first: float, second: float, window: float, tie_bit: int) -> int:

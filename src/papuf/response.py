@@ -8,11 +8,12 @@ LFSR and concatenating the bits of the expanded sequence.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import propagate_many
+from .circuit import propagate_blocks, propagate_many
 from .device import DelayParams, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
@@ -244,7 +245,9 @@ def collect_crps(
 
     Seed challenges are drawn from master_eval_seed; each (device,
     repetition) pair evaluates under its own derived seed, so the full
-    record set is reproducible bit for bit.
+    record set is reproducible bit for bit.  Tapless populations are read
+    in one pass over row blocks of the closed-form kernel; feed-forward
+    ones make one ``propagate_many`` call per (device, repetition).
     """
     if not population:
         raise ValueError("population must not be empty")
@@ -270,11 +273,23 @@ def collect_crps(
     responses = np.empty(
         (len(population), num_challenges, repetitions, response_size), dtype=np.uint8
     )
-    for d, device in enumerate(population):
-        for r in range(repetitions):
-            eval_seed = derive_seed(master_eval_seed, "crp-eval", device.device_id, r)
-            bits = propagate_many(device, expanded, eval_seed)
-            responses[d, :, r, :] = bits.reshape(num_challenges, response_size)
+    eval_seeds = [
+        [derive_seed(master_eval_seed, "crp-eval", device.device_id, r) for r in range(repetitions)]
+        for device in population
+    ]
+    if netlist.ff_taps:
+        for d, device in enumerate(population):
+            for r in range(repetitions):
+                bits = propagate_many(device, expanded, eval_seeds[d][r])
+                responses[d, :, r, :] = bits.reshape(num_challenges, response_size)
+    else:
+        # One pass over whole seed challenges: every device and repetition
+        # shares the stage codes of a block.
+        for rows, bits in propagate_blocks(population, expanded, eval_seeds, block_multiple=response_size):
+            block = slice(rows.start // response_size, rows.stop // response_size)
+            responses[:, block] = bits.reshape(
+                len(population), repetitions, -1, response_size
+            ).transpose(0, 2, 1, 3)
     return CrpSet(
         device_ids=[dev.device_id for dev in population],
         challenges=seeds,
@@ -327,8 +342,18 @@ def save_crps(crps: CrpSet, path) -> None:
 
 
 def load_crps(path) -> CrpSet:
+    """Read a CRP file written by ``save_crps`` (or a hardware dump in its format).
+
+    Records are parsed straight into packed response bytes plus their
+    (device, challenge, repetition) cell; device ids come out sorted and
+    challenges in first-seen order.  Every cell must appear exactly once.
+    """
     header: dict[str, str] = {}
-    rows: list[tuple[str, str, int, str, int]] = []
+    device_first: dict[str, int] = {}  # first-seen index per device id
+    chal_first: dict[str, int] = {}  # first-seen index per challenge hex
+    cells = array("q")  # device, challenge, repetition of each record, in file order
+    packed = bytearray()
+    n_bits = n_bytes = 0
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
@@ -342,32 +367,50 @@ def load_crps(path) -> CrpSet:
                 continue
             if line.startswith("device_id,"):
                 continue
-            device_id, chal_hex, rep, resp_hex, n_bits = line.split(",")
-            rows.append((device_id, chal_hex, int(rep), resp_hex, int(n_bits)))
-    if not rows:
+            device_id, chal_hex, rep_text, resp_hex, length = line.split(",")
+            if not cells:
+                n_bits = int(length)
+                n_bytes = (n_bits + 7) // 8
+            response = bytes.fromhex(resp_hex)
+            if int(length) != n_bits or len(response) != n_bytes:
+                raise ValueError(f"record ({device_id}, {chal_hex}, {rep_text}) is not {n_bits} bits long")
+            if int(rep_text) < 0:
+                raise ValueError(f"negative repetition in record ({device_id}, {chal_hex}, {rep_text})")
+            device = device_first.setdefault(device_id, len(device_first))
+            cells.extend((device, chal_first.setdefault(chal_hex, len(chal_first)), int(rep_text)))
+            packed += response
+    if not cells:
         raise ValueError(f"no CRP records in {path}")
-    netlist = Netlist.parse(header["netlist"])
-    p = dict(item.split("=", 1) for item in header["params"].split(";"))
-    params = DelayParams(
-        mean_delay=float(p["mean_delay"]),
-        sigma_process=float(p["sigma_process"]),
-        sigma_noise=float(p["sigma_noise"]),
-        metastability_window=float(p["metastability_window"]),
-    )
-    n = rows[0][4]
-    device_ids = sorted({row[0] for row in rows})
-    chal_hexes = list(dict.fromkeys(row[1] for row in rows))  # first-seen order
-    repetitions = max(row[2] for row in rows) + 1
-    dev_idx = {v: i for i, v in enumerate(device_ids)}
-    chal_idx = {v: i for i, v in enumerate(chal_hexes)}
-    responses = np.full((len(device_ids), len(chal_hexes), repetitions, n), 255, dtype=np.uint8)
-    for device_id, chal_hex, rep, resp_hex, n_bits in rows:
-        cell = responses[dev_idx[device_id], chal_idx[chal_hex], rep]
-        if cell[0] != 255:
-            raise ValueError(f"duplicate record for ({device_id}, {chal_hex}, {rep})")
-        responses[dev_idx[device_id], chal_idx[chal_hex], rep] = hex_to_bits(resp_hex, n_bits)
-    if (responses == 255).any():
+    try:
+        netlist = Netlist.parse(header["netlist"])
+        p = dict(item.split("=", 1) for item in header["params"].split(";"))
+        params = DelayParams(
+            mean_delay=float(p["mean_delay"]),
+            sigma_process=float(p["sigma_process"]),
+            sigma_noise=float(p["sigma_noise"]),
+            metastability_window=float(p["metastability_window"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: CRP header lacks {exc.args[0]!r}") from None
+
+    device_ids = sorted(device_first)
+    chal_hexes = list(chal_first)
+    sorted_rank = np.empty(len(device_ids), dtype=np.int64)
+    sorted_rank[[device_first[v] for v in device_ids]] = np.arange(len(device_ids))
+    dev, chal, rep = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3).T
+    dev = sorted_rank[dev]
+    repetitions = int(rep.max()) + 1
+    shape = (len(device_ids), len(chal_hexes), repetitions)
+    flat = np.ravel_multi_index((dev, chal, rep), shape)
+    # First record of every cell present, in cell order.
+    _, first = np.unique(flat, return_index=True)
+    if first.size < flat.size:
+        i = np.setdiff1d(np.arange(flat.size), first)[0]
+        raise ValueError(f"duplicate record for ({device_ids[dev[i]]}, {chal_hexes[chal[i]]}, {rep[i]})")
+    if first.size < math.prod(shape):
         raise ValueError("missing (device, challenge, repetition) records")
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, n_bytes)[first]
+    responses = np.unpackbits(rows, axis=1, count=n_bits).reshape(*shape, n_bits)
     challenges = np.stack([hex_to_bits(h, netlist.stages) for h in chal_hexes])
     return CrpSet(
         device_ids=device_ids,

@@ -17,9 +17,17 @@ from papuf import (
     simple_arbiter,
     synthesize_device,
 )
-from papuf.circuit import CANONICAL_PRIORITY_TABLE, decision_lut_from_table
+from papuf.circuit import (
+    CANONICAL_PRIORITY_TABLE,
+    DEFAULT_DECISION_LUT,
+    _arbitrate,
+    _noise_rng,
+    _tie_bits,
+    _tie_rng,
+    decision_lut_from_table,
+)
 from papuf.device import DeviceInstance
-from papuf.oracle import exhaustive_propagate, gate_level_priority
+from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times
 
 
 def arrivals_for(order):
@@ -231,6 +239,37 @@ def test_repeated_reads_matches_distribution_and_chunking(pa64):
     b = repeated_reads(noisy, challenges, 30, eval_seed=11, chunk=64)
     assert np.array_equal(a, b)
     assert a.shape == (30, 64)
+    # A window wide enough for frequent random tie breaks: the tie stream
+    # must not depend on how repetitions are grouped either.
+    params = DelayParams(sigma_noise=2.0, metastability_window=3.0)
+    challenges = np.random.default_rng(5).integers(0, 2, size=(37, 16), dtype=np.uint8)
+    for design in (Design.APUF, Design.PA_PUF):
+        dev = synthesize_device(params, Netlist(design, 16), 21)
+        reads = {chunk: repeated_reads(dev, challenges, 10, eval_seed=12, chunk=chunk) for chunk in (1, 3, 64)}
+        assert np.array_equal(reads[1], reads[64]) and np.array_equal(reads[3], reads[64]), design
+        # and each row equals an independent full read of the same streams
+        row = propagate_many(dev, np.tile(challenges, (10, 1)), eval_seed=12).reshape(10, 37)
+        assert np.array_equal(reads[64], row), design
+
+
+@pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
+@pytest.mark.parametrize("stages", [1, 5, 64])
+def test_clean_times_equal_stage_by_stage_reference(design, stages):
+    dev = synthesize_device(DelayParams(), Netlist(design, stages), 100 + stages)
+    # more rows than one kernel block, and not a multiple of it
+    challenges = np.random.default_rng(stages).integers(0, 2, size=(2500, stages), dtype=np.uint8)
+    assert np.array_equal(clean_arrival_times(dev, challenges), reference_clean_times(dev, challenges))
+
+
+def test_block_propagation_equals_one_pass_over_the_streams():
+    params = DelayParams(sigma_noise=1.5, metastability_window=0.2)
+    dev = synthesize_device(params, Netlist(Design.PA_PUF, 64), 5)
+    challenges = np.random.default_rng(6).integers(0, 2, size=(3000, 64), dtype=np.uint8)
+    bits = propagate_many(dev, challenges, eval_seed=8)
+    # the terminal streams read row by row, over the whole batch at once
+    final = clean_arrival_times(dev, challenges) + 1.5 * _noise_rng(8, 0).standard_normal((3000, 3))
+    tie = _tie_bits(_tie_rng(8, 0), 3000, 3)
+    assert np.array_equal(bits, _arbitrate(final, 0.2, DEFAULT_DECISION_LUT, tie))
 
 
 def test_repeated_reads_noiseless_is_constant(pa64):

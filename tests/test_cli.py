@@ -239,6 +239,29 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_truncated_device_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "d.txt"
+    run("device", "new", "--design", "pa-puf", "--stages", "16", "--seed", "3",
+        "--out-dir", str(tmp_path), "--out", str(path))
+    path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")
+    capsys.readouterr()
+    assert run("device", "show", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ff_taps" in err
+
+
+def test_crp_file_without_netlist_header_is_an_error(tmp_path, capsys):
+    assert run("crp", "gen", "--design", "pa-puf", "--stages", "16", "--population", "2",
+               "--challenges", "3", "--response-size", "8", "--out-dir", str(tmp_path)) == 0
+    path = tmp_path / "crps.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith("# netlist=")) + "\n")
+    capsys.readouterr()
+    assert run("metrics", "--crps", str(path), "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "netlist" in err
+
+
 def test_config_hash_stable():
     a = ExperimentConfig(seed=1)
     b = ExperimentConfig(seed=1)

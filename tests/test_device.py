@@ -26,6 +26,13 @@ def test_invalid_params_rejected():
         DelayParams(metastability_window=-0.1)
 
 
+def test_non_finite_params_rejected():
+    for name in ("mean_delay", "sigma_process", "sigma_noise", "metastability_window"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                DelayParams(**{name: value})
+
+
 def test_zero_variance_gives_mean_everywhere():
     params = DelayParams(mean_delay=80.0, sigma_process=0.0)
     dev = synthesize_device(params, Netlist(Design.PA_PUF, 8), 3)

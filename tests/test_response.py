@@ -4,6 +4,7 @@ from scipy.stats import binom
 
 from papuf import (
     DelayParams,
+    propagate_many,
     Design,
     Netlist,
     collect_crps,
@@ -24,6 +25,7 @@ from papuf.response import (
     neighbor_seed_challenges,
     random_seed_challenges,
 )
+from papuf.seeds import derive_seed
 
 
 def lfsr_reference_cycle(width):
@@ -304,4 +306,41 @@ def test_crp_loader_rejects_duplicates(tmp_path):
     last_record = text.rstrip().splitlines()[-1]
     path.write_text(text + last_record + "\n")
     with pytest.raises(ValueError):
+        load_crps(path)
+
+
+@pytest.mark.parametrize(
+    "design,taps",
+    [(Design.PA_PUF, ()), (Design.APUF, ()), (Design.FF_PA_PUF, ()), (Design.FF_PA_PUF, ((16, 32), (32, 48)))],
+)
+def test_collect_crps_equals_per_device_propagation(design, taps):
+    params = DelayParams(sigma_noise=2.0, metastability_window=0.3)
+    pop = synthesize_population(params, Netlist(design, 64, taps), 3, 12)
+    # 13 challenges x 128 bits: row blocks of whole challenges, the last one short
+    crps = collect_crps(pop, 13, 3, 128, 99)
+    expanded = expand_many(crps.challenges, 128).reshape(-1, 64)
+    for d, dev in enumerate(pop):
+        for r in range(3):
+            seed = derive_seed(99, "crp-eval", dev.device_id, r)
+            expected = propagate_many(dev, expanded, seed).reshape(13, 128)
+            assert np.array_equal(crps.responses[d, :, r], expected), (design, taps, d, r)
+
+
+def test_crp_loader_accepts_any_record_order_and_rejects_gaps(tmp_path):
+    pop = synthesize_population(DelayParams(sigma_noise=1.0), Netlist(Design.PA_PUF, 16), 3, 4)
+    crps = collect_crps(pop, 4, 2, 16, 55)
+    path = tmp_path / "crps.csv"
+    save_crps(crps, path)
+    lines = path.read_text().splitlines()
+    records = [l for l in lines if not l.startswith("#") and not l.startswith("device_id,")]
+    head = lines[: len(lines) - len(records)]
+    shuffled = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
+    path.write_text("\n".join(head + shuffled) + "\n")
+    loaded = load_crps(path)
+    assert loaded.device_ids == crps.device_ids
+    loaded_hex = [bits_to_hex(c) for c in loaded.challenges]
+    order = [loaded_hex.index(bits_to_hex(c)) for c in crps.challenges]
+    assert np.array_equal(loaded.responses[:, order], crps.responses)
+    path.write_text("\n".join(head + records[:-1]) + "\n")
+    with pytest.raises(ValueError, match="missing"):
         load_crps(path)
