@@ -2,11 +2,18 @@
 
 Codewords are bit vectors of length n = 2^m - 1, MSB first: bit i of a
 word is the coefficient of x^(n-1-i).  Encoding is systematic, so the
-first k bits of a codeword are the message.  Decoding computes the 2t
-syndromes, runs Berlekamp-Massey for the error locator and a Chien search
-for its roots; anything inconsistent (locator degree above t, missing
-roots, residual syndromes) is reported as an explicit failure rather than
-a guessed codeword.
+first k bits of a codeword are the message.
+
+Decoding is table-driven.  Each code caches, once and read-only, a
+(2t, n) table of alpha^(j(n-1-i)) and numpy exp/log arrays of its field.
+The 2t syndromes are one gather of the table columns at the set bits plus
+an XOR reduce; a zero syndrome returns at once.  Otherwise Berlekamp-Massey
+gives the error locator, and a Chien search evaluates it at all n points
+in one vectorised pass, one exp/log gather per locator coefficient.  The
+residual check XORs the table columns of the flipped bits into the
+received syndromes.  Anything inconsistent (locator degree above t, root
+count not equal to the degree, residual syndromes) is reported as an
+explicit failure rather than a guessed codeword.
 """
 
 from __future__ import annotations
@@ -176,16 +183,25 @@ def bch_encode(message: np.ndarray, code: BchCode) -> np.ndarray:
     return _int_to_bits(shifted ^ remainder, code.n)
 
 
-def _syndromes(code: BchCode, received: np.ndarray) -> list[int]:
+@dataclass(frozen=True)
+class _DecodeTables:
+    """Read-only lookup tables of one code, built on its first decode."""
+
+    syndrome: np.ndarray  # (2t, n): row j-1, column i holds alpha^(j(n-1-i))
+    exp: np.ndarray  # (order,): exp[e] = alpha^e
+    log: np.ndarray  # (2^m,): log[alpha^e] = e; log[0] is unused
+
+
+@lru_cache(maxsize=None)
+def _decode_tables(code: BchCode) -> _DecodeTables:
     field = code.field
-    error_positions = np.nonzero(received)[0]
-    syndromes = []
-    for j in range(1, 2 * code.t + 1):
-        acc = 0
-        for i in error_positions:
-            acc ^= field.pow_alpha(j * (code.n - 1 - int(i)))
-        syndromes.append(acc)
-    return syndromes
+    exp = np.array(field.exp[: field.order], dtype=np.int64)
+    log = np.array(field.log, dtype=np.int64)
+    powers = np.arange(1, 2 * code.t + 1)[:, None] * np.arange(code.n - 1, -1, -1)[None, :]
+    syndrome = exp[powers % field.order]
+    for table in (syndrome, exp, log):
+        table.setflags(write=False)
+    return _DecodeTables(syndrome=syndrome, exp=exp, log=log)
 
 
 def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
@@ -228,27 +244,29 @@ def bch_decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | 
     received = np.asarray(received, dtype=np.uint8)
     if received.shape != (code.n,):
         raise ValueError(f"received word must have {code.n} bits, got shape {received.shape}")
-    syndromes = _syndromes(code, received)
-    if not any(syndromes):
+    if received.max() > 1:
+        raise ValueError("received word must hold only 0 and 1 bits")
+    tables = _decode_tables(code)
+    syndromes = np.bitwise_xor.reduce(tables.syndrome[:, received.astype(bool)], axis=1)
+    if not syndromes.any():
         return received[: code.k].copy(), 0
     field = code.field
-    locator = _berlekamp_massey(field, syndromes)
+    locator = _berlekamp_massey(field, syndromes.tolist())
     degree = len(locator) - 1
     if degree > code.t:
         return None
     # Chien search: bit i is in error iff locator(alpha^-(n-1-i)) == 0.
-    error_bits = []
-    for exponent in range(code.n):
-        acc = 0
-        for d, coef in enumerate(locator):
-            if coef:
-                acc ^= field.mul(coef, field.pow_alpha((field.order - exponent) * d))
-        if acc == 0:
-            error_bits.append(code.n - 1 - exponent)
-    if len(error_bits) != degree:
+    neg_exponents = (field.order - np.arange(code.n)) % field.order
+    values = np.zeros(code.n, dtype=np.int64)
+    for d, coef in enumerate(locator):
+        if coef:
+            values ^= tables.exp[(tables.log[coef] + neg_exponents * d) % field.order]
+    error_bits = code.n - 1 - np.flatnonzero(values == 0)
+    if error_bits.size != degree:
+        return None
+    # Residual check: the corrected word's syndromes, by linearity.
+    if (syndromes ^ np.bitwise_xor.reduce(tables.syndrome[:, error_bits], axis=1)).any():
         return None
     corrected = received.copy()
     corrected[error_bits] ^= 1
-    if any(_syndromes(code, corrected)):
-        return None
     return corrected[: code.k].copy(), degree

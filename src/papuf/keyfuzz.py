@@ -28,7 +28,6 @@ class HelperData:
     k: int
     t: int
     primitive_poly: int
-    slice_start: int = 0
 
     def code(self) -> BchCode:
         return BchCode.construct(self.m, self.t, self.primitive_poly)
@@ -84,7 +83,6 @@ def save_helper(helper: HelperData, path, extra_header: dict | None = None) -> N
         f"k={helper.k}",
         f"t={helper.t}",
         f"primitive_poly={helper.primitive_poly:#x}",
-        f"slice_start={helper.slice_start}",
         f"offset_hex={bits_to_hex(helper.offset)}",
     ]
     with open(path, "w", encoding="utf-8") as handle:
@@ -100,13 +98,15 @@ def load_helper(path) -> HelperData:
                 continue
             key, value = line.split("=", 1)
             fields[key] = value
-    n = int(fields["n"])
+    try:
+        n = int(fields["n"])
+        offset_hex = fields["offset_hex"]
+        m, k, t = int(fields["m"]), int(fields["k"]), int(fields["t"])
+        primitive_poly = int(fields["primitive_poly"], 0)
+    except KeyError as exc:
+        raise ValueError(f"{path}: helper file lacks {exc.args[0]!r}") from None
+    if len(offset_hex) != 2 * ((n + 7) // 8):
+        raise ValueError(f"{path}: offset_hex does not hold n={n} bits")
     return HelperData(
-        offset=hex_to_bits(fields["offset_hex"], n),
-        m=int(fields["m"]),
-        n=n,
-        k=int(fields["k"]),
-        t=int(fields["t"]),
-        primitive_poly=int(fields["primitive_poly"], 0),
-        slice_start=int(fields.get("slice_start", 0)),
+        offset=hex_to_bits(offset_hex, n), m=m, n=n, k=k, t=t, primitive_poly=primitive_poly
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papuf.bch import BchCode, bch_decode, bch_encode, default_code
 from papuf.oracle import naive_nearest_codeword
@@ -104,6 +106,59 @@ def test_decode_validates_length(code127):
         bch_decode(np.zeros(126, dtype=np.uint8), code127)
     with pytest.raises(ValueError):
         bch_encode(np.zeros(63, dtype=np.uint8), code127)
+
+
+def test_decode_rejects_non_binary_input(code127):
+    received = bch_encode(np.zeros(64, dtype=np.uint8), code127)
+    received[5] = 2
+    with pytest.raises(ValueError, match="0 and 1"):
+        bch_decode(received, code127)
+
+
+@pytest.mark.parametrize("weight", range(16))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_decode_properties(code127, weight, seed):
+    # Within t: the message, with corrected == weight.  Any result at all:
+    # a codeword within t of the received word, corrected == that distance.
+    rng = np.random.default_rng(seed)
+    message = rng.integers(0, 2, size=code127.k, dtype=np.uint8)
+    received = bch_encode(message, code127)
+    received[rng.choice(code127.n, size=weight, replace=False)] ^= 1
+    out = bch_decode(received, code127)
+    if weight <= code127.t:
+        assert out is not None
+        assert np.array_equal(out[0], message) and out[1] == weight
+    if out is not None:
+        distance = int((bch_encode(out[0], code127) != received).sum())
+        assert distance <= code127.t and out[1] == distance
+
+
+def test_decode_on_a_second_code_matches_nearest_codeword():
+    # BCH(31, 16, 3): the decode tables are built per code, not for m=7 only.
+    # Brute force over all 2^16 codewords, packed as ints, gives the nearest one.
+    code = BchCode.construct(5, 3)
+    assert (code.n, code.k, code.t) == (31, 16, 3)
+    weights = 1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    rows = [int(bch_encode(np.eye(code.k, dtype=np.uint8)[i], code) @ weights) for i in range(code.k)]
+    messages = np.arange(1 << code.k, dtype=np.int64)
+    codewords = np.zeros_like(messages)
+    for i, row in enumerate(rows):
+        codewords ^= np.where((messages >> (code.k - 1 - i)) & 1, row, 0)
+    rng = np.random.default_rng(7)
+    for weight in range(code.t + 4):
+        for _ in range(40):
+            received = bch_encode(rng.integers(0, 2, size=code.k, dtype=np.uint8), code)
+            received[rng.choice(code.n, size=weight, replace=False)] ^= 1
+            distances = np.bitwise_count(codewords ^ int(received @ weights))
+            nearest = int(distances.min())
+            out = bch_decode(received, code)
+            if nearest <= code.t:
+                assert out is not None and out[1] == nearest
+                expected = messages[int(distances.argmin())]
+                assert int(out[0] @ weights[code.n - code.k :]) == expected
+            else:
+                assert out is None
 
 
 def test_oracle_nearest_codeword_small_cases(code15):

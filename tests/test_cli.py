@@ -262,6 +262,26 @@ def test_crp_file_without_netlist_header_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "netlist" in err
 
 
+@pytest.mark.parametrize(
+    "prefix, replacement, named",
+    [("n=", None, "'n'"), ("offset_hex=", None, "'offset_hex'"), ("offset_hex=", "offset_hex=ab", "offset_hex")],
+)
+def test_malformed_helper_file_is_an_error_not_a_traceback(tmp_path, capsys, prefix, replacement, named):
+    run("device", "new", "--design", "pa-puf", "--stages", "16", "--seed", "5",
+        "--out-dir", str(tmp_path), "--out", str(tmp_path / "dev.txt"))
+    helper = tmp_path / "helper.txt"
+    assert run("keygen", "enroll", "--device", str(tmp_path / "dev.txt"), "--seed", "1",
+               "--out-dir", str(tmp_path), "--helper-out", str(helper)) == 0
+    lines = [replacement if l.startswith(prefix) else l for l in helper.read_text().splitlines()]
+    helper.write_text("\n".join(l for l in lines if l is not None) + "\n")
+    capsys.readouterr()
+    rc = run("keygen", "reproduce", "--device", str(tmp_path / "dev.txt"), "--helper", str(helper),
+             "--out-dir", str(tmp_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and len(err.splitlines()) == 1
+
+
 def test_config_hash_stable():
     a = ExperimentConfig(seed=1)
     b = ExperimentConfig(seed=1)

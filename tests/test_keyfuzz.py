@@ -93,6 +93,32 @@ def test_helper_file_round_trip(tmp_path, code, response):
     assert reproduce(response, loaded) == key
 
 
+def test_helper_file_without_slice_start_and_older_files_load(tmp_path, code, response):
+    helper, key = enroll(response, code, key_seed=14)
+    path = tmp_path / "helper.txt"
+    save_helper(helper, path)
+    text = path.read_text()
+    assert "slice_start" not in text
+    # Files written before the field was dropped carry slice_start=0.
+    path.write_text(text.replace("offset_hex=", "slice_start=0\noffset_hex="))
+    assert reproduce(response, load_helper(path)) == key
+
+
+def test_helper_loader_names_missing_key_and_bad_offset(tmp_path, code, response):
+    helper, _ = enroll(response, code, key_seed=15)
+    path = tmp_path / "helper.txt"
+    save_helper(helper, path)
+    lines = path.read_text().splitlines()
+    for key in ("m", "n", "k", "t", "primitive_poly", "offset_hex"):
+        path.write_text("\n".join(l for l in lines if not l.startswith(key + "=")) + "\n")
+        with pytest.raises(ValueError, match=repr(key)):
+            load_helper(path)
+    for bad in ("00" * 15, "00" * 17):
+        path.write_text("\n".join(f"offset_hex={bad}" if l.startswith("offset_hex=") else l for l in lines))
+        with pytest.raises(ValueError, match="offset_hex"):
+            load_helper(path)
+
+
 def test_secret_key_hex_round_trip():
     bits = np.array([1, 0, 1, 1] * 16, dtype=np.uint8)
     key = SecretKey(bits)
