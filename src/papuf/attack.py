@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kvfile
 from .device import DelayParams, synthesize_device
 from .netlist import Netlist
 from .response import CrpSet, collect_crps
@@ -224,39 +225,27 @@ def compare_designs(
 # model file persistence
 
 
+# Training metadata a model file records; a key the model lacks is written as 0.
+_METADATA = {"seed": int, "epochs": int, "learning_rate": float, "train_fraction": float}
+
+
 def save_model(model: AttackModel, path, extra_header: dict | None = None) -> None:
-    lines = ["# papuf-attack-model v1"]
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}={value}")
-    meta = model.metadata
-    lines += [
-        f"features={model.feature_map.kind}",
-        f"stages={model.feature_map.stages}",
-        f"seed={meta.get('seed', 0)}",
-        f"epochs={meta.get('epochs', 0)}",
-        f"learning_rate={meta.get('learning_rate', 0.0)}",
-        f"train_fraction={meta.get('train_fraction', 0.0)}",
-        "weights=" + " ".join(repr(float(w)) for w in model.weights),
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    fields = {
+        "features": model.feature_map.kind,
+        "stages": model.feature_map.stages,
+        **{key: model.metadata.get(key, convert()) for key, convert in _METADATA.items()},
+        "weights": " ".join(repr(float(w)) for w in model.weights),
+    }
+    kvfile.write(path, "attack-model", fields, extra_header)
 
 
 def load_model(path) -> AttackModel:
-    fields: dict[str, str] = {}
+    schema = {"features": str, "stages": int, **_METADATA,
+              "weights": lambda text: np.array([float(v) for v in text.split()])}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            fields[key] = value
-    feature_map = FeatureMap(fields["features"], int(fields["stages"]))
-    weights = np.array([float(v) for v in fields["weights"].split()])
-    metadata = {
-        "seed": int(fields["seed"]),
-        "epochs": int(fields["epochs"]),
-        "learning_rate": float(fields["learning_rate"]),
-        "train_fraction": float(fields["train_fraction"]),
-    }
-    return AttackModel(weights=weights, feature_map=feature_map, metadata=metadata)
+        fields = kvfile.read(handle, schema)
+    feature_map = FeatureMap(fields["features"], fields["stages"])
+    if fields["weights"].size != feature_map.dimension + 1:
+        raise ValueError(f"{path}: {fields['weights'].size} weights, expected {feature_map.dimension + 1}")
+    metadata = {key: fields[key] for key in _METADATA}
+    return AttackModel(weights=fields["weights"], feature_map=feature_map, metadata=metadata)

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import __version__
+from . import __version__, kvfile
 from .attack import (
     FeatureMap,
     TrainParams,
@@ -27,10 +27,10 @@ from .attack import (
 )
 from .bch import BchCode
 from .circuit import repeated_reads
-from .device import DelayParams, load_device, save_device, synthesize_device, synthesize_population
+from .device import PARAM_SCHEMA, DelayParams, load_device, save_device, synthesize_device, synthesize_population
 from .keyfuzz import enroll, load_helper, reproduce, save_helper
 from .metrics import calibrate_noise, compute_report, sweep_feed_forward, sweep_response_size
-from .netlist import Design, Netlist, default_ff_taps
+from .netlist import Design, Netlist, default_ff_taps, parse_taps
 from .response import (
     bits_to_hex,
     collect_crps,
@@ -69,51 +69,31 @@ class ExperimentConfig:
         design = DESIGN_NAMES[self.design]
         taps = ()
         if design is Design.FF_PA_PUF:
-            if self.ff_taps == "default":
-                taps = default_ff_taps(self.stages, 2)
-            elif self.ff_taps not in ("", "none"):
-                taps = tuple(tuple(int(x) for x in pair.split(":")) for pair in self.ff_taps.split(","))
+            taps = default_ff_taps(self.stages, 2) if self.ff_taps == "default" else parse_taps(self.ff_taps)
         return Netlist(design, self.stages, taps)
 
     def params(self) -> DelayParams:
-        return DelayParams(
-            mean_delay=self.mean_delay,
-            sigma_process=self.sigma_process,
-            sigma_noise=self.sigma_noise,
-            metastability_window=self.metastability_window,
-        )
+        return DelayParams(**{name: getattr(self, name) for name in PARAM_SCHEMA})
 
-    def kv_lines(self) -> list[str]:
-        data = asdict(self)
-        return [f"{key}={data[key]}" for key in sorted(data)]
+    def fields(self) -> dict:
+        return dict(sorted(asdict(self).items()))
 
     def config_hash(self) -> str:
-        digest = hashlib.sha256("\n".join(self.kv_lines()).encode("utf-8")).hexdigest()
-        return digest[:12]
-
-
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            values[key] = value
-    return values
+        text = "\n".join(f"{key}={value}" for key, value in self.fields().items())
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def _build_config(args) -> ExperimentConfig:
     """Precedence: built-in defaults < config file < explicit flags."""
     config = ExperimentConfig()
     if getattr(args, "config", None):
-        loaded = _load_config_file(args.config)
-        for key, value in loaded.items():
-            if not hasattr(config, key):
-                raise ValueError(f"unknown config key {key!r}")
-            current = getattr(config, key)
-            setattr(config, key, type(current)(value) if not isinstance(current, str) else value)
+        schema = {key: (type(value), value) for key, value in asdict(config).items()}
+        with open(args.config, encoding="utf-8") as handle:
+            loaded = kvfile.read(handle, schema)
+        for key in loaded:
+            if key not in schema and not key.startswith("#"):
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+        config = ExperimentConfig(**{key: loaded[key] for key in schema})
     for key in asdict(config):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -130,24 +110,17 @@ def _out_dir(args) -> Path:
 
 def _echo_config(config: ExperimentConfig, out_dir: Path) -> str:
     chash = config.config_hash()
-    lines = ["# papuf-config v1", f"# config={chash}", f"# version={__version__}"]
-    lines += config.kv_lines()
-    (out_dir / "effective-config.kv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {"config": chash, "version": __version__}
+    kvfile.write(out_dir / "effective-config.kv", "config", config.fields(), header)
     return chash
 
 
 def _write_kv(path: Path, pairs: dict, chash: str | None, echo: bool = True) -> None:
-    lines = []
-    if chash:
-        lines.append(f"# config={chash}")
-    for key in sorted(pairs):
-        value = pairs[key]
-        lines.append(f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fields = {key: f"{value:.6f}" if isinstance(value, float) else value for key, value in sorted(pairs.items())}
+    kvfile.write(path, None, fields, {"config": chash} if chash else None)
     if echo:
-        for line in lines:
-            if not line.startswith("#"):
-                print(line)
+        for key, value in fields.items():
+            print(f"{key}={value}")
 
 
 def _file_hash(path) -> str:
@@ -155,12 +128,7 @@ def _file_hash(path) -> str:
 
 
 def _write_csv(path: Path, header: str, rows: list[str], chash: str | None) -> None:
-    lines = []
-    if chash:
-        lines.append(f"# config={chash}")
-    lines.append(header)
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kvfile.write(path, None, {}, {"config": chash} if chash else None, marker=header, table=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +148,8 @@ def _cmd_device_new(args) -> int:
 
 
 def _cmd_device_show(args) -> int:
-    device = load_device(args.device)
-    print(f"design={device.netlist.design.value}")
-    print(f"device_id={device.device_id}")
-    print(f"ff_taps={','.join(f'{a}:{b}' for a, b in device.netlist.ff_taps) or 'none'}")
-    print(f"mean_delay={device.params.mean_delay:.6f}")
-    print(f"metastability_window={device.params.metastability_window:.6f}")
-    print(f"seed={device.seed}")
-    print(f"sigma_noise={device.params.sigma_noise:.6f}")
-    print(f"sigma_process={device.params.sigma_process:.6f}")
-    print(f"stages={device.netlist.stages}")
+    for key, value in sorted(load_device(args.device).fields().items()):
+        print(f"{key}={value}")
     return 0
 
 
@@ -233,7 +193,7 @@ def _cmd_metrics(args) -> int:
     report = compute_report(crps)
     out_dir = _out_dir(args)
     chash = crps.extra_header.get("config")
-    _write_kv(out_dir / "metrics.kv", dict(item.split("=", 1) for item in report.report_lines()), chash)
+    _write_kv(out_dir / "metrics.kv", dict(kvfile.split(line, "report") for line in report.report_lines()), chash)
     _write_csv(
         out_dir / "intra_hd_hist.csv",
         "bin,count",
@@ -284,17 +244,10 @@ def _cmd_keygen_enroll(args) -> int:
 def _cmd_keygen_reproduce(args) -> int:
     device = load_device(args.device)
     helper = load_helper(args.helper)
-    header = {}
     with open(args.helper, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line.startswith("# ") and "=" in line:
-                key, value = line[2:].split("=", 1)
-                header[key] = value
-    if args.challenge_hex:
-        seed_chal = hex_to_bits(args.challenge_hex, device.netlist.stages)
-    elif "challenge_hex" in header:
-        seed_chal = hex_to_bits(header["challenge_hex"], device.netlist.stages)
+        recorded = kvfile.read(handle, {}).get("# challenge_hex")
+    if args.challenge_hex or recorded:
+        seed_chal = hex_to_bits(args.challenge_hex or recorded, device.netlist.stages)
     else:
         raise ValueError("no challenge: pass --challenge-hex or use helper data that records one")
     expanded = expand_challenge(seed_chal, args.response_size)
@@ -410,9 +363,9 @@ def _cmd_report(args) -> int:
         for raw in path.read_text(encoding="utf-8").splitlines():
             line = raw.strip()
             if line.startswith("# config="):
-                chash = line.split("=", 1)[1]
+                chash = kvfile.split(line, name)[1]
             elif line and not line.startswith("#") and "=" in line and "," not in line:
-                key, value = line.split("=", 1)
+                key, value = kvfile.split(line, name)
                 pairs[f"{path.name}:{key}"] = value
         hashes[str(path)] = chash
     distinct = {h for h in hashes.values() if h is not None}

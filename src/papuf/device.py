@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import Design, Netlist
+from . import kvfile
+from .netlist import Design, Netlist, format_taps, parse_taps
 from .seeds import SEED_MASK, derive_seed
 
 # Sub-stream tags so that synthesis, noise and tie-break draws never collide.
@@ -18,6 +19,9 @@ TIE_TAG = 0x746965  # "tie"
 # Delay tables are quantized to this many decimals at synthesis time so that
 # the text device file (fixed point, 6 fractional digits) round-trips exactly.
 TABLE_DECIMALS = 6
+
+# The four DelayParams fields and how files store them: fixed point, 6 decimals.
+PARAM_SCHEMA = dict.fromkeys(("mean_delay", "sigma_process", "sigma_noise", "metastability_window"), float)
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class DelayParams:
     metastability_window: float = 0.0
 
     def __post_init__(self):
-        for name in ("mean_delay", "sigma_process", "sigma_noise", "metastability_window"):
+        for name in PARAM_SCHEMA:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mean_delay > 0:
@@ -48,6 +52,15 @@ class DelayParams:
 
     def with_noise(self, sigma_noise: float) -> "DelayParams":
         return dataclasses.replace(self, sigma_noise=float(sigma_noise))
+
+    def fields(self) -> dict[str, str]:
+        return {name: f"{getattr(self, name):.6f}" for name in PARAM_SCHEMA}
+
+    @classmethod
+    def parse(cls, text: str) -> "DelayParams":
+        """The ``;``-joined ``fields`` of a CRP file's ``# params=`` header."""
+        fields = kvfile.parse(text.split(";"), PARAM_SCHEMA, f"params {text!r}")
+        return cls(**{name: fields[name] for name in PARAM_SCHEMA})
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,17 @@ class DeviceInstance:
     def with_params(self, params: DelayParams) -> "DeviceInstance":
         """Same physical device under different noise/tie settings."""
         return dataclasses.replace(self, params=params)
+
+    def fields(self) -> dict[str, str]:
+        """Everything but the delay table, as the device file stores it."""
+        return {
+            "device_id": self.device_id,
+            "design": self.netlist.design.value,
+            "stages": str(self.netlist.stages),
+            "ff_taps": format_taps(self.netlist.ff_taps),
+            "seed": str(self.seed),
+            **self.params.fields(),
+        }
 
 
 def synthesize_device(
@@ -145,57 +169,21 @@ def sample_noise(device: DeviceInstance, eval_seed: int) -> np.ndarray:
 
 
 def save_device(device: DeviceInstance, path, extra_header: dict | None = None) -> None:
-    lines = ["# papuf-device v1"]
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}={value}")
-    taps = ",".join(f"{a}:{b}" for a, b in device.netlist.ff_taps) or "none"
-    lines += [
-        f"device_id={device.device_id}",
-        f"design={device.netlist.design.value}",
-        f"stages={device.netlist.stages}",
-        f"ff_taps={taps}",
-        f"seed={device.seed}",
-        f"mean_delay={device.params.mean_delay:.6f}",
-        f"sigma_process={device.params.sigma_process:.6f}",
-        f"sigma_noise={device.params.sigma_noise:.6f}",
-        f"metastability_window={device.params.metastability_window:.6f}",
-        "delays:",
-    ]
-    for stage in device.delay_table:
-        lines.append(" ".join(f"{v:.6f}" for v in stage.reshape(-1)))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    table = (" ".join(f"{v:.6f}" for v in stage.reshape(-1)) for stage in device.delay_table)
+    kvfile.write(path, "device", device.fields(), extra_header, marker="delays:", table=table)
 
 
 def load_device(path) -> DeviceInstance:
-    fields: dict[str, str] = {}
-    rows: list[list[float]] = []
-    in_table = False
+    schema = {"device_id": str, "design": Design, "stages": int, "ff_taps": parse_taps, "seed": int, **PARAM_SCHEMA}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if in_table:
-                rows.append([float(v) for v in line.split()])
-            elif line == "delays:":
-                in_table = True
-            else:
-                key, value = line.split("=", 1)
-                fields[key] = value
-    try:
-        taps = ()
-        if fields["ff_taps"] != "none":
-            taps = tuple(tuple(int(x) for x in pair.split(":")) for pair in fields["ff_taps"].split(","))
-        netlist = Netlist(Design(fields["design"]), int(fields["stages"]), taps)
-        params = DelayParams(
-            mean_delay=float(fields["mean_delay"]),
-            sigma_process=float(fields["sigma_process"]),
-            sigma_noise=float(fields["sigma_noise"]),
-            metastability_window=float(fields["metastability_window"]),
-        )
-        device_id, seed = fields["device_id"], int(fields["seed"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: device file lacks {exc.args[0]!r}") from None
-    table = np.array(rows, dtype=np.float64).reshape(netlist.stages, 2, netlist.lines)
-    return DeviceInstance(device_id, netlist, params, seed, table)
+        fields = kvfile.read(handle, schema, marker="delays:")
+        try:
+            delays = [float(v) for line in handle for v in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad delay: {exc}") from None
+    netlist = Netlist(fields["design"], fields["stages"], fields["ff_taps"])
+    params = DelayParams(**{name: fields[name] for name in PARAM_SCHEMA})
+    shape = (netlist.stages, 2, netlist.lines)
+    if len(delays) != math.prod(shape):
+        raise ValueError(f"{path}: expected {math.prod(shape)} delays, found {len(delays)}")
+    return DeviceInstance(fields["device_id"], netlist, params, fields["seed"], np.reshape(delays, shape))

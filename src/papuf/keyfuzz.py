@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kvfile
 from .bch import BchCode, bch_decode, bch_encode
 from .response import bits_to_hex, hex_to_bits
 from .seeds import SEED_MASK
@@ -74,39 +75,17 @@ def reproduce(noisy_response: np.ndarray, helper: HelperData) -> SecretKey | Non
 
 
 def save_helper(helper: HelperData, path, extra_header: dict | None = None) -> None:
-    lines = ["# papuf-helper v1"]
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}={value}")
-    lines += [
-        f"m={helper.m}",
-        f"n={helper.n}",
-        f"k={helper.k}",
-        f"t={helper.t}",
-        f"primitive_poly={helper.primitive_poly:#x}",
-        f"offset_hex={bits_to_hex(helper.offset)}",
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    fields = {"m": helper.m, "n": helper.n, "k": helper.k, "t": helper.t,
+              "primitive_poly": f"{helper.primitive_poly:#x}", "offset_hex": bits_to_hex(helper.offset)}
+    kvfile.write(path, "helper", fields, extra_header)
 
 
 def load_helper(path) -> HelperData:
-    fields: dict[str, str] = {}
+    # Keys outside the schema, such as the retired slice_start, are ignored.
+    code = {"m": int, "n": int, "k": int, "t": int, "primitive_poly": lambda text: int(text, 0)}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            fields[key] = value
-    try:
-        n = int(fields["n"])
-        offset_hex = fields["offset_hex"]
-        m, k, t = int(fields["m"]), int(fields["k"]), int(fields["t"])
-        primitive_poly = int(fields["primitive_poly"], 0)
-    except KeyError as exc:
-        raise ValueError(f"{path}: helper file lacks {exc.args[0]!r}") from None
+        fields = kvfile.read(handle, {**code, "offset_hex": str})
+    n, offset_hex = fields["n"], fields["offset_hex"]
     if len(offset_hex) != 2 * ((n + 7) // 8):
         raise ValueError(f"{path}: offset_hex does not hold n={n} bits")
-    return HelperData(
-        offset=hex_to_bits(offset_hex, n), m=m, n=n, k=k, t=t, primitive_poly=primitive_poly
-    )
+    return HelperData(offset=hex_to_bits(offset_hex, n), **{key: fields[key] for key in code})

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import kvfile
+
 
 class Design(Enum):
     """Supported circuit families."""
@@ -52,16 +54,25 @@ class Netlist:
         return 2 if self.design is Design.APUF else 3
 
     def describe(self) -> str:
-        taps = ",".join(f"{a}:{b}" for a, b in self.ff_taps) or "none"
-        return f"design={self.design.value};stages={self.stages};taps={taps}"
+        return f"design={self.design.value};stages={self.stages};taps={format_taps(self.ff_taps)}"
 
     @classmethod
     def parse(cls, text: str) -> "Netlist":
-        fields = dict(item.split("=", 1) for item in text.split(";"))
-        taps = ()
-        if fields.get("taps", "none") != "none":
-            taps = tuple(tuple(int(x) for x in pair.split(":")) for pair in fields["taps"].split(","))
-        return cls(Design(fields["design"]), int(fields["stages"]), taps)
+        schema = {"design": Design, "stages": int, "taps": (parse_taps, ())}
+        fields = kvfile.parse(text.split(";"), schema, f"netlist {text!r}")
+        return cls(fields["design"], fields["stages"], fields["taps"])
+
+
+def format_taps(taps) -> str:
+    """Feed-forward taps as text: ``16:32,32:48``, or ``none``."""
+    return ",".join(f"{a}:{b}" for a, b in taps) or "none"
+
+
+def parse_taps(text: str) -> tuple[tuple[int, int], ...]:
+    """Inverse of ``format_taps``; an empty string also means no taps."""
+    if text in ("", "none"):
+        return ()
+    return tuple((int(tap), int(target)) for tap, target in (pair.split(":") for pair in text.split(",")))
 
 
 def default_ff_taps(stages: int, count: int) -> tuple[tuple[int, int], ...]:

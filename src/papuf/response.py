@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kvfile
 from .circuit import propagate_blocks, propagate_many
 from .device import DelayParams, DeviceInstance
 from .netlist import Netlist
@@ -315,30 +316,27 @@ def hex_to_bits(text: str, n_bits: int) -> np.ndarray:
     return np.unpackbits(raw)[:n_bits]
 
 
+CRP_COLUMNS = "device_id,challenge_hex,repetition,response_hex,response_bits_len"
+
+
 def save_crps(crps: CrpSet, path) -> None:
-    lines = ["# papuf-crp v1"]
-    for key, value in crps.extra_header.items():
-        lines.append(f"# {key}={value}")
-    p = crps.params
-    lines += [
-        f"# netlist={crps.netlist.describe()}",
-        f"# params=mean_delay={p.mean_delay:.6f};sigma_process={p.sigma_process:.6f};"
-        f"sigma_noise={p.sigma_noise:.6f};metastability_window={p.metastability_window:.6f}",
-        f"# lfsr=width={crps.netlist.stages};taps={','.join(map(str, lfsr_taps(crps.netlist.stages)))}",
-        "# bitorder=msb-first (bit 0 = top bit of the first hex nibble)",
-        f"# challenge_mode={crps.challenge_mode}",
-        f"# master_eval_seed={crps.master_eval_seed}",
-        "device_id,challenge_hex,repetition,response_hex,response_bits_len",
-    ]
-    n = crps.response_size
-    for d, device_id in enumerate(crps.device_ids):
-        for c in range(crps.n_challenges):
-            chal_hex = bits_to_hex(crps.challenges[c])
-            for r in range(crps.repetitions):
-                resp_hex = bits_to_hex(crps.responses[d, c, r])
-                lines.append(f"{device_id},{chal_hex},{r},{resp_hex},{n}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    header = {
+        **crps.extra_header,
+        "netlist": crps.netlist.describe(),
+        "params": ";".join(f"{key}={value}" for key, value in crps.params.fields().items()),
+        "lfsr": f"width={crps.netlist.stages};taps={','.join(map(str, lfsr_taps(crps.netlist.stages)))}",
+        "bitorder": "msb-first (bit 0 = top bit of the first hex nibble)",
+        "challenge_mode": crps.challenge_mode,
+        "master_eval_seed": crps.master_eval_seed,
+    }
+    chal_hexes = [bits_to_hex(challenge) for challenge in crps.challenges]
+    records = (
+        f"{device_id},{chal_hex},{r},{bits_to_hex(crps.responses[d, c, r])},{crps.response_size}"
+        for d, device_id in enumerate(crps.device_ids)
+        for c, chal_hex in enumerate(chal_hexes)
+        for r in range(crps.repetitions)
+    )
+    kvfile.write(path, "crp", {}, header, marker=CRP_COLUMNS, table=records)
 
 
 def load_crps(path) -> CrpSet:
@@ -348,24 +346,23 @@ def load_crps(path) -> CrpSet:
     (device, challenge, repetition) cell; device ids come out sorted and
     challenges in first-seen order.  Every cell must appear exactly once.
     """
-    header: dict[str, str] = {}
+    schema = {
+        "# netlist": Netlist.parse,
+        "# params": DelayParams.parse,
+        "# master_eval_seed": (int, 0),
+        "# challenge_mode": (str, "random"),
+        "# config": (str, None),
+    }
     device_first: dict[str, int] = {}  # first-seen index per device id
     chal_first: dict[str, int] = {}  # first-seen index per challenge hex
     cells = array("q")  # device, challenge, repetition of each record, in file order
     packed = bytearray()
     n_bits = n_bytes = 0
     with open(path, encoding="utf-8") as handle:
+        header = kvfile.read(handle, schema, marker=CRP_COLUMNS)
         for raw in handle:
             line = raw.strip()
             if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    header[key.strip()] = value.strip()
-                continue
-            if line.startswith("device_id,"):
                 continue
             device_id, chal_hex, rep_text, resp_hex, length = line.split(",")
             if not cells:
@@ -381,18 +378,6 @@ def load_crps(path) -> CrpSet:
             packed += response
     if not cells:
         raise ValueError(f"no CRP records in {path}")
-    try:
-        netlist = Netlist.parse(header["netlist"])
-        p = dict(item.split("=", 1) for item in header["params"].split(";"))
-        params = DelayParams(
-            mean_delay=float(p["mean_delay"]),
-            sigma_process=float(p["sigma_process"]),
-            sigma_noise=float(p["sigma_noise"]),
-            metastability_window=float(p["metastability_window"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: CRP header lacks {exc.args[0]!r}") from None
-
     device_ids = sorted(device_first)
     chal_hexes = list(chal_first)
     sorted_rank = np.empty(len(device_ids), dtype=np.int64)
@@ -411,14 +396,14 @@ def load_crps(path) -> CrpSet:
         raise ValueError("missing (device, challenge, repetition) records")
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, n_bytes)[first]
     responses = np.unpackbits(rows, axis=1, count=n_bits).reshape(*shape, n_bits)
-    challenges = np.stack([hex_to_bits(h, netlist.stages) for h in chal_hexes])
+    challenges = np.stack([hex_to_bits(h, header["# netlist"].stages) for h in chal_hexes])
     return CrpSet(
         device_ids=device_ids,
         challenges=challenges,
         responses=responses,
-        netlist=netlist,
-        params=params,
-        master_eval_seed=int(header.get("master_eval_seed", 0)),
-        challenge_mode=header.get("challenge_mode", "random"),
-        extra_header={k: v for k, v in header.items() if k == "config"},
+        netlist=header["# netlist"],
+        params=header["# params"],
+        master_eval_seed=header["# master_eval_seed"],
+        challenge_mode=header["# challenge_mode"],
+        extra_header={} if header["# config"] is None else {"config": header["# config"]},
     )

@@ -282,6 +282,68 @@ def test_malformed_helper_file_is_an_error_not_a_traceback(tmp_path, capsys, pre
     assert err.startswith("error:") and named in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "prefix, replacement, named",
+    [("weights=", None, "'weights'"), ("stages=", None, "'stages'"), ("weights=", "weights=0.5 -0.5", "2 weights")],
+)
+def test_malformed_model_file_is_an_error_not_a_traceback(tmp_path, capsys, prefix, replacement, named):
+    run("crp", "gen", "--design", "apuf", "--stages", "16", "--population", "1", "--challenges", "20",
+        "--repetitions", "1", "--response-size", "8", "--out-dir", str(tmp_path))
+    model = tmp_path / "model.txt"
+    assert run("attack", "train", "--crps", str(tmp_path / "crps.csv"), "--epochs", "5",
+               "--out", str(model), "--out-dir", str(tmp_path)) == 0
+    lines = [replacement if l.startswith(prefix) else l for l in model.read_text().splitlines()]
+    model.write_text("\n".join(l for l in lines if l is not None) + "\n")
+    capsys.readouterr()
+    assert run("attack", "eval", "--model", str(model), "--crps", str(tmp_path / "crps.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(model) in err and named in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, named",
+    [
+        ("device", "\n", "\ngarbage\n", "line 2"),
+        ("helper", "\n", "\ngarbage\n", "line 2"),
+        ("model", "\n", "\ngarbage\n", "line 2"),
+        ("config", "\n", "\ngarbage\n", "line 2"),
+        ("config", "\nstages=16", "\nstages=sixteen", "'stages'"),
+        ("crps", "# netlist=design=APUF;", "# netlist=design=APUF;stages;", "'# netlist'"),
+    ],
+)
+def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, capsys, kind, old, new, named):
+    out = str(tmp_path)
+    paths = {
+        "device": tmp_path / "device.txt",
+        "helper": tmp_path / "helper.txt",
+        "model": tmp_path / "model.txt",
+        "config": tmp_path / "effective-config.kv",
+        "crps": tmp_path / "crps.csv",
+    }
+    assert run("crp", "gen", "--design", "apuf", "--stages", "16", "--population", "1", "--challenges", "20",
+               "--repetitions", "1", "--response-size", "8", "--out-dir", out) == 0
+    assert run("attack", "train", "--crps", str(paths["crps"]), "--epochs", "5", "--out-dir", out) == 0
+    assert run("device", "new", "--stages", "16", "--seed", "5", "--out-dir", out,
+               "--out", str(paths["device"])) == 0
+    assert run("keygen", "enroll", "--device", str(paths["device"]), "--out-dir", out,
+               "--helper-out", str(paths["helper"])) == 0
+    commands = {
+        "device": ["device", "show", str(paths["device"])],
+        "helper": ["keygen", "reproduce", "--device", str(paths["device"]), "--helper", str(paths["helper"]),
+                   "--out-dir", out],
+        "model": ["attack", "eval", "--model", str(paths["model"]), "--crps", str(paths["crps"])],
+        "config": ["crp", "gen", "--config", str(paths["config"]), "--out-dir", str(tmp_path / "again")],
+        "crps": ["metrics", "--crps", str(paths["crps"]), "--out-dir", out],
+    }
+    text = paths[kind].read_text()
+    assert old in text
+    paths[kind].write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert run(*commands[kind]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths[kind]) in err and named in err and len(err.splitlines()) == 1
+
+
 def test_config_hash_stable():
     a = ExperimentConfig(seed=1)
     b = ExperimentConfig(seed=1)
