@@ -200,15 +200,19 @@ def compare_designs(
         raise ValueError("all compared designs must share one stage count")
     if params is None:
         params = DelayParams()
+    seeds = tuple(seeds)
     rows = []
     for netlist in designs:
+        # One device and CRP set per seed, shared by every feature map.
+        datasets = [
+            _attack_dataset(netlist, params, crp_budget, derive_seed(netlist.describe(), seed)) for seed in seeds
+        ]
         for kind in feature_kinds:
             feature_map = FeatureMap(kind, netlist.stages)
-            accs = []
-            for seed in seeds:
-                train_set, holdout = _attack_dataset(netlist, params, crp_budget, derive_seed(netlist.describe(), seed))
-                model = train(train_set, feature_map, hyper, seed=seed)
-                accs.append(evaluate_attack(model, holdout))
+            accs = [
+                evaluate_attack(train(train_set, feature_map, hyper, seed=seed), holdout)
+                for seed, (train_set, holdout) in zip(seeds, datasets)
+            ]
             rows.append(
                 ComparisonRow(
                     design=netlist.describe(),

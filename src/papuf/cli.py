@@ -209,11 +209,19 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _challenge_bits(text: str, stages: int, source: str):
+    """A seed challenge given in hex; ``source`` names the option or file key in errors."""
+    try:
+        return hex_to_bits(text, stages)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _cmd_keygen_enroll(args) -> int:
     device = load_device(args.device)
     code = BchCode.construct(args.code_m, args.code_t)
     if args.challenge_hex:
-        seed_chal = hex_to_bits(args.challenge_hex, device.netlist.stages)
+        seed_chal = _challenge_bits(args.challenge_hex, device.netlist.stages, "--challenge-hex")
     else:
         seed_chal = random_seed_challenges(device.netlist.stages, 1, args.seed)[0]
     expanded = expand_challenge(seed_chal, args.response_size)
@@ -246,8 +254,10 @@ def _cmd_keygen_reproduce(args) -> int:
     helper = load_helper(args.helper)
     with open(args.helper, encoding="utf-8") as handle:
         recorded = kvfile.read(handle, {}).get("# challenge_hex")
-    if args.challenge_hex or recorded:
-        seed_chal = hex_to_bits(args.challenge_hex or recorded, device.netlist.stages)
+    if args.challenge_hex:
+        seed_chal = _challenge_bits(args.challenge_hex, device.netlist.stages, "--challenge-hex")
+    elif recorded:
+        seed_chal = _challenge_bits(recorded, device.netlist.stages, f"{args.helper}: bad '# challenge_hex'")
     else:
         raise ValueError("no challenge: pass --challenge-hex or use helper data that records one")
     expanded = expand_challenge(seed_chal, args.response_size)

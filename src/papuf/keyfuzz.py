@@ -85,7 +85,8 @@ def load_helper(path) -> HelperData:
     code = {"m": int, "n": int, "k": int, "t": int, "primitive_poly": lambda text: int(text, 0)}
     with open(path, encoding="utf-8") as handle:
         fields = kvfile.read(handle, {**code, "offset_hex": str})
-    n, offset_hex = fields["n"], fields["offset_hex"]
-    if len(offset_hex) != 2 * ((n + 7) // 8):
-        raise ValueError(f"{path}: offset_hex does not hold n={n} bits")
-    return HelperData(offset=hex_to_bits(offset_hex, n), **{key: fields[key] for key in code})
+    try:
+        offset = hex_to_bits(fields["offset_hex"], fields["n"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad 'offset_hex': {exc}") from None
+    return HelperData(offset=offset, **{key: fields[key] for key in code})

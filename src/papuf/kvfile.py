@@ -67,15 +67,17 @@ def parse(items: Iterable[str], schema: Mapping[str, Any], where: str) -> dict[s
     return _convert(dict(split(item, where) for item in items), schema, where)
 
 
-def read(handle, schema: Mapping[str, Any], marker: str | None = None) -> dict[str, Any]:
+def read(handle, schema: Mapping[str, Any], marker: str | None = None, lines=None) -> dict[str, Any]:
     """Header and fields of an open file, checked against ``schema``.
 
     Reading stops after ``marker``, so the caller streams the table from the
-    same handle.  Keys outside the schema come back as text.
+    same handle.  A caller that numbers the table's lines passes its own
+    ``enumerate(handle, 1)`` as ``lines`` and goes on from where it stops.
+    Keys outside the schema come back as text.
     """
     values: dict[str, str] = {}
     found = marker is None
-    for number, raw in enumerate(handle, 1):
+    for number, raw in lines or enumerate(handle, 1):
         line = raw.strip()
         if line == marker:
             found = True

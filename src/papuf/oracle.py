@@ -17,6 +17,7 @@ import numpy as np
 from .bch import BchCode
 from .circuit import _noise_rng, _tie_bits, _tie_rng
 from .device import DeviceInstance
+from .response import LFSR_TAPS, lfsr_stride
 
 MAX_ORACLE_STAGES = 4
 MAX_ORACLE_CODE_LENGTH = 15
@@ -180,3 +181,31 @@ def naive_inter_hd(responses) -> float:
             hd = sum(a != b for a, b in zip(rows[i], rows[j]))
             total += hd / n
     return 2.0 / (k * (k - 1)) * total * 100.0
+
+
+# ---------------------------------------------------------------------------
+# LFSR expansion by clocking the register
+
+
+def reference_expand(seeds, count: int) -> np.ndarray:
+    """LFSR challenge sequences by clocking the register one step at a time.
+
+    Plain Python lists: each clock XORs the tapped bits into a new bit 0
+    and shifts the rest up by one; ``lfsr_stride(width)`` clocks separate
+    emitted challenges.  Returns (C, count, width) uint8 like ``expand_many``.
+    """
+    out = []
+    for seed in np.atleast_2d(seeds):
+        state = [int(b) for b in seed]
+        taps = [t - 1 for t in LFSR_TAPS[len(state)]]
+        stride = lfsr_stride(len(state))
+        sequence = [state]
+        for _ in range(count - 1):
+            for _ in range(stride):
+                feedback = 0
+                for t in taps:
+                    feedback ^= state[t]
+                state = [feedback] + state[:-1]
+            sequence.append(state)
+        out.append(sequence)
+    return np.array(out, dtype=np.uint8).reshape(len(out), count, -1)

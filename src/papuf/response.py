@@ -7,7 +7,9 @@ LFSR and concatenating the bits of the expanded sequence.
 
 from __future__ import annotations
 
+import functools
 import math
+import string
 from array import array
 from dataclasses import dataclass, field
 
@@ -73,31 +75,78 @@ def lfsr_stride(width: int) -> int:
     return stride
 
 
+# Target size of one row block of the expansion, in challenge bits: the
+# block's float32 products then stay under 256 KB.
+EXPAND_BLOCK_VALUES = 1 << 16
+
+
+@functools.lru_cache(maxsize=128)
+def _jump_matrix(width: int, doublings: int) -> np.ndarray:
+    """J^(2^doublings) over GF(2), read-only float32 (width, width).
+
+    J = M^stride, where M is the companion matrix of one clock acting on a
+    row state (``state @ M`` shifts the register and feeds the XOR of the
+    taps into bit 0), so ``seed @ J^j (mod 2)`` is emitted challenge j.
+    Entries stay 0/1 and every dot product is at most width <= 128, so
+    float32 products are exact and fit a uint8 before the final mod 2.
+    """
+    if doublings:
+        half = _jump_matrix(width, doublings - 1)
+        jump = (half @ half) % 2
+    else:
+        power = np.eye(width, k=1, dtype=np.float32)  # column i + 1 copies bit i
+        power[np.array(lfsr_taps(width)) - 1, 0] = 1.0  # column 0 is the feedback
+        jump = np.eye(width, dtype=np.float32)
+        exponent = lfsr_stride(width)
+        while exponent:
+            if exponent & 1:
+                jump = (jump @ power) % 2
+            power = (power @ power) % 2
+            exponent >>= 1
+    jump.setflags(write=False)
+    return jump
+
+
 def expand_many(seed_challenges: np.ndarray, count: int) -> np.ndarray:
     """Expand each seed row into its LFSR challenge sequence; (C, count, width).
 
-    Element 0 of every sequence is the seed itself; the register is then
-    clocked ``lfsr_stride(width)`` times per emitted challenge, so even
-    neighboring seeds yield well-mixed sequences.  All elements of one
-    sequence are pairwise distinct while count <= 2^width - 1.
+    Element 0 of every sequence is the seed itself; consecutive elements are
+    ``lfsr_stride(width)`` clocks apart, so even neighboring seeds yield
+    well-mixed sequences.  All elements of one sequence are pairwise
+    distinct while count <= 2^width - 1.
+
+    Expansion is linear over GF(2): element j is ``seed @ J^j (mod 2)`` with
+    J the stride-clock jump matrix.  Row blocks of seeds are filled by
+    doubling: elements [k, 2k) are elements [0, k) times J^k, so a block
+    takes ceil(log2 count) matrix products and no register clocks.  The
+    result is bit-identical to clocking the register.  Seeds must hold only
+    0 and 1 and must not be all zero; anything else is a ``ValueError``.
     """
     if count < 1:
         raise ValueError(f"expansion count must be >= 1, got {count}")
     states = np.ascontiguousarray(np.atleast_2d(seed_challenges), dtype=np.uint8)
     width = states.shape[1]
-    taps = np.array(lfsr_taps(width)) - 1
+    lfsr_taps(width)  # rejects widths without a tap set
+    if states.max(initial=0) > 1:
+        raise ValueError("seed challenges must hold only 0 and 1 bits")
     if not states.any(axis=1).all():
         raise ValueError("all-zero seed challenge is a fixed point of the LFSR expansion")
-    stride = lfsr_stride(width)
     out = np.empty((states.shape[0], count, width), dtype=np.uint8)
-    out[:, 0] = states
-    state = states.copy()
-    for j in range(1, count):
-        for _ in range(stride):
-            feedback = np.bitwise_xor.reduce(state[:, taps], axis=1)
-            state[:, 1:] = state[:, :-1]
-            state[:, 0] = feedback
-        out[:, j] = state
+    block_rows = max(1, EXPAND_BLOCK_VALUES // (count * width))
+    for start in range(0, states.shape[0], block_rows):
+        block = states[start : start + block_rows]
+        rows = block.shape[0]
+        # Element j of seed r sits in row j * rows + r, so each doubling
+        # round reads and writes one contiguous slab.
+        buf = np.empty((count * rows, width), dtype=np.uint8)
+        buf[:rows] = block
+        done, doublings = 1, 0
+        while done < count:
+            target = buf[done * rows : (done + min(done, count - done)) * rows]
+            product = buf[: target.shape[0]].astype(np.float32) @ _jump_matrix(width, doublings)
+            np.bitwise_and(product.astype(np.uint8), 1, out=target)
+            done, doublings = 2 * done, doublings + 1
+        out[start : start + rows] = buf.reshape(count, rows, width).transpose(1, 0, 2)
     return out
 
 
@@ -312,8 +361,11 @@ def bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(bits).tobytes().hex()
 
 def hex_to_bits(text: str, n_bits: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
-    return np.unpackbits(raw)[:n_bits]
+    """Inverse of ``bits_to_hex``: exactly the hex digits of ceil(n_bits / 8) bytes."""
+    digits = 2 * ((n_bits + 7) // 8)
+    if len(text) != digits or not all(c in string.hexdigits for c in text):
+        raise ValueError(f"expected {digits} hex digits for {n_bits} bits, got {text!r}")
+    return np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))[:n_bits]
 
 
 CRP_COLUMNS = "device_id,challenge_hex,repetition,response_hex,response_bits_len"
@@ -345,6 +397,7 @@ def load_crps(path) -> CrpSet:
     Records are parsed straight into packed response bytes plus their
     (device, challenge, repetition) cell; device ids come out sorted and
     challenges in first-seen order.  Every cell must appear exactly once.
+    A malformed record is a ``ValueError`` naming the file and line.
     """
     schema = {
         "# netlist": Netlist.parse,
@@ -355,26 +408,38 @@ def load_crps(path) -> CrpSet:
     }
     device_first: dict[str, int] = {}  # first-seen index per device id
     chal_first: dict[str, int] = {}  # first-seen index per challenge hex
+    challenges = []  # challenge bits in first-seen order
     cells = array("q")  # device, challenge, repetition of each record, in file order
     packed = bytearray()
     n_bits = n_bytes = 0
     with open(path, encoding="utf-8") as handle:
-        header = kvfile.read(handle, schema, marker=CRP_COLUMNS)
-        for raw in handle:
+        lines = enumerate(handle, 1)
+        header = kvfile.read(handle, schema, marker=CRP_COLUMNS, lines=lines)
+        stages = header["# netlist"].stages
+        for number, raw in lines:
             line = raw.strip()
             if not line:
                 continue
-            device_id, chal_hex, rep_text, resp_hex, length = line.split(",")
-            if not cells:
-                n_bits = int(length)
-                n_bytes = (n_bits + 7) // 8
-            response = bytes.fromhex(resp_hex)
-            if int(length) != n_bits or len(response) != n_bytes:
-                raise ValueError(f"record ({device_id}, {chal_hex}, {rep_text}) is not {n_bits} bits long")
-            if int(rep_text) < 0:
-                raise ValueError(f"negative repetition in record ({device_id}, {chal_hex}, {rep_text})")
+            try:
+                fields = line.split(",")
+                if len(fields) != 5:
+                    raise ValueError(f"expected {CRP_COLUMNS}, got {line!r}")
+                device_id, chal_hex, rep_text, resp_hex, length = fields
+                rep, bits = int(rep_text), int(length)
+                if not cells:
+                    n_bits, n_bytes = bits, (bits + 7) // 8
+                response = bytes.fromhex(resp_hex)
+                if bits != n_bits or len(response) != n_bytes:
+                    raise ValueError(f"record is not {n_bits} bits long")
+                if rep < 0:
+                    raise ValueError(f"negative repetition {rep}")
+                if chal_hex not in chal_first:
+                    challenges.append(hex_to_bits(chal_hex, stages))
+                    chal_first[chal_hex] = len(chal_first)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
             device = device_first.setdefault(device_id, len(device_first))
-            cells.extend((device, chal_first.setdefault(chal_hex, len(chal_first)), int(rep_text)))
+            cells.extend((device, chal_first[chal_hex], rep))
             packed += response
     if not cells:
         raise ValueError(f"no CRP records in {path}")
@@ -396,10 +461,9 @@ def load_crps(path) -> CrpSet:
         raise ValueError("missing (device, challenge, repetition) records")
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, n_bytes)[first]
     responses = np.unpackbits(rows, axis=1, count=n_bits).reshape(*shape, n_bits)
-    challenges = np.stack([hex_to_bits(h, header["# netlist"].stages) for h in chal_hexes])
     return CrpSet(
         device_ids=device_ids,
-        challenges=challenges,
+        challenges=np.stack(challenges),
         responses=responses,
         netlist=header["# netlist"],
         params=header["# params"],

@@ -344,6 +344,66 @@ def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, ca
     assert err.startswith("error:") and str(paths[kind]) in err and named in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    ["garbage", "d0000,zz,0,ab,8", "d0000,abc,0,ab,8", "d0000,abcd,0,zz,8", "d0000,abcd,x,ab,8"],
+)
+def test_malformed_crp_record_names_the_file_and_the_line(tmp_path, capsys, record):
+    path = tmp_path / "crps.csv"
+    assert run("crp", "gen", "--design", "pa-puf", "--stages", "16", "--population", "2",
+               "--challenges", "3", "--response-size", "8", "--out-dir", str(tmp_path)) == 0
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [record]) + "\n")
+    capsys.readouterr()
+    assert run("metrics", "--crps", str(path), "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line {len(lines) + 1}: ") and len(err.splitlines()) == 1
+
+
+_HEX_64 = "0123456789abcdef"
+
+
+@pytest.mark.parametrize("value", ["zz" * 8, "ab", _HEX_64 * 2 + "0123"])
+def test_bad_challenge_hex_option_is_an_error(tmp_path, capsys, value):
+    device = tmp_path / "dev.txt"
+    run("device", "new", "--design", "pa-puf", "--stages", "64", "--seed", "5",
+        "--out-dir", str(tmp_path), "--out", str(device))
+    helper = tmp_path / "helper.txt"
+    assert run("keygen", "enroll", "--device", str(device), "--challenge-hex", _HEX_64,
+               "--out-dir", str(tmp_path), "--helper-out", str(helper)) == 0
+    for command in ("enroll", "reproduce"):
+        capsys.readouterr()
+        argv = ["keygen", command, "--device", str(device), "--challenge-hex", value,
+                "--out-dir", str(tmp_path / "again")]
+        argv += ["--helper-out", str(tmp_path / "h2.txt")] if command == "enroll" else ["--helper", str(helper)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --challenge-hex: expected 16 hex digits") and len(err.splitlines()) == 1
+    assert not (tmp_path / "h2.txt").exists() and not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("# challenge_hex", "zz" * 8), ("# challenge_hex", "ab"), ("# challenge_hex", _HEX_64 * 2 + "0123"),
+     ("offset_hex", "zz" * 16), ("offset_hex", "ab")],
+)
+def test_bad_recorded_challenge_or_offset_hex_names_the_file_and_key(tmp_path, capsys, key, value):
+    device = tmp_path / "dev.txt"
+    run("device", "new", "--design", "pa-puf", "--stages", "64", "--seed", "5",
+        "--out-dir", str(tmp_path), "--out", str(device))
+    helper = tmp_path / "helper.txt"
+    assert run("keygen", "enroll", "--device", str(device), "--out-dir", str(tmp_path),
+               "--helper-out", str(helper)) == 0
+    lines = [f"{key}={value}" if l.startswith(f"{key}=") else l for l in helper.read_text().splitlines()]
+    helper.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("keygen", "reproduce", "--device", str(device), "--helper", str(helper),
+               "--out-dir", str(tmp_path / "again")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {helper}: bad {key!r}: expected ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "again").exists()
+
+
 def test_config_hash_stable():
     a = ExperimentConfig(seed=1)
     b = ExperimentConfig(seed=1)

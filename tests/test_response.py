@@ -16,7 +16,9 @@ from papuf import (
     synthesize_device,
     synthesize_population,
 )
+from papuf.oracle import reference_expand
 from papuf.response import (
+    EXPAND_BLOCK_VALUES,
     LFSR_TAPS,
     bits_to_hex,
     expand_many,
@@ -122,6 +124,44 @@ def test_expand_identity_prefix_and_determinism():
     b = expand_challenge(seed, 40)
     assert np.array_equal(a, b)
     assert np.array_equal(a[:10], expand_challenge(seed, 10))
+
+
+def _nonzero_seeds(rows, width, seed):
+    seeds = np.random.default_rng(seed).integers(0, 2, size=(rows, width), dtype=np.uint8)
+    seeds[~seeds.any(axis=1), 0] = 1
+    return seeds
+
+
+@pytest.mark.parametrize("width", sorted(LFSR_TAPS))
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 100, 128])
+def test_expand_many_equals_clocked_reference(width, count):
+    seeds = _nonzero_seeds(3, width, width * 1000 + count)
+    out = expand_many(seeds, count)
+    assert out.dtype == np.uint8 and out.shape == (3, count, width)
+    assert np.array_equal(out, reference_expand(seeds, count))
+
+
+@pytest.mark.parametrize("width", [w for w in LFSR_TAPS if w <= 8])
+def test_expand_many_equals_clocked_reference_over_full_period(width):
+    seeds = _nonzero_seeds(4, width, width)
+    count = (1 << width) - 1
+    assert np.array_equal(expand_many(seeds, count), reference_expand(seeds, count))
+
+
+@pytest.mark.parametrize("width, count", [(16, 5), (64, 128)])
+def test_expand_many_equals_clocked_reference_across_row_blocks(width, count):
+    block = max(1, EXPAND_BLOCK_VALUES // (count * width))
+    rows = 2 * block + block // 2 + 1  # two full blocks and a short last one
+    seeds = _nonzero_seeds(rows, width, count)
+    assert np.array_equal(expand_many(seeds, count), reference_expand(seeds, count))
+
+
+@pytest.mark.parametrize("bad", [2, 255])
+def test_expand_rejects_non_binary_seed(bad):
+    seeds = _nonzero_seeds(3, 16, 0)
+    seeds[1, 4] = bad
+    with pytest.raises(ValueError, match="0 and 1"):
+        expand_many(seeds, 4)
 
 
 def test_expand_rejects_zero_seed():
@@ -267,6 +307,12 @@ def test_hex_packing_msb_first():
     bits12 = np.array([1] + [0] * 11, dtype=np.uint8)
     assert bits_to_hex(bits12) == "8000"
     assert np.array_equal(hex_to_bits("8000", 12), bits12)
+
+
+@pytest.mark.parametrize("text", ["8", "810", "zz", "8 1"])
+def test_hex_to_bits_rejects_wrong_length_and_non_hex(text):
+    with pytest.raises(ValueError, match="2 hex digits for 8 bits"):
+        hex_to_bits(text, 8)
 
 
 def test_crp_file_round_trip(tmp_path):
