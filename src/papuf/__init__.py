@@ -10,20 +10,11 @@ from .attack import (
     train,
 )
 from .bch import BchCode, bch_decode, bch_encode, default_code
-from .circuit import (
-    clean_arrival_times,
-    feed_forward_arbiter,
-    priority_arbiter,
-    propagate,
-    propagate_many,
-    repeated_reads,
-    simple_arbiter,
-)
+from .circuit import clean_arrival_times, propagate_many, repeated_reads
 from .device import (
     DelayParams,
     DeviceInstance,
     load_device,
-    sample_noise,
     save_device,
     synthesize_device,
     synthesize_population,
@@ -50,7 +41,6 @@ from .netlist import Design, Netlist, default_ff_taps
 from .response import (
     CrpSet,
     collect_crps,
-    evaluate_response,
     expand_challenge,
     load_crps,
     majority_vote,

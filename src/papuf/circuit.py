@@ -6,6 +6,16 @@ a select of 1 applies the cyclic rotation T->C->B->T (a plain swap for the
 2-line chain), i.e. with select 1 output T reads line B, C reads T and B
 reads C.
 
+Every arbiter decision goes through ``_flip_flops`` and ``_arbitrate``.
+Three flip-flops race the pairs (T, C), (C, B) and (B, T) and latch
+(qT, qC, qB) = (T<C, C<B, B<T); a gap within the metastability window
+(including an exact tie at window 0) latches a fair tie bit instead.  The
+priority arbiter of the 3-line designs outputs NOT(qT ^ qC ^ qB): 1 exactly
+on the cyclic rotations of (T, C, B), so 3 of the 6 strict orderings.  A
+feed-forward tap arbiter passes (qT, qC, qB) on as the per-line mux selects
+of its target stage, and the 2-line arbiter outputs top<bottom.  The
+gate-level reference is ``oracle.gate_level_priority``.
+
 Without feed-forward taps the chain has a closed form.  A delay added on
 line m at stage i moves one line on at every later select-1 stage, so with
 L lines and S_{i+1} the number of 1 bits after stage i,
@@ -48,42 +58,6 @@ ROT3 = np.array([2, 0, 1])
 # one block alike.
 BLOCK_VALUES = 1 << 16
 
-# Strict arrival orderings (fastest line first) that produce response 1:
-# exactly the cyclic rotations of (T, C, B).  The other three orderings give
-# 0, so the arbiter output is balanced 3/6 over strict orderings.
-CANONICAL_PRIORITY_TABLE: dict[tuple[str, str, str], int] = {
-    ("T", "C", "B"): 1,
-    ("C", "B", "T"): 1,
-    ("B", "T", "C"): 1,
-    ("T", "B", "C"): 0,
-    ("B", "C", "T"): 0,
-    ("C", "T", "B"): 0,
-}
-
-
-def decision_lut_from_table(table: dict[tuple[str, str, str], int]) -> np.ndarray:
-    """Compile an ordering->bit table into a lookup over the three pairwise
-    flip-flop bits (qT, qC, qB) = (T<C, C<B, B<T), indexed qT*4+qC*2+qB.
-
-    The two index patterns 000 and 111 cannot arise from a strict ordering
-    (they encode a cyclic contradiction); they only appear when ties are
-    randomly resolved and are completed here as XNOR of the three bits,
-    which is what the flip-flop/mux realization produces.
-    """
-    lut = np.empty(8, dtype=np.uint8)
-    for idx in range(8):
-        lut[idx] = 1 ^ ((idx >> 2) ^ (idx >> 1) ^ idx) & 1
-    for order, bit in table.items():
-        rank = {name: pos for pos, name in enumerate(order)}
-        q0 = int(rank["T"] < rank["C"])
-        q1 = int(rank["C"] < rank["B"])
-        q2 = int(rank["B"] < rank["T"])
-        lut[(q0 << 2) | (q1 << 1) | q2] = bit
-    return lut
-
-
-DEFAULT_DECISION_LUT = decision_lut_from_table(CANONICAL_PRIORITY_TABLE)
-
 
 def _tie_rng(tie_seed: int, point: int) -> np.random.Generator:
     return np.random.default_rng([tie_seed & SEED_MASK, TIE_TAG, point])
@@ -101,61 +75,6 @@ def _tie_bits(rng: np.random.Generator, n_eval: int, pairs: int) -> np.ndarray:
     the bits would depend on how the rows were split into calls.
     """
     return rng.integers(0, 2, size=(n_eval, pairs), dtype=np.uint32).astype(np.uint8)
-
-
-def simple_arbiter(t_data: float, t_clock: float, metastability_window: float = 0.0, tie_seed: int = 0) -> int:
-    """Latch decision between two racing edges: 1 if the data edge wins.
-
-    When the arrival gap is within the metastability window (including the
-    exact tie at window 0) the output is a fair random bit derived from
-    tie_seed.
-    """
-    if abs(t_data - t_clock) <= metastability_window:
-        return int(_tie_rng(tie_seed, 0).integers(0, 2))
-    return 1 if t_data < t_clock else 0
-
-
-def _pairwise_bits(arrivals: Sequence[float], metastability_window: float, tie_seed: int) -> tuple[int, int, int]:
-    t, c, b = (float(v) for v in arrivals)
-    pairs = ((t, c), (c, b), (b, t))
-    bits = []
-    for k, (first, second) in enumerate(pairs):
-        if abs(first - second) <= metastability_window:
-            bits.append(int(_tie_rng(tie_seed, k).integers(0, 2)))
-        else:
-            bits.append(1 if first < second else 0)
-    return tuple(bits)
-
-
-def priority_arbiter(
-    arrivals: Sequence[float],
-    metastability_window: float = 0.0,
-    tie_seed: int = 0,
-    decision_lut: np.ndarray | None = None,
-) -> int:
-    """Three-input arbiter: output a pure function of the arrival ordering.
-
-    Three flip-flops race the pairs (T,C), (C,B), (B,T); the mux/XOR stage
-    maps the bit triple through ``decision_lut`` (default: 1 exactly on the
-    cyclic rotations of T,C,B).  Pass a different LUT, e.g. from
-    ``decision_lut_from_table``, to swap in an alternative wiring.
-    """
-    lut = DEFAULT_DECISION_LUT if decision_lut is None else decision_lut
-    q0, q1, q2 = _pairwise_bits(arrivals, metastability_window, tie_seed)
-    return int(lut[(q0 << 2) | (q1 << 1) | q2])
-
-
-def feed_forward_arbiter(
-    arrivals: Sequence[float],
-    metastability_window: float = 0.0,
-    tie_seed: int = 0,
-) -> tuple[int, int, int]:
-    """Tap arbiter emitting (F0, F1, F2) = (T<C, C<B, B<T).
-
-    F0 drives the T-line mux select at the target stage, F1 the C line and
-    F2 the B line.
-    """
-    return _pairwise_bits(arrivals, metastability_window, tie_seed)
 
 
 def _cmp_vec(first: np.ndarray, second: np.ndarray, window: float, tie_bits: np.ndarray) -> np.ndarray:
@@ -177,14 +96,23 @@ def _pairs(lines: int) -> int:
     return 1 if lines == 2 else 3
 
 
-def _arbitrate(final: np.ndarray, window: float, lut: np.ndarray, tie: np.ndarray) -> np.ndarray:
-    """Response bits of (N, lines) sampled arrival times, given (N, pairs) tie bits."""
+def _flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> list[np.ndarray]:
+    """(qT, qC, qB) = (T<C, C<B, B<T) of (N, 3) sampled times, given (N, 3) tie bits."""
+    return [_cmp_vec(sampled[:, k], sampled[:, (k + 1) % 3], window, tie[:, k]) for k in range(3)]
+
+
+def _arbitrate(final: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
+    """Response bits of (N, lines) sampled arrival times, given (N, pairs) tie bits.
+
+    2 lines: top<bottom.  3 lines: NOT(qT ^ qC ^ qB) over ``_flip_flops``,
+    the gate-level rule of ``oracle.gate_level_priority``.  The patterns
+    000 and 111 are cyclic contradictions that only tie bits can produce;
+    they give 1, as the XOR gate does.
+    """
     if final.shape[1] == 2:
         return _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
-    q0 = _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
-    q1 = _cmp_vec(final[:, 1], final[:, 2], window, tie[:, 1])
-    q2 = _cmp_vec(final[:, 2], final[:, 0], window, tie[:, 2])
-    return lut[(q0.astype(np.intp) << 2) | (q1.astype(np.intp) << 1) | q2]
+    q0, q1, q2 = _flip_flops(final, window, tie)
+    return 1 ^ q0 ^ q1 ^ q2
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +164,6 @@ def propagate_blocks(
     devices: Sequence[DeviceInstance],
     challenges: np.ndarray,
     eval_seeds: Sequence[Sequence[int]],
-    decision_lut: np.ndarray | None = None,
     block_multiple: int = 1,
 ):
     """Noisy reads of a tapless population, one row block at a time.
@@ -255,7 +182,6 @@ def propagate_blocks(
     lines, pairs = netlist.lines, _pairs(netlist.lines)
     sigma = devices[0].params.sigma_noise
     window = devices[0].params.metastability_window
-    lut = DEFAULT_DECISION_LUT if decision_lut is None else decision_lut
     n_dev, n_rep = len(devices), len(eval_seeds[0])
     streams = [(_noise_rng(s, 0), _tie_rng(s, 0)) for seeds in eval_seeds for s in seeds]
     block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
@@ -270,16 +196,11 @@ def propagate_blocks(
         # sigma*z + t equals t + sigma*z bit for bit: IEEE addition commutes
         per_job = final.reshape(n_dev, n_rep, size, lines)
         per_job += times.reshape(size, n_dev, 1, lines).transpose(1, 2, 0, 3)
-        bits = _arbitrate(final.reshape(-1, lines), window, lut, tie.reshape(-1, pairs))
+        bits = _arbitrate(final.reshape(-1, lines), window, tie.reshape(-1, pairs))
         yield rows, bits.reshape(n_dev, n_rep, size)
 
 
-def propagate_many(
-    device: DeviceInstance,
-    challenges: np.ndarray,
-    eval_seed: int = 0,
-    decision_lut: np.ndarray | None = None,
-) -> np.ndarray:
+def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: int = 0) -> np.ndarray:
     """Evaluate a batch of challenges in one pass; returns (N,) response bits.
 
     Each row is one independent evaluation: per-evaluation jitter and tie
@@ -296,14 +217,13 @@ def propagate_many(
     n_eval = challenges.shape[0]
     if not netlist.ff_taps:
         out = np.empty(n_eval, dtype=np.uint8)
-        for rows, bits in propagate_blocks([device], challenges, [[eval_seed]], decision_lut):
+        for rows, bits in propagate_blocks([device], challenges, [[eval_seed]]):
             out[rows] = bits[0, 0]
         return out
 
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
     delay = device.delay_table
-    lut = DEFAULT_DECISION_LUT if decision_lut is None else decision_lut
     taps_at_stage: dict[int, list[tuple[int, int]]] = {}
     for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
         taps_at_stage.setdefault(tap, []).append((point, target))
@@ -322,30 +242,10 @@ def propagate_many(
         for point, target in taps_at_stage.get(i, ()):
             sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
             tie = _tie_bits(_tie_rng(eval_seed, point), n_eval, 3)
-            pending[target] = np.stack(
-                [
-                    _cmp_vec(sampled[:, 0], sampled[:, 1], window, tie[:, 0]),
-                    _cmp_vec(sampled[:, 1], sampled[:, 2], window, tie[:, 1]),
-                    _cmp_vec(sampled[:, 2], sampled[:, 0], window, tie[:, 2]),
-                ],
-                axis=1,
-            )
+            pending[target] = np.stack(_flip_flops(sampled, window, tie), axis=1)
 
     final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, 3))
-    return _arbitrate(final, window, lut, _tie_bits(_tie_rng(eval_seed, 0), n_eval, 3))
-
-
-def propagate(
-    device: DeviceInstance,
-    challenge: np.ndarray,
-    eval_seed: int = 0,
-    decision_lut: np.ndarray | None = None,
-) -> int:
-    """Evaluate one challenge; see ``propagate_many`` for the noise model."""
-    challenge = np.asarray(challenge)
-    if challenge.ndim != 1:
-        raise ValueError("propagate expects a single challenge vector")
-    return int(propagate_many(device, challenge[None, :], eval_seed, decision_lut)[0])
+    return _arbitrate(final, window, _tie_bits(_tie_rng(eval_seed, 0), n_eval, 3))
 
 
 def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
@@ -404,7 +304,7 @@ def repeated_reads(
         final += clean  # sigma*z + t equals t + sigma*z bit for bit
         tie = _tie_bits(tie_rng, size * n_eval, _pairs(lines))
         out[done : done + size] = _arbitrate(
-            final.reshape(size * n_eval, lines), window, DEFAULT_DECISION_LUT, tie
+            final.reshape(size * n_eval, lines), window, tie
         ).reshape(size, n_eval)
         done += size
     return out

@@ -1,4 +1,4 @@
-"""Device synthesis: sampling process-variation delay tables and noise."""
+"""Device synthesis: sampling process-variation delay tables, and device files."""
 
 from __future__ import annotations
 
@@ -151,17 +151,6 @@ def synthesize_population(
         child = derive_seed(master_seed, "device", index)
         devices.append(synthesize_device(params, netlist, child, device_id=f"dev-{index:03d}"))
     return devices
-
-
-def sample_noise(device: DeviceInstance, eval_seed: int) -> np.ndarray:
-    """One Normal(0, sigma_noise) arrival-time jitter draw per output line.
-
-    Deterministic under eval_seed; this is exactly the terminal jitter that
-    ``circuit.propagate`` adds for the same seed.
-    """
-    rng = np.random.default_rng([eval_seed & SEED_MASK, NOISE_TAG, 0])
-    draws = rng.standard_normal((1, device.netlist.lines))[0]
-    return device.params.sigma_noise * draws
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ HD(R_i, R_j)/n over all device pairs for a shared challenge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -65,7 +64,34 @@ def _as_response_matrix(responses) -> np.ndarray:
     mat = np.asarray(responses, dtype=np.uint8)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D array of equal-length responses")
+    if mat.max(initial=0) > 1:
+        raise ValueError("responses must hold only 0 and 1 bits")
     return mat
+
+
+def _hd_histogram(bits: np.ndarray, all_pairs: bool = False) -> np.ndarray:
+    """Counts of each Hamming distance 0..n between the rows of a (K, ..., n)
+    bit array: row i against row i + 1, or with ``all_pairs`` against every
+    row j > i.  Distances are popcounts of XORed ``np.packbits`` bytes; the
+    pairs of one row i are compared at once."""
+    n = bits.shape[-1]
+    packed = np.packbits(bits, axis=-1)
+    histogram = np.zeros(n + 1, dtype=np.int64)
+    if all_pairs:
+        pairs = ((packed[i], packed[i + 1 :]) for i in range(packed.shape[0] - 1))
+    else:
+        pairs = [(packed[:-1], packed[1:])]
+    for first, second in pairs:
+        diff = first ^ second
+        dists = np.bitwise_count(diff, out=diff).sum(axis=-1, dtype=np.intp)
+        histogram += np.bincount(dists.ravel(), minlength=n + 1)
+    return histogram
+
+
+def _mean_percent(histogram: np.ndarray) -> float:
+    """Mean of the distances binned in ``histogram``, as a percent of n."""
+    n = histogram.size - 1
+    return float((np.arange(n + 1) @ histogram) / histogram.sum() / n * 100.0)
 
 
 def intra_hd(responses) -> tuple[float, np.ndarray]:
@@ -78,22 +104,17 @@ def intra_hd(responses) -> tuple[float, np.ndarray]:
     mat = _as_response_matrix(responses)
     if mat.shape[0] < 2:
         raise ValueError("need at least two responses for the intra-chip HD")
-    n = mat.shape[1]
-    dists = (mat[:-1] != mat[1:]).sum(axis=1)
-    histogram = np.bincount(dists, minlength=n + 1)
-    return float(dists.mean() / n * 100.0), histogram
+    histogram = _hd_histogram(mat)
+    return _mean_percent(histogram), histogram
 
 
 def inter_hd(responses) -> tuple[float, np.ndarray]:
     """Mean percent HD over all device pairs for one shared challenge."""
     mat = _as_response_matrix(responses)
-    k = mat.shape[0]
-    if k < 2:
+    if mat.shape[0] < 2:
         raise ValueError("need at least two devices for the inter-chip HD")
-    n = mat.shape[1]
-    dists = np.array([(mat[i] != mat[j]).sum() for i, j in combinations(range(k), 2)])
-    histogram = np.bincount(dists, minlength=n + 1)
-    return float(dists.mean() / n * 100.0), histogram
+    histogram = _hd_histogram(mat, all_pairs=True)
+    return _mean_percent(histogram), histogram
 
 
 def uniformity(crps: CrpSet) -> tuple[float, float, float]:
@@ -169,26 +190,6 @@ def uniqueness(crps: CrpSet) -> float:
     return float(diff_pairs / total_pairs * 100.0)
 
 
-def _inter_histogram(crps: CrpSet) -> np.ndarray:
-    n = crps.response_size
-    first_reads = crps.responses[:, :, 0, :]
-    histogram = np.zeros(n + 1, dtype=np.int64)
-    for i, j in combinations(range(crps.n_devices), 2):
-        dists = (first_reads[i] != first_reads[j]).sum(axis=1)
-        histogram += np.bincount(dists, minlength=n + 1)
-    return histogram
-
-
-def _intra_histogram(crps: CrpSet) -> np.ndarray:
-    n = crps.response_size
-    first_reads = crps.responses[:, :, 0, :]
-    histogram = np.zeros(n + 1, dtype=np.int64)
-    for d in range(crps.n_devices):
-        dists = (first_reads[d, :-1] != first_reads[d, 1:]).sum(axis=1)
-        histogram += np.bincount(dists, minlength=n + 1)
-    return histogram
-
-
 def compute_report(crps: CrpSet, reference: str = "majority") -> MetricsReport:
     """Evaluate every statistic the dataset supports; single-repetition sets
     report NaN for reliability and robustness."""
@@ -201,6 +202,7 @@ def compute_report(crps: CrpSet, reference: str = "majority") -> MetricsReport:
     else:
         rel = float("nan")
         rob = (float("nan"),) * 3
+    first_reads = crps.responses[:, :, 0, :]
     return MetricsReport(
         uniformity_min=uni[0],
         uniformity_max=uni[1],
@@ -213,8 +215,8 @@ def compute_report(crps: CrpSet, reference: str = "majority") -> MetricsReport:
         stable0=rob[0],
         stable1=rob[1],
         unstable=rob[2],
-        intra_hd_histogram=_intra_histogram(crps),
-        inter_hd_histogram=_inter_histogram(crps),
+        intra_hd_histogram=_hd_histogram(first_reads.swapaxes(0, 1)),
+        inter_hd_histogram=_hd_histogram(first_reads, all_pairs=True),
         challenge_mode=crps.challenge_mode,
     )
 

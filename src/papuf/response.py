@@ -155,19 +155,6 @@ def expand_challenge(seed_challenge: np.ndarray, count: int) -> np.ndarray:
     return expand_many(np.asarray(seed_challenge)[None, :], count)[0]
 
 
-def evaluate_response(
-    device: DeviceInstance,
-    seed_challenge: np.ndarray,
-    response_size: int,
-    eval_seed: int = 0,
-) -> np.ndarray:
-    """One multi-bit response: bit i answers the i-th expanded challenge."""
-    if response_size not in RESPONSE_SIZES:
-        raise ValueError(f"response size must be one of {RESPONSE_SIZES}, got {response_size}")
-    expanded = expand_challenge(seed_challenge, response_size)
-    return propagate_many(device, expanded, eval_seed)
-
-
 def majority_vote(responses) -> np.ndarray:
     """Bitwise majority over an odd number of equal-length responses."""
     votes = np.asarray(responses, dtype=np.uint8)
@@ -271,14 +258,20 @@ class CrpSet:
     def response_size(self) -> int:
         return self.responses.shape[3]
 
+    @functools.cached_property
+    def _packed_expanded_challenges(self) -> np.ndarray:
+        """Every seed challenge expanded, (C*n, stages) bits packed 8 to a byte."""
+        expanded = expand_many(self.challenges, self.response_size).reshape(-1, self.netlist.stages)
+        return np.packbits(expanded, axis=-1)
+
     def flat_crps(self, device_index: int = 0, repetition: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Single-bit (challenge, response) pairs for one device.
 
-        Expands every seed challenge and pairs expanded challenge i with
-        response bit i; shapes ((C*n, stages), (C*n,)).
+        Pairs expanded challenge i with response bit i; shapes
+        ((C*n, stages), (C*n,)).  The expansion runs once per set and is
+        kept packed, an eighth of its unpacked size.
         """
-        expanded = expand_many(self.challenges, self.response_size)
-        x = expanded.reshape(-1, self.netlist.stages)
+        x = np.unpackbits(self._packed_expanded_challenges, axis=-1, count=self.netlist.stages)
         y = self.responses[device_index, :, repetition, :].reshape(-1)
         return x, y
 
@@ -361,11 +354,18 @@ def bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(bits).tobytes().hex()
 
 def hex_to_bits(text: str, n_bits: int) -> np.ndarray:
-    """Inverse of ``bits_to_hex``: exactly the hex digits of ceil(n_bits / 8) bytes."""
+    """Inverse of ``bits_to_hex``: exactly the hex digits of ceil(n_bits / 8) bytes.
+
+    The padding bits after the first ``n_bits`` must be 0, as ``bits_to_hex``
+    writes them.
+    """
     digits = 2 * ((n_bits + 7) // 8)
     if len(text) != digits or not all(c in string.hexdigits for c in text):
         raise ValueError(f"expected {digits} hex digits for {n_bits} bits, got {text!r}")
-    return np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))[:n_bits]
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))
+    if bits[n_bits:].any():
+        raise ValueError(f"nonzero padding bits after bit {n_bits} in {text!r}")
+    return bits[:n_bits]
 
 
 CRP_COLUMNS = "device_id,challenge_hex,repetition,response_hex,response_bits_len"

@@ -22,7 +22,6 @@ from papuf import (
     default_ff_taps,
     enroll,
     measure_reliability,
-    priority_arbiter,
     propagate_many,
     reproduce,
     synthesize_device,
@@ -32,7 +31,7 @@ from papuf import (
 )
 from papuf.attack import FeatureMap, TrainParams, evaluate_attack, fit_logistic, train
 from papuf.bch import BchCode, bch_decode, bch_encode, default_code
-from papuf.circuit import propagate, repeated_reads
+from papuf.circuit import _arbitrate, repeated_reads
 from papuf.metrics import inter_hd, intra_hd
 from papuf.oracle import _oracle_systematic_codewords, exhaustive_propagate
 from papuf.response import expand_many, majority_vote, neighbor_seed_challenges, random_seed_challenges
@@ -72,7 +71,8 @@ def test_c01_priority_arbiter_balance(reporter):
     outputs = {}
     for order in permutations("TCB"):
         rank = {name: pos for pos, name in enumerate(order)}
-        outputs[order] = priority_arbiter([rank["T"], rank["C"], rank["B"]])
+        final = np.array([[rank["T"], rank["C"], rank["B"]]], dtype=np.float64)
+        outputs[order] = int(_arbitrate(final, 0.0, np.zeros((1, 3), dtype=np.uint8))[0])
     elapsed = time.perf_counter() - start
     assert sum(outputs.values()) == 3
     assert outputs[("T", "C", "B")] == 1
@@ -289,7 +289,7 @@ def test_c11_oracle_equivalence(reporter):
             for value in range(2 ** stages):
                 challenge = [(value >> i) & 1 for i in range(stages)]
                 eval_seed = derive_seed("c11", design.value, seed, value)
-                assert propagate(device, challenge, eval_seed) == exhaustive_propagate(
+                assert propagate_many(device, np.array([challenge]), eval_seed)[0] == exhaustive_propagate(
                     device, challenge, eval_seed
                 )
                 checked += 1

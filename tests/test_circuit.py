@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,24 +8,11 @@ from papuf import (
     Design,
     Netlist,
     clean_arrival_times,
-    feed_forward_arbiter,
-    priority_arbiter,
-    propagate,
     propagate_many,
     repeated_reads,
-    sample_noise,
-    simple_arbiter,
     synthesize_device,
 )
-from papuf.circuit import (
-    CANONICAL_PRIORITY_TABLE,
-    DEFAULT_DECISION_LUT,
-    _arbitrate,
-    _noise_rng,
-    _tie_bits,
-    _tie_rng,
-    decision_lut_from_table,
-)
+from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_rng
 from papuf.device import DeviceInstance
 from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times
 
@@ -35,24 +22,41 @@ def arrivals_for(order):
     return [float(rank["T"]), float(rank["C"]), float(rank["B"])]
 
 
+def arbitrate_orderings(orders, window=0.0):
+    """Terminal decisions for strict orderings, with all tie bits 0."""
+    final = np.array([arrivals_for(order) for order in orders])
+    return _arbitrate(final, window, np.zeros((len(orders), 3), dtype=np.uint8))
+
+
+def propagate_one(device, challenge, eval_seed=0):
+    return int(propagate_many(device, np.asarray(challenge)[None, :], eval_seed)[0])
+
+
 def test_simple_arbiter_race_semantics():
-    assert simple_arbiter(5.0, 9.0) == 1  # data edge first
-    assert simple_arbiter(9.0, 5.0) == 0  # clock edge first
+    final = np.array([[5.0, 9.0], [9.0, 5.0]])
+    tie = np.ones((2, 1), dtype=np.uint8)
+    # top edge first -> 1, bottom edge first -> 0; the tie bits are unused
+    assert _arbitrate(final, 0.0, tie).tolist() == [1, 0]
 
 
 def test_simple_arbiter_tie_is_fair():
     window = 0.1
-    bits = [simple_arbiter(5.0, 5.0, window, tie_seed) for tie_seed in range(10_000)]
+    final = np.full((10_000, 2), 5.0)
+    tie = _tie_bits(_tie_rng(0, 0), 10_000, 1)
+    bits = _arbitrate(final, window, tie)
+    assert np.array_equal(bits, tie[:, 0])
     assert 0.48 < np.mean(bits) < 0.52
 
 
 def test_priority_arbiter_matches_gate_level_oracle():
-    for order in permutations("TCB"):
-        assert priority_arbiter(arrivals_for(order)) == gate_level_priority(order)
+    orders = list(permutations("TCB"))
+    for order, bit in zip(orders, arbitrate_orderings(orders)):
+        assert bit == gate_level_priority(order)
 
 
 def test_priority_arbiter_balanced_three_of_six():
-    outputs = {order: priority_arbiter(arrivals_for(order)) for order in permutations("TCB")}
+    orders = list(permutations("TCB"))
+    outputs = dict(zip(orders, arbitrate_orderings(orders).tolist()))
     assert sum(outputs.values()) == 3
     assert outputs[("T", "C", "B")] == 1
     # cyclic rotations of (T, C, B) are the 1-outputs
@@ -63,24 +67,30 @@ def test_priority_arbiter_balanced_three_of_six():
     assert outputs[("C", "T", "B")] == 0
 
 
-def test_priority_arbiter_pluggable_table():
-    flipped = {order: 1 - bit for order, bit in CANONICAL_PRIORITY_TABLE.items()}
-    lut = decision_lut_from_table(flipped)
-    for order in permutations("TCB"):
-        assert priority_arbiter(arrivals_for(order), decision_lut=lut) == flipped[order]
+def test_priority_arbiter_is_xnor_of_all_eight_flip_flop_patterns():
+    # An infinite window hands every flip-flop its tie bit, so the tie bits
+    # choose (q0, q1, q2), including 000 and 111, which no strict ordering gives.
+    patterns = np.array(list(product((0, 1), repeat=3)), dtype=np.uint8)
+    final = np.random.default_rng(7).normal(size=(8, 3))
+    bits = _arbitrate(final, np.inf, patterns)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [1 ^ q0 ^ q1 ^ q2 for q0, q1, q2 in patterns.tolist()]
 
 
 def test_feed_forward_arbiter_pairwise_contract():
     # F0 = (T before C), F1 = (C before B), F2 = (B before T)
-    assert feed_forward_arbiter(arrivals_for(("T", "C", "B"))) == (1, 1, 0)
-    assert feed_forward_arbiter(arrivals_for(("B", "C", "T"))) == (0, 0, 1)
-    assert feed_forward_arbiter(arrivals_for(("C", "T", "B"))) == (0, 1, 0)
+    orders = [("T", "C", "B"), ("B", "C", "T"), ("C", "T", "B")]
+    sampled = np.array([arrivals_for(order) for order in orders])
+    flops = np.stack(_flip_flops(sampled, 0.0, np.ones((3, 3), dtype=np.uint8)), axis=1)
+    assert flops.tolist() == [[1, 1, 0], [0, 0, 1], [0, 1, 0]]
 
 
 def test_feed_forward_arbiter_tie_determinism():
-    a = feed_forward_arbiter([1.0, 1.0, 1.0], 0.5, tie_seed=9)
-    b = feed_forward_arbiter([1.0, 1.0, 1.0], 0.5, tie_seed=9)
-    assert a == b
+    # tied lines latch the tie bits of the tap's own stream, so equal seeds agree
+    tie = _tie_bits(_tie_rng(9, 1), 64, 3)
+    flops = np.stack(_flip_flops(np.ones((64, 3)), 0.5, tie), axis=1)
+    assert np.array_equal(flops, tie)
+    assert np.array_equal(tie, _tie_bits(_tie_rng(9, 1), 64, 3))
 
 
 def hand_apuf():
@@ -94,9 +104,9 @@ def hand_apuf():
 def test_propagate_hand_built_apuf():
     dev = hand_apuf()
     # challenge 00: top = 1+1 = 2, bottom = 2+2 = 4, top wins -> 1
-    assert propagate(dev, [0, 0]) == 1
+    assert propagate_one(dev, [0, 0]) == 1
     # challenge 10: stage0 swaps, top = 0+5 = 5, bottom = 0+1 = 1; then +1/+2 -> 6 vs 3 -> 0
-    assert propagate(dev, [1, 0]) == 0
+    assert propagate_one(dev, [1, 0]) == 0
 
 
 def test_propagate_hand_built_priority_single_stage():
@@ -104,32 +114,25 @@ def test_propagate_hand_built_priority_single_stage():
     params = DelayParams(mean_delay=1.0, sigma_process=0.0)
     dev = DeviceInstance("hand3", Netlist(Design.PA_PUF, 1), params, 0, table)
     # arrivals (1, 2, 3): order (T, C, B) -> 1
-    assert propagate(dev, [0]) == 1
+    assert propagate_one(dev, [0]) == 1
 
 
 def test_propagate_challenge_shape_validated(pa64):
     with pytest.raises(ValueError):
-        propagate(pa64, [0, 1])
+        propagate_many(pa64, np.zeros(64, dtype=np.uint8))  # one challenge needs a batch axis
+    with pytest.raises(ValueError):
+        propagate_many(pa64, [[0, 1]])
     with pytest.raises(ValueError):
         propagate_many(pa64, np.zeros((4, 63), dtype=np.uint8))
 
 
 def test_propagate_single_matches_batch(pa64):
+    # rows draw their streams in order, so a one-row batch is the first row of any batch
     rng = np.random.default_rng(0)
     challenges = rng.integers(0, 2, size=(16, 64), dtype=np.uint8)
     noisy = pa64.with_params(pa64.params.with_noise(1.5))
-    batch = propagate_many(noisy, challenges[:1], eval_seed=9)
-    assert propagate(noisy, challenges[0], eval_seed=9) == batch[0]
-
-
-def test_terminal_noise_is_sample_noise(pa64):
-    # with one challenge, propagate's terminal jitter equals sample_noise
-    noisy = pa64.with_params(pa64.params.with_noise(2.5))
-    challenge = np.zeros(64, dtype=np.uint8)
-    clean = clean_arrival_times(noisy, challenge[None, :])[0]
-    final = clean + sample_noise(noisy, 31)
-    expected = 1 ^ (int(final[0] < final[1]) ^ int(final[1] < final[2]) ^ int(final[2] < final[0]))
-    assert propagate(noisy, challenge, eval_seed=31) == expected
+    batch = propagate_many(noisy, challenges, eval_seed=9)
+    assert propagate_one(noisy, challenges[0], eval_seed=9) == batch[0]
 
 
 def test_scale_invariance():
@@ -179,10 +182,10 @@ def test_symmetric_device_resolves_through_tie_policy():
     params = DelayParams(sigma_process=0.0, metastability_window=0.5)
     dev = synthesize_device(params, Netlist(Design.PA_PUF, 4), 1)
     challenge = np.zeros(4, dtype=np.uint8)
-    bits = [propagate(dev, challenge, eval_seed=s) for s in range(2000)]
+    bits = [propagate_one(dev, challenge, eval_seed=s) for s in range(2000)]
     assert 0.45 < np.mean(bits) < 0.55
     for eval_seed in range(20):
-        assert propagate(dev, challenge, eval_seed) == exhaustive_propagate(dev, challenge, eval_seed)
+        assert propagate_one(dev, challenge, eval_seed) == exhaustive_propagate(dev, challenge, eval_seed)
 
 
 def test_oracle_equivalence_small_netlists():
@@ -202,7 +205,7 @@ def test_oracle_equivalence_small_netlists():
             for value in range(2 ** stages):
                 challenge = [(value >> i) & 1 for i in range(stages)]
                 eval_seed = seed * 1000 + value
-                assert propagate(dev, challenge, eval_seed) == exhaustive_propagate(
+                assert propagate_one(dev, challenge, eval_seed) == exhaustive_propagate(
                     dev, challenge, eval_seed
                 ), (design, stages, taps, seed, challenge)
 
@@ -222,7 +225,7 @@ def test_oracle_equivalence_with_metastability_window():
             for value in range(2 ** stages):
                 challenge = [(value >> i) & 1 for i in range(stages)]
                 eval_seed = seed * 997 + value
-                assert propagate(dev, challenge, eval_seed) == exhaustive_propagate(
+                assert propagate_one(dev, challenge, eval_seed) == exhaustive_propagate(
                     dev, challenge, eval_seed
                 )
 
@@ -269,7 +272,7 @@ def test_block_propagation_equals_one_pass_over_the_streams():
     # the terminal streams read row by row, over the whole batch at once
     final = clean_arrival_times(dev, challenges) + 1.5 * _noise_rng(8, 0).standard_normal((3000, 3))
     tie = _tie_bits(_tie_rng(8, 0), 3000, 3)
-    assert np.array_equal(bits, _arbitrate(final, 0.2, DEFAULT_DECISION_LUT, tie))
+    assert np.array_equal(bits, _arbitrate(final, 0.2, tie))
 
 
 def test_repeated_reads_noiseless_is_constant(pa64):

@@ -382,6 +382,19 @@ def test_bad_challenge_hex_option_is_an_error(tmp_path, capsys, value):
     assert not (tmp_path / "h2.txt").exists() and not (tmp_path / "again").exists()
 
 
+def test_challenge_hex_with_nonzero_padding_is_an_error(tmp_path, capsys):
+    # 12 stages take 4 hex digits; the last digit holds the 4 padding bits
+    device = tmp_path / "dev.txt"
+    run("device", "new", "--design", "pa-puf", "--stages", "12", "--seed", "5",
+        "--out-dir", str(tmp_path), "--out", str(device))
+    capsys.readouterr()
+    assert run("keygen", "enroll", "--device", str(device), "--challenge-hex", "a5c3",
+               "--out-dir", str(tmp_path / "out"), "--helper-out", str(tmp_path / "h.txt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --challenge-hex: nonzero padding bits after bit 12") and len(err.splitlines()) == 1
+    assert not (tmp_path / "h.txt").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("# challenge_hex", "zz" * 8), ("# challenge_hex", "ab"), ("# challenge_hex", _HEX_64 * 2 + "0123"),

@@ -6,7 +6,6 @@ from papuf import (
     Design,
     Netlist,
     load_device,
-    sample_noise,
     save_device,
     synthesize_device,
     synthesize_population,
@@ -85,28 +84,6 @@ def test_population_extension_preserves_existing_devices():
     for a, b in zip(small, large):
         assert a.device_id == b.device_id
         assert np.array_equal(a.delay_table, b.delay_table)
-
-
-def test_sample_noise_deterministic_and_scaled():
-    params = DelayParams(sigma_noise=2.0)
-    dev = synthesize_device(params, Netlist(Design.PA_PUF, 8), 5)
-    a = sample_noise(dev, 77)
-    b = sample_noise(dev, 77)
-    assert np.array_equal(a, b)
-    assert a.shape == (3,)
-    quiet = dev.with_params(params.with_noise(0.0))
-    assert np.all(sample_noise(quiet, 77) == 0.0)
-    # doubling sigma doubles the same underlying standard draws
-    loud = dev.with_params(params.with_noise(4.0))
-    assert np.allclose(sample_noise(loud, 77), 2.0 * a)
-
-
-def test_sample_noise_empirical_std():
-    params = DelayParams(sigma_noise=2.0)
-    dev = synthesize_device(params, Netlist(Design.PA_PUF, 8), 5)
-    draws = np.concatenate([sample_noise(dev, s) for s in range(40_000)])
-    assert draws.size >= 100_000
-    assert abs(draws.std() - 2.0) < 0.04  # within 2 percent
 
 
 def test_device_file_round_trip(tmp_path):

@@ -101,6 +101,9 @@ def test_hd_input_validation():
         intra_hd([bits("0101")])
     with pytest.raises(ValueError):
         inter_hd([bits("0101")])
+    for hd in (intra_hd, inter_hd):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            hd([[0, 2], [0, 1]])  # a packed popcount would read the 2 as a 1
 
 
 # ---------------------------------------------------------------------------

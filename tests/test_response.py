@@ -8,7 +8,6 @@ from papuf import (
     Design,
     Netlist,
     collect_crps,
-    evaluate_response,
     expand_challenge,
     load_crps,
     majority_vote,
@@ -174,23 +173,6 @@ def test_expand_rejects_unknown_width():
         expand_challenge(np.ones(9, dtype=np.uint8), 4)
 
 
-def test_evaluate_response_matches_per_challenge_propagate(pa64):
-    from papuf import propagate
-
-    seed = random_seed_challenges(64, 1, 5)[0]
-    response = evaluate_response(pa64, seed, 16, eval_seed=2)
-    expanded = expand_challenge(seed, 16)
-    # noiseless, window 0: every evaluation is seed-independent
-    direct = [propagate(pa64, challenge, eval_seed=999) for challenge in expanded]
-    assert np.array_equal(response, np.array(direct, dtype=np.uint8))
-
-
-def test_evaluate_response_validates_size(pa64):
-    seed = random_seed_challenges(64, 1, 5)[0]
-    with pytest.raises(ValueError):
-        evaluate_response(pa64, seed, 24, eval_seed=0)
-
-
 def test_noisy_read_flip_fractions_at_calibrated_noise():
     # at the calibrated noise level the per-read bit-error rate against the
     # majority-vote golden response is about 1 - reliability (~4.6%), so two
@@ -273,6 +255,22 @@ def test_collect_crps_deterministic():
     assert np.array_equal(a.challenges, b.challenges)
 
 
+def test_flat_crps_expands_the_challenges_once(monkeypatch):
+    from papuf import response
+
+    pop = synthesize_population(DelayParams(sigma_noise=1.0), Netlist(Design.PA_PUF, 16), 2, 5)
+    crps = collect_crps(pop, 6, 2, 8, 31)
+    calls = []
+    real = response.expand_many
+    monkeypatch.setattr(response, "expand_many", lambda *args: calls.append(args) or real(*args))
+    x0, y0 = crps.flat_crps()
+    x1, y1 = crps.flat_crps(1, repetition=1)
+    assert len(calls) == 1 and np.array_equal(x0, x1) and x0.dtype == np.uint8
+    assert np.array_equal(x0, real(crps.challenges, 8).reshape(-1, 16))
+    assert np.array_equal(y0, crps.responses[0, :, 0, :].reshape(-1))
+    assert np.array_equal(y1, crps.responses[1, :, 1, :].reshape(-1))
+
+
 def test_collect_crps_validates_inputs():
     params = DelayParams()
     pop = synthesize_population(params, Netlist(Design.PA_PUF, 16), 1, 3)
@@ -307,6 +305,14 @@ def test_hex_packing_msb_first():
     bits12 = np.array([1] + [0] * 11, dtype=np.uint8)
     assert bits_to_hex(bits12) == "8000"
     assert np.array_equal(hex_to_bits("8000", 12), bits12)
+
+
+@pytest.mark.parametrize("text", ["800f", "8008", "8001"])
+def test_hex_to_bits_rejects_nonzero_padding(text):
+    # 12 bits take two bytes; the 4 low bits of the second are padding
+    with pytest.raises(ValueError, match="nonzero padding bits after bit 12"):
+        hex_to_bits(text, 12)
+    assert np.array_equal(hex_to_bits(text[:3] + "0", 12), hex_to_bits("8000", 12))
 
 
 @pytest.mark.parametrize("text", ["8", "810", "zz", "8 1"])
