@@ -296,10 +296,12 @@ def repeated_reads(
     noise_rng = _noise_rng(eval_seed, 0)
     tie_rng = _tie_rng(eval_seed, 0)
     out = np.empty((repetitions, n_eval), dtype=np.uint8)
+    buffer = np.empty((min(chunk, repetitions), n_eval, lines))
     done = 0
     while done < repetitions:
         size = min(chunk, repetitions - done)
-        final = noise_rng.standard_normal((size, n_eval, lines))
+        final = buffer[:size]
+        noise_rng.standard_normal(out=final)
         final *= sigma
         final += clean  # sigma*z + t equals t + sigma*z bit for bit
         tie = _tie_bits(tie_rng, size * n_eval, _pairs(lines))

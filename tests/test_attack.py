@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from papuf import DelayParams, Design, Netlist, collect_crps, synthesize_device
+from papuf import attack
 from papuf.attack import (
     AttackModel,
     FeatureMap,
@@ -14,7 +15,7 @@ from papuf.attack import (
     save_model,
     train,
 )
-from papuf.seeds import derive_seed
+from papuf.seeds import SEED_MASK, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,37 @@ def test_training_loss_non_increasing_at_default_step(apuf_sets):
     assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
 
 
+def test_lbfgs_reaches_the_minimiser_of_a_convex_quadratic():
+    # f(x) = 0.5 x.A.x - b.x with A symmetric positive definite: the minimiser is A^-1 b
+    rng = np.random.default_rng(7)
+    basis = rng.normal(size=(12, 12))
+    a = basis @ basis.T + 0.5 * np.eye(12)
+    b = rng.normal(size=12)
+
+    def objective(x):
+        return float(0.5 * x @ a @ x - b @ x), a @ x - b
+
+    x, values, evaluations = attack._lbfgs(objective, np.zeros(12), max_iter=500)
+    assert np.max(np.abs(objective(x)[1])) <= attack.GRADIENT_TOL
+    # |x - x*| <= |gradient| / smallest eigenvalue of A, which is >= 0.5
+    assert np.linalg.norm(x - np.linalg.solve(a, b)) <= 2 * np.sqrt(12) * attack.GRADIENT_TOL
+    assert all(later < earlier for earlier, later in zip(values, values[1:]))
+    assert len(values) <= evaluations < 200
+
+
+def test_fitted_apuf_model_is_a_stationary_point(apuf_sets):
+    # the gradient of the regularised loss, recomputed on the training rows
+    train_set, _ = apuf_sets
+    model = train(train_set, seed=2)
+    x, y = train_set.flat_crps()
+    rows = np.random.default_rng(2 & SEED_MASK).permutation(len(y))[: model.metadata["train_records"]]
+    design = np.column_stack([parity_features(x[rows]), np.ones(len(rows))])
+    prob = 1.0 / (1.0 + np.exp(-(design @ model.weights)))
+    gradient = design.T @ (prob - y[rows]) / len(rows) + attack.L2 * model.weights
+    assert np.max(np.abs(gradient)) <= attack.GRADIENT_TOL
+    assert model.metadata["epochs"] < TrainParams().epochs
+
+
 def test_apuf_attack_reaches_high_accuracy(apuf_sets):
     train_set, holdout = apuf_sets
     model = train(train_set, FeatureMap("parity", 64), seed=0)
@@ -104,7 +136,7 @@ def test_synthetic_linear_oracle_learnable():
     challenges = rng.integers(0, 2, size=(5000, 64), dtype=np.uint8)
     labels = (parity_features(challenges) @ weights > 0).astype(np.uint8)
     model = fit_logistic(
-        challenges, labels, FeatureMap("parity", 64), TrainParams(learning_rate=1.0, epochs=2000), seed=1
+        challenges, labels, FeatureMap("parity", 64), TrainParams(epochs=2000), seed=1
     )
     assert model.metadata["validation_accuracy"] >= 99.0
 
@@ -189,3 +221,16 @@ def test_model_file_round_trip(tmp_path, apuf_sets):
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.feature_map == model.feature_map
     assert evaluate_attack(loaded, holdout) == evaluate_attack(model, holdout)
+
+
+def test_model_file_with_a_legacy_learning_rate_still_loads(tmp_path, apuf_sets):
+    train_set, _ = apuf_sets
+    model = train(train_set, seed=0)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    text = path.read_text().replace("\nepochs=", "\nlearning_rate=0.1\nepochs=")
+    assert "\nlearning_rate=0.1\n" in text
+    path.write_text(text)
+    loaded = load_model(path)
+    assert np.array_equal(loaded.weights, model.weights)
+    assert "learning_rate" not in loaded.metadata

@@ -233,6 +233,15 @@ def test_usage_error_exit_code():
     assert run("crp", "gen", "--design", "hexagon") == 2
 
 
+def test_attack_train_has_no_learning_rate_option(tmp_path, capsys):
+    assert run("crp", "gen", "--design", "apuf", "--stages", "16", "--population", "1", "--challenges", "20",
+               "--repetitions", "1", "--response-size", "8", "--out-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert run("attack", "train", "--crps", str(tmp_path / "crps.csv"), "--lr", "0.1",
+               "--out-dir", str(tmp_path)) == 2
+    assert "--lr" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     rc = run("metrics", "--crps", str(tmp_path / "missing.csv"))
     assert rc == 1

@@ -32,7 +32,7 @@ from papuf.cli import ExperimentConfig, main
 MODULE_FILES = {
     "device.txt": "437e2bc5b6fa05f01d8f3b80c36d6da0ac7396bb710f3baa37933784c54f553b",
     "helper.txt": "a99e7f3b31a29523267f09c6a4e07c27844f01de8b1164ad13b33795d2826c32",
-    "model.txt": "c284590e8ddef19252aeec6b387b4950a5bddd15dfe8684c7e24e84daceb2663",
+    "model.txt": "68abe603b07a3d957e1b544f3023d71ba906c1f0a6a4ee8f25b38fc95a807d9a",
     "crps.csv": "73d6af92c750a7b65e2e700ca0e29ce464393d7647433ba2b3b67463d3a01698",
 }
 
@@ -63,7 +63,7 @@ def test_module_writers_are_byte_stable(tmp_path):
     save_helper(helper, tmp_path / "helper.txt", extra_header={"challenge_hex": "beef"})
 
     weights = np.random.default_rng(5).normal(size=18)
-    metadata = {"seed": 4, "epochs": 30, "learning_rate": 0.25, "train_fraction": 0.75}
+    metadata = {"seed": 4, "epochs": 30, "train_fraction": 0.75}
     model = AttackModel(weights, FeatureMap("parity", 16), metadata)
     save_model(model, tmp_path / "model.txt", extra_header={"config": "0123456789ab"})
 

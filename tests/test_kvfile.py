@@ -106,7 +106,6 @@ def test_model_file_round_trip_is_byte_identical(kind, stages, data):
     metadata = {
         "seed": data.draw(st.integers(0, 2**32)),
         "epochs": data.draw(st.integers(0, 10**4)),
-        "learning_rate": data.draw(finite),
         "train_fraction": data.draw(st.floats(0.0, 1.0)),
     }
     model = AttackModel(weights, feature_map, metadata)

@@ -23,7 +23,7 @@ from papuf import (
     uniqueness,
 )
 from papuf.circuit import repeated_reads
-from papuf.metrics import _population_metrics, bit_aliasing, enrollment_responses
+from papuf.metrics import _population_metrics, bit_aliasing, enrollment_responses, sweep_response_size
 from papuf.oracle import naive_inter_hd, naive_intra_hd
 from papuf.response import expand_many, random_seed_challenges
 from papuf.seeds import derive_seed
@@ -307,6 +307,22 @@ def test_sweep_zero_taps_equals_plain_pa():
     a = _population_metrics(params, Netlist(Design.FF_PA_PUF, 16, ()), 3, 8, 3, 16, 42)
     b = _population_metrics(params, Netlist(Design.PA_PUF, 16), 3, 8, 3, 16, 42)
     assert a == b
+
+
+def test_sweep_response_size_values():
+    netlist, seeds, challenges = Netlist(Design.PA_PUF, 32), (0, 1, 2), 16
+    sweep = dict(population_size=4, params=DelayParams(sigma_noise=0.0), num_challenges=challenges,
+                 repetitions=3, seeds=seeds)
+    rows = sweep_response_size(netlist, sizes=(8, 16, 32, 64), **sweep)
+    assert [row.label for row in rows] == ["8", "16", "32", "64"]
+    for row in rows:
+        # noiseless reads all equal their enrolment
+        assert row.reliability == 100.0 and row.reliability_by_seed == (100.0,) * len(seeds)
+        # 4 sigma of the mean of fair coins, one per (seed, challenge, bit) cell
+        cells = len(seeds) * challenges * int(row.label)
+        assert abs(row.uniqueness - 50.0) <= 4 * 50.0 / np.sqrt(cells)
+    # each size draws from its own seeds, so the other sizes never change its row
+    assert sweep_response_size(netlist, sizes=(16,), **sweep) == [rows[1]]
 
 
 # ---------------------------------------------------------------------------
