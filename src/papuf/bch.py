@@ -7,13 +7,13 @@ first k bits of a codeword are the message.
 Decoding is table-driven.  Each code caches, once and read-only, a
 (2t, n) table of alpha^(j(n-1-i)) and numpy exp/log arrays of its field.
 The 2t syndromes are one gather of the table columns at the set bits plus
-an XOR reduce; a zero syndrome returns at once.  Otherwise Berlekamp-Massey
-gives the error locator, and a Chien search evaluates it at all n points
-in one vectorised pass, one exp/log gather per locator coefficient.  The
-residual check XORs the table columns of the flipped bits into the
-received syndromes.  Anything inconsistent (locator degree above t, root
-count not equal to the degree, residual syndromes) is reported as an
-explicit failure rather than a guessed codeword.
+an XOR reduce; a zero syndrome returns at once.  Otherwise binary
+Berlekamp-Massey (t iterations) gives the error locator, and a Chien search
+evaluates it at all n points in one vectorised pass, one exp/log gather per
+locator coefficient.  The residual check XORs the table columns of the
+flipped bits into the received syndromes.  Anything inconsistent (locator
+degree above t, root count not equal to the degree, residual syndromes) is
+reported as an explicit failure rather than a guessed codeword.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class GF2m:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return self.exp[self.order - self.log[a]]
 
     def pow_alpha(self, exponent: int) -> int:
         return self.exp[exponent % self.order]
@@ -205,32 +200,37 @@ def _decode_tables(code: BchCode) -> _DecodeTables:
 
 
 def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
-    """Error locator polynomial (coefficient list, index = degree)."""
+    """Error locator polynomial (coefficient list, index = degree).
+
+    Binary form: the syndromes of a binary word satisfy S_2j = S_j^2, so
+    every odd-step discrepancy is zero and only the t even steps are run,
+    each advancing the shift by 2.  Field products go through the exp/log
+    lists directly.
+    """
+    exp, log, order = field.exp, field.log, field.order
     locator = [1]
     prev = [1]
     length = 0
     shift = 1
     prev_discrepancy = 1
-    for step, syndrome in enumerate(syndromes):
-        discrepancy = syndrome
+    for step in range(0, len(syndromes), 2):
+        discrepancy = syndromes[step]
         for i in range(1, min(length + 1, len(locator))):
-            discrepancy ^= field.mul(locator[i], syndromes[step - i])
-        if discrepancy == 0:
-            shift += 1
-            continue
-        factor = field.mul(discrepancy, field.inv(prev_discrepancy))
-        update = [0] * shift + [field.mul(factor, c) for c in prev]
-        combined = [a ^ b for a, b in zip(locator + [0] * len(update), update + [0] * len(locator))]
-        while combined and combined[-1] == 0:
-            combined.pop()
-        if 2 * length <= step:
-            prev = locator
-            prev_discrepancy = discrepancy
-            length = step + 1 - length
-            shift = 1
-        else:
-            shift += 1
-        locator = combined
+            if locator[i] and syndromes[step - i]:
+                discrepancy ^= exp[log[locator[i]] + log[syndromes[step - i]]]
+        if discrepancy:
+            log_factor = (log[discrepancy] - log[prev_discrepancy]) % order
+            update = [0] * shift + [exp[log_factor + log[c]] if c else 0 for c in prev]
+            combined = [a ^ b for a, b in zip(locator + [0] * len(update), update + [0] * len(locator))]
+            while combined and combined[-1] == 0:
+                combined.pop()
+            if 2 * length <= step:
+                prev = locator
+                prev_discrepancy = discrepancy
+                length = step + 1 - length
+                shift = 0
+            locator = combined
+        shift += 2
     return locator
 
 

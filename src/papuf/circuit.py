@@ -31,12 +31,17 @@ stage order, which makes the sum bit-identical to stepping the chain.
 
 ``arrival_time_blocks`` is that kernel.  It works through row blocks of
 about BLOCK_VALUES floats, so nothing of size devices x rows x lines, and
-no one-hot encoding of the codes, is ever allocated.  Tapless
-``propagate_many``, ``propagate_blocks`` (whole populations),
-``clean_arrival_times`` and ``repeated_reads`` all go through it;
-feed-forward netlists keep the stage loop in ``propagate_many``.  Noise and
-tie streams are consumed row by row, so block boundaries never change a
-bit.
+no one-hot encoding of the codes, is ever allocated.
+``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
+
+``propagate_blocks`` is the one block reader for every netlist: a whole
+population of (device, repetition) jobs, one row block at a time.  Tapless
+blocks take their clean times from the kernel; feed-forward blocks step
+the chain on three per-line (devices, repetitions, rows) arrays, whose
+repetition axis stays 1 until the first target stage, so the repetitions
+of a device share the clean prefix.  ``propagate_many`` is its one-job
+case.  Noise and tie streams are consumed row by row, so block boundaries
+never change a bit.
 """
 
 from __future__ import annotations
@@ -51,11 +56,10 @@ from .seeds import SEED_MASK, derive_seed
 
 # Source line per output line under the select=1 permutation of the 3-line
 # chain; only the feed-forward stage loop applies it explicitly.
-ROT3 = np.array([2, 0, 1])
+ROT3 = (2, 0, 1)
 
-# Target size of one row block of the closed-form kernel, in float64 values
-# (512 KiB): it bounds the stage codes, the arrival times and the jitter of
-# one block alike.
+# Target size of one row block, in float64 values (512 KiB): it bounds the
+# stage codes, the arrival times and the jitter of one block alike.
 BLOCK_VALUES = 1 << 16
 
 
@@ -97,20 +101,20 @@ def _pairs(lines: int) -> int:
 
 
 def _flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> list[np.ndarray]:
-    """(qT, qC, qB) = (T<C, C<B, B<T) of (N, 3) sampled times, given (N, 3) tie bits."""
-    return [_cmp_vec(sampled[:, k], sampled[:, (k + 1) % 3], window, tie[:, k]) for k in range(3)]
+    """(qT, qC, qB) = (T<C, C<B, B<T) of (..., 3) sampled times, given (..., 3) tie bits."""
+    return [_cmp_vec(sampled[..., k], sampled[..., (k + 1) % 3], window, tie[..., k]) for k in range(3)]
 
 
 def _arbitrate(final: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
-    """Response bits of (N, lines) sampled arrival times, given (N, pairs) tie bits.
+    """Response bits of (..., lines) sampled arrival times, given (..., pairs) tie bits.
 
     2 lines: top<bottom.  3 lines: NOT(qT ^ qC ^ qB) over ``_flip_flops``,
     the gate-level rule of ``oracle.gate_level_priority``.  The patterns
     000 and 111 are cyclic contradictions that only tie bits can produce;
     they give 1, as the XOR gate does.
     """
-    if final.shape[1] == 2:
-        return _cmp_vec(final[:, 0], final[:, 1], window, tie[:, 0])
+    if final.shape[-1] == 2:
+        return _cmp_vec(final[..., 0], final[..., 1], window, tie[..., 0])
     q0, q1, q2 = _flip_flops(final, window, tie)
     return 1 ^ q0 ^ q1 ^ q2
 
@@ -139,6 +143,12 @@ def _block_rows(values_per_row: int, multiple: int = 1) -> int:
     return max(1, BLOCK_VALUES // (values_per_row * multiple)) * multiple
 
 
+def _row_blocks(n_rows: int, block_rows: int):
+    """Consecutive slices of ``block_rows`` rows covering ``n_rows``."""
+    for start in range(0, n_rows, block_rows):
+        yield slice(start, min(start + block_rows, n_rows))
+
+
 def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarray, block_rows: int):
     """Clean arrival times of tapless devices, one row block at a time.
 
@@ -149,8 +159,7 @@ def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarra
     """
     lines = devices[0].netlist.lines
     weights = np.hstack([_weight_table(device.delay_table) for device in devices])
-    for start in range(0, challenges.shape[0], block_rows):
-        rows = slice(start, min(start + block_rows, challenges.shape[0]))
+    for rows in _row_blocks(challenges.shape[0], block_rows):
         codes = _stage_codes(challenges[rows], lines)
         times = np.take(weights, codes[0], axis=0)
         gathered = np.empty_like(times)
@@ -160,44 +169,101 @@ def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarra
         yield rows, times
 
 
+def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, sample, window: float):
+    """Clean terminal times of one feed-forward row block, as three per-line arrays.
+
+    ``delay`` stacks the devices' delay tables, (D, stages, 2, 3).  The
+    chain is stepped on three arrays, one per line (T, C, B), of shape
+    (D, R, B); until the first target stage the repetition axis has length
+    1 and broadcasts, so every repetition of a device shares the clean
+    prefix.  ``sample(point, times)`` returns the jittered times and tie
+    bits of an observation point; a tap arbiter turns them into the
+    (D, R, B) per-line selects of its target stage.  Each line computes
+    ``where(sel, rotated, times) + delay[i][sel]`` as one (N, 3) batch would.
+    """
+    taps_at_stage: dict[int, list[tuple[int, int]]] = {}
+    for point, (tap, target) in enumerate(taps, start=1):
+        taps_at_stage.setdefault(tap, []).append((point, target))
+    pending: dict[int, list[np.ndarray]] = {}
+    times = [np.zeros((delay.shape[0], 1, challenges.shape[0]))] * 3
+    for i in range(delay.shape[1]):
+        if i in pending:
+            sel = pending.pop(i)  # per-line selects from a feed-forward arbiter
+            low, high = delay[:, i, 0, :, None, None], delay[:, i, 1, :, None, None]
+            times = [
+                np.where(sel[l].astype(bool), times[ROT3[l]], times[l])
+                + np.where(sel[l], high[:, l], low[:, l])
+                for l in range(3)
+            ]
+        else:
+            bits = challenges[:, i]
+            flip = bits == 1
+            added = delay[:, i][:, bits]  # (D, B, 3)
+            times = [np.where(flip, times[ROT3[l]], times[l]) + added[:, None, :, l] for l in range(3)]
+        for point, target in taps_at_stage.get(i, ()):
+            sampled, tie = sample(point, times)
+            pending[target] = _flip_flops(sampled, window, tie)
+    return times
+
+
 def propagate_blocks(
     devices: Sequence[DeviceInstance],
     challenges: np.ndarray,
     eval_seeds: Sequence[Sequence[int]],
     block_multiple: int = 1,
 ):
-    """Noisy reads of a tapless population, one row block at a time.
+    """Noisy reads of a population, one row block at a time.
 
     ``eval_seeds[d][r]`` seeds repetition r of device d; every device gets
     the same number of repetitions R, and all share one netlist and
     parameter set.  Yields (rows, bits) with bits of shape (D, R, B); block
-    starts are multiples of ``block_multiple``.  Each (device, repetition)
-    keeps its noise and tie streams open across blocks, so the bits equal
+    starts are multiples of ``block_multiple``, and a block holds about
+    BLOCK_VALUES values over jobs x rows x lines.  Tapless netlists take
+    their clean times from the closed-form kernel; feed-forward netlists
+    step the chain in ``_feed_forward_times``.  Each (device, repetition)
+    keeps the noise and tie streams of every observation point open across
+    blocks, so the bits equal
     ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
     """
     netlist = devices[0].netlist
-    if netlist.ff_taps:
-        raise ValueError("closed-form propagation is undefined for feed-forward netlists")
     challenges = _validate_challenges(netlist, challenges)
     lines, pairs = netlist.lines, _pairs(netlist.lines)
     sigma = devices[0].params.sigma_noise
     window = devices[0].params.metastability_window
     n_dev, n_rep = len(devices), len(eval_seeds[0])
-    streams = [(_noise_rng(s, 0), _tie_rng(s, 0)) for seeds in eval_seeds for s in seeds]
-    block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
-    for rows, times in arrival_time_blocks(devices, challenges, block_rows):
-        size = times.shape[0]
-        final = np.empty((len(streams), size, lines))
-        tie = np.empty((len(streams), size, pairs), dtype=np.uint8)
-        for j, (noise_rng, tie_rng) in enumerate(streams):
-            noise_rng.standard_normal(out=final[j])
+    streams = [
+        [(_noise_rng(s, point), _tie_rng(s, point)) for seeds in eval_seeds for s in seeds]
+        for point in range(len(netlist.ff_taps) + 1)
+    ]
+
+    def sample(point: int, times: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(D, R, B, lines) jittered times and (D, R, B, pairs) tie bits of a point."""
+        size = times[0].shape[-1]
+        sampled = np.empty((len(streams[point]), size, lines))
+        tie = np.empty((len(streams[point]), size, pairs), dtype=np.uint8)
+        for j, (noise_rng, tie_rng) in enumerate(streams[point]):
+            noise_rng.standard_normal(out=sampled[j])
             tie[j] = _tie_bits(tie_rng, size, pairs)
-        final *= sigma
-        # sigma*z + t equals t + sigma*z bit for bit: IEEE addition commutes
-        per_job = final.reshape(n_dev, n_rep, size, lines)
-        per_job += times.reshape(size, n_dev, 1, lines).transpose(1, 2, 0, 3)
-        bits = _arbitrate(final.reshape(-1, lines), window, tie.reshape(-1, pairs))
-        yield rows, bits.reshape(n_dev, n_rep, size)
+        sampled *= sigma
+        sampled = sampled.reshape(n_dev, n_rep, size, lines)
+        for line, line_times in enumerate(times):
+            sampled[..., line] += line_times  # sigma*z + t equals t + sigma*z bit for bit
+        return sampled, tie.reshape(n_dev, n_rep, size, pairs)
+
+    def read(times: Sequence[np.ndarray]) -> np.ndarray:
+        final, tie = sample(0, times)
+        return _arbitrate(final, window, tie)
+
+    if netlist.ff_taps:
+        # the stage loop holds a few (jobs, rows) arrays per line, never stage codes
+        delay = np.stack([device.delay_table for device in devices])
+        for rows in _row_blocks(challenges.shape[0], _block_rows(n_dev * n_rep * lines, block_multiple)):
+            yield rows, read(_feed_forward_times(netlist.ff_taps, delay, challenges[rows], sample, window))
+    else:
+        block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
+        for rows, times in arrival_time_blocks(devices, challenges, block_rows):
+            per_device = times.reshape(-1, n_dev, 1, lines).transpose(1, 2, 0, 3)
+            yield rows, read([per_device[..., line] for line in range(lines)])
 
 
 def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: int = 0) -> np.ndarray:
@@ -208,44 +274,14 @@ def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: in
     per observation point (every feed-forward tap plus the terminal
     arbiter).  The whole batch is deterministic under (device, challenges,
     eval_seed); standard-normal draws are scaled by sigma_noise, so rescaling
-    delays, noise and window together never changes a response bit.
-    Tapless netlists use the closed-form kernel, feed-forward netlists step
-    the chain stage by stage.
+    delays, noise and window together never changes a response bit.  This
+    is the one-job case of ``propagate_blocks``, for every netlist.
     """
-    netlist = device.netlist
-    challenges = _validate_challenges(netlist, challenges)
-    n_eval = challenges.shape[0]
-    if not netlist.ff_taps:
-        out = np.empty(n_eval, dtype=np.uint8)
-        for rows, bits in propagate_blocks([device], challenges, [[eval_seed]]):
-            out[rows] = bits[0, 0]
-        return out
-
-    sigma = device.params.sigma_noise
-    window = device.params.metastability_window
-    delay = device.delay_table
-    taps_at_stage: dict[int, list[tuple[int, int]]] = {}
-    for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
-        taps_at_stage.setdefault(tap, []).append((point, target))
-    pending: dict[int, np.ndarray] = {}
-
-    times = np.zeros((n_eval, 3))
-    line_idx = np.arange(3)
-    for i in range(netlist.stages):
-        rotated = times[:, ROT3]
-        if i in pending:
-            sel = pending.pop(i)  # (N, 3) per-line selects from a feed-forward arbiter
-            times = np.where(sel.astype(bool), rotated, times) + delay[i][sel, line_idx]
-        else:
-            sel = challenges[:, i]
-            times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
-        for point, target in taps_at_stage.get(i, ()):
-            sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
-            tie = _tie_bits(_tie_rng(eval_seed, point), n_eval, 3)
-            pending[target] = np.stack(_flip_flops(sampled, window, tie), axis=1)
-
-    final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, 3))
-    return _arbitrate(final, window, _tie_bits(_tie_rng(eval_seed, 0), n_eval, 3))
+    challenges = _validate_challenges(device.netlist, challenges)
+    out = np.empty(challenges.shape[0], dtype=np.uint8)
+    for rows, bits in propagate_blocks([device], challenges, [[eval_seed]]):
+        out[rows] = bits[0, 0]
+    return out
 
 
 def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
@@ -278,17 +314,20 @@ def repeated_reads(
     jitter per repetition, which makes million-read experiments cheap.
     Feed-forward designs fall back to one full propagation per repetition.
     Deterministic under (device, challenges, repetitions, eval_seed) and
-    independent of the chunk size.
+    independent of the chunk size.  Zero repetitions give a (0, N) array;
+    a negative count or a chunk below 1 is a ``ValueError``.
     """
+    if repetitions < 0:
+        raise ValueError(f"repetition count must be >= 0, got {repetitions}")
+    if chunk < 1:
+        raise ValueError(f"chunk size must be >= 1, got {chunk}")
     netlist = device.netlist
     if netlist.ff_taps:
         challenges = _validate_challenges(netlist, challenges)
-        return np.stack(
-            [
-                propagate_many(device, challenges, derive_seed(eval_seed, "rep", r))
-                for r in range(repetitions)
-            ]
-        )
+        reads = np.empty((repetitions, challenges.shape[0]), dtype=np.uint8)
+        for r in range(repetitions):
+            reads[r] = propagate_many(device, challenges, derive_seed(eval_seed, "rep", r))
+        return reads
     clean = clean_arrival_times(device, challenges)
     n_eval, lines = clean.shape
     sigma = device.params.sigma_noise

@@ -217,7 +217,14 @@ def _challenge_bits(text: str, stages: int, source: str):
         raise ValueError(f"{source}: {exc}") from None
 
 
+def _check_votes(votes: int) -> None:
+    """Majority voting needs a positive odd number of reads."""
+    if votes < 1 or votes % 2 == 0:
+        raise ValueError(f"--votes: expected a positive odd count, got {votes}")
+
+
 def _cmd_keygen_enroll(args) -> int:
+    _check_votes(args.votes)
     device = load_device(args.device)
     code = BchCode.construct(args.code_m, args.code_t)
     if args.challenge_hex:
@@ -250,6 +257,7 @@ def _cmd_keygen_enroll(args) -> int:
 
 
 def _cmd_keygen_reproduce(args) -> int:
+    _check_votes(args.votes)
     device = load_device(args.device)
     helper = load_helper(args.helper)
     with open(args.helper, encoding="utf-8") as handle:

@@ -111,6 +111,58 @@ def reference_clean_times(device: DeviceInstance, challenges) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, device.netlist.lines)
 
 
+def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) -> np.ndarray:
+    """Noisy response bits of one (device, eval_seed) job, (N,) uint8.
+
+    Steps the whole (N, lines) batch through the chain one stage at a time:
+    every stage gathers the rotated times and adds ``delay[i][sel]``; a
+    feed-forward tap draws its own noise and tie streams over the whole
+    batch, and its (N, 3) flip-flop bits select its target stage per line.
+    No stage limit, so it serves as the reference for the block reader of
+    ``circuit.propagate_blocks`` at full chain length.
+    """
+    netlist = device.netlist
+    challenges = np.asarray(challenges, dtype=np.uint8)
+    n_eval, lines = challenges.shape[0], netlist.lines
+    sigma = device.params.sigma_noise
+    window = device.params.metastability_window
+    delay = device.delay_table
+    rotation = [2, 0, 1] if lines == 3 else [1, 0]  # source line per output line
+    taps_at_stage: dict[int, list[tuple[int, int]]] = {}
+    for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
+        taps_at_stage.setdefault(tap, []).append((point, target))
+    pending: dict[int, np.ndarray] = {}
+
+    times = np.zeros((n_eval, lines))
+    line_idx = np.arange(lines)
+    for i in range(netlist.stages):
+        rotated = times[:, rotation]
+        if i in pending:
+            sel = pending.pop(i)  # (N, 3) per-line selects from a feed-forward arbiter
+            times = np.where(sel.astype(bool), rotated, times) + delay[i][sel, line_idx]
+        else:
+            sel = challenges[:, i]
+            times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
+        for point, target in taps_at_stage.get(i, ()):
+            sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
+            tie = _tie_bits(_tie_rng(eval_seed, point), n_eval, 3)
+            pending[target] = _reference_flip_flops(sampled, window, tie)
+
+    final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, lines))
+    if lines == 2:
+        tie = _tie_bits(_tie_rng(eval_seed, 0), n_eval, 1)
+        wins = (final[:, 0] < final[:, 1]).astype(np.uint8)
+        return np.where(np.abs(final[:, 0] - final[:, 1]) <= window, tie[:, 0], wins)
+    q = _reference_flip_flops(final, window, _tie_bits(_tie_rng(eval_seed, 0), n_eval, 3))
+    return 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
+
+
+def _reference_flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
+    """(N, 3) bits (T<C, C<B, B<T) of sampled times; a gap within the window latches the tie bit."""
+    following = sampled[:, [1, 2, 0]]
+    return np.where(np.abs(sampled - following) <= window, tie, (sampled < following).astype(np.uint8))
+
+
 def _oracle_compare(first: float, second: float, window: float, tie_bit: int) -> int:
     if abs(first - second) <= window:
         return tie_bit

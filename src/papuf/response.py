@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kvfile
-from .circuit import propagate_blocks, propagate_many
+from .circuit import propagate_blocks
 from .device import DelayParams, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
@@ -288,9 +288,10 @@ def collect_crps(
 
     Seed challenges are drawn from master_eval_seed; each (device,
     repetition) pair evaluates under its own derived seed, so the full
-    record set is reproducible bit for bit.  Tapless populations are read
-    in one pass over row blocks of the closed-form kernel; feed-forward
-    ones make one ``propagate_many`` call per (device, repetition).
+    record set is reproducible bit for bit.  The whole population is read
+    in one pass of ``circuit.propagate_blocks`` over row blocks of whole
+    seed challenges, whatever its netlist: the closed-form kernel for
+    tapless chains, the per-line stage loop for feed-forward ones.
     """
     if not population:
         raise ValueError("population must not be empty")
@@ -320,19 +321,13 @@ def collect_crps(
         [derive_seed(master_eval_seed, "crp-eval", device.device_id, r) for r in range(repetitions)]
         for device in population
     ]
-    if netlist.ff_taps:
-        for d, device in enumerate(population):
-            for r in range(repetitions):
-                bits = propagate_many(device, expanded, eval_seeds[d][r])
-                responses[d, :, r, :] = bits.reshape(num_challenges, response_size)
-    else:
-        # One pass over whole seed challenges: every device and repetition
-        # shares the stage codes of a block.
-        for rows, bits in propagate_blocks(population, expanded, eval_seeds, block_multiple=response_size):
-            block = slice(rows.start // response_size, rows.stop // response_size)
-            responses[:, block] = bits.reshape(
-                len(population), repetitions, -1, response_size
-            ).transpose(0, 2, 1, 3)
+    # One pass over whole seed challenges for every netlist: the devices and
+    # repetitions of a block share its challenge bits.
+    for rows, bits in propagate_blocks(population, expanded, eval_seeds, block_multiple=response_size):
+        block = slice(rows.start // response_size, rows.stop // response_size)
+        responses[:, block] = bits.reshape(
+            len(population), repetitions, -1, response_size
+        ).transpose(0, 2, 1, 3)
     return CrpSet(
         device_ids=[dev.device_id for dev in population],
         challenges=seeds,

@@ -255,6 +255,21 @@ def test_repeated_reads_matches_distribution_and_chunking(pa64):
         assert np.array_equal(reads[64], row), design
 
 
+@pytest.mark.parametrize(
+    "netlist", [Netlist(Design.APUF, 8), Netlist(Design.PA_PUF, 8), Netlist(Design.FF_PA_PUF, 8, ((2, 5),))]
+)
+def test_repeated_reads_rejects_bad_counts_and_allows_zero(netlist):
+    dev = synthesize_device(DelayParams(sigma_noise=1.0), netlist, 3)
+    challenges = np.random.default_rng(1).integers(0, 2, size=(5, 8), dtype=np.uint8)
+    empty = repeated_reads(dev, challenges, 0, eval_seed=2)
+    assert empty.shape == (0, 5) and empty.dtype == np.uint8
+    with pytest.raises(ValueError, match="repetition count"):
+        repeated_reads(dev, challenges, -1)
+    for chunk in (0, -3):
+        with pytest.raises(ValueError, match="chunk size"):
+            repeated_reads(dev, challenges, 3, chunk=chunk)
+
+
 @pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
 @pytest.mark.parametrize("stages", [1, 5, 64])
 def test_clean_times_equal_stage_by_stage_reference(design, stages):

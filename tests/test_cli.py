@@ -426,6 +426,27 @@ def test_bad_recorded_challenge_or_offset_hex_names_the_file_and_key(tmp_path, c
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("design,taps", [("pa-puf", []), ("ff-pa-puf", ["--ff-taps", "4:9"])])
+@pytest.mark.parametrize("votes", ["0", "-1", "4"])
+def test_votes_must_be_a_positive_odd_count(tmp_path, capsys, design, taps, votes):
+    device = tmp_path / "dev.txt"
+    assert run("device", "new", "--design", design, "--stages", "16", *taps, "--seed", "5",
+               "--sigma-noise", "1.0", "--out-dir", str(tmp_path), "--out", str(device)) == 0
+    helper = tmp_path / "helper.txt"
+    assert run("keygen", "enroll", "--device", str(device), "--response-size", "16", "--code-m", "4",
+               "--code-t", "2", "--out-dir", str(tmp_path), "--helper-out", str(helper)) == 0
+    for command in ("enroll", "reproduce"):
+        capsys.readouterr()
+        argv = ["keygen", command, "--device", str(device), "--response-size", "16", "--votes", votes,
+                "--out-dir", str(tmp_path / "again")]
+        argv += ["--helper-out", str(tmp_path / "h2.txt"), "--code-m", "4", "--code-t", "2"] if command == "enroll" \
+            else ["--helper", str(helper)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --votes: expected a positive odd count, got {votes}\n"
+    assert not (tmp_path / "h2.txt").exists() and not (tmp_path / "again").exists()
+
+
 def test_config_hash_stable():
     a = ExperimentConfig(seed=1)
     b = ExperimentConfig(seed=1)

@@ -15,7 +15,9 @@ from papuf import (
     synthesize_device,
     synthesize_population,
 )
-from papuf.oracle import reference_expand
+from papuf import circuit
+from papuf.netlist import default_ff_taps
+from papuf.oracle import reference_expand, reference_propagate
 from papuf.response import (
     EXPAND_BLOCK_VALUES,
     LFSR_TAPS,
@@ -376,6 +378,31 @@ def test_collect_crps_equals_per_device_propagation(design, taps):
             seed = derive_seed(99, "crp-eval", dev.device_id, r)
             expected = propagate_many(dev, expanded, seed).reshape(13, 128)
             assert np.array_equal(crps.responses[d, :, r], expected), (design, taps, d, r)
+
+
+@pytest.mark.parametrize(
+    "netlist",
+    [
+        Netlist(Design.FF_PA_PUF, 64, ((16, 32), (32, 48))),
+        Netlist(Design.FF_PA_PUF, 16, default_ff_taps(16, 6)),
+        Netlist(Design.APUF, 16),
+    ],
+)
+@pytest.mark.parametrize("window", [0.0, 0.3])
+def test_block_reader_equals_the_per_job_reference(monkeypatch, netlist, window):
+    # feed-forward propagate_many reads blocks of 200 rows, which split the
+    # 128-row challenges; collect_crps reads one challenge a block
+    monkeypatch.setattr(circuit, "BLOCK_VALUES", 600)
+    params = DelayParams(sigma_noise=2.0, metastability_window=window)
+    pop = synthesize_population(params, netlist, 3, 21)
+    crps = collect_crps(pop, 13, 3, 128, 77)
+    expanded = expand_many(crps.challenges, 128).reshape(-1, netlist.stages)
+    for d, dev in enumerate(pop):
+        for r in range(3):
+            seed = derive_seed(77, "crp-eval", dev.device_id, r)
+            expected = reference_propagate(dev, expanded, seed)
+            assert np.array_equal(propagate_many(dev, expanded, seed), expected), (d, r)
+            assert np.array_equal(crps.responses[d, :, r].reshape(-1), expected), (d, r)
 
 
 def test_crp_loader_accepts_any_record_order_and_rejects_gaps(tmp_path):
