@@ -196,22 +196,21 @@ def train(
     feature_map: FeatureMap | None = None,
     hyper: TrainParams | None = None,
     seed: int = 0,
-    device_index: int = 0,
 ) -> AttackModel:
-    """Fit a logistic model to one device's single-bit CRPs."""
+    """Fit a logistic model to the first device's single-bit CRPs."""
     if feature_map is None:
         feature_map = FeatureMap("parity", crps.netlist.stages)
     if feature_map.stages != crps.netlist.stages:
         raise ValueError("feature map stage count does not match the CRP set")
-    x, y = crps.flat_crps(device_index)
+    x, y = crps.flat_crps()
     if x.shape[0] < 100:
         raise ValueError(f"need at least 100 CRPs to train, got {x.shape[0]}")
     return fit_logistic(x, y, feature_map, hyper or TrainParams(), seed)
 
 
-def evaluate_attack(model: AttackModel, holdout: CrpSet, device_index: int = 0) -> float:
-    """Percent of correctly predicted response bits on a holdout set."""
-    x, y = holdout.flat_crps(device_index)
+def evaluate_attack(model: AttackModel, holdout: CrpSet) -> float:
+    """Percent of correctly predicted response bits on the first device of a holdout set."""
+    x, y = holdout.flat_crps()
     if x.shape[0] == 0:
         raise ValueError("holdout set is empty")
     return float((model.predict(x) == y).mean() * 100.0)
@@ -256,6 +255,8 @@ def compare_designs(
     if params is None:
         params = DelayParams()
     seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("the attack comparison needs at least one seed")
     rows = []
     for netlist in designs:
         # One device and CRP set per seed, shared by every feature map.

@@ -128,6 +128,9 @@ class BchCode:
     @classmethod
     def construct(cls, m: int, t: int, primitive_poly: int | None = None) -> "BchCode":
         if primitive_poly is None:
+            if m not in PRIMITIVE_POLYS:
+                known = ", ".join(str(key) for key in sorted(PRIMITIVE_POLYS))
+                raise ValueError(f"no built-in primitive polynomial for m={m}; expected m in {known}")
             primitive_poly = PRIMITIVE_POLYS[m]
         return _construct_cached(cls, m, t, primitive_poly)
 

@@ -34,23 +34,28 @@ about BLOCK_VALUES floats, so nothing of size devices x rows x lines, and
 no one-hot encoding of the codes, is ever allocated.
 ``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
 
-``propagate_blocks`` is the one block reader for every netlist: a whole
-population of (device, repetition) jobs, one row block at a time.  Tapless
+``_sample`` draws every jitter value and tie bit: those of one
+observation point over a row block, from an ordered list of (noise, tie)
+stream pairs consumed row by row, so block boundaries never change a bit.
+``_read`` arbitrates its terminal samples.  ``propagate_blocks`` is the
+block reader for every netlist: a whole population of (device, repetition)
+jobs, one row block at a time, one stream pair per job and point.  Tapless
 blocks take their clean times from the kernel; feed-forward blocks step
 the chain on three per-line (devices, repetitions, rows) arrays, whose
 repetition axis stays 1 until the first target stage, so the repetitions
 of a device share the clean prefix.  ``propagate_many`` is its one-job
-case.  Noise and tie streams are consumed row by row, so block boundaries
-never change a bit.
+case.  Tapless ``repeated_reads`` caches the clean times and reads its
+repetition-major rows from one stream pair, whole repetitions per block.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .device import NOISE_TAG, TIE_TAG, DeviceInstance
+from .device import NOISE_TAG, TIE_TAG, DelayParams, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
 
@@ -169,23 +174,57 @@ def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarra
         yield rows, times
 
 
-def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, sample, window: float):
+def _sample(
+    streams: list, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jittered times, shape + (lines,), and tie bits, shape + (pairs,), of one point.
+
+    The C-ordered positions of ``shape`` are split into equal runs, one per
+    (noise, tie) stream pair in order, and each stream fills its run row by
+    row.  ``times`` holds one clean-time array per line, broadcast to
+    ``shape``; the jitter is sigma*z + t, which equals t + sigma*z bit for
+    bit.  This is the one place where noise and tie bits are drawn.
+    """
+    lines, pairs = len(times), _pairs(len(times))
+    size = math.prod(shape) // len(streams)
+    sampled = np.empty((len(streams), size, lines))
+    tie = np.empty((len(streams), size, pairs), dtype=np.uint8)
+    for j, (noise_rng, tie_rng) in enumerate(streams):
+        noise_rng.standard_normal(out=sampled[j])
+        tie[j] = _tie_bits(tie_rng, size, pairs)
+    sampled *= params.sigma_noise
+    sampled = sampled.reshape(*shape, lines)
+    for line, line_times in enumerate(times):
+        sampled[..., line] += line_times
+    return sampled, tie.reshape(*shape, pairs)
+
+
+def _read(streams: list, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Response bits of the terminal arbiter, ``shape``, sampled through ``_sample``."""
+    final, tie = _sample(streams, params, times, shape)
+    return _arbitrate(final, params.metastability_window, tie)
+
+
+def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, streams: list, params: DelayParams):
     """Clean terminal times of one feed-forward row block, as three per-line arrays.
 
-    ``delay`` stacks the devices' delay tables, (D, stages, 2, 3).  The
-    chain is stepped on three arrays, one per line (T, C, B), of shape
-    (D, R, B); until the first target stage the repetition axis has length
-    1 and broadcasts, so every repetition of a device shares the clean
-    prefix.  ``sample(point, times)`` returns the jittered times and tie
-    bits of an observation point; a tap arbiter turns them into the
-    (D, R, B) per-line selects of its target stage.  Each line computes
-    ``where(sel, rotated, times) + delay[i][sel]`` as one (N, 3) batch would.
+    ``delay`` stacks the devices' delay tables, (D, stages, 2, 3), and
+    ``streams[point]`` holds the stream pairs of every (device, repetition)
+    job at an observation point.  The chain is stepped on three arrays, one
+    per line (T, C, B), of shape (D, R, B); until the first target stage the
+    repetition axis has length 1 and broadcasts, so every repetition of a
+    device shares the clean prefix.  A tap arbiter samples its point and
+    turns the flip-flop bits into the (D, R, B) per-line selects of its
+    target stage.  Each line computes ``where(sel, rotated, times) +
+    delay[i][sel]`` as one (N, 3) batch would.
     """
+    n_dev = delay.shape[0]
+    shape = (n_dev, len(streams[0]) // n_dev, challenges.shape[0])
     taps_at_stage: dict[int, list[tuple[int, int]]] = {}
     for point, (tap, target) in enumerate(taps, start=1):
         taps_at_stage.setdefault(tap, []).append((point, target))
     pending: dict[int, list[np.ndarray]] = {}
-    times = [np.zeros((delay.shape[0], 1, challenges.shape[0]))] * 3
+    times = [np.zeros((n_dev, 1, challenges.shape[0]))] * 3
     for i in range(delay.shape[1]):
         if i in pending:
             sel = pending.pop(i)  # per-line selects from a feed-forward arbiter
@@ -201,8 +240,8 @@ def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, sample,
             added = delay[:, i][:, bits]  # (D, B, 3)
             times = [np.where(flip, times[ROT3[l]], times[l]) + added[:, None, :, l] for l in range(3)]
         for point, target in taps_at_stage.get(i, ()):
-            sampled, tie = sample(point, times)
-            pending[target] = _flip_flops(sampled, window, tie)
+            sampled, tie = _sample(streams[point], params, times, shape)
+            pending[target] = _flip_flops(sampled, params.metastability_window, tie)
     return times
 
 
@@ -227,43 +266,24 @@ def propagate_blocks(
     """
     netlist = devices[0].netlist
     challenges = _validate_challenges(netlist, challenges)
-    lines, pairs = netlist.lines, _pairs(netlist.lines)
-    sigma = devices[0].params.sigma_noise
-    window = devices[0].params.metastability_window
+    lines, params = netlist.lines, devices[0].params
     n_dev, n_rep = len(devices), len(eval_seeds[0])
     streams = [
         [(_noise_rng(s, point), _tie_rng(s, point)) for seeds in eval_seeds for s in seeds]
         for point in range(len(netlist.ff_taps) + 1)
     ]
-
-    def sample(point: int, times: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(D, R, B, lines) jittered times and (D, R, B, pairs) tie bits of a point."""
-        size = times[0].shape[-1]
-        sampled = np.empty((len(streams[point]), size, lines))
-        tie = np.empty((len(streams[point]), size, pairs), dtype=np.uint8)
-        for j, (noise_rng, tie_rng) in enumerate(streams[point]):
-            noise_rng.standard_normal(out=sampled[j])
-            tie[j] = _tie_bits(tie_rng, size, pairs)
-        sampled *= sigma
-        sampled = sampled.reshape(n_dev, n_rep, size, lines)
-        for line, line_times in enumerate(times):
-            sampled[..., line] += line_times  # sigma*z + t equals t + sigma*z bit for bit
-        return sampled, tie.reshape(n_dev, n_rep, size, pairs)
-
-    def read(times: Sequence[np.ndarray]) -> np.ndarray:
-        final, tie = sample(0, times)
-        return _arbitrate(final, window, tie)
-
     if netlist.ff_taps:
         # the stage loop holds a few (jobs, rows) arrays per line, never stage codes
         delay = np.stack([device.delay_table for device in devices])
         for rows in _row_blocks(challenges.shape[0], _block_rows(n_dev * n_rep * lines, block_multiple)):
-            yield rows, read(_feed_forward_times(netlist.ff_taps, delay, challenges[rows], sample, window))
+            times = _feed_forward_times(netlist.ff_taps, delay, challenges[rows], streams, params)
+            yield rows, _read(streams[0], params, times, (n_dev, n_rep, rows.stop - rows.start))
     else:
         block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
         for rows, times in arrival_time_blocks(devices, challenges, block_rows):
             per_device = times.reshape(-1, n_dev, 1, lines).transpose(1, 2, 0, 3)
-            yield rows, read([per_device[..., line] for line in range(lines)])
+            per_line = [per_device[..., line] for line in range(lines)]
+            yield rows, _read(streams[0], params, per_line, (n_dev, n_rep, times.shape[0]))
 
 
 def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: int = 0) -> np.ndarray:
@@ -306,21 +326,21 @@ def repeated_reads(
     challenges: np.ndarray,
     repetitions: int,
     eval_seed: int = 0,
-    chunk: int = 64,
 ) -> np.ndarray:
     """Evaluate the same challenge batch ``repetitions`` times; (R, N) bits.
 
-    Tapless designs reuse the cached clean arrival times and only redraw
-    jitter per repetition, which makes million-read experiments cheap.
-    Feed-forward designs fall back to one full propagation per repetition.
-    Deterministic under (device, challenges, repetitions, eval_seed) and
-    independent of the chunk size.  Zero repetitions give a (0, N) array;
-    a negative count or a chunk below 1 is a ``ValueError``.
+    Tapless designs compute the clean arrival times once, through
+    ``clean_arrival_times``, and read the R*N repetition-major rows through
+    the shared sampler from one noise and one tie stream of ``eval_seed``.
+    Each block holds whole repetitions, about BLOCK_VALUES values, so the
+    bits equal ``propagate_many(device, np.tile(challenges, (R, 1)),
+    eval_seed)`` reshaped to (R, N).  Feed-forward designs make one full
+    propagation per repetition, seeded ``derive_seed(eval_seed, "rep", r)``.
+    Deterministic under (device, challenges, repetitions, eval_seed).  Zero
+    repetitions give a (0, N) array; a negative count is a ``ValueError``.
     """
     if repetitions < 0:
         raise ValueError(f"repetition count must be >= 0, got {repetitions}")
-    if chunk < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk}")
     netlist = device.netlist
     if netlist.ff_taps:
         challenges = _validate_challenges(netlist, challenges)
@@ -330,22 +350,9 @@ def repeated_reads(
         return reads
     clean = clean_arrival_times(device, challenges)
     n_eval, lines = clean.shape
-    sigma = device.params.sigma_noise
-    window = device.params.metastability_window
-    noise_rng = _noise_rng(eval_seed, 0)
-    tie_rng = _tie_rng(eval_seed, 0)
+    per_line = list(np.ascontiguousarray(clean.T))
+    streams = [(_noise_rng(eval_seed, 0), _tie_rng(eval_seed, 0))]
     out = np.empty((repetitions, n_eval), dtype=np.uint8)
-    buffer = np.empty((min(chunk, repetitions), n_eval, lines))
-    done = 0
-    while done < repetitions:
-        size = min(chunk, repetitions - done)
-        final = buffer[:size]
-        noise_rng.standard_normal(out=final)
-        final *= sigma
-        final += clean  # sigma*z + t equals t + sigma*z bit for bit
-        tie = _tie_bits(tie_rng, size * n_eval, _pairs(lines))
-        out[done : done + size] = _arbitrate(
-            final.reshape(size * n_eval, lines), window, tie
-        ).reshape(size, n_eval)
-        done += size
+    for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval * lines))):
+        out[reps] = _read(streams, device.params, per_line, (reps.stop - reps.start, n_eval))
     return out

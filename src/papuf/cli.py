@@ -46,6 +46,12 @@ from .seeds import derive_seed
 DESIGN_NAMES = {"apuf": Design.APUF, "pa-puf": Design.PA_PUF, "ff-pa-puf": Design.FF_PA_PUF}
 
 
+def _design(name: str) -> Design:
+    if name not in DESIGN_NAMES:
+        raise ValueError(f"unknown design {name!r}; expected one of {', '.join(sorted(DESIGN_NAMES))}")
+    return DESIGN_NAMES[name]
+
+
 @dataclass
 class ExperimentConfig:
     """Fully serializable description of one experiment run."""
@@ -66,7 +72,7 @@ class ExperimentConfig:
     challenge_seed: int = -1  # -1: derive from seed
 
     def netlist(self) -> Netlist:
-        design = DESIGN_NAMES[self.design]
+        design = _design(self.design)
         taps = ()
         if design is Design.FF_PA_PUF:
             taps = default_ff_taps(self.stages, 2) if self.ff_taps == "default" else parse_taps(self.ff_taps)
@@ -305,7 +311,7 @@ def _cmd_attack_compare(args) -> int:
     stages = args.stages
     designs = []
     for name in args.designs.split(","):
-        design = DESIGN_NAMES[name.strip()]
+        design = _design(name.strip())
         taps = default_ff_taps(stages, 2) if design is Design.FF_PA_PUF else ()
         designs.append(Netlist(design, stages, taps))
     params = DelayParams(sigma_noise=args.sigma_noise)
@@ -330,43 +336,28 @@ def _cmd_attack_compare(args) -> int:
     return 0
 
 
-def _cmd_sweep_ff(args) -> int:
+def _cmd_sweep(args) -> int:
     config = _build_config(args)
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
-    base = Netlist(Design.PA_PUF, config.stages)
-    rows = sweep_feed_forward(
-        base,
-        [int(v) for v in args.taps.split(",")],
-        population_size=config.population,
-        params=config.params(),
-        num_challenges=config.challenges,
-        repetitions=config.repetitions,
-        response_size=config.response_size,
-        seeds=tuple(range(args.seeds)),
-    )
-    csv_rows = [f"{r.label},{r.uniqueness:.4f},{r.reliability:.4f}" for r in rows]
-    _write_csv(out_dir / "sweep_ff.csv", "tap_count,uniqueness,reliability", csv_rows, chash)
-    for row in csv_rows:
-        print(row)
-    return 0
-
-
-def _cmd_sweep_size(args) -> int:
-    config = _build_config(args)
-    out_dir = _out_dir(args)
-    chash = _echo_config(config, out_dir)
-    rows = sweep_response_size(
-        config.netlist(),
-        [int(v) for v in args.sizes.split(",")],
+    common = dict(
         population_size=config.population,
         params=config.params(),
         num_challenges=config.challenges,
         repetitions=config.repetitions,
         seeds=tuple(range(args.seeds)),
     )
+    if args.sweep_command == "ff":
+        taps = [int(v) for v in args.taps.split(",")]
+        rows = sweep_feed_forward(
+            Netlist(Design.PA_PUF, config.stages), taps, response_size=config.response_size, **common
+        )
+        name, label = "sweep_ff.csv", "tap_count"
+    else:
+        rows = sweep_response_size(config.netlist(), [int(v) for v in args.sizes.split(",")], **common)
+        name, label = "sweep_size.csv", "response_size"
     csv_rows = [f"{r.label},{r.uniqueness:.4f},{r.reliability:.4f}" for r in rows]
-    _write_csv(out_dir / "sweep_size.csv", "response_size,uniqueness,reliability", csv_rows, chash)
+    _write_csv(out_dir / name, f"{label},uniqueness,reliability", csv_rows, chash)
     for row in csv_rows:
         print(row)
     return 0
@@ -517,12 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_ff)
     p_ff.add_argument("--taps", default="0,1,2,3,4,5,6", help="comma-separated tap counts")
     p_ff.add_argument("--seeds", type=int, default=5)
-    p_ff.set_defaults(handler=_cmd_sweep_ff)
+    p_ff.set_defaults(handler=_cmd_sweep)
     p_size = sweep_sub.add_parser("size", help="metrics vs response size")
     _add_config_flags(p_size)
     p_size.add_argument("--sizes", default="8,16,32,64,128")
     p_size.add_argument("--seeds", type=int, default=3)
-    p_size.set_defaults(handler=_cmd_sweep_size)
+    p_size.set_defaults(handler=_cmd_sweep)
 
     p_report = sub.add_parser("report", help="merge emitted kv/csv files")
     p_report.add_argument("inputs", nargs="+")

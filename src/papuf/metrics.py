@@ -151,31 +151,33 @@ def robustness(crps: CrpSet) -> tuple[float, float, float]:
     )
 
 
-def enrollment_responses(crps: CrpSet, reference: str = "majority") -> np.ndarray:
-    """Golden response per (device, challenge): first read or a bitwise
-    majority over the first (up to 11, odd) repetitions."""
-    if reference == "first":
-        return crps.responses[:, :, 0, :]
-    if reference != "majority":
-        raise ValueError(f"unknown reference {reference!r}")
-    votes = min(11, crps.repetitions)
-    if votes % 2 == 0:
-        votes -= 1
+def _enrollment_votes(repetitions: int) -> int:
+    """Reads in an enrollment majority vote: the first min(11, R), made odd."""
+    votes = min(11, repetitions)
+    return votes - 1 if votes % 2 == 0 else votes
+
+
+def _agreement(reads: np.ndarray, golden: np.ndarray) -> float:
+    """Percent of read bits equal to the broadcast golden bits."""
+    return float(100.0 - (reads != golden).mean() * 100.0)
+
+
+def enrollment_responses(crps: CrpSet) -> np.ndarray:
+    """Golden response per (device, challenge): a bitwise majority over the
+    first ``_enrollment_votes`` repetitions."""
+    votes = _enrollment_votes(crps.repetitions)
     window = crps.responses[:, :, :votes, :]
     return (window.sum(axis=2) * 2 > votes).astype(np.uint8)
 
 
-def reliability(crps: CrpSet, reference="majority") -> float:
+def reliability(crps: CrpSet, reference=None) -> float:
     """100 minus the mean percent HD between each repeated read and the
-    enrollment response."""
+    golden response: ``reference`` as a (devices, challenges, bits) array,
+    or by default the majority-vote enrollment response."""
     if crps.repetitions < 2:
         raise ValueError("reliability needs at least two repetitions")
-    if isinstance(reference, str):
-        golden = enrollment_responses(crps, reference)
-    else:
-        golden = np.asarray(reference, dtype=np.uint8)
-    mismatch = (crps.responses != golden[:, :, None, :]).mean()
-    return float(100.0 - mismatch * 100.0)
+    golden = enrollment_responses(crps) if reference is None else np.asarray(reference, dtype=np.uint8)
+    return _agreement(crps.responses, golden[:, :, None, :])
 
 
 def uniqueness(crps: CrpSet) -> float:
@@ -190,14 +192,14 @@ def uniqueness(crps: CrpSet) -> float:
     return float(diff_pairs / total_pairs * 100.0)
 
 
-def compute_report(crps: CrpSet, reference: str = "majority") -> MetricsReport:
+def compute_report(crps: CrpSet) -> MetricsReport:
     """Evaluate every statistic the dataset supports; single-repetition sets
     report NaN for reliability and robustness."""
     uni = uniformity(crps)
     alias = bit_aliasing(crps) if crps.n_devices >= 2 else (float("nan"),) * 3
     uniq = uniqueness(crps) if crps.n_devices >= 2 else float("nan")
     if crps.repetitions >= 2:
-        rel = reliability(crps, reference)
+        rel = reliability(crps)
         rob = robustness(crps)
     else:
         rel = float("nan")
@@ -249,11 +251,7 @@ def measure_reliability(
     seeds = random_seed_challenges(device.netlist.stages, num_challenges, derive_seed(eval_seed, "rel-chal"))
     expanded = expand_many(seeds, response_size).reshape(-1, device.netlist.stages)
     reads = repeated_reads(device, expanded, repetitions, derive_seed(eval_seed, "rel-reads"))
-    votes = min(11, repetitions)
-    if votes % 2 == 0:
-        votes -= 1
-    golden = majority_vote(reads[:votes])
-    return float(100.0 - (reads != golden[None, :]).mean() * 100.0)
+    return _agreement(reads, majority_vote(reads[: _enrollment_votes(repetitions)]))
 
 
 def calibrate_noise(
@@ -334,6 +332,28 @@ def _population_metrics(params, netlist, population_size, num_challenges, repeti
     return uniqueness(crps), reliability(crps)
 
 
+def _sweep(tag, points, configure, seeds, params, population_size, num_challenges, repetitions) -> list[SweepRow]:
+    """One row per point: uniqueness and reliability over fresh populations,
+    one per seed, seeded ``derive_seed(tag, point, seed)``.  ``configure(point)``
+    gives the point's (netlist, response size)."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("a sweep needs at least one seed")
+    rows = []
+    for point in points:
+        netlist, response_size = configure(point)
+        per_seed = [
+            _population_metrics(
+                params, netlist, population_size, num_challenges, repetitions, response_size,
+                derive_seed(tag, point, seed),
+            )
+            for seed in seeds
+        ]
+        uniq, rel = (tuple(values) for values in zip(*per_seed))
+        rows.append(SweepRow(str(int(point)), float(np.mean(uniq)), float(np.mean(rel)), uniq, rel))
+    return rows
+
+
 def sweep_feed_forward(
     base_netlist: Netlist,
     tap_counts,
@@ -353,28 +373,12 @@ def sweep_feed_forward(
         raise ValueError("the feed-forward sweep applies to the 3-line designs")
     if params is None:
         raise ValueError("explicit DelayParams (with a nonzero sigma_noise) are required")
-    rows = []
-    for count in tap_counts:
-        taps = default_ff_taps(base_netlist.stages, int(count))
-        netlist = Netlist(Design.FF_PA_PUF, base_netlist.stages, taps)
-        uniq, rel = [], []
-        for seed in seeds:
-            u, r = _population_metrics(
-                params, netlist, population_size, num_challenges, repetitions, response_size,
-                derive_seed("ff-sweep", count, seed),
-            )
-            uniq.append(u)
-            rel.append(r)
-        rows.append(
-            SweepRow(
-                label=str(int(count)),
-                uniqueness=float(np.mean(uniq)),
-                reliability=float(np.mean(rel)),
-                uniqueness_by_seed=tuple(uniq),
-                reliability_by_seed=tuple(rel),
-            )
-        )
-    return rows
+    stages = base_netlist.stages
+
+    def configure(count):
+        return Netlist(Design.FF_PA_PUF, stages, default_ff_taps(stages, int(count))), response_size
+
+    return _sweep("ff-sweep", tap_counts, configure, seeds, params, population_size, num_challenges, repetitions)
 
 
 def sweep_response_size(
@@ -389,23 +393,7 @@ def sweep_response_size(
     """Uniqueness and reliability per response size (one row per size)."""
     if params is None:
         raise ValueError("explicit DelayParams are required")
-    rows = []
-    for size in sizes:
-        uniq, rel = [], []
-        for seed in seeds:
-            u, r = _population_metrics(
-                params, netlist, population_size, num_challenges, repetitions, int(size),
-                derive_seed("size-sweep", size, seed),
-            )
-            uniq.append(u)
-            rel.append(r)
-        rows.append(
-            SweepRow(
-                label=str(int(size)),
-                uniqueness=float(np.mean(uniq)),
-                reliability=float(np.mean(rel)),
-                uniqueness_by_seed=tuple(uniq),
-                reliability_by_seed=tuple(rel),
-            )
-        )
-    return rows
+    return _sweep(
+        "size-sweep", sizes, lambda size: (netlist, int(size)),
+        seeds, params, population_size, num_challenges, repetitions,
+    )

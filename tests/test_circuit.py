@@ -12,6 +12,7 @@ from papuf import (
     repeated_reads,
     synthesize_device,
 )
+from papuf import circuit
 from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_rng
 from papuf.device import DeviceInstance
 from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times
@@ -235,11 +236,18 @@ def test_oracle_refuses_large_netlists(pa64):
         exhaustive_propagate(pa64, np.zeros(64, dtype=np.uint8))
 
 
-def test_repeated_reads_matches_distribution_and_chunking(pa64):
+def test_repeated_reads_matches_distribution_and_chunking(pa64, monkeypatch):
+    def reads_per_block_size(dev, challenges, repetitions, eval_seed, block_values):
+        reads = []
+        for values in block_values:
+            monkeypatch.setattr(circuit, "BLOCK_VALUES", values)
+            reads.append(repeated_reads(dev, challenges, repetitions, eval_seed=eval_seed))
+        return reads
+
     noisy = pa64.with_params(pa64.params.with_noise(2.0))
     challenges = np.random.default_rng(4).integers(0, 2, size=(64, 64), dtype=np.uint8)
-    a = repeated_reads(noisy, challenges, 30, eval_seed=11, chunk=7)
-    b = repeated_reads(noisy, challenges, 30, eval_seed=11, chunk=64)
+    # 64 rows x 3 lines per repetition: blocks of 7 repetitions, or all 30 in one
+    a, b = reads_per_block_size(noisy, challenges, 30, 11, (7 * 64 * 3, 1 << 40))
     assert np.array_equal(a, b)
     assert a.shape == (30, 64)
     # A window wide enough for frequent random tie breaks: the tie stream
@@ -248,11 +256,12 @@ def test_repeated_reads_matches_distribution_and_chunking(pa64):
     challenges = np.random.default_rng(5).integers(0, 2, size=(37, 16), dtype=np.uint8)
     for design in (Design.APUF, Design.PA_PUF):
         dev = synthesize_device(params, Netlist(design, 16), 21)
-        reads = {chunk: repeated_reads(dev, challenges, 10, eval_seed=12, chunk=chunk) for chunk in (1, 3, 64)}
-        assert np.array_equal(reads[1], reads[64]) and np.array_equal(reads[3], reads[64]), design
+        # blocks of 1 repetition, of 3, or all 10 in one
+        one, three, whole = reads_per_block_size(dev, challenges, 10, 12, (1, 3 * 37 * dev.netlist.lines, 1 << 40))
+        assert np.array_equal(one, whole) and np.array_equal(three, whole), design
         # and each row equals an independent full read of the same streams
         row = propagate_many(dev, np.tile(challenges, (10, 1)), eval_seed=12).reshape(10, 37)
-        assert np.array_equal(reads[64], row), design
+        assert np.array_equal(whole, row), design
 
 
 @pytest.mark.parametrize(
@@ -265,9 +274,6 @@ def test_repeated_reads_rejects_bad_counts_and_allows_zero(netlist):
     assert empty.shape == (0, 5) and empty.dtype == np.uint8
     with pytest.raises(ValueError, match="repetition count"):
         repeated_reads(dev, challenges, -1)
-    for chunk in (0, -3):
-        with pytest.raises(ValueError, match="chunk size"):
-            repeated_reads(dev, challenges, 3, chunk=chunk)
 
 
 @pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])

@@ -447,6 +447,47 @@ def test_votes_must_be_a_positive_odd_count(tmp_path, capsys, design, taps, vote
     assert not (tmp_path / "h2.txt").exists() and not (tmp_path / "again").exists()
 
 
+def test_unknown_compare_design_is_an_error(tmp_path, capsys):
+    assert run("attack", "compare", "--designs", "apuf,foo", "--stages", "16", "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown design 'foo'; expected one of apuf, ff-pa-puf, pa-puf\n"
+
+
+def test_unknown_config_file_design_is_an_error(tmp_path, capsys):
+    config = tmp_path / "experiment.kv"
+    config.write_text("design=foo\nstages=16\n")
+    assert run("crp", "gen", "--config", str(config), "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown design 'foo'; expected one of apuf, ff-pa-puf, pa-puf\n"
+    assert not (tmp_path / "crps.csv").exists()
+
+
+def test_code_m_without_a_primitive_polynomial_is_an_error(tmp_path, capsys):
+    device = tmp_path / "dev.txt"
+    assert run("device", "new", "--stages", "16", "--seed", "5", "--out-dir", str(tmp_path), "--out", str(device)) == 0
+    capsys.readouterr()
+    assert run("keygen", "enroll", "--device", str(device), "--code-m", "9", "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no built-in primitive polynomial for m=9; expected m in 3, 4, 5, 6, 7, 8\n"
+    assert not (tmp_path / "helper.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["attack", "compare", "--stages", "16", "--budget", "1024"], "the attack comparison needs at least one seed"),
+        (["sweep", "ff", "--stages", "16", "--sigma-noise", "1.0", "--taps", "0,1"], "a sweep needs at least one seed"),
+        (["sweep", "size", "--stages", "16", "--sigma-noise", "1.0", "--sizes", "8"], "a sweep needs at least one seed"),
+    ],
+)
+def test_empty_seed_list_is_an_error_not_a_nan_row(tmp_path, capsys, command, message):
+    for seeds in ("0", "-2"):
+        assert run(*command, "--seeds", seeds, "--out-dir", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and "nan" not in captured.out
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_hash_stable():
     a = ExperimentConfig(seed=1)
     b = ExperimentConfig(seed=1)

@@ -345,7 +345,7 @@ def test_robustness_band_at_million_read_depth(pa64):
     part = 0
     while done < total:
         n = min(125_000, total - done)
-        reads = repeated_reads(dev, cells, n, derive_seed("rob", "deep", part), chunk=1000)
+        reads = repeated_reads(dev, cells, n, derive_seed("rob", "deep", part))
         counts = reads.sum(axis=0, dtype=np.int64)
         never &= counts == 0
         always &= counts == n

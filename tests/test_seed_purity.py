@@ -35,7 +35,7 @@ def _jobs(netlist, params, seed):
     return {
         "crps": lambda: collect_crps(target, 5, 2, 16, seed).responses.tobytes(),
         "many": lambda: propagate_many(target[1], challenges, seed + 1).tobytes(),
-        "reads": lambda: repeated_reads(target[2], challenges, 5, seed + 2, chunk=2).tobytes(),
+        "reads": lambda: repeated_reads(target[2], challenges, 5, seed + 2).tobytes(),
         "other-crps": lambda: collect_crps(other, 4, 3, 8, seed + 3).responses.tobytes(),
         "other-many": lambda: propagate_many(third[0], challenges[::-1], seed + 4).tobytes(),
     }
