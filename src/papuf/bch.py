@@ -4,16 +4,23 @@ Codewords are bit vectors of length n = 2^m - 1, MSB first: bit i of a
 word is the coefficient of x^(n-1-i).  Encoding is systematic, so the
 first k bits of a codeword are the message.
 
-Decoding is table-driven.  Each code caches, once and read-only, a
-(2t, n) table of alpha^(j(n-1-i)) and numpy exp/log arrays of its field.
-The 2t syndromes are one gather of the table columns at the set bits plus
-an XOR reduce; a zero syndrome returns at once.  Otherwise binary
-Berlekamp-Massey (t iterations) gives the error locator, and a Chien search
-evaluates it at all n points in one vectorised pass, one exp/log gather per
-locator coefficient.  The residual check XORs the table columns of the
-flipped bits into the received syndromes.  Anything inconsistent (locator
-degree above t, root count not equal to the degree, residual syndromes) is
-reported as an explicit failure rather than a guessed codeword.
+Decoding runs on Python ints from tables built once per code
+(``_decode_tables``).  The column of bit i is one int packing the t odd
+syndromes of the word with only bit i set, and the table int of a byte
+position and byte value is the XOR of the columns of that byte's set bits.
+So the odd syndromes of a word are an XOR of one int per byte, and
+S_2j = S_j^2 (Lin & Costello, *Error Control Coding*, binary BCH codes)
+gives the even ones; a zero syndrome returns at once.  Otherwise binary
+Berlekamp-Massey (t steps) gives the error locator.  The
+Chien search (R. T. Chien, "Cyclic decoding procedures for BCH codes",
+IEEE Trans. IT 1964) evaluates it at all n points at once: for each
+locator degree d and field value v, one int holds v*alpha^(-d(n-1-i)) in
+lane i, so the evaluation is an XOR of at most t + 1 ints, the zero lanes
+are found with one add and two masks, and the root count is a popcount.
+The residual check XORs the columns of the flipped bits into the received
+syndromes.  Anything inconsistent (locator degree above t, root count not
+equal to the degree, residual syndromes) is reported as an explicit
+failure rather than a guessed codeword.
 """
 
 from __future__ import annotations
@@ -35,7 +42,11 @@ PRIMITIVE_POLYS = {
 
 
 class GF2m:
-    """GF(2^m) arithmetic through exp/log tables for the generator alpha = x."""
+    """GF(2^m) arithmetic through exp/log tables for the generator alpha = x.
+
+    ``products[a][b]`` is a*b, one list per field element, for the decoder's
+    inner loops.
+    """
 
     def __init__(self, m: int, primitive_poly: int):
         if primitive_poly.bit_length() != m + 1:
@@ -53,11 +64,12 @@ class GF2m:
                 value ^= primitive_poly
         for power in range(self.order, 2 * self.order):
             self.exp[power] = self.exp[power - self.order]
+        self.products = [[0] * (1 << m)] + [
+            [0] + [self.exp[self.log[a] + self.log[b]] for b in range(1, 1 << m)] for a in range(1, 1 << m)
+        ]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return self.products[a][b]
 
     def pow_alpha(self, exponent: int) -> int:
         return self.exp[exponent % self.order]
@@ -183,58 +195,108 @@ def bch_encode(message: np.ndarray, code: BchCode) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _DecodeTables:
-    """Read-only lookup tables of one code, built on its first decode."""
+    """Read-only lookup tables of one code, built on its first decode.
 
-    syndrome: np.ndarray  # (2t, n): row j-1, column i holds alpha^(j(n-1-i))
-    exp: np.ndarray  # (order,): exp[e] = alpha^e
-    log: np.ndarray  # (2^m,): log[alpha^e] = e; log[0] is unused
+    ``syndromes[b][v]`` packs the t odd syndromes S_1, S_3, ..., S_2t-1, m
+    bits each with S_2j+1 at bit m*j, of the word whose ``np.packbits``
+    byte b is v and all other bits are 0: the XOR of the columns of the set
+    bits of v, where the column of bit i is alpha^((2j+1)(n-1-i)) for each
+    j.  ``chien[d - 1][v]`` holds v*alpha^(-d(n-1-i)) in lane i, for locator
+    degree d = 1..t; lanes are m + 1 bits wide, one per bit position.
+    """
+
+    syndromes: tuple[tuple[int, ...], ...]
+    chien: tuple[tuple[int, ...], ...]
+    ones: int  # 1 in every lane: the locator's constant coefficient
+    below: int  # 2^m - 1 in every lane
+    high: int  # 2^m in every lane, the top bit of each lane
+
+
+def _pack(values: np.ndarray, width: int) -> list[int]:
+    """Each row of a 2-D array of values below 2^width as one int, column c at bit width*c."""
+    bits = ((values.astype(np.uint32)[..., None] >> np.arange(width, dtype=np.uint32)) & 1).astype(np.uint8)
+    packed = np.packbits(bits.reshape(values.shape[0], -1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 @lru_cache(maxsize=None)
 def _decode_tables(code: BchCode) -> _DecodeTables:
-    field = code.field
+    field, m, n, t = code.field, code.m, code.n, code.t
     exp = np.array(field.exp[: field.order], dtype=np.int64)
     log = np.array(field.log, dtype=np.int64)
-    powers = np.arange(1, 2 * code.t + 1)[:, None] * np.arange(code.n - 1, -1, -1)[None, :]
-    syndrome = exp[powers % field.order]
-    for table in (syndrome, exp, log):
-        table.setflags(write=False)
-    return _DecodeTables(syndrome=syndrome, exp=exp, log=log)
+    powers = np.arange(n - 1, -1, -1)  # the exponent of bit i is n-1-i
+    columns = _pack(exp[(powers[:, None] * np.arange(1, 2 * t, 2)[None, :]) % field.order], m)
+    columns += [0] * (-n % 8)  # the pad bits of the last byte
+    syndromes = []
+    for byte in range(len(columns) // 8):
+        row = [0]
+        for column in reversed(columns[8 * byte : 8 * byte + 8]):  # byte-value bits 0x01, 0x02, ..., 0x80
+            row += [s ^ column for s in row]
+        syndromes.append(tuple(row))
+    chien = []
+    for d in range(1, t + 1):
+        values = exp[(log[:, None] - d * powers[None, :]) % field.order]
+        values[0] = 0
+        chien.append(tuple(_pack(values, m + 1)))
+    lanes = _pack(np.array([[1] * n, [(1 << m) - 1] * n, [1 << m] * n]), m + 1)
+    return _DecodeTables(tuple(syndromes), tuple(chien), *lanes)
 
 
 def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
-    """Error locator polynomial (coefficient list, index = degree).
+    """Error locator polynomial (coefficient list, index = degree) of S_1..S_2t.
 
     Binary form: the syndromes of a binary word satisfy S_2j = S_j^2, so
     every odd-step discrepancy is zero and only the t even steps are run,
-    each advancing the shift by 2.  Field products go through the exp/log
-    lists directly.
+    each advancing the shift by 2.  Each syndrome's row of the field's
+    product table is looked up once, and the locator lives in a fixed list
+    of 2t + 1 coefficients, since its degree never exceeds the register
+    length.
     """
-    exp, log, order = field.exp, field.log, field.order
-    locator = [1]
-    prev = [1]
+    products, exp, log, order = field.products, field.exp, field.log, field.order
+    rows = [products[s] for s in syndromes]
+    locator = [1] + [0] * len(syndromes)
+    prev = [1]  # the locator's coefficients when the length last grew
+    prev_log = 0  # log of the discrepancy then
     length = 0
     shift = 1
-    prev_discrepancy = 1
     for step in range(0, len(syndromes), 2):
         discrepancy = syndromes[step]
-        for i in range(1, min(length + 1, len(locator))):
-            if locator[i] and syndromes[step - i]:
-                discrepancy ^= exp[log[locator[i]] + log[syndromes[step - i]]]
+        for i in range(1, length + 1):
+            discrepancy ^= rows[step - i][locator[i]]
         if discrepancy:
-            log_factor = (log[discrepancy] - log[prev_discrepancy]) % order
-            update = [0] * shift + [exp[log_factor + log[c]] if c else 0 for c in prev]
-            combined = [a ^ b for a, b in zip(locator + [0] * len(update), update + [0] * len(locator))]
-            while combined and combined[-1] == 0:
-                combined.pop()
-            if 2 * length <= step:
-                prev = locator
-                prev_discrepancy = discrepancy
+            scale = products[exp[(log[discrepancy] - prev_log) % order]]
+            grows = 2 * length <= step
+            if grows:
+                saved = locator[: length + 1]
+            for i, coef in enumerate(prev, start=shift):
+                locator[i] ^= scale[coef]
+            if grows:
+                prev, prev_log = saved, log[discrepancy]
                 length = step + 1 - length
                 shift = 0
-            locator = combined
         shift += 2
-    return locator
+    degree = length
+    while not locator[degree]:
+        degree -= 1
+    return locator[: degree + 1]
+
+
+def as_bits(values, what: str) -> np.ndarray:
+    """``values`` as a uint8 array of 0/1 bits.
+
+    Anything other than 0 and 1 is a ``ValueError`` naming ``what``,
+    checked before the cast, so 256 or 0.7 is never read as a 0 bit.
+    """
+    array = np.asarray(values)
+    if array.dtype == np.bool_:
+        return array.view(np.uint8)
+    if array.dtype == np.uint8:
+        valid = not array.tobytes().translate(None, b"\x00\x01")  # bytes other than 0 and 1 remain
+    else:
+        valid = bool(np.all((array == 0) | (array == 1)))
+    if not valid:
+        raise ValueError(f"{what} must hold only 0 and 1 bits")
+    return array.astype(np.uint8, copy=False)
 
 
 def bch_decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | None:
@@ -242,34 +304,52 @@ def bch_decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | 
 
     Returns None when the received word is provably outside every t-ball
     the decoder can resolve (uncorrectable), never a silently wrong guess
-    for in-ball words.
+    for in-ball words.  A word holding anything but 0 and 1 is a
+    ``ValueError``.
+
+    The odd syndromes are an XOR of one table int per byte of the word,
+    and S_2j = S_j^2 gives the even ones; a zero syndrome returns at once.
+    Berlekamp-Massey gives the locator, and the Chien search evaluates it
+    at all n points as an XOR of at most t + 1 table ints, one lane per bit:
+    lane i is zero iff bit i is in error.  ``~(x + below) & high`` marks
+    the zero lanes without carries between them, since every lane value is
+    below 2^m.  The root count must equal the locator degree, and the
+    residual check XORs the columns of the error bits into the syndromes.
     """
-    received = np.asarray(received, dtype=np.uint8)
+    received = as_bits(received, "received word")
     if received.shape != (code.n,):
         raise ValueError(f"received word must have {code.n} bits, got shape {received.shape}")
-    if received.max() > 1:
-        raise ValueError("received word must hold only 0 and 1 bits")
     tables = _decode_tables(code)
-    syndromes = np.bitwise_xor.reduce(tables.syndrome[:, received.astype(bool)], axis=1)
-    if not syndromes.any():
+    byte_syndromes = tables.syndromes
+    odd = 0
+    for byte, value in enumerate(np.packbits(received).tobytes()):
+        odd ^= byte_syndromes[byte][value]
+    if not odd:
         return received[: code.k].copy(), 0
-    field = code.field
-    locator = _berlekamp_massey(field, syndromes.tolist())
+    field, m = code.field, code.m
+    syndromes = [0] * (2 * code.t)
+    syndromes[0::2] = [(odd >> shift) & field.order for shift in range(0, m * code.t, m)]
+    for j in range(1, code.t + 1):  # S_2j = S_j^2, at list index 2j - 1
+        s = syndromes[j - 1]
+        syndromes[2 * j - 1] = field.products[s][s]
+    locator = _berlekamp_massey(field, syndromes)
     degree = len(locator) - 1
     if degree > code.t:
         return None
-    # Chien search: bit i is in error iff locator(alpha^-(n-1-i)) == 0.
-    neg_exponents = (field.order - np.arange(code.n)) % field.order
-    values = np.zeros(code.n, dtype=np.int64)
-    for d, coef in enumerate(locator):
-        if coef:
-            values ^= tables.exp[(tables.log[coef] + neg_exponents * d) % field.order]
-    error_bits = code.n - 1 - np.flatnonzero(values == 0)
-    if error_bits.size != degree:
+    values = tables.ones
+    for d in range(1, degree + 1):
+        values ^= tables.chien[d - 1][locator[d]]
+    zero_lanes = ~(values + tables.below) & tables.high
+    if zero_lanes.bit_count() != degree:
         return None
-    # Residual check: the corrected word's syndromes, by linearity.
-    if (syndromes ^ np.bitwise_xor.reduce(tables.syndrome[:, error_bits], axis=1)).any():
+    message = received[: code.k].copy()
+    while zero_lanes:
+        low = zero_lanes & -zero_lanes
+        zero_lanes ^= low
+        bit = low.bit_length() // (m + 1) - 1
+        odd ^= byte_syndromes[bit >> 3][0x80 >> (bit & 7)]  # the residual check, by linearity
+        if bit < code.k:
+            message[bit] ^= 1
+    if odd:
         return None
-    corrected = received.copy()
-    corrected[error_bits] ^= 1
-    return corrected[: code.k].copy(), degree
+    return message, degree

@@ -6,15 +6,18 @@ a select of 1 applies the cyclic rotation T->C->B->T (a plain swap for the
 2-line chain), i.e. with select 1 output T reads line B, C reads T and B
 reads C.
 
-Every arbiter decision goes through ``_flip_flops`` and ``_arbitrate``.
-Three flip-flops race the pairs (T, C), (C, B) and (B, T) and latch
+Every arbiter decision goes through ``_compare`` and ``_latch``.  Three
+flip-flops race the pairs (T, C), (C, B) and (B, T) and latch
 (qT, qC, qB) = (T<C, C<B, B<T); a gap within the metastability window
-(including an exact tie at window 0) latches a fair tie bit instead.  The
-priority arbiter of the 3-line designs outputs NOT(qT ^ qC ^ qB): 1 exactly
-on the cyclic rotations of (T, C, B), so 3 of the 6 strict orderings.  A
+(including an exact tie at window 0) latches a fair tie bit instead.
+``_compare`` takes the race and the window test from one difference per
+pair, and ``_latch`` applies the tie bits.  ``_response`` turns the bits
+into the arbiter output: the priority arbiter of the 3-line designs outputs
+NOT(qT ^ qC ^ qB), 1 exactly on the cyclic rotations of (T, C, B), so 3 of
+the 6 strict orderings, and the 2-line arbiter outputs top<bottom.  A
 feed-forward tap arbiter passes (qT, qC, qB) on as the per-line mux selects
-of its target stage, and the 2-line arbiter outputs top<bottom.  The
-gate-level reference is ``oracle.gate_level_priority``.
+of its target stage.  ``_flip_flops`` and ``_arbitrate`` apply the rule to
+given tie bits.  The gate-level reference is ``oracle.gate_level_priority``.
 
 Without feed-forward taps the chain has a closed form.  A delay added on
 line m at stage i moves one line on at every later select-1 stage, so with
@@ -37,6 +40,10 @@ no one-hot encoding of the codes, is ever allocated.
 ``_sample`` draws every jitter value and tie bit: those of one
 observation point over a row block, from an ordered list of (noise, tie)
 stream pairs consumed row by row, so block boundaries never change a bit.
+A stream pair draws the tie words of its run only when one of the run's
+gaps is within the window; otherwise its tie stream is moved past the same
+words unread, so stream positions, and every bit, are those of drawing
+them all, at any window.
 ``_read`` arbitrates its terminal samples.  ``propagate_blocks`` is the
 block reader for every netlist: a whole population of (device, repetition)
 jobs, one row block at a time, one stream pair per job and point.  Tapless
@@ -79,16 +86,32 @@ def _noise_rng(eval_seed: int, point: int) -> np.random.Generator:
 def _tie_bits(rng: np.random.Generator, n_eval: int, pairs: int) -> np.ndarray:
     """(n_eval, pairs) fair tie bits, one per arbiter flip-flop.
 
-    Drawn as uint32, which consumes the stream in whole words: uint8 draws
-    drop the unused bits of their last word at the end of every call, so
-    the bits would depend on how the rows were split into calls.
+    Drawn as uint32, which consumes the stream in whole words, one
+    ``next_uint32`` per bit: uint8 draws drop the unused bits of their last
+    word at the end of every call, so the bits would depend on how the rows
+    were split into calls.  ``_skip_tie_words`` moves a stream past the
+    same words without drawing them.
     """
     return rng.integers(0, 2, size=(n_eval, pairs), dtype=np.uint32).astype(np.uint8)
 
 
-def _cmp_vec(first: np.ndarray, second: np.ndarray, window: float, tie_bits: np.ndarray) -> np.ndarray:
-    wins = (first < second).astype(np.uint8)
-    return np.where(np.abs(first - second) <= window, tie_bits, wins)
+def _skip_tie_words(rng: np.random.Generator, words: int) -> None:
+    """Move a tie stream past ``words`` uint32 words, as drawing them would.
+
+    PCG64 serves two uint32 words from each 64-bit output and buffers the
+    unused half (``has_uint32``); ``advance`` skips whole outputs and clears
+    that buffer.  So a buffered half pays for the first word, ``advance``
+    for the pairs after it, and an odd last word is drawn, which leaves its
+    other half buffered as a draw would.
+    """
+    if not words:
+        return
+    bit_generator = rng.bit_generator
+    if bit_generator.state["has_uint32"]:
+        words -= 1
+    bit_generator.advance(words // 2)
+    if words % 2:
+        rng.integers(0, 2, dtype=np.uint32)
 
 
 def _validate_challenges(netlist: Netlist, challenges: np.ndarray) -> np.ndarray:
@@ -105,23 +128,54 @@ def _pairs(lines: int) -> int:
     return 1 if lines == 2 else 3
 
 
+def _compare(sampled: np.ndarray, window: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(wins, near) of each flip-flop of (..., lines) sampled times.
+
+    Flip-flop k races line k against line k+1 (mod lines), one pair for 2
+    lines and three for 3.  Both come from one difference: wins is
+    first < second, near is |first - second| <= window.
+    """
+    lines = sampled.shape[-1]
+    wins, near = [], []
+    for k in range(_pairs(lines)):
+        gap = sampled[..., k] - sampled[..., (k + 1) % lines]
+        wins.append(gap < 0)
+        near.append(np.abs(gap, out=gap) <= window)
+    return wins, near
+
+
+def _latch(wins: list[np.ndarray], near: list[np.ndarray], tie: np.ndarray | None) -> list[np.ndarray]:
+    """Flip-flop bits: the tie bit where the gap is within the window, else the race.
+
+    ``tie`` is (..., pairs) or None when no gap is within the window.
+    """
+    if tie is None:
+        return [w.view(np.uint8) for w in wins]
+    return [np.where(n, tie[..., k], w) for k, (w, n) in enumerate(zip(wins, near))]
+
+
+def _response(flops: list[np.ndarray]) -> np.ndarray:
+    """Arbiter output of its flip-flop bits.
+
+    2 lines: top<bottom.  3 lines: NOT(qT ^ qC ^ qB), the gate-level rule
+    of ``oracle.gate_level_priority``.  The patterns 000 and 111 are cyclic
+    contradictions that only tie bits can produce; they give 1, as the XOR
+    gate does.
+    """
+    if len(flops) == 1:
+        return flops[0]
+    q0, q1, q2 = flops
+    return 1 ^ q0 ^ q1 ^ q2
+
+
 def _flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> list[np.ndarray]:
     """(qT, qC, qB) = (T<C, C<B, B<T) of (..., 3) sampled times, given (..., 3) tie bits."""
-    return [_cmp_vec(sampled[..., k], sampled[..., (k + 1) % 3], window, tie[..., k]) for k in range(3)]
+    return _latch(*_compare(sampled, window), tie)
 
 
 def _arbitrate(final: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
-    """Response bits of (..., lines) sampled arrival times, given (..., pairs) tie bits.
-
-    2 lines: top<bottom.  3 lines: NOT(qT ^ qC ^ qB) over ``_flip_flops``,
-    the gate-level rule of ``oracle.gate_level_priority``.  The patterns
-    000 and 111 are cyclic contradictions that only tie bits can produce;
-    they give 1, as the XOR gate does.
-    """
-    if final.shape[-1] == 2:
-        return _cmp_vec(final[..., 0], final[..., 1], window, tie[..., 0])
-    q0, q1, q2 = _flip_flops(final, window, tie)
-    return 1 ^ q0 ^ q1 ^ q2
+    """Response bits of (..., lines) sampled arrival times, given (..., pairs) tie bits."""
+    return _response(_flip_flops(final, window, tie))
 
 
 # ---------------------------------------------------------------------------
@@ -176,33 +230,42 @@ def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarra
 
 def _sample(
     streams: list, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jittered times, shape + (lines,), and tie bits, shape + (pairs,), of one point.
+) -> list[np.ndarray]:
+    """Flip-flop bits of one observation point, one ``shape`` array per pair.
 
     The C-ordered positions of ``shape`` are split into equal runs, one per
     (noise, tie) stream pair in order, and each stream fills its run row by
     row.  ``times`` holds one clean-time array per line, broadcast to
     ``shape``; the jitter is sigma*z + t, which equals t + sigma*z bit for
-    bit.  This is the one place where noise and tie bits are drawn.
+    bit.  A tie stream draws the tie bits of its run only when some gap of
+    the run is within the metastability window, since no other decision
+    reads them; otherwise ``_skip_tie_words`` moves it past the same words.
+    Stream positions therefore never depend on the window or the block
+    split.  This is the one place where noise and tie bits are drawn.
     """
     lines, pairs = len(times), _pairs(len(times))
     size = math.prod(shape) // len(streams)
     sampled = np.empty((len(streams), size, lines))
-    tie = np.empty((len(streams), size, pairs), dtype=np.uint8)
-    for j, (noise_rng, tie_rng) in enumerate(streams):
+    for j, (noise_rng, _) in enumerate(streams):
         noise_rng.standard_normal(out=sampled[j])
-        tie[j] = _tie_bits(tie_rng, size, pairs)
     sampled *= params.sigma_noise
-    sampled = sampled.reshape(*shape, lines)
+    view = sampled.reshape(*shape, lines)
     for line, line_times in enumerate(times):
-        sampled[..., line] += line_times
-    return sampled, tie.reshape(*shape, pairs)
+        view[..., line] += line_times
+    wins, near = _compare(sampled, params.metastability_window)
+    needs_ties = np.any(near, axis=(0, 2))
+    tie = np.zeros((len(streams), size, pairs), dtype=np.uint8) if needs_ties.any() else None
+    for j, (_, tie_rng) in enumerate(streams):
+        if needs_ties[j]:
+            tie[j] = _tie_bits(tie_rng, size, pairs)
+        else:
+            _skip_tie_words(tie_rng, size * pairs)
+    return [q.reshape(shape) for q in _latch(wins, near, tie)]
 
 
 def _read(streams: list, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """Response bits of the terminal arbiter, ``shape``, sampled through ``_sample``."""
-    final, tie = _sample(streams, params, times, shape)
-    return _arbitrate(final, params.metastability_window, tie)
+    return _response(_sample(streams, params, times, shape))
 
 
 def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, streams: list, params: DelayParams):
@@ -240,8 +303,7 @@ def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, streams
             added = delay[:, i][:, bits]  # (D, B, 3)
             times = [np.where(flip, times[ROT3[l]], times[l]) + added[:, None, :, l] for l in range(3)]
         for point, target in taps_at_stage.get(i, ()):
-            sampled, tie = _sample(streams[point], params, times, shape)
-            pending[target] = _flip_flops(sampled, params.metastability_window, tie)
+            pending[target] = _sample(streams[point], params, times, shape)
     return times
 
 

@@ -349,9 +349,7 @@ def _cmd_sweep(args) -> int:
     )
     if args.sweep_command == "ff":
         taps = [int(v) for v in args.taps.split(",")]
-        rows = sweep_feed_forward(
-            Netlist(Design.PA_PUF, config.stages), taps, response_size=config.response_size, **common
-        )
+        rows = sweep_feed_forward(config.netlist(), taps, response_size=config.response_size, **common)
         name, label = "sweep_ff.csv", "tap_count"
     else:
         rows = sweep_response_size(config.netlist(), [int(v) for v in args.sizes.split(",")], **common)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvfile
-from .bch import BchCode, bch_decode, bch_encode
+from .bch import BchCode, as_bits, bch_decode, bch_encode
 from .response import bits_to_hex, hex_to_bits
 from .seeds import SEED_MASK
 
@@ -47,8 +47,9 @@ class SecretKey:
 
 def enroll(response: np.ndarray, code: BchCode, key_seed: int) -> tuple[HelperData, SecretKey]:
     """Bind a fresh random key to a response; responses longer than n are
-    truncated to the first n bits (a 128-bit response drops its last bit)."""
-    response = np.asarray(response, dtype=np.uint8)
+    truncated to the first n bits (a 128-bit response drops its last bit).
+    A response holding anything but 0 and 1 is a ``ValueError``."""
+    response = as_bits(response, "response")
     if response.shape[0] < code.n:
         raise ValueError(f"response of {response.shape[0]} bits is shorter than n={code.n}")
     rng = np.random.default_rng(key_seed & SEED_MASK)
@@ -62,8 +63,11 @@ def enroll(response: np.ndarray, code: BchCode, key_seed: int) -> tuple[HelperDa
 
 
 def reproduce(noisy_response: np.ndarray, helper: HelperData) -> SecretKey | None:
-    """Recover the enrolled key from a noisy read, or None on decode failure."""
-    noisy_response = np.asarray(noisy_response, dtype=np.uint8)
+    """Recover the enrolled key from a noisy read, or None on decode failure.
+
+    A read holding anything but 0 and 1 is a ``ValueError``.
+    """
+    noisy_response = as_bits(noisy_response, "response")
     if noisy_response.shape[0] < helper.n:
         raise ValueError(f"response of {noisy_response.shape[0]} bits is shorter than n={helper.n}")
     received = helper.offset ^ noisy_response[: helper.n]

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papuf.bch import BchCode, bch_decode, bch_encode, default_code
-from papuf.oracle import naive_nearest_codeword
+from papuf.bch import BchCode, _berlekamp_massey, bch_decode, bch_encode, default_code
+from papuf.oracle import _oracle_systematic_codewords, naive_nearest_codeword
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,91 @@ def test_decode_rejects_non_binary_input(code127):
     received[5] = 2
     with pytest.raises(ValueError, match="0 and 1"):
         bch_decode(received, code127)
+
+
+@pytest.mark.parametrize("value,dtype", [(256, np.int64), (257, np.int64), (0.7, np.float64), (-1, np.int64)])
+def test_decode_checks_bits_before_the_uint8_cast(code127, value, dtype):
+    # the cast would read 256 and 0.7 as 0, and 257 as 1
+    received = bch_encode(np.zeros(64, dtype=np.uint8), code127).astype(dtype)
+    received[5] = value
+    with pytest.raises(ValueError, match="0 and 1"):
+        bch_decode(received, code127)
+
+
+def test_decode_accepts_bool_and_integer_words(code127):
+    received = bch_encode(np.ones(64, dtype=np.uint8), code127)
+    received[[3, 90]] ^= 1
+    for word in (received, received.astype(bool), received.astype(np.int64), received.tolist()):
+        out = bch_decode(word, code127)
+        assert out is not None and out[0].all() and out[1] == 2
+
+
+def test_every_15_7_word_decodes_to_the_oracle_nearest_codeword(code15):
+    # All 2^15 words against the oracle's 2^7 codewords, packed as ints.
+    pairs = _oracle_systematic_codewords(code15)
+    weights = 1 << np.arange(14, -1, -1)
+    codewords = np.array([c for _, c in pairs]) @ weights
+    words = np.arange(1 << 15)
+    distances = np.bitwise_count(words[:, None] ^ codewords[None, :])
+    nearest = distances.argmin(axis=1)
+    for word, index in zip(words.tolist(), nearest.tolist()):
+        out = bch_decode(((word >> np.arange(14, -1, -1)) & 1).astype(np.uint8), code15)
+        distance = int(distances[word, index])
+        if distance <= code15.t:
+            assert out is not None and out[0].tolist() == list(pairs[index][0]) and out[1] == distance
+        else:
+            assert out is None
+
+
+def _outcome_digest(code, per_weight, seed):
+    """SHA-256 over the (message, corrections) outcome, or the failure, of
+    codewords with 0..24 flipped bits."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for weight in range(min(24, code.n) + 1):
+        for _ in range(per_weight):
+            received = bch_encode(rng.integers(0, 2, size=code.k, dtype=np.uint8), code)
+            received[rng.choice(code.n, size=weight, replace=False)] ^= 1
+            out = bch_decode(received, code)
+            digest.update(b"-" if out is None else np.packbits(out[0]).tobytes() + bytes([out[1]]))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "m,t,per_weight,seed,expected",
+    [
+        (7, 10, 40, 1, "c92dbf76d7dda40a6bd21a1e5e2b3944b46b399ba4b0c021f649dabd1695ddf3"),
+        (8, 16, 20, 2, "b366b5ef636370c32e3ff2b35175ea8c80d9b815fa157b61518cab4d74844b3e"),
+        (3, 1, 50, 3, "24b13135cf423a453df985871f193d6cd038327e9e26a95d307a372491320560"),
+    ],
+)
+def test_decode_outcomes_equal_the_pinned_digest(m, t, per_weight, seed, expected):
+    # The digests were computed with the numpy-gather decoder that this one replaced.
+    assert _outcome_digest(BchCode.construct(m, t), per_weight, seed) == expected
+
+
+def _syndromes(word, code):
+    """S_1..S_2t of a word, summed term by term over its set bits."""
+    field = code.field
+    positions = [code.n - 1 - i for i in np.flatnonzero(word).tolist()]
+    out = []
+    for j in range(1, 2 * code.t + 1):
+        s = 0
+        for p in positions:
+            s ^= field.exp[(j * p) % field.order]
+        out.append(s)
+    return out
+
+
+def test_berlekamp_massey_locators_equal_the_pinned_digest(code127):
+    # 11,000 random words, mostly far beyond t; the digest was computed with
+    # the variable-length Berlekamp-Massey that this one replaced.
+    rng = np.random.default_rng(4)
+    digest = hashlib.sha256()
+    for _ in range(11_000):
+        word = rng.integers(0, 2, size=code127.n, dtype=np.uint8)
+        digest.update(bytes(_berlekamp_massey(code127.field, _syndromes(word, code127))) + b"|")
+    assert digest.hexdigest() == "2e9ee538546bcede9028c6ed85faa0dd8861a887ca202a7d53895f36604af13b"
 
 
 @pytest.mark.parametrize("weight", range(16))

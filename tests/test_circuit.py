@@ -2,6 +2,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papuf import (
     DelayParams,
@@ -11,11 +13,12 @@ from papuf import (
     propagate_many,
     repeated_reads,
     synthesize_device,
+    synthesize_population,
 )
 from papuf import circuit
-from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_rng
+from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _skip_tie_words, _tie_bits, _tie_rng
 from papuf.device import DeviceInstance
-from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times
+from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times, reference_propagate
 
 
 def arrivals_for(order):
@@ -92,6 +95,63 @@ def test_feed_forward_arbiter_tie_determinism():
     flops = np.stack(_flip_flops(np.ones((64, 3)), 0.5, tie), axis=1)
     assert np.array_equal(flops, tie)
     assert np.array_equal(tie, _tie_bits(_tie_rng(9, 1), 64, 3))
+
+
+def stream_position(rng):
+    """PCG64 state and buffered half word; a spent buffer's stale value is ignored."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), buffered=st.booleans(), words=st.integers(0, 41), after=st.integers(1, 9))
+def test_skipping_tie_words_equals_drawing_them(seed, buffered, words, after):
+    # from either buffer state: a drawn odd word count leaves half a 64-bit output buffered
+    drawn, skipped = _tie_rng(seed, 0), _tie_rng(seed, 0)
+    for rng in (drawn, skipped):
+        _tie_bits(rng, int(buffered), 1)
+    assert skipped.bit_generator.state["has_uint32"] == buffered
+    _tie_bits(drawn, words, 1)
+    _skip_tie_words(skipped, words)
+    assert stream_position(skipped) == stream_position(drawn)
+    assert np.array_equal(_tie_bits(skipped, after, 3), _tie_bits(drawn, after, 3))
+
+
+def test_skipping_spends_the_buffered_half_word_first():
+    # One drawn word leaves the high half of the first output buffered.  Skipping two
+    # more must spend that half and the low half of the second output; advancing two
+    # whole words from the buffer state would drop the buffered half and misalign
+    # every later tie bit.
+    drawn, skipped = _tie_rng(3, 0), _tie_rng(3, 0)
+    _tie_bits(drawn, 3, 1)
+    _tie_bits(skipped, 1, 1)
+    _skip_tie_words(skipped, 2)
+    assert np.array_equal(_tie_bits(skipped, 64, 1), _tie_bits(drawn, 64, 1))
+
+
+@pytest.mark.parametrize("block_values", [1, 5 * 2 * 3, 100 * 3, 1 << 40])
+def test_tie_words_are_drawn_only_where_a_decision_reads_them(monkeypatch, block_values):
+    # Window 0 and no jitter: an all-equal delay table ties every flip-flop on
+    # every row, a table of small integers ties on some rows, and random tables
+    # never tie.  So in one block some stream pairs draw their tie words and the
+    # others skip them, and a stream pair draws in some blocks and skips in others.
+    monkeypatch.setattr(circuit, "BLOCK_VALUES", block_values)
+    params = DelayParams(sigma_noise=0.0)
+    rng = np.random.default_rng(8)
+    for netlist in (Netlist(Design.APUF, 8), Netlist(Design.PA_PUF, 8), Netlist(Design.FF_PA_PUF, 8, ((1, 5),))):
+        devices = list(synthesize_population(params, netlist, 3, 4))
+        shape = devices[0].delay_table.shape
+        devices[1] = DeviceInstance("equal", netlist, params, 0, np.full(shape, 100.0))
+        devices.append(DeviceInstance("integer", netlist, params, 0, rng.integers(1, 3, size=shape) * 1.0))
+        challenges = rng.integers(0, 2, size=(53, 8), dtype=np.uint8)
+        seeds = [[10 * d + r for r in range(2)] for d in range(len(devices))]
+        bits = np.empty((len(devices), 2, 53), dtype=np.uint8)
+        for rows, block in circuit.propagate_blocks(devices, challenges, seeds):
+            bits[:, :, rows] = block
+        for d, device in enumerate(devices):
+            for r, seed in enumerate(seeds[d]):
+                assert np.array_equal(bits[d, r], reference_propagate(device, challenges, seed)), (netlist, d, r)
+        assert 0 < bits[1].mean() < 1  # the tied device reads its tie bits
 
 
 def hand_apuf():

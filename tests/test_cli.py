@@ -156,6 +156,18 @@ def test_sweep_ff_runs(tmp_path):
     assert [r.split(",")[0] for r in rows[2:]] == ["0", "2", "4"]
 
 
+def test_sweep_ff_follows_the_configured_design(tmp_path, capsys):
+    argv = ["sweep", "ff", "--stages", "16", "--population", "3", "--challenges", "6", "--repetitions", "3",
+            "--sigma-noise", "2.0", "--taps", "0,2", "--seeds", "1"]
+    for design in ([], ["--design", "pa-puf"], ["--design", "ff-pa-puf"]):
+        assert run(*argv, *design, "--out-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out == "0,49.6528,93.5909\n2,49.3056,85.7060\n"
+    (tmp_path / "sweep_ff.csv").unlink()
+    assert run(*argv, "--design", "apuf", "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: the feed-forward sweep applies to the 3-line designs\n"
+    assert not (tmp_path / "sweep_ff.csv").exists()
+
+
 def test_crp_gen_with_calibrate_target(tmp_path, capsys):
     rc = run(
         "crp", "gen", "--design", "pa-puf", "--stages", "64", "--population", "1",

@@ -57,6 +57,19 @@ def test_reproduction_up_to_t_flips(code, response):
     assert reproduce(noisy, helper) == key
 
 
+@pytest.mark.parametrize("value,dtype", [(256, np.int64), (257, np.int64), (0.7, np.float64), (-1, np.int64)])
+def test_enrollment_and_reproduction_reject_non_binary_reads(code, response, value, dtype):
+    helper, _ = enroll(response, code, key_seed=6)
+    noisy = response.astype(dtype)
+    noisy[9] = value
+    with pytest.raises(ValueError, match="0 and 1"):
+        reproduce(noisy, helper)
+    with pytest.raises(ValueError, match="0 and 1"):
+        enroll(noisy, code, key_seed=6)
+    # bool reads take the fast path
+    assert reproduce(response.astype(bool), helper) == reproduce(response, helper)
+
+
 def test_half_flipped_response_fails(code, response):
     helper, key = enroll(response, code, key_seed=8)
     rng = np.random.default_rng(9)
