@@ -3,7 +3,6 @@
 from .attack import (
     AttackModel,
     FeatureMap,
-    TrainParams,
     compare_designs,
     evaluate_attack,
     parity_features,

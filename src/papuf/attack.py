@@ -61,12 +61,10 @@ def parity_features(challenges: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class TrainParams:
-    epochs: int = 200  # L-BFGS iteration cap
-    train_fraction: float = 0.8
-
-
+# The fit's L-BFGS iteration cap, and the share of records it trains on; the
+# rest are held out for the validation accuracy.
+MAX_ITERATIONS = 200
+TRAIN_FRACTION = 0.8
 # Weight of the L2 term 0.5 * L2 * |w|^2 added to the mean logistic loss.  On
 # separable data the loss alone has no finite minimiser, and the solver
 # stops early on a poor-margin hyperplane.
@@ -146,13 +144,12 @@ def fit_logistic(
     x: np.ndarray,
     y: np.ndarray,
     feature_map: FeatureMap,
-    hyper: TrainParams,
     seed: int,
 ) -> AttackModel:
     """L-BFGS on the mean logistic loss plus ``0.5 * L2 * |w|^2``.
 
     Deterministic under seed (used only for the train/validation shuffle).
-    ``hyper.epochs`` caps the iterations.  The metadata records the
+    ``MAX_ITERATIONS`` caps the iterations.  The metadata records the
     regularised loss of every iterate as ``losses`` (non-increasing) and
     the number of loss-and-gradient evaluations, each one pass over the
     training rows, as ``epochs``.
@@ -161,7 +158,7 @@ def fit_logistic(
     labels = np.asarray(y, dtype=np.float64)
     n_records = feats.shape[0]
     order = np.random.default_rng(seed & SEED_MASK).permutation(n_records)
-    split = int(round(hyper.train_fraction * n_records))
+    split = int(round(TRAIN_FRACTION * n_records))
     train_idx, val_idx = order[:split], order[split:]
     design = np.column_stack([feats, np.ones(n_records)])
     xt, yt = design[train_idx], labels[train_idx]
@@ -171,7 +168,7 @@ def fit_logistic(
         loss = np.mean(np.logaddexp(0.0, scores) - yt * scores) + 0.5 * L2 * (weights @ weights)
         return float(loss), xt.T @ (_sigmoid(scores) - yt) / xt.shape[0] + L2 * weights
 
-    weights, losses, evaluations = _lbfgs(objective, np.zeros(design.shape[1]), hyper.epochs)
+    weights, losses, evaluations = _lbfgs(objective, np.zeros(design.shape[1]), MAX_ITERATIONS)
     val_acc = float("nan")
     if val_idx.size:
         val_pred = (design[val_idx] @ weights > 0).astype(np.uint8)
@@ -182,7 +179,7 @@ def fit_logistic(
         metadata={
             "seed": int(seed),
             "epochs": evaluations,
-            "train_fraction": hyper.train_fraction,
+            "train_fraction": TRAIN_FRACTION,
             "train_records": int(split),
             "validation_accuracy": val_acc,
             "losses": losses,
@@ -194,7 +191,6 @@ def fit_logistic(
 def train(
     crps: CrpSet,
     feature_map: FeatureMap | None = None,
-    hyper: TrainParams | None = None,
     seed: int = 0,
 ) -> AttackModel:
     """Fit a logistic model to the first device's single-bit CRPs."""
@@ -205,7 +201,7 @@ def train(
     x, y = crps.flat_crps()
     if x.shape[0] < 100:
         raise ValueError(f"need at least 100 CRPs to train, got {x.shape[0]}")
-    return fit_logistic(x, y, feature_map, hyper or TrainParams(), seed)
+    return fit_logistic(x, y, feature_map, seed)
 
 
 def evaluate_attack(model: AttackModel, holdout: CrpSet) -> float:
@@ -242,7 +238,6 @@ def compare_designs(
     seeds=(0, 1, 2, 3, 4),
     params: DelayParams | None = None,
     feature_kinds=("parity", "raw_bits"),
-    hyper: TrainParams | None = None,
 ) -> list[ComparisonRow]:
     """Attack every design under an identical CRP budget and feature maps.
 
@@ -266,7 +261,7 @@ def compare_designs(
         for kind in feature_kinds:
             feature_map = FeatureMap(kind, netlist.stages)
             accs = [
-                evaluate_attack(train(train_set, feature_map, hyper, seed=seed), holdout)
+                evaluate_attack(train(train_set, feature_map, seed=seed), holdout)
                 for seed, (train_set, holdout) in zip(seeds, datasets)
             ]
             rows.append(

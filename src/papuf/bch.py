@@ -45,7 +45,8 @@ class GF2m:
     """GF(2^m) arithmetic through exp/log tables for the generator alpha = x.
 
     ``products[a][b]`` is a*b, one list per field element, for the decoder's
-    inner loops.
+    inner loops.  A polynomial that is not primitive, so that the powers of
+    x return to 1 before 2^m - 1 or never do, is a ``ValueError``.
     """
 
     def __init__(self, m: int, primitive_poly: int):
@@ -62,17 +63,14 @@ class GF2m:
             value <<= 1
             if value >> m:
                 value ^= primitive_poly
+        # x^order must be 1 and no earlier power may be: log[1] stays 0 only then.
+        if value != 1 or self.log[1]:
+            raise ValueError(f"polynomial {primitive_poly:#x} is not primitive over GF(2^{m})")
         for power in range(self.order, 2 * self.order):
             self.exp[power] = self.exp[power - self.order]
         self.products = [[0] * (1 << m)] + [
             [0] + [self.exp[self.log[a] + self.log[b]] for b in range(1, 1 << m)] for a in range(1, 1 << m)
         ]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.products[a][b]
-
-    def pow_alpha(self, exponent: int) -> int:
-        return self.exp[exponent % self.order]
 
 
 def _poly_mod_gf2(value: int, modulus: int) -> int:
@@ -82,48 +80,22 @@ def _poly_mod_gf2(value: int, modulus: int) -> int:
     return value
 
 
-def _minimal_poly(field: GF2m, exponent: int) -> int:
-    """Minimal polynomial over GF(2) of alpha^exponent, as a GF(2) bit-poly."""
-    conjugates = []
-    e = exponent % field.order
-    while e not in conjugates:
-        conjugates.append(e)
-        e = (e * 2) % field.order
-    poly = [1]  # coefficients in GF(2^m), index = degree
-    for conj in conjugates:
-        root = field.pow_alpha(conj)
-        shifted = [0] + poly
-        scaled = [field.mul(coef, root) for coef in poly] + [0]
-        poly = [a ^ b for a, b in zip(shifted, scaled)]
-    out = 0
-    for degree, coef in enumerate(poly):
-        if coef not in (0, 1):
-            raise ArithmeticError("minimal polynomial has coefficients outside GF(2)")
-        out |= coef << degree
-    return out
-
-
-def _cyclotomic_generator(field: GF2m, t: int) -> int:
-    """lcm of the minimal polynomials of alpha^1 .. alpha^2t."""
-    generator = 1
-    seen: set[int] = set()
+def _generator(field: GF2m, t: int) -> int:
+    """g(x) = prod (x + alpha^e) over the union of the cyclotomic cosets of
+    1 .. 2t, the lcm of the minimal polynomials of alpha .. alpha^2t, as a
+    GF(2) bit-poly.  The union is closed under e -> 2e, so every
+    coefficient of the product lies in GF(2)."""
+    exponents: set[int] = set()
     for i in range(1, 2 * t + 1):
         e = i % field.order
-        coset = set()
-        while e not in coset:
-            coset.add(e)
-            e = (e * 2) % field.order
-        rep = min(coset)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        minimal = _minimal_poly(field, rep)
-        product = 0
-        for degree in range(minimal.bit_length()):
-            if (minimal >> degree) & 1:
-                product ^= generator << degree
-        generator = product
-    return generator
+        while e not in exponents:
+            exponents.add(e)
+            e = 2 * e % field.order
+    poly = [1]  # coefficients in GF(2^m), index = degree
+    for e in exponents:
+        scale = field.products[field.exp[e]]
+        poly = [low ^ scale[high] for low, high in zip([0] + poly, poly + [0])]
+    return sum(coef << degree for degree, coef in enumerate(poly))
 
 
 @dataclass(frozen=True)
@@ -139,10 +111,17 @@ class BchCode:
 
     @classmethod
     def construct(cls, m: int, t: int, primitive_poly: int | None = None) -> "BchCode":
+        """The code of field size 2^m, m in 3..8, correcting t >= 1 errors.
+
+        Parameters outside these ranges, a polynomial that is not
+        primitive, or a t too large for any message bits are a ``ValueError``.
+        """
+        if m not in PRIMITIVE_POLYS:
+            known = ", ".join(str(key) for key in sorted(PRIMITIVE_POLYS))
+            raise ValueError(f"unsupported code parameter m={m}; expected m in {known}")
+        if t < 1:
+            raise ValueError(f"code parameter t={t} must be at least 1")
         if primitive_poly is None:
-            if m not in PRIMITIVE_POLYS:
-                known = ", ".join(str(key) for key in sorted(PRIMITIVE_POLYS))
-                raise ValueError(f"no built-in primitive polynomial for m={m}; expected m in {known}")
             primitive_poly = PRIMITIVE_POLYS[m]
         return _construct_cached(cls, m, t, primitive_poly)
 
@@ -159,7 +138,7 @@ def _field_cache(m: int, primitive_poly: int) -> GF2m:
 @lru_cache(maxsize=None)
 def _construct_cached(cls, m: int, t: int, primitive_poly: int) -> "BchCode":
     field = _field_cache(m, primitive_poly)
-    generator = _cyclotomic_generator(field, t)
+    generator = _generator(field, t)
     n = field.order
     k = n - (generator.bit_length() - 1)
     if k <= 0:
@@ -184,8 +163,11 @@ def _int_to_bits(value: int, width: int) -> np.ndarray:
 
 
 def bch_encode(message: np.ndarray, code: BchCode) -> np.ndarray:
-    """Systematic encoding: codeword = message bits followed by parity bits."""
-    message = np.asarray(message, dtype=np.uint8)
+    """Systematic encoding: codeword = message bits followed by parity bits.
+
+    A message holding anything but 0 and 1 is a ``ValueError``.
+    """
+    message = as_bits(message, "message")
     if message.shape != (code.k,):
         raise ValueError(f"message must have {code.k} bits, got shape {message.shape}")
     shifted = _bits_to_int(message) << (code.n - code.k)

@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__, kvfile
 from .attack import (
     FeatureMap,
-    TrainParams,
     compare_designs,
     evaluate_attack,
     load_model,
@@ -289,8 +288,7 @@ def _cmd_keygen_reproduce(args) -> int:
 def _cmd_attack_train(args) -> int:
     crps = load_crps(args.crps)
     feature_map = FeatureMap(args.features, crps.netlist.stages)
-    hyper = TrainParams(epochs=args.epochs)
-    model = train(crps, feature_map, hyper, seed=args.seed)
+    model = train(crps, feature_map, seed=args.seed)
     out_dir = _out_dir(args)
     path = Path(args.out) if args.out else out_dir / "model.txt"
     save_model(model, path, extra_header=dict(crps.extra_header))
@@ -482,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = attack_sub.add_parser("train", help="train a logistic model on a CRP csv")
     p_train.add_argument("--crps", required=True)
     p_train.add_argument("--features", choices=["parity", "raw_bits"], default="parity")
-    p_train.add_argument("--epochs", type=int, default=200, help="L-BFGS iteration cap")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out")
     p_train.add_argument("--out-dir", dest="out_dir")

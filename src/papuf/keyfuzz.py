@@ -21,17 +21,10 @@ from .seeds import SEED_MASK
 
 @dataclass(frozen=True)
 class HelperData:
-    """Public enrollment output: the code offset plus code parameters."""
+    """Public enrollment output: the code offset and the code it was made with."""
 
     offset: np.ndarray  # (n,) bits, codeword XOR response slice
-    m: int
-    n: int
-    k: int
-    t: int
-    primitive_poly: int
-
-    def code(self) -> BchCode:
-        return BchCode.construct(self.m, self.t, self.primitive_poly)
+    code: BchCode
 
 
 @dataclass(frozen=True)
@@ -56,10 +49,7 @@ def enroll(response: np.ndarray, code: BchCode, key_seed: int) -> tuple[HelperDa
     message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
     codeword = bch_encode(message, code)
     offset = codeword ^ response[: code.n]
-    helper = HelperData(
-        offset=offset, m=code.m, n=code.n, k=code.k, t=code.t, primitive_poly=code.primitive_poly
-    )
-    return helper, SecretKey(message)
+    return HelperData(offset, code), SecretKey(message)
 
 
 def reproduce(noisy_response: np.ndarray, helper: HelperData) -> SecretKey | None:
@@ -67,11 +57,12 @@ def reproduce(noisy_response: np.ndarray, helper: HelperData) -> SecretKey | Non
 
     A read holding anything but 0 and 1 is a ``ValueError``.
     """
+    code = helper.code
     noisy_response = as_bits(noisy_response, "response")
-    if noisy_response.shape[0] < helper.n:
-        raise ValueError(f"response of {noisy_response.shape[0]} bits is shorter than n={helper.n}")
-    received = helper.offset ^ noisy_response[: helper.n]
-    decoded = bch_decode(received, helper.code())
+    if noisy_response.shape[0] < code.n:
+        raise ValueError(f"response of {noisy_response.shape[0]} bits is shorter than n={code.n}")
+    received = helper.offset ^ noisy_response[: code.n]
+    decoded = bch_decode(received, code)
     if decoded is None:
         return None
     message, _ = decoded
@@ -79,18 +70,32 @@ def reproduce(noisy_response: np.ndarray, helper: HelperData) -> SecretKey | Non
 
 
 def save_helper(helper: HelperData, path, extra_header: dict | None = None) -> None:
-    fields = {"m": helper.m, "n": helper.n, "k": helper.k, "t": helper.t,
-              "primitive_poly": f"{helper.primitive_poly:#x}", "offset_hex": bits_to_hex(helper.offset)}
+    code = helper.code
+    fields = {"m": code.m, "n": code.n, "k": code.k, "t": code.t,
+              "primitive_poly": f"{code.primitive_poly:#x}", "offset_hex": bits_to_hex(helper.offset)}
     kvfile.write(path, "helper", fields, extra_header)
 
 
 def load_helper(path) -> HelperData:
+    """Helper data from a file; the code is built from ``m``, ``t`` and
+    ``primitive_poly``, and a file whose ``n`` or ``k`` disagrees with it,
+    or whose code parameters are invalid, is a ``ValueError``."""
     # Keys outside the schema, such as the retired slice_start, are ignored.
-    code = {"m": int, "n": int, "k": int, "t": int, "primitive_poly": lambda text: int(text, 0)}
+    schema = {"m": int, "n": int, "k": int, "t": int,
+              "primitive_poly": lambda text: int(text, 0), "offset_hex": str}
     with open(path, encoding="utf-8") as handle:
-        fields = kvfile.read(handle, {**code, "offset_hex": str})
+        fields = kvfile.read(handle, schema)
     try:
-        offset = hex_to_bits(fields["offset_hex"], fields["n"])
+        code = BchCode.construct(fields["m"], fields["t"], fields["primitive_poly"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if (fields["n"], fields["k"]) != (code.n, code.k):
+        raise ValueError(
+            f"{path}: n={fields['n']}, k={fields['k']} do not match bch({code.n},{code.k},{code.t})"
+            f" of m={code.m}, t={code.t}"
+        )
+    try:
+        offset = hex_to_bits(fields["offset_hex"], code.n)
     except ValueError as exc:
         raise ValueError(f"{path}: bad 'offset_hex': {exc}") from None
-    return HelperData(offset=offset, **{key: fields[key] for key in code})
+    return HelperData(offset, code)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bch import as_bits
 from .circuit import repeated_reads
-from .device import DeviceInstance, synthesize_population
+from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
 from .response import CrpSet, collect_crps, expand_many, majority_vote, random_seed_challenges
 from .seeds import derive_seed
@@ -61,11 +62,9 @@ class MetricsReport:
 
 
 def _as_response_matrix(responses) -> np.ndarray:
-    mat = np.asarray(responses, dtype=np.uint8)
+    mat = as_bits(responses, "responses")
     if mat.ndim != 2:
         raise ValueError("expected a 2-D array of equal-length responses")
-    if mat.max(initial=0) > 1:
-        raise ValueError("responses must hold only 0 and 1 bits")
     return mat
 
 
@@ -239,33 +238,31 @@ class CalibrationResult:
     iterations: int
 
 
-def measure_reliability(
-    device: DeviceInstance,
-    num_challenges: int = 48,
-    response_size: int = 128,
-    repetitions: int = 13,
-    eval_seed: int = 0,
-) -> float:
+# Monte-Carlo size of one reliability measurement: seed challenges, response
+# bits per challenge and reads per bit.
+RELIABILITY_CHALLENGES = 48
+RELIABILITY_RESPONSE_SIZE = 128
+RELIABILITY_REPETITIONS = 13
+# Calibration bisects sigma_noise over this range until the measured
+# reliability is within CALIBRATION_TOLERANCE percentage points of the target.
+SIGMA_SEARCH_BOUNDS = (0.0, 50.0)
+CALIBRATION_TOLERANCE = 0.25
+CALIBRATION_MAX_ITERATIONS = 60
+
+
+def measure_reliability(device: DeviceInstance, eval_seed: int = 0) -> float:
     """Monte-Carlo reliability of one device: percent agreement of repeated
     reads with the majority-vote enrollment response."""
-    seeds = random_seed_challenges(device.netlist.stages, num_challenges, derive_seed(eval_seed, "rel-chal"))
-    expanded = expand_many(seeds, response_size).reshape(-1, device.netlist.stages)
-    reads = repeated_reads(device, expanded, repetitions, derive_seed(eval_seed, "rel-reads"))
-    return _agreement(reads, majority_vote(reads[: _enrollment_votes(repetitions)]))
+    stages = device.netlist.stages
+    seeds = random_seed_challenges(stages, RELIABILITY_CHALLENGES, derive_seed(eval_seed, "rel-chal"))
+    expanded = expand_many(seeds, RELIABILITY_RESPONSE_SIZE).reshape(-1, stages)
+    reads = repeated_reads(device, expanded, RELIABILITY_REPETITIONS, derive_seed(eval_seed, "rel-reads"))
+    return _agreement(reads, majority_vote(reads[: _enrollment_votes(RELIABILITY_REPETITIONS)]))
 
 
-def calibrate_noise(
-    target_reliability: float,
-    device: DeviceInstance,
-    search_bounds: tuple[float, float] = (0.0, 50.0),
-    tolerance: float = 0.25,
-    num_challenges: int = 48,
-    repetitions: int = 13,
-    eval_seed: int = 0,
-    max_iterations: int = 60,
-) -> CalibrationResult:
+def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed: int = 0) -> CalibrationResult:
     """Bisect sigma_noise until the device's simulated reliability is within
-    ``tolerance`` of the target.
+    ``CALIBRATION_TOLERANCE`` of the target.
 
     All probes reuse the same evaluation seed, so jitter draws are common
     random numbers scaled by sigma and the probe function is monotone in
@@ -277,33 +274,30 @@ def calibrate_noise(
         return CalibrationResult(0.0, 100.0, 100.0, 0)
 
     def probe(sigma: float) -> float:
-        probe_device = device.with_params(device.params.with_noise(sigma))
-        return measure_reliability(
-            probe_device, num_challenges, 128, repetitions, eval_seed=eval_seed
-        )
+        return measure_reliability(device.with_params(device.params.with_noise(sigma)), eval_seed=eval_seed)
 
-    lo, hi = search_bounds
+    lo, hi = SIGMA_SEARCH_BOUNDS
     rel_lo = probe(lo)
-    if rel_lo + tolerance < target_reliability:
+    if rel_lo + CALIBRATION_TOLERANCE < target_reliability:
         raise CalibrationError(
             f"target {target_reliability}% unreachable: reliability at sigma={lo} is {rel_lo:.2f}%"
         )
     rel_hi = probe(hi)
-    if rel_hi - tolerance > target_reliability:
+    if rel_hi - CALIBRATION_TOLERANCE > target_reliability:
         raise CalibrationError(
             f"target {target_reliability}% unreachable: reliability at sigma={hi} is still {rel_hi:.2f}%"
         )
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, CALIBRATION_MAX_ITERATIONS + 1):
         mid = 0.5 * (lo + hi)
         rel_mid = probe(mid)
-        if abs(rel_mid - target_reliability) <= tolerance:
+        if abs(rel_mid - target_reliability) <= CALIBRATION_TOLERANCE:
             return CalibrationResult(mid, rel_mid, target_reliability, iteration)
         if rel_mid > target_reliability:
             lo = mid
         else:
             hi = mid
     raise CalibrationError(
-        f"bisection did not reach {target_reliability}% within {max_iterations} iterations"
+        f"bisection did not reach {target_reliability}% within {CALIBRATION_MAX_ITERATIONS} iterations"
     )
 
 
@@ -358,7 +352,8 @@ def sweep_feed_forward(
     base_netlist: Netlist,
     tap_counts,
     population_size: int = 6,
-    params=None,
+    *,
+    params: DelayParams,
     num_challenges: int = 16,
     repetitions: int = 5,
     response_size: int = 128,
@@ -371,8 +366,6 @@ def sweep_feed_forward(
     """
     if base_netlist.design is Design.APUF:
         raise ValueError("the feed-forward sweep applies to the 3-line designs")
-    if params is None:
-        raise ValueError("explicit DelayParams (with a nonzero sigma_noise) are required")
     stages = base_netlist.stages
 
     def configure(count):
@@ -385,14 +378,13 @@ def sweep_response_size(
     netlist: Netlist,
     sizes=(8, 16, 32, 64, 128),
     population_size: int = 4,
-    params=None,
+    *,
+    params: DelayParams,
     num_challenges: int = 32,
     repetitions: int = 5,
     seeds=(0, 1, 2),
 ) -> list[SweepRow]:
     """Uniqueness and reliability per response size (one row per size)."""
-    if params is None:
-        raise ValueError("explicit DelayParams are required")
     return _sweep(
         "size-sweep", sizes, lambda size: (netlist, int(size)),
         seeds, params, population_size, num_challenges, repetitions,

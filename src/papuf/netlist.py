@@ -69,10 +69,21 @@ def format_taps(taps) -> str:
 
 
 def parse_taps(text: str) -> tuple[tuple[int, int], ...]:
-    """Inverse of ``format_taps``; an empty string also means no taps."""
+    """Inverse of ``format_taps``; an empty string also means no taps.
+
+    A pair that is not two integers ``tap:target`` is a ``ValueError``
+    naming the pair.
+    """
     if text in ("", "none"):
         return ()
-    return tuple((int(tap), int(target)) for tap, target in (pair.split(":") for pair in text.split(",")))
+    taps = []
+    for pair in text.split(","):
+        tap, _, target = pair.partition(":")
+        try:
+            taps.append((int(tap), int(target)))
+        except ValueError:
+            raise ValueError(f"bad feed-forward tap {pair!r}: expected tap:target, e.g. 16:32") from None
+    return tuple(taps)
 
 
 def default_ff_taps(stages: int, count: int) -> tuple[tuple[int, int], ...]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kvfile
+from .bch import as_bits
 from .circuit import propagate_blocks
 from .device import DelayParams, DeviceInstance
 from .netlist import Netlist
@@ -124,11 +125,9 @@ def expand_many(seed_challenges: np.ndarray, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"expansion count must be >= 1, got {count}")
-    states = np.ascontiguousarray(np.atleast_2d(seed_challenges), dtype=np.uint8)
+    states = np.ascontiguousarray(np.atleast_2d(as_bits(seed_challenges, "seed challenges")))
     width = states.shape[1]
     lfsr_taps(width)  # rejects widths without a tap set
-    if states.max(initial=0) > 1:
-        raise ValueError("seed challenges must hold only 0 and 1 bits")
     if not states.any(axis=1).all():
         raise ValueError("all-zero seed challenge is a fixed point of the LFSR expansion")
     out = np.empty((states.shape[0], count, width), dtype=np.uint8)
@@ -156,8 +155,11 @@ def expand_challenge(seed_challenge: np.ndarray, count: int) -> np.ndarray:
 
 
 def majority_vote(responses) -> np.ndarray:
-    """Bitwise majority over an odd number of equal-length responses."""
-    votes = np.asarray(responses, dtype=np.uint8)
+    """Bitwise majority over an odd number of equal-length responses.
+
+    A response holding anything but 0 and 1 is a ``ValueError``.
+    """
+    votes = as_bits(responses, "responses")
     if votes.ndim != 2:
         raise ValueError("expected a list of equal-length responses")
     if votes.shape[0] % 2 == 0:
@@ -264,15 +266,15 @@ class CrpSet:
         expanded = expand_many(self.challenges, self.response_size).reshape(-1, self.netlist.stages)
         return np.packbits(expanded, axis=-1)
 
-    def flat_crps(self, device_index: int = 0, repetition: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Single-bit (challenge, response) pairs for one device.
+    def flat_crps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Single-bit (challenge, response) pairs of the first device's first read.
 
         Pairs expanded challenge i with response bit i; shapes
         ((C*n, stages), (C*n,)).  The expansion runs once per set and is
         kept packed, an eighth of its unpacked size.
         """
         x = np.unpackbits(self._packed_expanded_challenges, axis=-1, count=self.netlist.stages)
-        y = self.responses[device_index, :, repetition, :].reshape(-1)
+        y = self.responses[0, :, 0, :].reshape(-1)
         return x, y
 
 

@@ -29,7 +29,7 @@ from papuf import (
     uniformity,
     uniqueness,
 )
-from papuf.attack import FeatureMap, TrainParams, evaluate_attack, fit_logistic, train
+from papuf.attack import FeatureMap, evaluate_attack, fit_logistic, train
 from papuf.bch import BchCode, bch_decode, bch_encode, default_code
 from papuf.circuit import _arbitrate, repeated_reads
 from papuf.metrics import inter_hd, intra_hd
@@ -130,7 +130,7 @@ def test_c04_uniqueness_band(reporter, population_crps):
 def test_c05_reliability_calibration(reporter, calibration):
     device, result = calibration
     assert abs(result.achieved_reliability - 95.37) <= 0.25
-    noiseless = measure_reliability(device, num_challenges=16, repetitions=5, eval_seed=3)
+    noiseless = measure_reliability(device, eval_seed=3)
     assert noiseless == 100.0
     reporter.append(
         f"C05 reliability-calibration: PASS (sigma_noise={result.sigma_noise:.4f} ->"
@@ -252,7 +252,7 @@ def test_c10_attack_sanity(reporter):
 
     x, y = train_set.flat_crps()
     shuffled = np.random.default_rng(3).permutation(y)
-    control = fit_logistic(x, shuffled, FeatureMap("parity", 64), TrainParams(), seed=0)
+    control = fit_logistic(x, shuffled, FeatureMap("parity", 64), seed=0)
     control_accuracy = control.metadata["validation_accuracy"]
     assert 47.0 <= control_accuracy <= 53.0
 

@@ -6,7 +6,6 @@ from papuf import attack
 from papuf.attack import (
     AttackModel,
     FeatureMap,
-    TrainParams,
     compare_designs,
     evaluate_attack,
     fit_logistic,
@@ -110,7 +109,7 @@ def test_fitted_apuf_model_is_a_stationary_point(apuf_sets):
     prob = 1.0 / (1.0 + np.exp(-(design @ model.weights)))
     gradient = design.T @ (prob - y[rows]) / len(rows) + attack.L2 * model.weights
     assert np.max(np.abs(gradient)) <= attack.GRADIENT_TOL
-    assert model.metadata["epochs"] < TrainParams().epochs
+    assert model.metadata["epochs"] < attack.MAX_ITERATIONS
 
 
 def test_apuf_attack_reaches_high_accuracy(apuf_sets):
@@ -135,9 +134,7 @@ def test_synthetic_linear_oracle_learnable():
     weights = rng.normal(size=65)
     challenges = rng.integers(0, 2, size=(5000, 64), dtype=np.uint8)
     labels = (parity_features(challenges) @ weights > 0).astype(np.uint8)
-    model = fit_logistic(
-        challenges, labels, FeatureMap("parity", 64), TrainParams(epochs=2000), seed=1
-    )
+    model = fit_logistic(challenges, labels, FeatureMap("parity", 64), seed=1)
     assert model.metadata["validation_accuracy"] >= 99.0
 
 
@@ -145,7 +142,7 @@ def test_constant_response_dataset():
     rng = np.random.default_rng(2)
     challenges = rng.integers(0, 2, size=(400, 16), dtype=np.uint8)
     labels = np.ones(400, dtype=np.uint8)
-    model = fit_logistic(challenges, labels, FeatureMap("parity", 16), TrainParams(), seed=0)
+    model = fit_logistic(challenges, labels, FeatureMap("parity", 16), seed=0)
     assert model.metadata["validation_accuracy"] == 100.0
 
 
@@ -154,7 +151,7 @@ def test_shuffled_labels_stay_at_chance(apuf_sets):
     x, y = train_set.flat_crps()
     for shuffle_seed in (3, 4):
         shuffled = np.random.default_rng(shuffle_seed).permutation(y)
-        model = fit_logistic(x, shuffled, FeatureMap("parity", 64), TrainParams(), seed=0)
+        model = fit_logistic(x, shuffled, FeatureMap("parity", 64), seed=0)
         assert model.metadata["validation_accuracy"] == pytest.approx(50.0, abs=3.0)
 
 

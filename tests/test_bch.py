@@ -26,6 +26,34 @@ def test_code_parameters(code127, code15):
     assert code15.generator.bit_length() - 1 == 8
 
 
+@pytest.mark.parametrize(
+    "m, t, n, k, generator",
+    [(4, 2, 15, 7, 0x1D1), (4, 3, 15, 5, 0x537), (5, 3, 31, 16, 0x8FAF), (7, 10, 127, 64, 0xA1AB815BC7EC8025)],
+)
+def test_generator_polynomials_are_pinned(m, t, n, k, generator):
+    code = BchCode.construct(m, t)
+    assert (code.n, code.k, code.generator) == (n, k, generator)
+
+
+@pytest.mark.parametrize(
+    "m, t, poly, message",
+    [
+        (7, 0, None, "t=0 must be at least 1"),
+        (7, -3, 0x89, "t=-3 must be at least 1"),
+        (2, 1, None, "m=2"),
+        (9, 1, None, "m=9"),
+        (20, 1, (1 << 20) | 0b1001, "m=20"),  # checked before a 2^40-entry product table is built
+        (7, 10, 0x81, "0x81 is not primitive"),  # x^7 = 1
+        (7, 10, 0xFF, "0xff is not primitive"),  # (x + 1)^7: x^8 = 1
+        (4, 2, 0b11111, "0x1f is not primitive"),  # irreducible, but x^5 = 1
+        (4, 2, 0b10000, "0x10 is not primitive"),  # x^4 = 0, never 1
+    ],
+)
+def test_construct_rejects_invalid_parameters(m, t, poly, message):
+    with pytest.raises(ValueError, match=message):
+        BchCode.construct(m, t, poly)
+
+
 def test_zero_message_zero_codeword(code127):
     assert not bch_encode(np.zeros(64, dtype=np.uint8), code127).any()
 
@@ -124,6 +152,15 @@ def test_decode_checks_bits_before_the_uint8_cast(code127, value, dtype):
     received[5] = value
     with pytest.raises(ValueError, match="0 and 1"):
         bch_decode(received, code127)
+
+
+@pytest.mark.parametrize("value", [2, 256, 257])
+def test_encode_checks_bits_before_the_uint8_cast(code127, value):
+    # the cast would read 2 and 257 as a 1 bit and 256 as a 0 bit
+    message = np.zeros(64, dtype=np.int64)
+    message[7] = value
+    with pytest.raises(ValueError, match="message must hold only 0 and 1"):
+        bch_encode(message, code127)
 
 
 def test_decode_accepts_bool_and_integer_words(code127):

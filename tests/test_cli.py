@@ -1,7 +1,10 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from papuf import compute_report, load_crps
-from papuf.cli import ExperimentConfig, main
+from papuf.cli import ExperimentConfig, build_parser, main
 
 
 def run(*argv):
@@ -311,7 +314,7 @@ def test_malformed_model_file_is_an_error_not_a_traceback(tmp_path, capsys, pref
     run("crp", "gen", "--design", "apuf", "--stages", "16", "--population", "1", "--challenges", "20",
         "--repetitions", "1", "--response-size", "8", "--out-dir", str(tmp_path))
     model = tmp_path / "model.txt"
-    assert run("attack", "train", "--crps", str(tmp_path / "crps.csv"), "--epochs", "5",
+    assert run("attack", "train", "--crps", str(tmp_path / "crps.csv"),
                "--out", str(model), "--out-dir", str(tmp_path)) == 0
     lines = [replacement if l.startswith(prefix) else l for l in model.read_text().splitlines()]
     model.write_text("\n".join(l for l in lines if l is not None) + "\n")
@@ -343,7 +346,7 @@ def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, ca
     }
     assert run("crp", "gen", "--design", "apuf", "--stages", "16", "--population", "1", "--challenges", "20",
                "--repetitions", "1", "--response-size", "8", "--out-dir", out) == 0
-    assert run("attack", "train", "--crps", str(paths["crps"]), "--epochs", "5", "--out-dir", out) == 0
+    assert run("attack", "train", "--crps", str(paths["crps"]), "--out-dir", out) == 0
     assert run("device", "new", "--stages", "16", "--seed", "5", "--out-dir", out,
                "--out", str(paths["device"])) == 0
     assert run("keygen", "enroll", "--device", str(paths["device"]), "--out-dir", out,
@@ -480,8 +483,62 @@ def test_code_m_without_a_primitive_polynomial_is_an_error(tmp_path, capsys):
     capsys.readouterr()
     assert run("keygen", "enroll", "--device", str(device), "--code-m", "9", "--out-dir", str(tmp_path)) == 1
     err = capsys.readouterr().err
-    assert err == "error: no built-in primitive polynomial for m=9; expected m in 3, 4, 5, 6, 7, 8\n"
+    assert err == "error: unsupported code parameter m=9; expected m in 3, 4, 5, 6, 7, 8\n"
     assert not (tmp_path / "helper.txt").exists()
+
+
+def test_code_t_below_one_is_an_error(tmp_path, capsys):
+    device = tmp_path / "dev.txt"
+    assert run("device", "new", "--stages", "16", "--seed", "5", "--out-dir", str(tmp_path), "--out", str(device)) == 0
+    capsys.readouterr()
+    assert run("keygen", "enroll", "--device", str(device), "--code-t", "0", "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: code parameter t=0 must be at least 1\n"
+    assert not (tmp_path / "helper.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("t=10", "t=0", "code parameter t=0 must be at least 1"),
+        ("primitive_poly=0x89", "primitive_poly=0x81", "polynomial 0x81 is not primitive over GF(2^7)"),
+        ("primitive_poly=0x89", "primitive_poly=0xff", "polynomial 0xff is not primitive over GF(2^7)"),
+        ("m=7", "m=20", "unsupported code parameter m=20; expected m in 3, 4, 5, 6, 7, 8"),
+        ("k=64", "k=65", "n=127, k=65 do not match bch(127,64,10) of m=7, t=10"),
+    ],
+)
+def test_invalid_code_in_a_helper_file_is_an_error_not_a_key(tmp_path, capsys, old, new, message):
+    device, helper, out = tmp_path / "dev.txt", tmp_path / "helper.txt", tmp_path / "again"
+    assert run("device", "new", "--stages", "16", "--seed", "5", "--out-dir", str(tmp_path), "--out", str(device)) == 0
+    assert run("keygen", "enroll", "--device", str(device), "--out-dir", str(tmp_path),
+               "--helper-out", str(helper)) == 0
+    lines = helper.read_text().splitlines()
+    assert old in lines
+    helper.write_text("\n".join(new if line == old else line for line in lines) + "\n")
+    capsys.readouterr()
+    assert run("keygen", "reproduce", "--device", str(device), "--helper", str(helper), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {helper}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", ["3", "16:x", "1:2:3"])
+def test_malformed_ff_tap_pair_is_named(tmp_path, capsys, pair):
+    assert run("device", "new", "--design", "ff-pa-puf", "--stages", "64", "--ff-taps", f"8:12,{pair}",
+               "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: bad feed-forward tap {pair!r}: expected tap:target, e.g. 16:32\n"
+    assert not (tmp_path / "device.txt").exists()
+
+
+def test_readme_walkthrough_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("papuf ")]
+    assert len(commands) == 14
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papuf import (
+    BchCode,
     DelayParams,
     Design,
     FeatureMap,
@@ -79,12 +80,11 @@ def test_device_file_round_trip_is_byte_identical(netlist, params, seed, device_
 
 @st.composite
 def helpers(draw):
-    m = draw(st.integers(2, 10))
-    n = (1 << m) - 1
-    raw = draw(st.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8))
-    offset = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
-    k, t = draw(st.integers(1, n)), draw(st.integers(1, max(1, n // 2)))
-    return HelperData(offset, m, n, k, t, draw(st.integers(1 << m, (2 << m) - 1)))
+    # t <= 2^(m-1) - 1 keeps 2t below n, so the code has k >= 1 message bits
+    m = draw(st.integers(3, 8))
+    code = BchCode.construct(m, draw(st.integers(1, (1 << (m - 1)) - 1)))
+    raw = draw(st.binary(min_size=(code.n + 7) // 8, max_size=(code.n + 7) // 8))
+    return HelperData(np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: code.n], code)
 
 
 @round_trips
@@ -93,8 +93,7 @@ def test_helper_file_round_trip_is_byte_identical(helper, challenge_hex):
     loaded, first, second = _resaved_bytes(save_helper, load_helper, helper, extra_header={"challenge_hex": challenge_hex})
     assert first == second
     assert np.array_equal(loaded.offset, helper.offset)
-    assert (loaded.m, loaded.n, loaded.k, loaded.t) == (helper.m, helper.n, helper.k, helper.t)
-    assert loaded.primitive_poly == helper.primitive_poly
+    assert loaded.code == helper.code
 
 
 @round_trips

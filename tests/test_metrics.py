@@ -23,7 +23,15 @@ from papuf import (
     uniqueness,
 )
 from papuf.circuit import repeated_reads
-from papuf.metrics import _population_metrics, bit_aliasing, enrollment_responses, sweep_response_size
+from papuf.metrics import (
+    RELIABILITY_CHALLENGES,
+    RELIABILITY_REPETITIONS,
+    RELIABILITY_RESPONSE_SIZE,
+    _population_metrics,
+    bit_aliasing,
+    enrollment_responses,
+    sweep_response_size,
+)
 from papuf.oracle import naive_inter_hd, naive_intra_hd
 from papuf.response import expand_many, random_seed_challenges
 from papuf.seeds import derive_seed
@@ -102,8 +110,10 @@ def test_hd_input_validation():
     with pytest.raises(ValueError):
         inter_hd([bits("0101")])
     for hd in (intra_hd, inter_hd):
-        with pytest.raises(ValueError, match="only 0 and 1"):
-            hd([[0, 2], [0, 1]])  # a packed popcount would read the 2 as a 1
+        # a packed popcount would read the 2 as a 1; a uint8 cast, 256 as 0 and 257 as 1
+        for value in (2, 256, 257):
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                hd(np.array([[0, value], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +286,13 @@ def test_calibrate_validates_target(pa64):
 
 
 def test_calibrate_unreachable_target(pa64):
-    with pytest.raises(CalibrationError):
-        calibrate_noise(99.9, pa64, search_bounds=(30.0, 50.0))
+    # the most noise searched still reads above 61%
+    with pytest.raises(CalibrationError, match="at sigma=50.0 is still"):
+        calibrate_noise(50.01, pa64)
+    # every gap inside a 1e9 window resolves to a fair coin, so sigma=0 reads about 60%
+    coin_flips = pa64.with_params(dataclasses.replace(pa64.params, metastability_window=1e9))
+    with pytest.raises(CalibrationError, match="at sigma=0.0 is 60"):
+        calibrate_noise(99.9, coin_flips)
 
 
 def test_calibrate_hits_target_and_monotone(pa64):
@@ -292,8 +307,8 @@ def test_calibrate_hits_target_and_monotone(pa64):
 def test_measure_reliability_consistent_with_crp_reliability(pa64):
     sigma = 1.953125
     dev = pa64.with_params(pa64.params.with_noise(sigma))
-    direct = measure_reliability(dev, num_challenges=64, repetitions=13, eval_seed=4)
-    crps = collect_crps([dev], 64, 13, 128, 400)
+    direct = measure_reliability(dev, eval_seed=4)
+    crps = collect_crps([dev], RELIABILITY_CHALLENGES, RELIABILITY_REPETITIONS, RELIABILITY_RESPONSE_SIZE, 400)
     via_crps = reliability(crps)
     assert direct == pytest.approx(via_crps, abs=0.6)
 

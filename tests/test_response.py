@@ -157,9 +157,10 @@ def test_expand_many_equals_clocked_reference_across_row_blocks(width, count):
     assert np.array_equal(expand_many(seeds, count), reference_expand(seeds, count))
 
 
-@pytest.mark.parametrize("bad", [2, 255])
+@pytest.mark.parametrize("bad", [2, 255, 256, 257])
 def test_expand_rejects_non_binary_seed(bad):
-    seeds = _nonzero_seeds(3, 16, 0)
+    # 256 and 257 need a wider array, which a uint8 cast would read as 0 and 1
+    seeds = _nonzero_seeds(3, 16, 0).astype(np.uint8 if bad < 256 else np.int64)
     seeds[1, 4] = bad
     with pytest.raises(ValueError, match="0 and 1"):
         expand_many(seeds, 4)
@@ -204,6 +205,15 @@ def test_majority_vote_hand_example():
         [1, 0, 0, 1],
     ]
     assert np.array_equal(majority_vote(responses), np.array([1, 0, 0, 0], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [2, 256, 257])
+def test_majority_vote_checks_bits_before_the_uint8_cast(value):
+    # the cast would vote 2 and 257 as a 1 bit and 256 as a 0 bit
+    reads = np.zeros((3, 4), dtype=np.int64)
+    reads[:, 1] = value
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        majority_vote(reads)
 
 
 def test_majority_vote_single_and_even():
@@ -266,11 +276,10 @@ def test_flat_crps_expands_the_challenges_once(monkeypatch):
     real = response.expand_many
     monkeypatch.setattr(response, "expand_many", lambda *args: calls.append(args) or real(*args))
     x0, y0 = crps.flat_crps()
-    x1, y1 = crps.flat_crps(1, repetition=1)
+    x1, y1 = crps.flat_crps()
     assert len(calls) == 1 and np.array_equal(x0, x1) and x0.dtype == np.uint8
     assert np.array_equal(x0, real(crps.challenges, 8).reshape(-1, 16))
-    assert np.array_equal(y0, crps.responses[0, :, 0, :].reshape(-1))
-    assert np.array_equal(y1, crps.responses[1, :, 1, :].reshape(-1))
+    assert np.array_equal(y0, crps.responses[0, :, 0, :].reshape(-1)) and np.array_equal(y0, y1)
 
 
 def test_collect_crps_validates_inputs():
