@@ -38,21 +38,20 @@ no one-hot encoding of the codes, is ever allocated.
 ``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
 
 ``_sample`` draws every jitter value and tie bit: those of one
-observation point over a row block, from an ordered list of (noise, tie)
-stream pairs consumed row by row, so block boundaries never change a bit.
-A stream pair draws the tie words of its run only when one of the run's
-gaps is within the window; otherwise its tie stream is moved past the same
-words unread, so stream positions, and every bit, are those of drawing
-them all, at any window.
-``_read`` arbitrates its terminal samples.  ``propagate_blocks`` is the
-block reader for every netlist: a whole population of (device, repetition)
-jobs, one row block at a time, one stream pair per job and point.  Tapless
-blocks take their clean times from the kernel; feed-forward blocks step
-the chain on three per-line (devices, repetitions, rows) arrays, whose
-repetition axis stays 1 until the first target stage, so the repetitions
-of a device share the clean prefix.  ``propagate_many`` is its one-job
-case.  Tapless ``repeated_reads`` caches the clean times and reads its
-repetition-major rows from one stream pair, whole repetitions per block.
+observation point over a row block.  Jitter comes from an ordered list of
+noise streams consumed row by row, so block boundaries never change a bit.
+A tie bit is a pure function of its position: ``_tie_bits`` mixes a key,
+derived once per (eval_seed, point), with the counter of its evaluation
+and flip-flop, only when some gap of the block is within the window.
+``propagate_blocks`` is the block reader for every netlist: a whole
+population of (device, repetition) jobs, one row block at a time, one
+noise stream and tie key per job and point.  Tapless blocks take their
+clean times from the kernel; feed-forward blocks step the chain on three
+per-line (devices, repetitions, rows) arrays, whose repetition axis stays
+1 until the first target stage, so the repetitions of a device share the
+clean prefix.  ``propagate_many`` is its one-job case.  Tapless
+``repeated_reads`` caches the clean times and reads its repetition-major
+rows from one noise stream and tie key, whole repetitions per block.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bch import as_bits
 from .device import NOISE_TAG, TIE_TAG, DelayParams, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
@@ -75,52 +75,40 @@ ROT3 = (2, 0, 1)
 BLOCK_VALUES = 1 << 16
 
 
-def _tie_rng(tie_seed: int, point: int) -> np.random.Generator:
-    return np.random.default_rng([tie_seed & SEED_MASK, TIE_TAG, point])
-
-
 def _noise_rng(eval_seed: int, point: int) -> np.random.Generator:
     return np.random.default_rng([eval_seed & SEED_MASK, NOISE_TAG, point])
 
 
-def _tie_bits(rng: np.random.Generator, n_eval: int, pairs: int) -> np.ndarray:
-    """(n_eval, pairs) fair tie bits, one per arbiter flip-flop.
+def _tie_key(eval_seed: int, point: int) -> int:
+    return derive_seed(eval_seed & SEED_MASK, TIE_TAG, point)
 
-    Drawn as uint32, which consumes the stream in whole words, one
-    ``next_uint32`` per bit: uint8 draws drop the unused bits of their last
-    word at the end of every call, so the bits would depend on how the rows
-    were split into calls.  ``_skip_tie_words`` moves a stream past the
-    same words without drawing them.
+
+def _tie_bits(key: int, start: int, n_eval: int, pairs: int) -> np.ndarray:
+    """(n_eval, pairs) fair tie bits of evaluations start .. start+n_eval-1.
+
+    The bit of flip-flop k at evaluation i is the top bit of SplitMix64
+    (Steele et al., OOPSLA 2014) at counter i*pairs + k: its finaliser of
+    key + counter*0x9E3779B97F4A7C15 in wrapping uint64 array arithmetic.
+    A pure function of (key, i, k), so any split into calls gives the same bits.
     """
-    return rng.integers(0, 2, size=(n_eval, pairs), dtype=np.uint32).astype(np.uint8)
-
-
-def _skip_tie_words(rng: np.random.Generator, words: int) -> None:
-    """Move a tie stream past ``words`` uint32 words, as drawing them would.
-
-    PCG64 serves two uint32 words from each 64-bit output and buffers the
-    unused half (``has_uint32``); ``advance`` skips whole outputs and clears
-    that buffer.  So a buffered half pays for the first word, ``advance``
-    for the pairs after it, and an odd last word is drawn, which leaves its
-    other half buffered as a draw would.
-    """
-    if not words:
-        return
-    bit_generator = rng.bit_generator
-    if bit_generator.state["has_uint32"]:
-        words -= 1
-    bit_generator.advance(words // 2)
-    if words % 2:
-        rng.integers(0, 2, dtype=np.uint32)
+    z = np.arange(start * pairs, (start + n_eval) * pairs, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z += np.uint64(key)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= multiplier
+    z ^= z >> 31
+    return (z >> 63).astype(np.uint8).reshape(n_eval, pairs)
 
 
 def _validate_challenges(netlist: Netlist, challenges: np.ndarray) -> np.ndarray:
+    """A (N, stages) contiguous uint8 batch; a bit other than 0 or 1 is a ``ValueError``."""
     challenges = np.asarray(challenges)
     if challenges.ndim != 2 or challenges.shape[1] != netlist.stages:
         raise ValueError(
             f"challenge shape {challenges.shape} does not match {netlist.stages} stages"
         )
-    return np.ascontiguousarray(challenges, dtype=np.uint8)
+    return np.ascontiguousarray(as_bits(challenges, "challenge"))
 
 
 def _pairs(lines: int) -> int:
@@ -229,19 +217,19 @@ def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarra
 
 
 def _sample(
-    streams: list, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]
+    streams: list, start: int, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]
 ) -> list[np.ndarray]:
     """Flip-flop bits of one observation point, one ``shape`` array per pair.
 
     The C-ordered positions of ``shape`` are split into equal runs, one per
-    (noise, tie) stream pair in order, and each stream fills its run row by
-    row.  ``times`` holds one clean-time array per line, broadcast to
-    ``shape``; the jitter is sigma*z + t, which equals t + sigma*z bit for
-    bit.  A tie stream draws the tie bits of its run only when some gap of
-    the run is within the metastability window, since no other decision
-    reads them; otherwise ``_skip_tie_words`` moves it past the same words.
-    Stream positions therefore never depend on the window or the block
-    split.  This is the one place where noise and tie bits are drawn.
+    (noise stream, tie key) pair in order: the stream fills its run row by
+    row, and the run holds tie evaluations start, start+1, ... of the key.
+    ``times`` holds one clean-time array per line, broadcast to ``shape``;
+    the jitter is sigma*z + t, which equals t + sigma*z bit for bit.  Tie
+    bits are computed only when some gap is within the metastability
+    window, since no other decision reads them; being a pure function of
+    their position, no window or block split moves them.  This is the one
+    place where noise and tie bits are drawn.
     """
     lines, pairs = len(times), _pairs(len(times))
     size = math.prod(shape) // len(streams)
@@ -253,27 +241,21 @@ def _sample(
     for line, line_times in enumerate(times):
         view[..., line] += line_times
     wins, near = _compare(sampled, params.metastability_window)
-    needs_ties = np.any(near, axis=(0, 2))
-    tie = np.zeros((len(streams), size, pairs), dtype=np.uint8) if needs_ties.any() else None
-    for j, (_, tie_rng) in enumerate(streams):
-        if needs_ties[j]:
-            tie[j] = _tie_bits(tie_rng, size, pairs)
-        else:
-            _skip_tie_words(tie_rng, size * pairs)
+    tie = None
+    if any(n.any() for n in near):
+        tie = np.stack([_tie_bits(key, start, size, pairs) for _, key in streams])
     return [q.reshape(shape) for q in _latch(wins, near, tie)]
 
 
-def _read(streams: list, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Response bits of the terminal arbiter, ``shape``, sampled through ``_sample``."""
-    return _response(_sample(streams, params, times, shape))
-
-
-def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, streams: list, params: DelayParams):
+def _feed_forward_times(
+    taps, delay: np.ndarray, challenges: np.ndarray, streams: list, start: int, params: DelayParams
+):
     """Clean terminal times of one feed-forward row block, as three per-line arrays.
 
-    ``delay`` stacks the devices' delay tables, (D, stages, 2, 3), and
-    ``streams[point]`` holds the stream pairs of every (device, repetition)
-    job at an observation point.  The chain is stepped on three arrays, one
+    ``delay`` stacks the devices' delay tables, (D, stages, 2, 3),
+    ``streams[point]`` holds the (noise stream, tie key) pairs of every
+    (device, repetition) job at an observation point, and the block's first
+    row is evaluation ``start``.  The chain is stepped on three arrays, one
     per line (T, C, B), of shape (D, R, B); until the first target stage the
     repetition axis has length 1 and broadcasts, so every repetition of a
     device shares the clean prefix.  A tap arbiter samples its point and
@@ -303,7 +285,7 @@ def _feed_forward_times(taps, delay: np.ndarray, challenges: np.ndarray, streams
             added = delay[:, i][:, bits]  # (D, B, 3)
             times = [np.where(flip, times[ROT3[l]], times[l]) + added[:, None, :, l] for l in range(3)]
         for point, target in taps_at_stage.get(i, ()):
-            pending[target] = _sample(streams[point], params, times, shape)
+            pending[target] = _sample(streams[point], start, params, times, shape)
     return times
 
 
@@ -322,8 +304,8 @@ def propagate_blocks(
     BLOCK_VALUES values over jobs x rows x lines.  Tapless netlists take
     their clean times from the closed-form kernel; feed-forward netlists
     step the chain in ``_feed_forward_times``.  Each (device, repetition)
-    keeps the noise and tie streams of every observation point open across
-    blocks, so the bits equal
+    keeps the noise stream of every observation point open across blocks,
+    and row n is tie evaluation n, so the bits equal
     ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
     """
     netlist = devices[0].netlist
@@ -331,33 +313,36 @@ def propagate_blocks(
     lines, params = netlist.lines, devices[0].params
     n_dev, n_rep = len(devices), len(eval_seeds[0])
     streams = [
-        [(_noise_rng(s, point), _tie_rng(s, point)) for seeds in eval_seeds for s in seeds]
+        [(_noise_rng(s, point), _tie_key(s, point)) for seeds in eval_seeds for s in seeds]
         for point in range(len(netlist.ff_taps) + 1)
     ]
     if netlist.ff_taps:
         # the stage loop holds a few (jobs, rows) arrays per line, never stage codes
         delay = np.stack([device.delay_table for device in devices])
         for rows in _row_blocks(challenges.shape[0], _block_rows(n_dev * n_rep * lines, block_multiple)):
-            times = _feed_forward_times(netlist.ff_taps, delay, challenges[rows], streams, params)
-            yield rows, _read(streams[0], params, times, (n_dev, n_rep, rows.stop - rows.start))
+            times = _feed_forward_times(netlist.ff_taps, delay, challenges[rows], streams, rows.start, params)
+            flops = _sample(streams[0], rows.start, params, times, (n_dev, n_rep, rows.stop - rows.start))
+            yield rows, _response(flops)
     else:
         block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
         for rows, times in arrival_time_blocks(devices, challenges, block_rows):
             per_device = times.reshape(-1, n_dev, 1, lines).transpose(1, 2, 0, 3)
             per_line = [per_device[..., line] for line in range(lines)]
-            yield rows, _read(streams[0], params, per_line, (n_dev, n_rep, times.shape[0]))
+            flops = _sample(streams[0], rows.start, params, per_line, (n_dev, n_rep, times.shape[0]))
+            yield rows, _response(flops)
 
 
 def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: int = 0) -> np.ndarray:
     """Evaluate a batch of challenges in one pass; returns (N,) response bits.
 
-    Each row is one independent evaluation: per-evaluation jitter and tie
-    bits are drawn row-wise from streams derived from eval_seed, one stream
-    per observation point (every feed-forward tap plus the terminal
-    arbiter).  The whole batch is deterministic under (device, challenges,
-    eval_seed); standard-normal draws are scaled by sigma_noise, so rescaling
-    delays, noise and window together never changes a response bit.  This
-    is the one-job case of ``propagate_blocks``, for every netlist.
+    Each row is one independent evaluation: its jitter is drawn row-wise
+    from a noise stream and its tie bits are mixed from a tie key, both
+    derived from eval_seed per observation point (every feed-forward tap
+    plus the terminal arbiter).  The whole batch is deterministic under
+    (device, challenges, eval_seed); standard-normal draws are scaled by
+    sigma_noise, so rescaling delays, noise and window together never
+    changes a response bit.  This is the one-job case of
+    ``propagate_blocks``, for every netlist.
     """
     challenges = _validate_challenges(device.netlist, challenges)
     out = np.empty(challenges.shape[0], dtype=np.uint8)
@@ -393,7 +378,7 @@ def repeated_reads(
 
     Tapless designs compute the clean arrival times once, through
     ``clean_arrival_times``, and read the R*N repetition-major rows through
-    the shared sampler from one noise and one tie stream of ``eval_seed``.
+    the shared sampler from the noise stream and tie key of ``eval_seed``.
     Each block holds whole repetitions, about BLOCK_VALUES values, so the
     bits equal ``propagate_many(device, np.tile(challenges, (R, 1)),
     eval_seed)`` reshaped to (R, N).  Feed-forward designs make one full
@@ -413,8 +398,9 @@ def repeated_reads(
     clean = clean_arrival_times(device, challenges)
     n_eval, lines = clean.shape
     per_line = list(np.ascontiguousarray(clean.T))
-    streams = [(_noise_rng(eval_seed, 0), _tie_rng(eval_seed, 0))]
+    streams = [(_noise_rng(eval_seed, 0), _tie_key(eval_seed, 0))]
     out = np.empty((repetitions, n_eval), dtype=np.uint8)
     for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval * lines))):
-        out[reps] = _read(streams, device.params, per_line, (reps.stop - reps.start, n_eval))
+        flops = _sample(streams, reps.start * n_eval, device.params, per_line, (reps.stop - reps.start, n_eval))
+        out[reps] = _response(flops)
     return out

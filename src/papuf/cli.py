@@ -142,9 +142,10 @@ def _write_csv(path: Path, header: str, rows: list[str], chash: str | None) -> N
 
 def _cmd_device_new(args) -> int:
     config = _build_config(args)
+    params, netlist = config.params(), config.netlist()
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
-    device = synthesize_device(config.params(), config.netlist(), config.seed)
+    device = synthesize_device(params, netlist, config.seed)
     path = Path(args.out) if args.out else out_dir / "device.txt"
     save_device(device, path, extra_header={"config": chash})
     print(f"device_file={path}")
@@ -160,10 +161,9 @@ def _cmd_device_show(args) -> int:
 
 def _cmd_crp_gen(args) -> int:
     config = _build_config(args)
+    params, netlist = config.params(), config.netlist()
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
-    params = config.params()
-    netlist = config.netlist()
     if args.calibrate_target is not None:
         reference = synthesize_device(params, netlist, derive_seed(config.seed, "device", 0))
         result = calibrate_noise(args.calibrate_target, reference, eval_seed=config.seed)
@@ -323,8 +323,10 @@ def _cmd_attack_compare(args) -> int:
     chash = hashlib.sha256(
         f"{args.designs}|{args.stages}|{args.budget}|{args.seeds}|{args.sigma_noise}".encode()
     ).hexdigest()[:12]
+    # a feed-forward design lists its taps with commas, so its field is quoted (RFC 4180)
     csv_rows = [
-        f"{row.design},{row.feature_kind},{row.accuracy_mean:.4f},{row.accuracy_std:.4f},"
+        (f'"{row.design}"' if "," in row.design else row.design)
+        + f",{row.feature_kind},{row.accuracy_mean:.4f},{row.accuracy_std:.4f},"
         + ";".join(f"{a:.2f}" for a in row.accuracies)
         for row in rows
     ]
@@ -336,21 +338,22 @@ def _cmd_attack_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
+    params, netlist = config.params(), config.netlist()
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
     common = dict(
         population_size=config.population,
-        params=config.params(),
+        params=params,
         num_challenges=config.challenges,
         repetitions=config.repetitions,
         seeds=tuple(range(args.seeds)),
     )
     if args.sweep_command == "ff":
         taps = [int(v) for v in args.taps.split(",")]
-        rows = sweep_feed_forward(config.netlist(), taps, response_size=config.response_size, **common)
+        rows = sweep_feed_forward(netlist, taps, response_size=config.response_size, **common)
         name, label = "sweep_ff.csv", "tap_count"
     else:
-        rows = sweep_response_size(config.netlist(), [int(v) for v in args.sizes.split(",")], **common)
+        rows = sweep_response_size(netlist, [int(v) for v in args.sizes.split(",")], **common)
         name, label = "sweep_size.csv", "response_size"
     csv_rows = [f"{r.label},{r.uniqueness:.4f},{r.reliability:.4f}" for r in rows]
     _write_csv(out_dir / name, f"{label},uniqueness,reliability", csv_rows, chash)

@@ -26,6 +26,10 @@ class HelperData:
     offset: np.ndarray  # (n,) bits, codeword XOR response slice
     code: BchCode
 
+    def __eq__(self, other) -> bool:
+        same_code = isinstance(other, HelperData) and self.code == other.code
+        return same_code and np.array_equal(self.offset, other.offset)
+
 
 @dataclass(frozen=True)
 class SecretKey:

@@ -91,6 +91,8 @@ def default_ff_taps(stages: int, count: int) -> tuple[tuple[int, int], ...]:
 
     For 64 stages and count=2 this yields ((16, 32), (32, 48)).
     """
+    if count < 0:
+        raise ValueError(f"feed-forward tap count must be >= 0, got {count}")
     if count == 0:
         return ()
     if stages < count + 2:

@@ -3,9 +3,9 @@
 Everything here recomputes results through deliberately naive arithmetic
 (plain Python lists, explicit permutation composition, exhaustive
 codeword search) so the fast numpy paths can be checked against an
-independent derivation.  The only shared pieces are the seed-derivation
-and tie/noise stream helpers, which must match bit for bit so that random
-tie breaks are comparable.
+independent derivation.  The only shared pieces are the noise streams and
+the tie bits (``circuit._noise_rng``, ``_tie_key``, ``_tie_bits``), which
+must match bit for bit so that random tie breaks are comparable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .bch import BchCode
-from .circuit import _noise_rng, _tie_bits, _tie_rng
+from .circuit import _noise_rng, _tie_bits, _tie_key
 from .device import DeviceInstance
 from .response import LFSR_TAPS, lfsr_stride
 
@@ -62,7 +62,7 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
         times = _oracle_stage(device, stage, times, selects)
         for point, target in tap_points.get(stage, ()):
             jitter = sigma * _noise_rng(eval_seed, point).standard_normal((1, lines))[0]
-            tie = _tie_bits(_tie_rng(eval_seed, point), 1, 3)[0]
+            tie = _tie_bits(_tie_key(eval_seed, point), 0, 1, 3)[0]
             sampled = [times[l] + float(jitter[l]) for l in range(lines)]
             pending[target] = [
                 _oracle_compare(sampled[0], sampled[1], window, int(tie[0])),
@@ -73,9 +73,9 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
     jitter = sigma * _noise_rng(eval_seed, 0).standard_normal((1, lines))[0]
     final = [times[l] + float(jitter[l]) for l in range(lines)]
     if lines == 2:
-        tie = _tie_bits(_tie_rng(eval_seed, 0), 1, 1)[0]
+        tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, 1)[0]
         return _oracle_compare(final[0], final[1], window, int(tie[0]))
-    tie = _tie_bits(_tie_rng(eval_seed, 0), 1, 3)[0]
+    tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, 3)[0]
     q_t = _oracle_compare(final[0], final[1], window, int(tie[0]))
     q_c = _oracle_compare(final[1], final[2], window, int(tie[1]))
     q_b = _oracle_compare(final[2], final[0], window, int(tie[2]))
@@ -116,7 +116,7 @@ def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) 
 
     Steps the whole (N, lines) batch through the chain one stage at a time:
     every stage gathers the rotated times and adds ``delay[i][sel]``; a
-    feed-forward tap draws its own noise and tie streams over the whole
+    feed-forward tap draws its own noise stream and tie bits over the whole
     batch, and its (N, 3) flip-flop bits select its target stage per line.
     No stage limit, so it serves as the reference for the block reader of
     ``circuit.propagate_blocks`` at full chain length.
@@ -145,15 +145,15 @@ def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) 
             times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
         for point, target in taps_at_stage.get(i, ()):
             sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
-            tie = _tie_bits(_tie_rng(eval_seed, point), n_eval, 3)
+            tie = _tie_bits(_tie_key(eval_seed, point), 0, n_eval, 3)
             pending[target] = _reference_flip_flops(sampled, window, tie)
 
     final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, lines))
     if lines == 2:
-        tie = _tie_bits(_tie_rng(eval_seed, 0), n_eval, 1)
+        tie = _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, 1)
         wins = (final[:, 0] < final[:, 1]).astype(np.uint8)
         return np.where(np.abs(final[:, 0] - final[:, 1]) <= window, tie[:, 0], wins)
-    q = _reference_flip_flops(final, window, _tie_bits(_tie_rng(eval_seed, 0), n_eval, 3))
+    q = _reference_flip_flops(final, window, _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, 3))
     return 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
 
 

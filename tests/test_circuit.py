@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations, product
 
 import numpy as np
@@ -16,7 +17,7 @@ from papuf import (
     synthesize_population,
 )
 from papuf import circuit
-from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _skip_tie_words, _tie_bits, _tie_rng
+from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_key
 from papuf.device import DeviceInstance
 from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times, reference_propagate
 
@@ -46,7 +47,7 @@ def test_simple_arbiter_race_semantics():
 def test_simple_arbiter_tie_is_fair():
     window = 0.1
     final = np.full((10_000, 2), 5.0)
-    tie = _tie_bits(_tie_rng(0, 0), 10_000, 1)
+    tie = _tie_bits(_tie_key(0, 0), 0, 10_000, 1)
     bits = _arbitrate(final, window, tie)
     assert np.array_equal(bits, tie[:, 0])
     assert 0.48 < np.mean(bits) < 0.52
@@ -91,50 +92,81 @@ def test_feed_forward_arbiter_pairwise_contract():
 
 def test_feed_forward_arbiter_tie_determinism():
     # tied lines latch the tie bits of the tap's own stream, so equal seeds agree
-    tie = _tie_bits(_tie_rng(9, 1), 64, 3)
+    tie = _tie_bits(_tie_key(9, 1), 0, 64, 3)
     flops = np.stack(_flip_flops(np.ones((64, 3)), 0.5, tie), axis=1)
     assert np.array_equal(flops, tie)
-    assert np.array_equal(tie, _tie_bits(_tie_rng(9, 1), 64, 3))
+    assert np.array_equal(tie, _tie_bits(_tie_key(9, 1), 0, 64, 3))
 
 
-def stream_position(rng):
-    """PCG64 state and buffered half word; a spent buffer's stale value is ignored."""
-    state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+def splitmix64_top_bit(key, counter):
+    """SplitMix64's finaliser of key + counter*GAMMA in Python ints; its top bit."""
+    mask = (1 << 64) - 1
+    z = (key + counter * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) >> 63
+
+
+@pytest.mark.parametrize("key", [0, 1, 0x7FFFFFFFFFFFFFFF, _tie_key(3, 2)])
+def test_tie_bits_equal_scalar_splitmix64(key):
+    tie = _tie_bits(key, 1000, 20, 3)
+    expected = [[splitmix64_top_bit(key, i * 3 + k) for k in range(3)] for i in range(1000, 1020)]
+    assert tie.dtype == np.uint8 and tie.tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), buffered=st.booleans(), words=st.integers(0, 41), after=st.integers(1, 9))
-def test_skipping_tie_words_equals_drawing_them(seed, buffered, words, after):
-    # from either buffer state: a drawn odd word count leaves half a 64-bit output buffered
-    drawn, skipped = _tie_rng(seed, 0), _tie_rng(seed, 0)
-    for rng in (drawn, skipped):
-        _tie_bits(rng, int(buffered), 1)
-    assert skipped.bit_generator.state["has_uint32"] == buffered
-    _tie_bits(drawn, words, 1)
-    _skip_tie_words(skipped, words)
-    assert stream_position(skipped) == stream_position(drawn)
-    assert np.array_equal(_tie_bits(skipped, after, 3), _tie_bits(drawn, after, 3))
+@given(
+    key=st.integers(0, 2**63 - 1),
+    split=st.integers(0, 300),
+    length=st.integers(0, 300),
+    pairs=st.sampled_from([1, 3]),
+)
+def test_tie_bits_of_a_range_equal_the_rows_of_one_call(key, split, length, pairs):
+    stop = split + length
+    whole = _tie_bits(key, 0, stop, pairs)
+    assert whole.shape == (stop, pairs)
+    assert np.array_equal(_tie_bits(key, split, length, pairs), whole[split:])
 
 
-def test_skipping_spends_the_buffered_half_word_first():
-    # One drawn word leaves the high half of the first output buffered.  Skipping two
-    # more must spend that half and the low half of the second output; advancing two
-    # whole words from the buffer state would drop the buffered half and misalign
-    # every later tie bit.
-    drawn, skipped = _tie_rng(3, 0), _tie_rng(3, 0)
-    _tie_bits(drawn, 3, 1)
-    _tie_bits(skipped, 1, 1)
-    _skip_tie_words(skipped, 2)
-    assert np.array_equal(_tie_bits(skipped, 64, 1), _tie_bits(drawn, 64, 1))
+def test_tie_bits_are_fair_and_uncorrelated_over_a_million_evaluations():
+    n = 10**6
+    bound = 4 / np.sqrt(n)  # 4 sigma of a correlation of n independent pairs
+
+    def corr(a, b):
+        return np.corrcoef(a.astype(np.float64), b.astype(np.float64))[0, 1]
+
+    for seed in (0, 7):
+        tie = _tie_bits(_tie_key(seed, 0), 0, n, 3)
+        # each flip-flop: a binomial mean within 4 sigma = 4 * 0.5 / sqrt(n) of 0.5
+        assert np.all(np.abs(tie.mean(axis=0) - 0.5) <= 4 * 0.5 / np.sqrt(n)), tie.mean(axis=0)
+        for k in range(3):
+            assert abs(corr(tie[:, k], tie[:, (k + 1) % 3])) <= bound  # flip-flops of one evaluation
+            assert abs(corr(tie[:-1, k], tie[1:, k])) <= bound  # neighbouring evaluations
+        neighbour = _tie_bits(_tie_key(seed, 1), 0, n, 3)
+        for k in range(3):
+            assert abs(corr(tie[:, k], neighbour[:, k])) <= bound  # neighbouring points
+
+
+def test_tie_bits_are_pinned():
+    # the tie bits are part of every output at a nonzero window; a change here moves response bits
+    digests = {
+        (seed, point): hashlib.sha256(_tie_bits(_tie_key(seed, point), 0, 4096, 3).tobytes()).hexdigest()[:16]
+        for seed, point in ((0, 0), (0, 1), (12345, 0), (2**62 + 3, 2))
+    }
+    assert digests == {
+        (0, 0): "bd8ec76afdab143c",
+        (0, 1): "ddcf8463b7be5c23",
+        (12345, 0): "36d74857efa2346b",
+        (2**62 + 3, 2): "c00b0f217a4d30df",
+    }
 
 
 @pytest.mark.parametrize("block_values", [1, 5 * 2 * 3, 100 * 3, 1 << 40])
 def test_tie_words_are_drawn_only_where_a_decision_reads_them(monkeypatch, block_values):
     # Window 0 and no jitter: an all-equal delay table ties every flip-flop on
     # every row, a table of small integers ties on some rows, and random tables
-    # never tie.  So in one block some stream pairs draw their tie words and the
-    # others skip them, and a stream pair draws in some blocks and skips in others.
+    # never tie.  So some blocks compute tie bits and others do not, and a block
+    # that computes them also covers jobs that never tie.
     monkeypatch.setattr(circuit, "BLOCK_VALUES", block_values)
     params = DelayParams(sigma_noise=0.0)
     rng = np.random.default_rng(8)
@@ -185,6 +217,26 @@ def test_propagate_challenge_shape_validated(pa64):
         propagate_many(pa64, [[0, 1]])
     with pytest.raises(ValueError):
         propagate_many(pa64, np.zeros((4, 63), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [2, 258, 0.7, -1])
+@pytest.mark.parametrize(
+    "netlist", [Netlist(Design.APUF, 8), Netlist(Design.PA_PUF, 8), Netlist(Design.FF_PA_PUF, 8, ((2, 5),))]
+)
+def test_non_binary_challenge_bits_are_rejected(netlist, value):
+    dev = synthesize_device(DelayParams(sigma_noise=1.0), netlist, 4)
+    challenges = np.zeros((4, 8)).astype(type(value))
+    challenges[1, 3] = value
+    calls = [
+        lambda: propagate_many(dev, challenges),
+        lambda: repeated_reads(dev, challenges, 3),
+        lambda: list(circuit.propagate_blocks([dev], challenges, [[0]])),
+    ]
+    if not netlist.ff_taps:
+        calls.append(lambda: clean_arrival_times(dev, challenges))
+    for call in calls:
+        with pytest.raises(ValueError, match="challenge must hold only 0 and 1 bits"):
+            call()
 
 
 def test_propagate_single_matches_batch(pa64):
@@ -352,7 +404,7 @@ def test_block_propagation_equals_one_pass_over_the_streams():
     bits = propagate_many(dev, challenges, eval_seed=8)
     # the terminal streams read row by row, over the whole batch at once
     final = clean_arrival_times(dev, challenges) + 1.5 * _noise_rng(8, 0).standard_normal((3000, 3))
-    tie = _tie_bits(_tie_rng(8, 0), 3000, 3)
+    tie = _tie_bits(_tie_key(8, 0), 0, 3000, 3)
     assert np.array_equal(bits, _arbitrate(final, 0.2, tie))
 
 
@@ -385,6 +437,8 @@ def test_default_ff_taps_placement():
             assert 0 <= tap < target < 16
     with pytest.raises(ValueError):
         default_ff_taps(4, 3)
+    with pytest.raises(ValueError, match="tap count must be >= 0"):
+        default_ff_taps(16, -1)
 
 
 def test_netlist_validation():

@@ -1,3 +1,4 @@
+import csv
 import shlex
 from pathlib import Path
 
@@ -526,6 +527,41 @@ def test_malformed_ff_tap_pair_is_named(tmp_path, capsys, pair):
                "--out-dir", str(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: bad feed-forward tap {pair!r}: expected tap:target, e.g. 16:32\n"
     assert not (tmp_path / "device.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["device", "new"], ["crp", "gen"], ["sweep", "ff", "--seeds", "1"], ["sweep", "size", "--seeds", "1"]],
+)
+def test_an_invalid_config_is_checked_before_it_is_echoed(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(*command, "--design", "ff-pa-puf", "--ff-taps", "3", "--stages", "64", "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "effective-config.kv").exists()
+
+
+def test_negative_sweep_tap_count_is_an_error(tmp_path, capsys):
+    assert run("sweep", "ff", "--stages", "16", "--taps", "-1", "--seeds", "1", "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: feed-forward tap count must be >= 0, got -1\n"
+    assert not (tmp_path / "sweep_ff.csv").exists()
+
+
+def test_attack_compare_csv_has_five_fields_on_every_row(tmp_path, capsys):
+    rc = run(
+        "attack", "compare", "--designs", "apuf,pa-puf,ff-pa-puf", "--stages", "16",
+        "--budget", "256", "--seeds", "1", "--out-dir", str(tmp_path),
+    )
+    assert rc == 0
+    text = (tmp_path / "attack_compare.csv").read_text()
+    rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+    assert [len(row) for row in rows] == [5] * 7  # the header, then three designs x two feature maps
+    assert [row[0] for row in rows[1::2]] == [
+        "design=APUF;stages=16;taps=none",
+        "design=PA_PUF;stages=16;taps=none",
+        "design=FF_PA_PUF;stages=16;taps=4:8,8:12",
+    ]
+    assert text.count('"') == 4  # only the two feed-forward rows are quoted
 
 
 def test_readme_walkthrough_commands_parse():

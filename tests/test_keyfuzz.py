@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from papuf import enroll, load_helper, reproduce, save_helper
-from papuf.bch import bch_decode, default_code
-from papuf.keyfuzz import SecretKey
+from papuf.bch import BchCode, bch_decode, default_code
+from papuf.keyfuzz import HelperData, SecretKey
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +100,19 @@ def test_helper_file_round_trip(tmp_path, code, response):
     path = tmp_path / "helper.txt"
     save_helper(helper, path, extra_header={"note": "x"})
     loaded = load_helper(path)
-    assert np.array_equal(loaded.offset, helper.offset)
-    assert loaded.code == helper.code
+    assert loaded == helper
     assert reproduce(response, loaded) == key
+
+
+def test_helper_equality(code, response):
+    helper, _ = enroll(response, code, key_seed=13)
+    same, _ = enroll(response, code, key_seed=13)
+    assert helper == same and not helper != same
+    flipped = HelperData(helper.offset ^ np.eye(1, code.n, 5, dtype=np.uint8)[0], code)
+    assert helper != flipped
+    other_code = BchCode.construct(code.m, code.t - 1)
+    assert helper != HelperData(helper.offset, other_code)
+    assert helper != helper.offset
 
 
 def test_helper_file_without_slice_start_and_older_files_load(tmp_path, code, response):

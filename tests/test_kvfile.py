@@ -92,8 +92,7 @@ def helpers(draw):
 def test_helper_file_round_trip_is_byte_identical(helper, challenge_hex):
     loaded, first, second = _resaved_bytes(save_helper, load_helper, helper, extra_header={"challenge_hex": challenge_hex})
     assert first == second
-    assert np.array_equal(loaded.offset, helper.offset)
-    assert loaded.code == helper.code
+    assert loaded == helper
 
 
 @round_trips
