@@ -25,15 +25,27 @@ L lines and S_{i+1} the number of 1 bits after stage i,
 
     times[l] = sum_i delay[i, c_i, (l - S_{i+1}) mod L].
 
-The stage code k_i = i*2L + c_i*L + (S_{i+1} mod L) depends only on the
-challenge; a device enters only through its weight table
-W[k, l] = delay[i, c, (l - r) mod L], the delay table rolled by r.  The
-tables of several devices sit side by side as columns, so one set of codes
-serves a whole population.  The rows W[k_0], W[k_1], ... are added in
-stage order, which makes the sum bit-identical to stepping the chain.
+The sum is exact.  Every finite double is an integer times a power of two,
+so a device's table is scaled by its own unit 2^e into int64, which no
+other device of its population changes: e is the last bit of its smallest
+delay, raised where needed so that every clean time stays below 2^62 units.
+A table that spans a few binades, such as every table at the CLI defaults,
+is then exact.  A wider one (mean_delay 1, sigma_process 1) has its delays
+rounded to the unit, which moves a clean time by at most stages/2 units
+before its final rounding: within one ulp of the exact sum on a 64-stage
+chain.  Integer sums do not depend on order or grouping, and one int64 ->
+float64 cast and an exact multiplication by 2^e give the correctly rounded
+sum.  So lines whose sums are equal tie exactly, whatever the stage order.
+
+The kernel adds GROUP_STAGES stages per gather.  Stage group g with bits b
+(stage g*G + j is bit j) and r ones after the group has the code
+g*2^G*L + b*L + (r mod L), which depends only on the challenge; a device
+enters only through its group table, whose row holds the group's summed
+delays per line.  The tables of several devices sit side by side as
+columns, so one set of codes serves a whole population.
 
 ``arrival_time_blocks`` is that kernel.  It works through row blocks of
-about BLOCK_VALUES floats, so nothing of size devices x rows x lines, and
+about BLOCK_VALUES values, so nothing of size devices x rows x lines, and
 no one-hot encoding of the codes, is ever allocated.
 ``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
 
@@ -73,6 +85,10 @@ ROT3 = (2, 0, 1)
 # Target size of one row block, in float64 values (512 KiB): it bounds the
 # stage codes, the arrival times and the jitter of one block alike.
 BLOCK_VALUES = 1 << 16
+
+# Consecutive stages summed by one gather of the closed-form kernel; each
+# group's table has 2^GROUP_STAGES * lines rows per device column.
+GROUP_STAGES = 4
 
 
 def _noise_rng(eval_seed: int, point: int) -> np.random.Generator:
@@ -170,19 +186,54 @@ def _arbitrate(final: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
 # the closed-form kernel for tapless netlists
 
 
-def _weight_table(delay_table: np.ndarray) -> np.ndarray:
-    """(stages*2*L, L) table; row i*2L + c*L + r is delay[i, c] rolled by r."""
-    stages, _, lines = delay_table.shape
-    rolled = np.stack([np.roll(delay_table, r, axis=2) for r in range(lines)], axis=2)
-    return rolled.reshape(stages * 2 * lines, lines)
+def _scaled_table(delay_table: np.ndarray) -> tuple[np.ndarray, int]:
+    """The delay table as int64 multiples of the unit 2^e, and e.
+
+    e = max(exponent of the smallest delay - 53, exponent of the sum of the
+    per-stage maxima - 62, -1022): the smallest delay's last bit, unless
+    that would let a clean time reach 2^62 units or make the unit subnormal.
+    A delay that is not a multiple of the unit is rounded to one.
+    """
+    _, e_min = np.frexp(delay_table.min())
+    _, e_sum = np.frexp(delay_table.max(axis=(1, 2)).sum())
+    e = max(int(e_min) - 53, int(e_sum) - 62, -1022)
+    return np.rint(np.ldexp(delay_table, -e)).astype(np.int64), e
 
 
-def _stage_codes(challenges: np.ndarray, lines: int) -> np.ndarray:
-    """(stages, N) weight-table row of every stage of a (N, stages) batch."""
-    bits = challenges.T.astype(np.intp)
-    ones_after = np.cumsum(bits[::-1], axis=0)[::-1] - bits
-    base = np.arange(bits.shape[0], dtype=np.intp)[:, None] * (2 * lines)
-    return base + bits * lines + ones_after % lines
+def _group_table(scaled: np.ndarray) -> np.ndarray:
+    """(groups*2^G*L, L) int64 table of GROUP_STAGES-stage sums.
+
+    Row g*2^G*L + b*L + r, for the bits b of the group's stages (stage
+    g*G + j is bit j) and r ones after the group, holds per line the sum of
+    the group's delays.  Stages past the chain's end add 0 with bit 0.
+    """
+    stages, _, lines = scaled.shape
+    group = GROUP_STAGES
+    n_groups = -(-stages // group)
+    padded = np.zeros((n_groups * group, 2, lines), dtype=np.int64)
+    padded[:stages] = scaled
+    line = np.arange(lines)
+    rolled = padded[:, :, (line[None, :] - line[:, None]) % lines]  # [i, c, r, l] = delay[i, c, l - r]
+    bits = (np.arange(1 << group)[:, None] >> np.arange(group)) & 1  # (2^G, G)
+    after = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits  # ones of the group after stage j
+    stage = np.arange(n_groups)[:, None, None, None] * group + np.arange(group)[:, None]
+    summed = rolled[stage, bits[:, :, None], (after[:, :, None] + line) % lines].sum(axis=2)
+    return summed.reshape(-1, lines)
+
+
+def _group_codes(challenges: np.ndarray, lines: int) -> np.ndarray:
+    """(groups, N) ``_group_table`` row of every stage group of a (N, stages) batch."""
+    group = GROUP_STAGES
+    n_rows, stages = challenges.shape
+    n_groups = -(-stages // group)
+    bits = np.zeros((n_groups * group, n_rows), dtype=np.intp)
+    bits[:stages] = challenges.T
+    bits = bits.reshape(n_groups, group, n_rows)
+    ones = bits.sum(axis=1)
+    ones_after = np.cumsum(ones[::-1], axis=0)[::-1] - ones
+    value = np.tensordot(1 << np.arange(group), bits, axes=(0, 1))
+    base = np.arange(n_groups, dtype=np.intp)[:, None] * ((1 << group) * lines)
+    return base + value * lines + ones_after % lines
 
 
 def _block_rows(values_per_row: int, multiple: int = 1) -> int:
@@ -199,20 +250,26 @@ def _row_blocks(n_rows: int, block_rows: int):
 def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarray, block_rows: int):
     """Clean arrival times of tapless devices, one row block at a time.
 
+    Each block gathers and adds one group-table row per stage group in
+    int64, then casts and scales each device's columns by its unit once.
     ``challenges`` is a validated (N, stages) uint8 batch and the devices
     share its netlist.  Yields (rows, times) per block of ``block_rows``
     rows; times is (B, D*lines) with device d in columns d*lines to
     (d+1)*lines.
     """
     lines = devices[0].netlist.lines
-    weights = np.hstack([_weight_table(device.delay_table) for device in devices])
+    scaled = [_scaled_table(device.delay_table) for device in devices]
+    tables = np.hstack([_group_table(table) for table, _ in scaled])
+    units = np.repeat([np.ldexp(1.0, e) for _, e in scaled], lines)
     for rows in _row_blocks(challenges.shape[0], block_rows):
-        codes = _stage_codes(challenges[rows], lines)
-        times = np.take(weights, codes[0], axis=0)
-        gathered = np.empty_like(times)
+        codes = _group_codes(challenges[rows], lines)
+        sums = np.take(tables, codes[0], axis=0)
+        gathered = np.empty_like(sums)
         for code in codes[1:]:
-            np.take(weights, code, axis=0, out=gathered, mode="clip")
-            times += gathered
+            np.take(tables, code, axis=0, out=gathered, mode="clip")
+            sums += gathered
+        times = sums.astype(np.float64)
+        times *= units
         yield rows, times
 
 

@@ -31,6 +31,7 @@ from .keyfuzz import enroll, load_helper, reproduce, save_helper
 from .metrics import calibrate_noise, compute_report, sweep_feed_forward, sweep_response_size
 from .netlist import Design, Netlist, default_ff_taps, parse_taps
 from .response import (
+    RESPONSE_SIZES,
     bits_to_hex,
     collect_crps,
     expand_challenge,
@@ -336,9 +337,25 @@ def _cmd_attack_compare(args) -> int:
     return 0
 
 
+def _sweep_values(args, stages: int) -> list[int]:
+    """The tap counts or response sizes of a sweep, checked before anything is written."""
+    flag, text = ("--taps", args.taps) if args.sweep_command == "ff" else ("--sizes", args.sizes)
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    for value in values:
+        if args.sweep_command == "ff":
+            default_ff_taps(stages, value)
+        elif value not in RESPONSE_SIZES:
+            raise ValueError(f"response size must be one of {RESPONSE_SIZES}, got {value}")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     params, netlist = config.params(), config.netlist()
+    values = _sweep_values(args, netlist.stages)
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
     common = dict(
@@ -349,11 +366,10 @@ def _cmd_sweep(args) -> int:
         seeds=tuple(range(args.seeds)),
     )
     if args.sweep_command == "ff":
-        taps = [int(v) for v in args.taps.split(",")]
-        rows = sweep_feed_forward(netlist, taps, response_size=config.response_size, **common)
+        rows = sweep_feed_forward(netlist, values, response_size=config.response_size, **common)
         name, label = "sweep_ff.csv", "tap_count"
     else:
-        rows = sweep_response_size(netlist, [int(v) for v in args.sizes.split(",")], **common)
+        rows = sweep_response_size(netlist, values, **common)
         name, label = "sweep_size.csv", "response_size"
     csv_rows = [f"{r.label},{r.uniqueness:.4f},{r.reliability:.4f}" for r in rows]
     _write_csv(out_dir / name, f"{label},uniqueness,reliability", csv_rows, chash)

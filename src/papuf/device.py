@@ -84,8 +84,8 @@ class DeviceInstance:
         expected = (self.netlist.stages, 2, self.netlist.lines)
         if table.shape != expected:
             raise ValueError(f"delay table shape {table.shape} does not match netlist {expected}")
-        if not np.all(table > 0):
-            raise ValueError("all segment delays must be strictly positive")
+        if not np.all((table > 0) & (table < np.inf)):
+            raise ValueError("all segment delays must be finite and strictly positive")
         table.flags.writeable = False
         object.__setattr__(self, "delay_table", table)
 

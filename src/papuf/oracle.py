@@ -1,15 +1,17 @@
 """Brute-force reference implementations, used only by the test suite.
 
 Everything here recomputes results through deliberately naive arithmetic
-(plain Python lists, explicit permutation composition, exhaustive
-codeword search) so the fast numpy paths can be checked against an
-independent derivation.  The only shared pieces are the noise streams and
-the tie bits (``circuit._noise_rng``, ``_tie_key``, ``_tie_bits``), which
-must match bit for bit so that random tie breaks are comparable.
+(plain Python lists, explicit permutation composition, exact
+``fractions.Fraction`` sums, exhaustive codeword search) so the fast numpy
+paths can be checked against an independent derivation.  The only shared
+pieces are the noise streams and the tie bits (``circuit._noise_rng``,
+``_tie_key``, ``_tie_bits``), which must match bit for bit so that random
+tie breaks are comparable.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -35,8 +37,10 @@ def gate_level_priority(order: tuple[str, str, str]) -> int:
 def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) -> int:
     """Reference evaluation by explicit per-stage permutation composition.
 
-    Refuses netlists beyond MAX_ORACLE_STAGES; the point is exhaustive
-    checking of small instances, not speed.
+    A tapless chain sums its delays exactly and rounds once, as the
+    closed-form kernel does; a feed-forward chain steps in floats, as its
+    stage loop does.  Refuses netlists beyond MAX_ORACLE_STAGES; the point
+    is exhaustive checking of small instances, not speed.
     """
     netlist = device.netlist
     if netlist.stages > MAX_ORACLE_STAGES:
@@ -53,13 +57,14 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
         tap_points.setdefault(tap, []).append((point, target))
     pending: dict[int, list[int]] = {}
 
-    times = [0.0] * lines
+    delay = device.delay_table.tolist() if netlist.ff_taps else _fraction_table(device)
+    times = [0] * lines  # an int, so that the sums stay Fractions or floats
     for stage in range(netlist.stages):
         if stage in pending:
             selects = pending.pop(stage)
         else:
             selects = [challenge[stage]] * lines
-        times = _oracle_stage(device, stage, times, selects)
+        times = _oracle_stage(delay, stage, times, selects)
         for point, target in tap_points.get(stage, ()):
             jitter = sigma * _noise_rng(eval_seed, point).standard_normal((1, lines))[0]
             tie = _tie_bits(_tie_key(eval_seed, point), 0, 1, 3)[0]
@@ -71,7 +76,7 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
             ]
 
     jitter = sigma * _noise_rng(eval_seed, 0).standard_normal((1, lines))[0]
-    final = [times[l] + float(jitter[l]) for l in range(lines)]
+    final = [float(times[l]) + float(jitter[l]) for l in range(lines)]
     if lines == 2:
         tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, 1)[0]
         return _oracle_compare(final[0], final[1], window, int(tie[0]))
@@ -82,13 +87,17 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
     return 1 ^ (q_t ^ q_c ^ q_b)
 
 
-def _oracle_stage(device: DeviceInstance, stage: int, times: list[float], selects: list[int]) -> list[float]:
+def _fraction_table(device: DeviceInstance) -> list:
+    """The delay table as nested lists of exact ``Fraction`` values."""
+    return [[[Fraction(v) for v in select] for select in stage] for stage in device.delay_table.tolist()]
+
+
+def _oracle_stage(delay: list, stage: int, times: list, selects: list[int]) -> list:
     """One mux stage by explicit permutation: select 1 makes line l read line l-1."""
     lines = len(times)
     rotation = [2, 0, 1] if lines == 3 else [1, 0]  # source line per output line
     return [
-        times[rotation[line] if selects[line] == 1 else line]
-        + float(device.delay_table[stage][selects[line]][line])
+        times[rotation[line] if selects[line] == 1 else line] + delay[stage][selects[line]][line]
         for line in range(lines)
     ]
 
@@ -96,28 +105,32 @@ def _oracle_stage(device: DeviceInstance, stage: int, times: list[float], select
 def reference_clean_times(device: DeviceInstance, challenges) -> np.ndarray:
     """Noise-free terminal arrival times of a tapless netlist, (N, lines).
 
-    Steps every challenge through the chain one stage at a time in plain
-    Python floats; no stage limit, so it serves as the reference for the
+    Steps every challenge through the chain one stage at a time, adding
+    each delay as an exact ``Fraction``, and rounds each sum once with
+    ``float``.  No stage limit, so it serves as the reference for the
     closed-form kernel at full chain length.
     """
     if device.netlist.ff_taps:
         raise ValueError("clean arrival times are undefined for feed-forward netlists")
+    delay = _fraction_table(device)
     rows = []
     for challenge in challenges:
-        times = [0.0] * device.netlist.lines
+        times = [Fraction(0)] * device.netlist.lines
         for stage, bit in enumerate(int(b) for b in challenge):
-            times = _oracle_stage(device, stage, times, [bit] * len(times))
-        rows.append(times)
+            times = _oracle_stage(delay, stage, times, [bit] * len(times))
+        rows.append([float(t) for t in times])
     return np.array(rows, dtype=np.float64).reshape(-1, device.netlist.lines)
 
 
 def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) -> np.ndarray:
     """Noisy response bits of one (device, eval_seed) job, (N,) uint8.
 
-    Steps the whole (N, lines) batch through the chain one stage at a time:
-    every stage gathers the rotated times and adds ``delay[i][sel]``; a
-    feed-forward tap draws its own noise stream and tie bits over the whole
-    batch, and its (N, 3) flip-flop bits select its target stage per line.
+    A tapless chain takes its exact clean times from
+    ``reference_clean_times``.  A feed-forward chain steps the whole
+    (N, lines) batch one stage at a time in floats: every stage gathers the
+    rotated times and adds ``delay[i][sel]``; a feed-forward tap draws its
+    own noise stream and tie bits over the whole batch, and its (N, 3)
+    flip-flop bits select its target stage per line.
     No stage limit, so it serves as the reference for the block reader of
     ``circuit.propagate_blocks`` at full chain length.
     """
@@ -133,20 +146,23 @@ def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) 
         taps_at_stage.setdefault(tap, []).append((point, target))
     pending: dict[int, np.ndarray] = {}
 
-    times = np.zeros((n_eval, lines))
-    line_idx = np.arange(lines)
-    for i in range(netlist.stages):
-        rotated = times[:, rotation]
-        if i in pending:
-            sel = pending.pop(i)  # (N, 3) per-line selects from a feed-forward arbiter
-            times = np.where(sel.astype(bool), rotated, times) + delay[i][sel, line_idx]
-        else:
-            sel = challenges[:, i]
-            times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
-        for point, target in taps_at_stage.get(i, ()):
-            sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
-            tie = _tie_bits(_tie_key(eval_seed, point), 0, n_eval, 3)
-            pending[target] = _reference_flip_flops(sampled, window, tie)
+    if not netlist.ff_taps:
+        times = reference_clean_times(device, challenges)
+    else:
+        times = np.zeros((n_eval, lines))
+        line_idx = np.arange(lines)
+        for i in range(netlist.stages):
+            rotated = times[:, rotation]
+            if i in pending:
+                sel = pending.pop(i)  # (N, 3) per-line selects from a feed-forward arbiter
+                times = np.where(sel.astype(bool), rotated, times) + delay[i][sel, line_idx]
+            else:
+                sel = challenges[:, i]
+                times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
+            for point, target in taps_at_stage.get(i, ()):
+                sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
+                tie = _tie_bits(_tie_key(eval_seed, point), 0, n_eval, 3)
+                pending[target] = _reference_flip_flops(sampled, window, tie)
 
     final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, lines))
     if lines == 2:

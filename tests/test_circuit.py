@@ -391,10 +391,65 @@ def test_repeated_reads_rejects_bad_counts_and_allows_zero(netlist):
 @pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
 @pytest.mark.parametrize("stages", [1, 5, 64])
 def test_clean_times_equal_stage_by_stage_reference(design, stages):
+    # the reference adds exact Fractions stage by stage and rounds once, so
+    # the kernel's clean times are the correctly rounded exact sums
     dev = synthesize_device(DelayParams(), Netlist(design, stages), 100 + stages)
     # more rows than one kernel block, and not a multiple of it
     challenges = np.random.default_rng(stages).integers(0, 2, size=(2500, stages), dtype=np.uint8)
     assert np.array_equal(clean_arrival_times(dev, challenges), reference_clean_times(dev, challenges))
+
+
+@pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
+@pytest.mark.parametrize("stages", [1, 5, 7, 64])
+def test_clean_times_do_not_depend_on_stage_groups_or_blocks(monkeypatch, design, stages):
+    # group sizes that do and do not divide the chain, blocks of 1 row to all rows
+    dev = synthesize_device(DelayParams(), Netlist(design, stages), 200 + stages)
+    challenges = np.random.default_rng(stages).integers(0, 2, size=(300, stages), dtype=np.uint8)
+    expected = reference_clean_times(dev, challenges)
+    for group in range(1, 7):
+        monkeypatch.setattr(circuit, "GROUP_STAGES", group)
+        for block_values in (1, 7 * 64, 1 << 16, 1 << 40):
+            monkeypatch.setattr(circuit, "BLOCK_VALUES", block_values)
+            assert np.array_equal(clean_arrival_times(dev, challenges), expected), (group, block_values)
+
+
+def test_lines_with_equal_exact_sums_tie_whatever_the_stage_order():
+    # Every select is 0, so each line adds its own column.  In stage order
+    # the top line sums to 1 (each 2^-53 rounds away) and the bottom line to
+    # 1 + 2^-52, but both exact sums are 1 + 2^-52: an exact tie at window 0.
+    tiny = 2.0**-53
+    table = np.ones((3, 2, 2))
+    table[:, 0, 0] = (1.0, tiny, tiny)
+    table[:, 0, 1] = (tiny, tiny, 1.0)
+    dev = DeviceInstance("tie", Netlist(Design.APUF, 3), DelayParams(), 0, table)
+    challenges = np.zeros((64, 3), dtype=np.uint8)
+    assert np.array_equal(clean_arrival_times(dev, challenges), np.full((64, 2), 1.0 + 2.0**-52))
+    tie = _tie_bits(_tie_key(9, 0), 0, 64, 1)[:, 0]
+    assert 0 < tie.mean() < 1
+    assert np.array_equal(propagate_many(dev, challenges, eval_seed=9), tie)
+    assert exhaustive_propagate(dev, challenges[0], eval_seed=9) == tie[0]
+
+
+def test_a_device_scales_its_delays_by_its_own_unit():
+    # The unit is chosen per device, so the delays of a device with small
+    # delays (mean 1, sigma 1) or large ones (mean 10^4) never change the
+    # exact clean times of a default device read in the same population.
+    netlist = Netlist(Design.PA_PUF, 64)
+    default = synthesize_device(DelayParams(), netlist, 31)
+    small = synthesize_device(DelayParams(mean_delay=1.0, sigma_process=1.0), netlist, 32)
+    large = synthesize_device(DelayParams(mean_delay=1e4, sigma_process=1e3), netlist, 33)
+    challenges = np.random.default_rng(34).integers(0, 2, size=(500, 64), dtype=np.uint8)
+    alone = clean_arrival_times(default, challenges)
+    assert np.array_equal(alone, reference_clean_times(default, challenges))
+    population = np.empty((500, 9))
+    for rows, times in circuit.arrival_time_blocks([small, default, large], challenges, 128):
+        population[rows] = times
+    assert np.array_equal(population[:, 3:6], alone)
+    # the small device spans too many binades to be exact in int64: its
+    # delays round to its unit, and its clean times stay within one ulp
+    exact = reference_clean_times(small, challenges)
+    assert np.all(np.abs(population[:, :3] - exact) <= np.spacing(exact))
+    assert np.array_equal(population[:, :3], clean_arrival_times(small, challenges))
 
 
 def test_block_propagation_equals_one_pass_over_the_streams():

@@ -541,6 +541,22 @@ def test_an_invalid_config_is_checked_before_it_is_echoed(tmp_path, capsys, comm
     assert not (out / "effective-config.kv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["ff", "--taps", "-1"], "feed-forward tap count must be >= 0, got -1"),
+        (["ff", "--taps", "1,x"], "--taps: expected comma-separated integers, got '1,x'"),
+        (["ff", "--taps", "99"], "cannot place 99 feed-forward taps on 64 stages"),
+        (["size", "--sizes", "8,7"], "response size must be one of (8, 16, 32, 64, 128), got 7"),
+    ],
+)
+def test_invalid_sweep_values_are_checked_before_the_config_is_echoed(tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    assert run("sweep", *command, "--seeds", "1", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "effective-config.kv").exists()
+
+
 def test_negative_sweep_tap_count_is_an_error(tmp_path, capsys):
     assert run("sweep", "ff", "--stages", "16", "--taps", "-1", "--seeds", "1", "--out-dir", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: feed-forward tap count must be >= 0, got -1\n"

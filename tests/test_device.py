@@ -10,6 +10,7 @@ from papuf import (
     synthesize_device,
     synthesize_population,
 )
+from papuf.device import DeviceInstance
 
 
 def test_invalid_params_rejected():
@@ -61,6 +62,14 @@ def test_delay_table_immutable_and_positive(pa64):
     assert np.all(pa64.delay_table > 0)
     with pytest.raises(ValueError):
         pa64.delay_table[0, 0, 0] = -1.0
+
+
+def test_infinite_delays_are_rejected():
+    # the kernel scales each table into int64, which an infinite delay cannot enter
+    table = np.full((4, 2, 3), 100.0)
+    table[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        DeviceInstance("inf", Netlist(Design.PA_PUF, 4), DelayParams(), 0, table)
 
 
 def test_population_pairwise_distinct():
