@@ -9,7 +9,7 @@ from .attack import (
     train,
 )
 from .bch import BchCode, bch_decode, bch_encode, default_code
-from .circuit import clean_arrival_times, propagate_many, repeated_reads
+from .circuit import clean_arrival_times, propagate_many, read_probabilities, repeated_reads
 from .device import (
     DelayParams,
     DeviceInstance,

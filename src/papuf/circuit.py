@@ -6,12 +6,13 @@ a select of 1 applies the cyclic rotation T->C->B->T (a plain swap for the
 2-line chain), i.e. with select 1 output T reads line B, C reads T and B
 reads C.
 
-Every arbiter decision goes through ``_compare`` and ``_latch``.  Three
-flip-flops race the pairs (T, C), (C, B) and (B, T) and latch
-(qT, qC, qB) = (T<C, C<B, B<T); a gap within the metastability window
-(including an exact tie at window 0) latches a fair tie bit instead.
-``_compare`` takes the race and the window test from one difference per
-pair, and ``_latch`` applies the tie bits.  ``_response`` turns the bits
+Every arbiter decision goes through ``_latch``.  Three flip-flops race the
+pairs (T, C), (C, B) and (B, T) and latch (qT, qC, qB) = (T<C, C<B, B<T);
+a gap within the metastability window (including an exact tie at window 0)
+latches a fair tie bit instead.  ``_latch`` takes the race and the window
+test from one gap per pair: the free gaps T - C and C - B, and the closing
+gap B - T = -(g_TC + g_CB), so only tie bits can make the three flip-flops
+contradict each other.  ``_response`` turns the bits
 into the arbiter output: the priority arbiter of the 3-line designs outputs
 NOT(qT ^ qC ^ qB), 1 exactly on the cyclic rotations of (T, C, B), so 3 of
 the 6 strict orderings, and the 2-line arbiter outputs top<bottom.  A
@@ -50,8 +51,13 @@ no one-hot encoding of the codes, is ever allocated.
 ``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
 
 ``_sample`` draws every jitter value and tie bit: those of one
-observation point over a row block.  Jitter comes from an ordered list of
-noise streams consumed row by row, so block boundaries never change a bit.
+observation point over a row block.  An arbiter reads only gaps, so the
+jitter is drawn in gap space, lines - 1 standard normals per evaluation
+(u, v for three lines) whose law equals that of the differences of
+independent per-line Normal(0, sigma_noise) jitters.  They come from an
+ordered list of SFC64 noise streams consumed row by row, so block
+boundaries never change a bit.  ``read_probabilities`` gives the
+analytic P(bit = 1) of a tapless chain under the same law at window 0.
 A tie bit is a pure function of its position: ``_tie_bits`` mixes a key,
 derived once per (eval_seed, point), with the counter of its evaluation
 and flip-flop, only when some gap of the block is within the window.
@@ -92,7 +98,8 @@ GROUP_STAGES = 4
 
 
 def _noise_rng(eval_seed: int, point: int) -> np.random.Generator:
-    return np.random.default_rng([eval_seed & SEED_MASK, NOISE_TAG, point])
+    seed = np.random.SeedSequence([eval_seed & SEED_MASK, NOISE_TAG, point])
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _tie_key(eval_seed: int, point: int) -> int:
@@ -132,30 +139,27 @@ def _pairs(lines: int) -> int:
     return 1 if lines == 2 else 3
 
 
-def _compare(sampled: np.ndarray, window: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(wins, near) of each flip-flop of (..., lines) sampled times.
+def _latch(free: list[np.ndarray], window: float, tie) -> list[np.ndarray]:
+    """Flip-flop bits of the lines - 1 free gaps first - second, which it overwrites.
 
-    Flip-flop k races line k against line k+1 (mod lines), one pair for 2
-    lines and three for 3.  Both come from one difference: wins is
-    first < second, near is |first - second| <= window.
+    2 lines: the one gap top - bottom.  3 lines: (T - C, C - B), and the
+    closing gap B - T is -(g_TC + g_CB), so the three flip-flops can never
+    all win or all lose a strict race.  A flip-flop latches its race,
+    gap < 0, unless |gap| <= window, where it latches its tie bit from
+    ``tie()``, a (..., pairs) array that is computed only when some gap is
+    within the window.
     """
-    lines = sampled.shape[-1]
-    wins, near = [], []
-    for k in range(_pairs(lines)):
-        gap = sampled[..., k] - sampled[..., (k + 1) % lines]
-        wins.append(gap < 0)
-        near.append(np.abs(gap, out=gap) <= window)
-    return wins, near
-
-
-def _latch(wins: list[np.ndarray], near: list[np.ndarray], tie: np.ndarray | None) -> list[np.ndarray]:
-    """Flip-flop bits: the tie bit where the gap is within the window, else the race.
-
-    ``tie`` is (..., pairs) or None when no gap is within the window.
-    """
-    if tie is None:
+    wins = [gap < 0 for gap in free]
+    if len(free) == 2:
+        closing = free[0] + free[1]  # -g_BT, so B wins where it is positive
+        wins.append(closing > 0)
+        free = [*free, closing]
+    for gap in free:
+        np.abs(gap, out=gap)
+    if all(gap.min(initial=np.inf) > window for gap in free):
         return [w.view(np.uint8) for w in wins]
-    return [np.where(n, tie[..., k], w) for k, (w, n) in enumerate(zip(wins, near))]
+    tie = tie()
+    return [np.where(gap <= window, tie[..., k], w) for k, (gap, w) in enumerate(zip(free, wins))]
 
 
 def _response(flops: list[np.ndarray]) -> np.ndarray:
@@ -174,7 +178,8 @@ def _response(flops: list[np.ndarray]) -> np.ndarray:
 
 def _flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> list[np.ndarray]:
     """(qT, qC, qB) = (T<C, C<B, B<T) of (..., 3) sampled times, given (..., 3) tie bits."""
-    return _latch(*_compare(sampled, window), tie)
+    free = [sampled[..., k] - sampled[..., k + 1] for k in range(sampled.shape[-1] - 1)]
+    return _latch(free, window, lambda: tie)
 
 
 def _arbitrate(final: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
@@ -278,30 +283,47 @@ def _sample(
 ) -> list[np.ndarray]:
     """Flip-flop bits of one observation point, one ``shape`` array per pair.
 
-    The C-ordered positions of ``shape`` are split into equal runs, one per
-    (noise stream, tie key) pair in order: the stream fills its run row by
-    row, and the run holds tie evaluations start, start+1, ... of the key.
-    ``times`` holds one clean-time array per line, broadcast to ``shape``;
-    the jitter is sigma*z + t, which equals t + sigma*z bit for bit.  Tie
-    bits are computed only when some gap is within the metastability
-    window, since no other decision reads them; being a pure function of
-    their position, no window or block split moves them.  This is the one
-    place where noise and tie bits are drawn.
+    ``times`` holds one clean-time array per line, broadcast to ``shape``.
+    An arbiter reads only gaps, so each evaluation draws lines - 1 standard
+    normals: u for 2 lines, (u, v) for 3.  With a = sigma*sqrt(2) and
+    b = sigma*sqrt(1.5) the noisy gaps are
+
+        g = (t_top - t_bot) + a*u                        (2 lines)
+        g_TC = (t_T - t_C) + a*u
+        g_CB = (t_C - t_B) + (b*v - (a/2)*u)             (3 lines)
+        g_BT = -(g_TC + g_CB),
+
+    which is the law of the differences of independent Normal(0, sigma)
+    line jitters: variance 2 sigma^2 per gap, covariance -sigma^2 between
+    g_TC and g_CB (Delvaux and Verbauwhede, HOST 2013).  The C-ordered
+    positions of ``shape`` are split into equal runs, one per (noise
+    stream, tie key) pair in order: the stream fills its run row by row,
+    (u, v) per evaluation, and the run holds tie evaluations start,
+    start+1, ... of the key.  Tie bits are computed only when some gap is
+    within the metastability window, since no other decision reads them;
+    being a pure function of their position, no window or block split
+    moves them.  This is the one place where noise and tie bits are drawn.
     """
-    lines, pairs = len(times), _pairs(len(times))
+    free = len(times) - 1
     size = math.prod(shape) // len(streams)
-    sampled = np.empty((len(streams), size, lines))
+    normals = np.empty((len(streams), size, free))
     for j, (noise_rng, _) in enumerate(streams):
-        noise_rng.standard_normal(out=sampled[j])
-    sampled *= params.sigma_noise
-    view = sampled.reshape(*shape, lines)
-    for line, line_times in enumerate(times):
-        view[..., line] += line_times
-    wins, near = _compare(sampled, params.metastability_window)
-    tie = None
-    if any(n.any() for n in near):
-        tie = np.stack([_tie_bits(key, start, size, pairs) for _, key in streams])
-    return [q.reshape(shape) for q in _latch(wins, near, tie)]
+        noise_rng.standard_normal(out=normals[j])
+    normals = normals.reshape(*shape, free)
+    u = normals[..., 0]
+    a = params.sigma_noise * math.sqrt(2.0)
+    gaps = [u * a]
+    if free == 2:
+        g_cb = normals[..., 1] * (params.sigma_noise * math.sqrt(1.5))
+        g_cb -= u * (a / 2)
+        gaps.append(g_cb)
+    for k, gap in enumerate(gaps):
+        gap += times[k] - times[k + 1]
+
+    def tie() -> np.ndarray:
+        return np.stack([_tie_bits(key, start, size, _pairs(free + 1)) for _, key in streams]).reshape(*shape, -1)
+
+    return _latch(gaps, params.metastability_window, tie)
 
 
 def _feed_forward_times(
@@ -423,6 +445,51 @@ def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.nd
     for rows, times in arrival_time_blocks([device], challenges, block_rows):
         out[rows] = times
     return out
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5*erfc(-x/sqrt(2)), elementwise."""
+    return 0.5 * _erfc(x * -math.sqrt(0.5)).astype(np.float64)
+
+
+def read_probabilities(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
+    """P(response bit = 1) of each challenge of a tapless device at window 0, (N,).
+
+    A read is 1 when the jittered gaps fall in the arbiter's 1 region.  For
+    2 lines that is Phi((t_bot - t_top) / (sigma*sqrt(2))).  For 3 lines it
+    is the sum over the cyclic orderings (a, b, c) of (T, C, B) of
+    P(a < b < c); given the middle line's jitter sigma*z the other two races
+    are independent, so P(a < b < c) = E_z[Phi((t_b - t_a)/sigma + z) *
+    Phi((t_c - t_b)/sigma - z)], taken with 48-node Gauss-Hermite
+    quadrature (the tests hold it to the bivariate normal CDF within
+    1e-12).  At sigma_noise 0 a read is its clean race, or 1/2 where two
+    lines tie exactly and a fair tie bit decides.  Feed-forward netlists and
+    a positive metastability window are a ``ValueError``.
+    """
+    if device.netlist.ff_taps:
+        raise ValueError("read probabilities are defined for tapless netlists only")
+    sigma, window = device.params.sigma_noise, device.params.metastability_window
+    if window > 0:
+        raise ValueError(f"read probabilities are defined at metastability window 0 only, got {window}")
+    times = clean_arrival_times(device, challenges)
+    lines = times.shape[1]
+    if sigma == 0:
+        # a tie flips the output with its tie bit, so the mean over both values is 1/2
+        ties = np.zeros((times.shape[0], _pairs(lines)), dtype=np.uint8)
+        return (_arbitrate(times, 0.0, ties) + _arbitrate(times, 0.0, ties + 1)) / 2
+    if lines == 2:
+        return _phi((times[:, 1] - times[:, 0]) / (sigma * math.sqrt(2.0)))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(48)
+    weights /= math.sqrt(2.0 * math.pi)
+    p = np.zeros(times.shape[0])
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        first = _phi(((times[:, b] - times[:, a]) / sigma)[:, None] + nodes)
+        second = _phi(((times[:, c] - times[:, b]) / sigma)[:, None] - nodes)
+        p += (first * second) @ weights
+    return np.clip(p, 0.0, 1.0)
 
 
 def repeated_reads(

@@ -28,11 +28,17 @@ from .bch import BchCode
 from .circuit import repeated_reads
 from .device import PARAM_SCHEMA, DelayParams, load_device, save_device, synthesize_device, synthesize_population
 from .keyfuzz import enroll, load_helper, reproduce, save_helper
-from .metrics import calibrate_noise, compute_report, sweep_feed_forward, sweep_response_size
+from .metrics import (
+    calibrate_noise,
+    check_feed_forward_sweep,
+    compute_report,
+    sweep_feed_forward,
+    sweep_response_size,
+)
 from .netlist import Design, Netlist, default_ff_taps, parse_taps
 from .response import (
-    RESPONSE_SIZES,
     bits_to_hex,
+    check_response_size,
     collect_crps,
     expand_challenge,
     hex_to_bits,
@@ -163,6 +169,7 @@ def _cmd_device_show(args) -> int:
 def _cmd_crp_gen(args) -> int:
     config = _build_config(args)
     params, netlist = config.params(), config.netlist()
+    check_response_size(config.response_size)
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
     if args.calibrate_target is not None:
@@ -337,25 +344,25 @@ def _cmd_attack_compare(args) -> int:
     return 0
 
 
-def _sweep_values(args, stages: int) -> list[int]:
+def _sweep_values(args, config: ExperimentConfig, netlist: Netlist) -> list[int]:
     """The tap counts or response sizes of a sweep, checked before anything is written."""
     flag, text = ("--taps", args.taps) if args.sweep_command == "ff" else ("--sizes", args.sizes)
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
-    for value in values:
-        if args.sweep_command == "ff":
-            default_ff_taps(stages, value)
-        elif value not in RESPONSE_SIZES:
-            raise ValueError(f"response size must be one of {RESPONSE_SIZES}, got {value}")
+    if args.sweep_command == "ff":
+        check_feed_forward_sweep(netlist, values, config.response_size)
+    else:
+        for value in values:
+            check_response_size(value)
     return values
 
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     params, netlist = config.params(), config.netlist()
-    values = _sweep_values(args, netlist.stages)
+    values = _sweep_values(args, config, netlist)
     out_dir = _out_dir(args)
     chash = _echo_config(config, out_dir)
     common = dict(

@@ -16,7 +16,14 @@ from .bch import as_bits
 from .circuit import repeated_reads
 from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
-from .response import CrpSet, collect_crps, expand_many, majority_vote, random_seed_challenges
+from .response import (
+    CrpSet,
+    check_response_size,
+    collect_crps,
+    expand_many,
+    majority_vote,
+    random_seed_challenges,
+)
 from .seeds import derive_seed
 
 
@@ -348,6 +355,19 @@ def _sweep(tag, points, configure, seeds, params, population_size, num_challenge
     return rows
 
 
+def check_feed_forward_sweep(base_netlist: Netlist, tap_counts, response_size: int) -> None:
+    """A sweep ``sweep_feed_forward`` cannot run is a ``ValueError``.
+
+    The base design must have 3 lines, the response size must be one of
+    RESPONSE_SIZES, and every tap count must fit the chain.
+    """
+    if base_netlist.design is Design.APUF:
+        raise ValueError("the feed-forward sweep applies to the 3-line designs")
+    check_response_size(response_size)
+    for count in tap_counts:
+        default_ff_taps(base_netlist.stages, int(count))
+
+
 def sweep_feed_forward(
     base_netlist: Netlist,
     tap_counts,
@@ -364,8 +384,7 @@ def sweep_feed_forward(
     Each tap count is measured on fresh populations for every seed; taps are
     spread evenly over the chain via ``default_ff_taps``.
     """
-    if base_netlist.design is Design.APUF:
-        raise ValueError("the feed-forward sweep applies to the 3-line designs")
+    check_feed_forward_sweep(base_netlist, tap_counts, response_size)
     stages = base_netlist.stages
 
     def configure(count):

@@ -6,11 +6,14 @@ Everything here recomputes results through deliberately naive arithmetic
 paths can be checked against an independent derivation.  The only shared
 pieces are the noise streams and the tie bits (``circuit._noise_rng``,
 ``_tie_key``, ``_tie_bits``), which must match bit for bit so that random
-tie breaks are comparable.
+tie breaks are comparable.  The noisy gaps are restated from the stream
+definition (lines - 1 normals per evaluation, in gap space) with the same
+floating-point operations as ``circuit._sample``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -66,25 +69,16 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
             selects = [challenge[stage]] * lines
         times = _oracle_stage(delay, stage, times, selects)
         for point, target in tap_points.get(stage, ()):
-            jitter = sigma * _noise_rng(eval_seed, point).standard_normal((1, lines))[0]
+            gaps = _reference_gaps(np.array([times], dtype=np.float64), sigma, _noise_rng(eval_seed, point))[0]
             tie = _tie_bits(_tie_key(eval_seed, point), 0, 1, 3)[0]
-            sampled = [times[l] + float(jitter[l]) for l in range(lines)]
-            pending[target] = [
-                _oracle_compare(sampled[0], sampled[1], window, int(tie[0])),
-                _oracle_compare(sampled[1], sampled[2], window, int(tie[1])),
-                _oracle_compare(sampled[2], sampled[0], window, int(tie[2])),
-            ]
+            pending[target] = [_oracle_compare(gaps[k], window, int(tie[k])) for k in range(3)]
 
-    jitter = sigma * _noise_rng(eval_seed, 0).standard_normal((1, lines))[0]
-    final = [float(times[l]) + float(jitter[l]) for l in range(lines)]
+    gaps = _reference_gaps(np.array([times], dtype=np.float64), sigma, _noise_rng(eval_seed, 0))[0]
+    tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, len(gaps))[0]
+    q = [_oracle_compare(gaps[k], window, int(tie[k])) for k in range(len(gaps))]
     if lines == 2:
-        tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, 1)[0]
-        return _oracle_compare(final[0], final[1], window, int(tie[0]))
-    tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, 3)[0]
-    q_t = _oracle_compare(final[0], final[1], window, int(tie[0]))
-    q_c = _oracle_compare(final[1], final[2], window, int(tie[1]))
-    q_b = _oracle_compare(final[2], final[0], window, int(tie[2]))
-    return 1 ^ (q_t ^ q_c ^ q_b)
+        return q[0]
+    return 1 ^ (q[0] ^ q[1] ^ q[2])
 
 
 def _fraction_table(device: DeviceInstance) -> list:
@@ -160,29 +154,44 @@ def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) 
                 sel = challenges[:, i]
                 times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
             for point, target in taps_at_stage.get(i, ()):
-                sampled = times + sigma * _noise_rng(eval_seed, point).standard_normal((n_eval, 3))
+                gaps = _reference_gaps(times, sigma, _noise_rng(eval_seed, point))
                 tie = _tie_bits(_tie_key(eval_seed, point), 0, n_eval, 3)
-                pending[target] = _reference_flip_flops(sampled, window, tie)
+                pending[target] = _reference_flip_flops(gaps, window, tie)
 
-    final = times + sigma * _noise_rng(eval_seed, 0).standard_normal((n_eval, lines))
+    gaps = _reference_gaps(times, sigma, _noise_rng(eval_seed, 0))
+    q = _reference_flip_flops(gaps, window, _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, gaps.shape[1]))
     if lines == 2:
-        tie = _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, 1)
-        wins = (final[:, 0] < final[:, 1]).astype(np.uint8)
-        return np.where(np.abs(final[:, 0] - final[:, 1]) <= window, tie[:, 0], wins)
-    q = _reference_flip_flops(final, window, _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, 3))
+        return q[:, 0]
     return 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
 
 
-def _reference_flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
-    """(N, 3) bits (T<C, C<B, B<T) of sampled times; a gap within the window latches the tie bit."""
-    following = sampled[:, [1, 2, 0]]
-    return np.where(np.abs(sampled - following) <= window, tie, (sampled < following).astype(np.uint8))
+def _reference_gaps(times: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """(N, pairs) noisy gaps first - second of (N, lines) clean times.
+
+    (T - C, C - B, B - T) for 3 lines, closed as -(g_TC + g_CB), and
+    (top - bottom) for 2.  Row n reads the stream's normals u (and v) of
+    evaluation n, and each gap's jitter is the difference of two
+    Normal(0, sigma) line jitters written in them.
+    """
+    n_eval, lines = times.shape
+    normals = rng.standard_normal((n_eval, lines - 1))
+    a = sigma * math.sqrt(2.0)
+    g_tc = (times[:, 0] - times[:, 1]) + a * normals[:, 0]
+    if lines == 2:
+        return g_tc[:, None]
+    g_cb = (times[:, 1] - times[:, 2]) + (sigma * math.sqrt(1.5) * normals[:, 1] - a / 2 * normals[:, 0])
+    return np.stack([g_tc, g_cb, -(g_tc + g_cb)], axis=1)
 
 
-def _oracle_compare(first: float, second: float, window: float, tie_bit: int) -> int:
-    if abs(first - second) <= window:
+def _reference_flip_flops(gaps: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
+    """(N, pairs) bits gap < 0 of (N, pairs) gaps; a gap within the window latches the tie bit."""
+    return np.where(np.abs(gaps) <= window, tie, (gaps < 0).astype(np.uint8))
+
+
+def _oracle_compare(gap: float, window: float, tie_bit: int) -> int:
+    if abs(gap) <= window:
         return tie_bit
-    return 1 if first < second else 0
+    return 1 if gap < 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,12 @@ class CrpSet:
         return x, y
 
 
+def check_response_size(size: int) -> None:
+    """A size outside RESPONSE_SIZES is a ``ValueError``."""
+    if size not in RESPONSE_SIZES:
+        raise ValueError(f"response size must be one of {RESPONSE_SIZES}, got {size}")
+
+
 def collect_crps(
     population: list[DeviceInstance],
     num_challenges: int,
@@ -299,8 +305,7 @@ def collect_crps(
         raise ValueError("population must not be empty")
     if num_challenges < 1 or repetitions < 1:
         raise ValueError("challenge and repetition counts must be >= 1")
-    if response_size not in RESPONSE_SIZES:
-        raise ValueError(f"response size must be one of {RESPONSE_SIZES}, got {response_size}")
+    check_response_size(response_size)
     netlist = population[0].netlist
     params = population[0].params
     for dev in population[1:]:

@@ -1,10 +1,12 @@
 import hashlib
+import math
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, multivariate_normal, norm
 
 from papuf import (
     DelayParams,
@@ -12,6 +14,7 @@ from papuf import (
     Netlist,
     clean_arrival_times,
     propagate_many,
+    read_probabilities,
     repeated_reads,
     synthesize_device,
     synthesize_population,
@@ -452,15 +455,109 @@ def test_a_device_scales_its_delays_by_its_own_unit():
     assert np.array_equal(population[:, :3], clean_arrival_times(small, challenges))
 
 
+def _one_pass_over_the_stream(device, challenges, eval_seed):
+    """Response bits restated from the stream definition: lines - 1 normals per row, whole batch at once."""
+    sigma, window = device.params.sigma_noise, device.params.metastability_window
+    times = clean_arrival_times(device, challenges)
+    n_eval, lines = times.shape
+    normals = _noise_rng(eval_seed, 0).standard_normal((n_eval, lines - 1))
+    u = normals[:, 0]
+    a = sigma * math.sqrt(2.0)
+    gaps = [(times[:, 0] - times[:, 1]) + a * u]
+    if lines == 3:
+        v = normals[:, 1]
+        gaps.append((times[:, 1] - times[:, 2]) + (sigma * math.sqrt(1.5) * v - a / 2 * u))
+        gaps.append(-(gaps[0] + gaps[1]))
+    tie = _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, len(gaps))
+    q = [np.where(np.abs(g) <= window, tie[:, k], g < 0) for k, g in enumerate(gaps)]
+    return q[0] if lines == 2 else 1 ^ q[0] ^ q[1] ^ q[2]
+
+
 def test_block_propagation_equals_one_pass_over_the_streams():
     params = DelayParams(sigma_noise=1.5, metastability_window=0.2)
     dev = synthesize_device(params, Netlist(Design.PA_PUF, 64), 5)
     challenges = np.random.default_rng(6).integers(0, 2, size=(3000, 64), dtype=np.uint8)
-    bits = propagate_many(dev, challenges, eval_seed=8)
-    # the terminal streams read row by row, over the whole batch at once
-    final = clean_arrival_times(dev, challenges) + 1.5 * _noise_rng(8, 0).standard_normal((3000, 3))
-    tie = _tie_bits(_tie_key(8, 0), 0, 3000, 3)
-    assert np.array_equal(bits, _arbitrate(final, 0.2, tie))
+    # two normals (u, v) per row: g_TC = dT-C + a*u, g_CB = dC-B + b*v - (a/2)*u, g_BT = -(g_TC + g_CB)
+    assert np.array_equal(propagate_many(dev, challenges, eval_seed=8), _one_pass_over_the_stream(dev, challenges, 8))
+
+
+def test_apuf_block_propagation_reads_one_normal_per_row():
+    params = DelayParams(sigma_noise=1.5, metastability_window=0.2)
+    dev = synthesize_device(params, Netlist(Design.APUF, 64), 5)
+    challenges = np.random.default_rng(6).integers(0, 2, size=(3000, 64), dtype=np.uint8)
+    # one normal u per row: g = (t_top - t_bot) + sigma*sqrt(2)*u
+    assert np.array_equal(propagate_many(dev, challenges, eval_seed=8), _one_pass_over_the_stream(dev, challenges, 8))
+
+
+@pytest.mark.parametrize(
+    "netlist",
+    [Netlist(Design.APUF, 16), Netlist(Design.PA_PUF, 16), Netlist(Design.FF_PA_PUF, 16, ((2, 5), (5, 9)))],
+)
+def test_each_stream_draws_lines_minus_one_normals_per_row(monkeypatch, netlist):
+    real, opened = circuit._noise_rng, []
+
+    def recording(eval_seed, point):
+        opened.append(((eval_seed, point), real(eval_seed, point)))
+        return opened[-1][1]
+
+    monkeypatch.setattr(circuit, "_noise_rng", recording)
+    monkeypatch.setattr(circuit, "BLOCK_VALUES", 96)  # several row blocks
+    dev = synthesize_device(DelayParams(sigma_noise=1.0), netlist, 2)
+    n_eval = 101
+    propagate_many(dev, np.random.default_rng(3).integers(0, 2, size=(n_eval, 16), dtype=np.uint8), eval_seed=4)
+    assert [key for key, _ in opened] == [(4, point) for point in range(len(netlist.ff_taps) + 1)]
+    for key, rng in opened:
+        fresh = real(*key)
+        fresh.standard_normal((netlist.lines - 1) * n_eval)
+        assert rng.standard_normal() == fresh.standard_normal()
+
+
+def test_read_probabilities_equal_the_normal_cdf():
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        sigma = float(rng.uniform(0.3, 8.0))
+        challenges = rng.integers(0, 2, size=(8, 8), dtype=np.uint8)
+        pa = synthesize_device(DelayParams(sigma_noise=sigma), Netlist(Design.PA_PUF, 8), case)
+        times = clean_arrival_times(pa, challenges)
+        # (T-C, C-B, B-T) have variance 2 sigma^2 and pairwise covariance -sigma^2
+        cov = sigma**2 * np.array([[2.0, -1.0], [-1.0, 2.0]])
+        gaps = times - times[:, [1, 2, 0]]
+        expected = [
+            sum(multivariate_normal.cdf([0.0, 0.0], mean=gap[[k, (k + 1) % 3]], cov=cov) for k in range(3))
+            for gap in gaps
+        ]
+        assert np.abs(read_probabilities(pa, challenges) - expected).max() <= 1e-12
+        apuf = synthesize_device(DelayParams(sigma_noise=sigma), Netlist(Design.APUF, 8), case)
+        times = clean_arrival_times(apuf, challenges)
+        expected = norm.cdf(0.0, loc=times[:, 0] - times[:, 1], scale=sigma * math.sqrt(2.0))
+        assert np.abs(read_probabilities(apuf, challenges) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
+def test_flip_rates_match_read_probabilities(design):
+    dev = synthesize_device(DelayParams(sigma_noise=1.953125), Netlist(design, 64), 3)
+    challenges = np.random.default_rng(12).integers(0, 2, size=(1024, 64), dtype=np.uint8)
+    p = read_probabilities(dev, challenges)
+    assert ((p > 0.01) & (p < 0.99)).sum() >= 50  # enough cells that flip
+    reads = 4000
+    ones = repeated_reads(dev, challenges, reads, eval_seed=13).sum(axis=0)
+    # each cell's count of ones lies in the central 4-sigma interval of Binomial(reads, p),
+    # taken exactly, so that cells with p*reads << 1 are judged fairly
+    low, high = binom.interval(1.0 - 2.0 * norm.sf(4.0), reads, p)
+    assert np.all((low <= ones) & (ones <= high))
+
+
+def test_read_probabilities_without_noise_and_their_domain(pa64):
+    challenges = np.random.default_rng(14).integers(0, 2, size=(200, 64), dtype=np.uint8)
+    assert np.array_equal(read_probabilities(pa64, challenges), propagate_many(pa64, challenges))
+    tied = synthesize_device(DelayParams(sigma_process=0.0), Netlist(Design.PA_PUF, 4), 1)
+    assert np.array_equal(read_probabilities(tied, challenges[:, :4]), np.full(200, 0.5))
+    windowed = synthesize_device(DelayParams(sigma_noise=1.0, metastability_window=0.1), Netlist(Design.PA_PUF, 4), 1)
+    with pytest.raises(ValueError, match="window 0"):
+        read_probabilities(windowed, challenges[:, :4])
+    ff = synthesize_device(DelayParams(sigma_noise=1.0), Netlist(Design.FF_PA_PUF, 4, ((0, 2),)), 1)
+    with pytest.raises(ValueError, match="tapless"):
+        read_probabilities(ff, challenges[:, :4])
 
 
 def test_repeated_reads_noiseless_is_constant(pa64):

@@ -165,7 +165,7 @@ def test_sweep_ff_follows_the_configured_design(tmp_path, capsys):
             "--sigma-noise", "2.0", "--taps", "0,2", "--seeds", "1"]
     for design in ([], ["--design", "pa-puf"], ["--design", "ff-pa-puf"]):
         assert run(*argv, *design, "--out-dir", str(tmp_path)) == 0
-        assert capsys.readouterr().out == "0,49.6528,93.5909\n2,49.3056,85.7060\n"
+        assert capsys.readouterr().out == "0,50.0868,93.8223\n2,51.0417,85.9230\n"
     (tmp_path / "sweep_ff.csv").unlink()
     assert run(*argv, "--design", "apuf", "--out-dir", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: the feed-forward sweep applies to the 3-line designs\n"
@@ -555,6 +555,24 @@ def test_invalid_sweep_values_are_checked_before_the_config_is_echoed(tmp_path, 
     assert run("sweep", *command, "--seeds", "1", "--out-dir", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "effective-config.kv").exists()
+
+
+SIZE_ERROR = "response size must be one of (8, 16, 32, 64, 128), got 7"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["crp", "gen", "--response-size", "7"], SIZE_ERROR),
+        (["sweep", "ff", "--response-size", "7", "--seeds", "1"], SIZE_ERROR),
+        (["sweep", "ff", "--design", "apuf", "--seeds", "1"], "the feed-forward sweep applies to the 3-line designs"),
+    ],
+)
+def test_response_size_and_sweep_design_are_checked_before_the_config_is_echoed(tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    assert run(*command, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.glob("*")) == []
 
 
 def test_negative_sweep_tap_count_is_an_error(tmp_path, capsys):

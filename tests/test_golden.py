@@ -10,6 +10,7 @@ digest does not depend on the floating-point library.
 import hashlib
 
 import numpy as np
+import pytest
 
 from papuf import (
     AttackModel,
@@ -33,19 +34,30 @@ MODULE_FILES = {
     "device.txt": "437e2bc5b6fa05f01d8f3b80c36d6da0ac7396bb710f3baa37933784c54f553b",
     "helper.txt": "a99e7f3b31a29523267f09c6a4e07c27844f01de8b1164ad13b33795d2826c32",
     "model.txt": "68abe603b07a3d957e1b544f3023d71ba906c1f0a6a4ee8f25b38fc95a807d9a",
-    "crps.csv": "73d6af92c750a7b65e2e700ca0e29ce464393d7647433ba2b3b67463d3a01698",
+    "crps.csv": "99e45f8a0f11b7b0e499aeabc08d32144db0061bcb7eb441a1d1bc0bf2e3db68",
 }
 
 CLI_FILES = {
     "effective-config.kv": "ffd8621dc1a0a55c360e9ab50d02a95c3534f20d6305e7a2e5cef6b3504cec1c",
-    "crps.csv": "5b354a29ef30dc5e06858f348085584f84ed17ee6f571bb47dceb7fc12afc8a9",
-    "metrics.kv": "79991817b66ea5a5dcfd9ead5dce506a2e7d8dbdcf2d1607737bba05f42f1f13",
+    "crps.csv": "43317860ca19b87c82d8144d8c0c12a777a2f61e1ea86920afd0d44cb03d76cc",
+    "metrics.kv": "c1a8500983db875d1b2fdf676357320a688ab88ecae78d5b8c391d1ba9ff85db",
     "device.txt": "f56cd651501a0976e21e7ed3b78d12e9eab49830d72ea144b509a1058c22ddc6",
-    "helper.txt": "6082f45a99e9d74fc0ef32cce9653dd6c23905bb220503e24044b31ff51ef78c",
+    "helper.txt": "51b40dbed671545a225600a99a017c71d094e8fd52fa1f15ed258156bacb2b48",
     "key.txt": "9e18002added07db62f244fa75cd77000df743cbe2fac2dfe2368a457034ca24",
 }
 
 DEFAULT_CONFIG_HASH = "b67ff8ef3ee1"
+
+# CRP files without noise: every bit is a clean race or, within the 0.5
+# window, a tie bit, so no change of the noise streams may move them.
+NOISELESS_CRPS = {
+    "apuf": ("965cf8e9a6d3be9dd53d40bfd57bb2ccf4f2f3b593bb82ef9223a20662eda4fe", Netlist(Design.APUF, 16)),
+    "pa-puf": ("1b39a5790b8691750e2d96a30c44428110929de7ea3921a1b570f1ed76533d1b", Netlist(Design.PA_PUF, 16)),
+    "ff-pa-puf": (
+        "e0b31d7076d6f10dc966ff13bab7c7e40098197795fadaa2d2b19779f594df55",
+        Netlist(Design.FF_PA_PUF, 16, ((2, 5), (5, 9))),
+    ),
+}
 
 
 def _digests(directory, names):
@@ -86,6 +98,14 @@ def test_cli_files_are_byte_stable(tmp_path):
     assert main(["keygen", "enroll", "--device", str(tmp_path / "device.txt"), "--seed", "4",
                  "--out-dir", out, "--helper-out", str(tmp_path / "helper.txt")]) == 0
     assert _digests(tmp_path, CLI_FILES) == CLI_FILES
+
+
+@pytest.mark.parametrize("design", sorted(NOISELESS_CRPS))
+def test_noiseless_crp_files_are_byte_stable(tmp_path, design):
+    digest, netlist = NOISELESS_CRPS[design]
+    population = synthesize_population(DelayParams(sigma_noise=0.0, metastability_window=0.5), netlist, 3, 21)
+    save_crps(collect_crps(population, 12, 3, 16, 23), tmp_path / "crps.csv")
+    assert _digests(tmp_path, ["crps.csv"]) == {"crps.csv": digest}
 
 
 def test_default_config_hash_is_pinned():
