@@ -497,11 +497,13 @@ def repeated_reads(
     challenges: np.ndarray,
     repetitions: int,
     eval_seed: int = 0,
+    clean: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate the same challenge batch ``repetitions`` times; (R, N) bits.
 
     Tapless designs compute the clean arrival times once, through
-    ``clean_arrival_times``, and read the R*N repetition-major rows through
+    ``clean_arrival_times``, or take them as ``clean`` from a caller that
+    already has them, and read the R*N repetition-major rows through
     the shared sampler from the noise stream and tie key of ``eval_seed``.
     Each block holds whole repetitions, about BLOCK_VALUES values, so the
     bits equal ``propagate_many(device, np.tile(challenges, (R, 1)),
@@ -519,7 +521,8 @@ def repeated_reads(
         for r in range(repetitions):
             reads[r] = propagate_many(device, challenges, derive_seed(eval_seed, "rep", r))
         return reads
-    clean = clean_arrival_times(device, challenges)
+    if clean is None:
+        clean = clean_arrival_times(device, challenges)
     n_eval, lines = clean.shape
     per_line = list(np.ascontiguousarray(clean.T))
     streams = [(_noise_rng(eval_seed, 0), _tie_key(eval_seed, 0))]

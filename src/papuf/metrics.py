@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import as_bits
-from .circuit import repeated_reads
+from .circuit import clean_arrival_times, repeated_reads
 from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
 from .response import (
@@ -257,13 +257,32 @@ CALIBRATION_TOLERANCE = 0.25
 CALIBRATION_MAX_ITERATIONS = 60
 
 
-def measure_reliability(device: DeviceInstance, eval_seed: int = 0) -> float:
-    """Monte-Carlo reliability of one device: percent agreement of repeated
-    reads with the majority-vote enrollment response."""
-    stages = device.netlist.stages
+def _reliability_challenges(stages: int, eval_seed: int) -> np.ndarray:
+    """The expanded challenges of one reliability measurement, (C*n, stages)."""
     seeds = random_seed_challenges(stages, RELIABILITY_CHALLENGES, derive_seed(eval_seed, "rel-chal"))
-    expanded = expand_many(seeds, RELIABILITY_RESPONSE_SIZE).reshape(-1, stages)
-    reads = repeated_reads(device, expanded, RELIABILITY_REPETITIONS, derive_seed(eval_seed, "rel-reads"))
+    return expand_many(seeds, RELIABILITY_RESPONSE_SIZE).reshape(-1, stages)
+
+
+def measure_reliability(
+    device: DeviceInstance,
+    eval_seed: int = 0,
+    *,
+    challenges: np.ndarray | None = None,
+    clean: np.ndarray | None = None,
+) -> float:
+    """Monte-Carlo reliability of one device: percent agreement of repeated
+    reads with the majority-vote enrollment response.
+
+    The reads answer the expanded challenges of ``eval_seed``.  A caller
+    that has already computed them, and for a tapless device their clean
+    arrival times, passes them as ``challenges`` and ``clean``; neither
+    depends on sigma_noise.
+    """
+    if challenges is None:
+        challenges = _reliability_challenges(device.netlist.stages, eval_seed)
+    reads = repeated_reads(
+        device, challenges, RELIABILITY_REPETITIONS, derive_seed(eval_seed, "rel-reads"), clean=clean
+    )
     return _agreement(reads, majority_vote(reads[: _enrollment_votes(RELIABILITY_REPETITIONS)]))
 
 
@@ -271,17 +290,25 @@ def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed
     """Bisect sigma_noise until the device's simulated reliability is within
     ``CALIBRATION_TOLERANCE`` of the target.
 
-    All probes reuse the same evaluation seed, so jitter draws are common
-    random numbers scaled by sigma and the probe function is monotone in
-    practice.  A target of 100 is satisfied exactly by sigma_noise = 0.
+    Every probe is one ``measure_reliability`` call at the probed sigma.
+    Only sigma_noise changes between probes, so the expanded reliability
+    challenges and, for a tapless device, their clean arrival times are
+    computed once, before the bisection, and shared; a probe then only
+    draws, latches and votes.  All probes reuse the same evaluation seed,
+    so jitter draws are common random numbers scaled by sigma and the
+    probe function is monotone in practice.  A target of 100 is satisfied
+    exactly by sigma_noise = 0.
     """
     if not 50.0 < target_reliability <= 100.0:
         raise CalibrationError(f"target reliability must be in (50, 100], got {target_reliability}")
     if target_reliability == 100.0:
         return CalibrationResult(0.0, 100.0, 100.0, 0)
+    challenges = _reliability_challenges(device.netlist.stages, eval_seed)
+    clean = None if device.netlist.ff_taps else clean_arrival_times(device, challenges)
 
     def probe(sigma: float) -> float:
-        return measure_reliability(device.with_params(device.params.with_noise(sigma)), eval_seed=eval_seed)
+        noisy = device.with_params(device.params.with_noise(sigma))
+        return measure_reliability(noisy, eval_seed=eval_seed, challenges=challenges, clean=clean)
 
     lo, hi = SIGMA_SEARCH_BOUNDS
     rel_lo = probe(lo)

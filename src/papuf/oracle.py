@@ -8,7 +8,10 @@ pieces are the noise streams and the tie bits (``circuit._noise_rng``,
 ``_tie_key``, ``_tie_bits``), which must match bit for bit so that random
 tie breaks are comparable.  The noisy gaps are restated from the stream
 definition (lines - 1 normals per evaluation, in gap space) with the same
-floating-point operations as ``circuit._sample``.
+floating-point operations as ``circuit._sample``.  The CRP-file reader
+shares the header schema and the field rules (``hex_to_bits``,
+``response._decimal_to_int``) with ``load_crps`` and restates the record
+table: its lines, their order, the cells and their checks.
 """
 
 from __future__ import annotations
@@ -19,10 +22,20 @@ from itertools import product
 
 import numpy as np
 
+from . import kvfile
 from .bch import BchCode
 from .circuit import _noise_rng, _tie_bits, _tie_key
 from .device import DeviceInstance
-from .response import LFSR_TAPS, lfsr_stride
+from .response import (
+    _CRP_HEADER,
+    CRP_COLUMNS,
+    LFSR_TAPS,
+    CrpSet,
+    _crp_set,
+    _decimal_to_int,
+    hex_to_bits,
+    lfsr_stride,
+)
 
 MAX_ORACLE_STAGES = 4
 MAX_ORACLE_CODE_LENGTH = 15
@@ -286,3 +299,62 @@ def reference_expand(seeds, count: int) -> np.ndarray:
             sequence.append(state)
         out.append(sequence)
     return np.array(out, dtype=np.uint8).reshape(len(out), count, -1)
+
+
+# ---------------------------------------------------------------------------
+# CRP files read one line at a time
+
+
+def reference_load_crps(path) -> CrpSet:
+    """``response.load_crps`` as a line-by-line reader over Python dicts.
+
+    Each stripped, non-blank line is split and checked field by field in
+    record order (columns, repetition, response_bits_len, response hex,
+    challenge hex, then the cell), so the first bad line raises, as in
+    ``load_crps``.  The field rules are ``_decimal_to_int`` and
+    ``hex_to_bits``; records are kept per (device id, challenge bits,
+    repetition) cell and arranged at the end.
+    """
+    cells: dict[tuple[str, bytes, int], np.ndarray] = {}
+    challenges: dict[bytes, np.ndarray] = {}  # first-seen order
+    n_bits = None
+    with open(path, encoding="utf-8") as handle:
+        lines = enumerate(handle, 1)
+        header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=lines)
+        stages = header["# netlist"].stages
+        for number, raw in lines:
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                fields = line.split(",")
+                if len(fields) != 5:
+                    raise ValueError(f"expected {CRP_COLUMNS}, got {line!r}")
+                device_id, chal_hex, rep_text, resp_hex, length = fields
+                rep = _decimal_to_int(rep_text, "repetition")
+                bits = _decimal_to_int(length, "response_bits_len")
+                if bits == 0:
+                    raise ValueError("response_bits_len must be positive")
+                n_bits = bits if n_bits is None else n_bits
+                if bits != n_bits:
+                    raise ValueError(f"record is not {n_bits} bits long")
+                response = hex_to_bits(resp_hex, n_bits)
+                challenge = hex_to_bits(chal_hex, stages)
+                cell = (device_id, challenge.tobytes(), rep)
+                if cell in cells:
+                    raise ValueError(f"duplicate record for ({device_id}, {chal_hex}, {rep})")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+            cells[cell] = response
+            challenges.setdefault(challenge.tobytes(), challenge)
+    if not cells:
+        raise ValueError(f"no CRP records in {path}")
+    device_ids = sorted({device_id for device_id, _, _ in cells})
+    repetitions = max(rep for _, _, rep in cells) + 1
+    if len(cells) != len(device_ids) * len(challenges) * repetitions:
+        raise ValueError(f"{path}: missing (device, challenge, repetition) records")
+    responses = [
+        [[cells[device_id, key, rep] for rep in range(repetitions)] for key in challenges]
+        for device_id in device_ids
+    ]
+    return _crp_set(header, device_ids, np.stack(list(challenges.values())), np.array(responses, dtype=np.uint8))

@@ -10,10 +10,10 @@ from __future__ import annotations
 import functools
 import math
 import string
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kvfile
 from .bch import as_bits
@@ -370,10 +370,56 @@ def hex_to_bits(text: str, n_bits: int) -> np.ndarray:
     return bits[:n_bits]
 
 
+# Longest repetition or response_bits_len field; every such number fits int64.
+MAX_DECIMAL_DIGITS = 18
+
+
+def _decimal_to_int(text: str, name: str) -> int:
+    """A count written as 1 to MAX_DECIMAL_DIGITS ASCII decimal digits."""
+    if not (0 < len(text) <= MAX_DECIMAL_DIGITS and text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be 1 to {MAX_DECIMAL_DIGITS} decimal digits, got {text!r}")
+    return int(text)
+
+
 CRP_COLUMNS = "device_id,challenge_hex,repetition,response_hex,response_bits_len"
+
+_CRP_HEADER = {
+    "# netlist": Netlist.parse,
+    "# params": DelayParams.parse,
+    "# master_eval_seed": (int, 0),
+    "# challenge_mode": (str, "random"),
+    "# config": (str, None),
+}
+
+
+def _crp_set(header: dict, device_ids: list[str], challenges: np.ndarray, responses: np.ndarray) -> CrpSet:
+    """The CrpSet of a checked CRP-file header and its parsed records."""
+    return CrpSet(
+        device_ids=device_ids,
+        challenges=challenges,
+        responses=responses,
+        netlist=header["# netlist"],
+        params=header["# params"],
+        master_eval_seed=header["# master_eval_seed"],
+        challenge_mode=header["# challenge_mode"],
+        extra_header={} if header["# config"] is None else {"config": header["# config"]},
+    )
+
+
+def _hex_digits(bits: np.ndarray) -> np.ndarray:
+    """ASCII hex digits of every row of a bit array, (..., 2 * ceil(n / 8)) uint8,
+    as ``bits_to_hex`` writes them: one ``np.packbits`` and one ``.hex()``."""
+    text = np.packbits(bits, axis=-1).tobytes().hex().encode()
+    return np.frombuffer(text, dtype=np.uint8).reshape(*bits.shape[:-1], -1)
 
 
 def save_crps(crps: CrpSet, path) -> None:
+    """Write one record per (device, challenge, repetition), in that order.
+
+    The records of one device are a byte matrix with one row per challenge
+    holding its R records side by side: the hex columns of ``_hex_digits``
+    between constant columns (device id, repetition, size, separators).
+    """
     header = {
         **crps.extra_header,
         "netlist": crps.netlist.describe(),
@@ -383,93 +429,199 @@ def save_crps(crps: CrpSet, path) -> None:
         "challenge_mode": crps.challenge_mode,
         "master_eval_seed": crps.master_eval_seed,
     }
-    chal_hexes = [bits_to_hex(challenge) for challenge in crps.challenges]
-    records = (
-        f"{device_id},{chal_hex},{r},{bits_to_hex(crps.responses[d, c, r])},{crps.response_size}"
-        for d, device_id in enumerate(crps.device_ids)
-        for c, chal_hex in enumerate(chal_hexes)
-        for r in range(crps.repetitions)
-    )
-    kvfile.write(path, "crp", {}, header, marker=CRP_COLUMNS, table=records)
+    chal_hex, resp_hex = _hex_digits(crps.challenges), _hex_digits(crps.responses)
+
+    def constant(text: str) -> np.ndarray:
+        encoded = np.frombuffer(text.encode(), dtype=np.uint8)
+        return np.broadcast_to(encoded, (crps.n_challenges, encoded.size))
+
+    blocks = []
+    for d, device_id in enumerate(crps.device_ids):
+        columns = []
+        for r in range(crps.repetitions):
+            columns += [constant(f"{device_id},"), chal_hex, constant(f",{r},"), resp_hex[d, :, r],
+                        constant(f",{crps.response_size}\n")]
+        blocks.append(np.hstack(columns).tobytes())
+    records = b"".join(blocks).decode()
+    kvfile.write(path, "crp", {}, header, marker=CRP_COLUMNS, table=[records.removesuffix("\n")])
+
+
+# Value of every byte as a hex digit; 16 marks a byte that is not one.
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [*range(16), *range(10, 16)]
+
+
+# The ASCII characters that ``str.strip`` removes.
+_SPACE = np.array([chr(byte).isspace() for byte in range(256)]) & (np.arange(256) < 128)
+
+
+def _decimal_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Values of the fields buf[starts:ends] and which of them ``_decimal_to_int`` accepts.
+
+    One pass per digit position, at most MAX_DECIMAL_DIGITS, over all fields.
+    """
+    widths = ends - starts
+    ok = (widths > 0) & (widths <= MAX_DECIMAL_DIGITS)
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(widths[ok].max(initial=0))):
+        inside = k < widths
+        digit = buf[np.minimum(starts + k, buf.size - 1)] - np.uint8(ord("0"))  # wraps above 9
+        ok &= ~inside | (digit <= 9)
+        values = np.where(inside, values * 10 + digit, values)
+    return values, ok
+
+
+def _hex_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, n_bits: int):
+    """Bytes of the fields buf[starts:ends], (N, ceil(n_bits / 8)), and which of
+    them ``hex_to_bits`` accepts; the bytes are None when it accepts none."""
+    n_bytes = (n_bits + 7) // 8
+    ok = ends - starts == 2 * n_bytes
+    if not ok.any():
+        return None, ok
+    digits = _HEX_VALUE[sliding_window_view(buf, 2 * n_bytes)[np.where(ok, starts, 0)]]
+    if digits.max() > 15:
+        ok &= digits.max(axis=1) < 16
+    packed = digits[:, 0::2] << 4 | digits[:, 1::2]
+    ok &= (packed[:, -1] & ((1 << (8 * n_bytes - n_bits)) - 1)) == 0
+    return packed, ok
+
+
+def _first_seen_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of a (N, k) uint8 array, in
+    first-seen order, and each row's index among them."""
+    _, first, group = np.unique(rows.view(f"S{rows.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty(seen.size, dtype=np.intp)
+    rank[seen] = np.arange(seen.size)
+    return first[seen], rank[group]
+
+
+def _device_groups(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct device ids buf[starts:ends], sorted, and each field's index among them.
+
+    Fields are compared as their zero-padded bytes followed by their length,
+    so an id ending in NUL stays apart from the same id without it.
+    """
+    widths = ends - starts
+    width = int(widths.max())
+    rows = sliding_window_view(np.append(buf, np.zeros(width, np.uint8)), width)[starts]
+    rows[np.arange(width) >= widths[:, None]] = 0
+    first, group = _first_seen_groups(np.hstack([rows, widths.astype(">u4").view(np.uint8).reshape(-1, 4)]))
+    names = [buf[starts[j] : ends[j]].tobytes().decode() for j in first]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[order] = np.arange(len(names))
+    return [names[i] for i in order], rank[group]
+
+
+def _rule_error(rule, *args) -> str:
+    """The message of the ``ValueError`` that ``rule(*args)`` raises."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise RuntimeError(f"a column check and {rule.__name__}{args!r} disagree")
+
+
+def _parse_records(path, text: str, first_line: int, stages: int):
+    """Device ids, challenges and (D, C, R, n) responses of a CRP record table.
+
+    ``text`` is the table, whose first line is line ``first_line`` of the
+    file.  Lines are stripped as ``str.strip`` does, and the table is one
+    byte buffer: line and comma positions come from ``np.flatnonzero``,
+    and every field is checked and decoded as a column.  The checks run in
+    the order a record is read; each looks only at the records before the
+    first failure so far, so the failure reported is that of the first bad
+    record, as a line-by-line reader finds it.
+    """
+
+    def lines(text: str):
+        buf = np.frombuffer(text.encode(), dtype=np.uint8)
+        breaks = np.flatnonzero(buf == ord("\n"))
+        return buf, np.append(0, breaks + 1), np.append(breaks, buf.size)
+
+    buf, starts, ends = lines(text)
+    nonblank = np.flatnonzero(ends > starts)
+    # Only a line that starts or ends in whitespace, or non-ASCII text, needs stripping.
+    if not text.isascii() or _SPACE[buf[starts[nonblank]]].any() or _SPACE[buf[ends[nonblank] - 1]].any():
+        buf, starts, ends = lines("\n".join(map(str.strip, text.split("\n"))))
+        nonblank = np.flatnonzero(ends > starts)
+    if not nonblank.size:
+        raise ValueError(f"no CRP records in {path}")
+    starts, ends = starts[nonblank], ends[nonblank]
+    commas = np.flatnonzero(buf == ord(","))
+    first_comma = np.searchsorted(commas, starts)
+
+    def text_of(start, end) -> str:
+        return buf[start:end].tobytes().decode()
+
+    n, failure = starts.size, ""  # records before the first failing one, and its error
+
+    def check(bad: np.ndarray, describe) -> None:
+        nonlocal n, failure
+        hit = np.flatnonzero(bad[:n])
+        if hit.size:
+            n, failure = int(hit[0]), describe(int(hit[0]))
+        if failure and n == 0:
+            raise ValueError(f"{path}, line {first_line + nonblank[n]}: {failure}")
+
+    check(np.searchsorted(commas, ends) - first_comma != 4,
+          lambda j: f"expected {CRP_COLUMNS}, got {text_of(starts[j], ends[j])!r}")
+    cut = commas[first_comma[:n, None] + np.arange(4)].T
+    field_starts, field_ends = [starts[:n], *(cut + 1)], [*cut, ends[:n]]
+
+    def field(j: int, k: int) -> str:
+        return text_of(field_starts[k][j], field_ends[k][j])
+
+    reps, ok = _decimal_columns(buf, field_starts[2], field_ends[2])
+    check(~ok, lambda j: _rule_error(_decimal_to_int, field(j, 2), "repetition"))
+    sizes, ok = _decimal_columns(buf, field_starts[4], field_ends[4])
+    check(~ok, lambda j: _rule_error(_decimal_to_int, field(j, 4), "response_bits_len"))
+    check(sizes == 0, lambda j: "response_bits_len must be positive")
+    n_bits = int(sizes[0])
+    check(sizes != n_bits, lambda j: f"record is not {n_bits} bits long")
+    packed, ok = _hex_columns(buf, field_starts[3], field_ends[3], n_bits)
+    check(~ok, lambda j: _rule_error(hex_to_bits, field(j, 3), n_bits))
+    chal_bytes, ok = _hex_columns(buf, field_starts[1], field_ends[1], stages)
+    check(~ok, lambda j: _rule_error(hex_to_bits, field(j, 1), stages))
+
+    device_ids, device = _device_groups(buf, field_starts[0][:n], field_ends[0][:n])
+    chal_bytes = chal_bytes[:n]
+    first, chal = _first_seen_groups(chal_bytes)
+    pair = device * first.size + chal
+    reps = reps[:n]
+    # Cell order; a stable sort keeps an earlier record ahead of its duplicates.
+    order = np.lexsort((reps, pair))
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[order[1:][(np.diff(pair[order]) == 0) & (np.diff(reps[order]) == 0)]] = True
+    check(duplicate, lambda j: f"duplicate record for ({field(j, 0)}, {field(j, 1)}, {reps[j]})")
+    if failure:
+        raise ValueError(f"{path}, line {first_line + nonblank[n]}: {failure}")
+    shape = (len(device_ids), first.size, int(reps.max()) + 1)
+    if math.prod(shape) != n:
+        raise ValueError(f"{path}: missing (device, challenge, repetition) records")
+    challenges = np.unpackbits(chal_bytes[first], axis=1, count=stages)
+    responses = np.unpackbits(packed[order], axis=1, count=n_bits).reshape(*shape, n_bits)
+    return device_ids, challenges, responses
 
 
 def load_crps(path) -> CrpSet:
     """Read a CRP file written by ``save_crps`` (or a hardware dump in its format).
 
-    Records are parsed straight into packed response bytes plus their
-    (device, challenge, repetition) cell; device ids come out sorted and
-    challenges in first-seen order.  Every cell must appear exactly once.
-    A malformed record is a ``ValueError`` naming the file and line.
+    Lines are stripped and blank ones skipped; records may come in any
+    order.  A record is device_id,challenge_hex,repetition,response_hex,
+    response_bits_len: both hex fields hold exactly the hex digits of their
+    bytes with zero padding bits, as ``hex_to_bits`` requires, and both
+    counts are 1 to MAX_DECIMAL_DIGITS ASCII decimal digits.  Device ids
+    come out sorted and challenges in first-seen order.  Every (device,
+    challenge, repetition) cell must appear exactly once.  A bad record is a
+    ``ValueError`` naming the file and its line, counting blank lines.
+    The table is parsed as whole columns (``_parse_records``);
+    ``oracle.reference_load_crps`` is the line-by-line reference.
     """
-    schema = {
-        "# netlist": Netlist.parse,
-        "# params": DelayParams.parse,
-        "# master_eval_seed": (int, 0),
-        "# challenge_mode": (str, "random"),
-        "# config": (str, None),
-    }
-    device_first: dict[str, int] = {}  # first-seen index per device id
-    chal_first: dict[str, int] = {}  # first-seen index per challenge hex
-    challenges = []  # challenge bits in first-seen order
-    cells = array("q")  # device, challenge, repetition of each record, in file order
-    packed = bytearray()
-    n_bits = n_bytes = 0
     with open(path, encoding="utf-8") as handle:
-        lines = enumerate(handle, 1)
-        header = kvfile.read(handle, schema, marker=CRP_COLUMNS, lines=lines)
-        stages = header["# netlist"].stages
-        for number, raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                fields = line.split(",")
-                if len(fields) != 5:
-                    raise ValueError(f"expected {CRP_COLUMNS}, got {line!r}")
-                device_id, chal_hex, rep_text, resp_hex, length = fields
-                rep, bits = int(rep_text), int(length)
-                if not cells:
-                    n_bits, n_bytes = bits, (bits + 7) // 8
-                response = bytes.fromhex(resp_hex)
-                if bits != n_bits or len(response) != n_bytes:
-                    raise ValueError(f"record is not {n_bits} bits long")
-                if rep < 0:
-                    raise ValueError(f"negative repetition {rep}")
-                if chal_hex not in chal_first:
-                    challenges.append(hex_to_bits(chal_hex, stages))
-                    chal_first[chal_hex] = len(chal_first)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
-            device = device_first.setdefault(device_id, len(device_first))
-            cells.extend((device, chal_first[chal_hex], rep))
-            packed += response
-    if not cells:
-        raise ValueError(f"no CRP records in {path}")
-    device_ids = sorted(device_first)
-    chal_hexes = list(chal_first)
-    sorted_rank = np.empty(len(device_ids), dtype=np.int64)
-    sorted_rank[[device_first[v] for v in device_ids]] = np.arange(len(device_ids))
-    dev, chal, rep = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3).T
-    dev = sorted_rank[dev]
-    repetitions = int(rep.max()) + 1
-    shape = (len(device_ids), len(chal_hexes), repetitions)
-    flat = np.ravel_multi_index((dev, chal, rep), shape)
-    # First record of every cell present, in cell order.
-    _, first = np.unique(flat, return_index=True)
-    if first.size < flat.size:
-        i = np.setdiff1d(np.arange(flat.size), first)[0]
-        raise ValueError(f"duplicate record for ({device_ids[dev[i]]}, {chal_hexes[chal[i]]}, {rep[i]})")
-    if first.size < math.prod(shape):
-        raise ValueError("missing (device, challenge, repetition) records")
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, n_bytes)[first]
-    responses = np.unpackbits(rows, axis=1, count=n_bits).reshape(*shape, n_bits)
-    return CrpSet(
-        device_ids=device_ids,
-        challenges=np.stack(challenges),
-        responses=responses,
-        netlist=header["# netlist"],
-        params=header["# params"],
-        master_eval_seed=header["# master_eval_seed"],
-        challenge_mode=header["# challenge_mode"],
-        extra_header={} if header["# config"] is None else {"config": header["# config"]},
-    )
+        numbered = enumerate(handle, 1)
+        header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=numbered)
+        first_line, text = next(numbered, (0, ""))
+        text += handle.read()
+    return _crp_set(header, *_parse_records(path, text, first_line, header["# netlist"].stages))

@@ -371,7 +371,8 @@ def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, ca
 
 @pytest.mark.parametrize(
     "record",
-    ["garbage", "d0000,zz,0,ab,8", "d0000,abc,0,ab,8", "d0000,abcd,0,zz,8", "d0000,abcd,x,ab,8"],
+    ["garbage", "d0000,zz,0,ab,8", "d0000,abc,0,ab,8", "d0000,abcd,0,zz,8", "d0000,abcd,x,ab,8",
+     "d0000,abcd," + "1" + "0" * 30 + ",ab,8"],
 )
 def test_malformed_crp_record_names_the_file_and_the_line(tmp_path, capsys, record):
     path = tmp_path / "crps.csv"

@@ -22,11 +22,15 @@ from papuf import (
     uniformity,
     uniqueness,
 )
+from papuf import circuit, metrics
 from papuf.circuit import repeated_reads
 from papuf.metrics import (
+    CALIBRATION_MAX_ITERATIONS,
+    CALIBRATION_TOLERANCE,
     RELIABILITY_CHALLENGES,
     RELIABILITY_REPETITIONS,
     RELIABILITY_RESPONSE_SIZE,
+    SIGMA_SEARCH_BOUNDS,
     _population_metrics,
     bit_aliasing,
     enrollment_responses,
@@ -302,6 +306,39 @@ def test_calibrate_hits_target_and_monotone(pa64):
     calibrated = pa64.with_params(pa64.params.with_noise(result.sigma_noise))
     doubled = pa64.with_params(pa64.params.with_noise(2 * result.sigma_noise))
     assert measure_reliability(doubled, eval_seed=1) < measure_reliability(calibrated, eval_seed=1)
+
+
+@pytest.mark.parametrize(
+    "netlist",
+    [Netlist(Design.APUF, 64), Netlist(Design.PA_PUF, 64), Netlist(Design.FF_PA_PUF, 16, ((4, 8), (8, 12)))],
+)
+def test_calibration_equals_a_bisection_over_measure_reliability(monkeypatch, netlist):
+    # calibrate_noise shares the challenges and clean times between its
+    # probes; the bisection here measures every probe on its own
+    device = synthesize_device(DelayParams(), netlist, 8)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return circuit.clean_arrival_times(*args)
+
+    monkeypatch.setattr(metrics, "clean_arrival_times", counted)
+    result = calibrate_noise(95.37, device, eval_seed=6)
+    assert len(calls) == (0 if netlist.ff_taps else 1)
+
+    def at(sigma):
+        return measure_reliability(device.with_params(device.params.with_noise(sigma)), eval_seed=6)
+
+    assert result.achieved_reliability == at(result.sigma_noise)
+    lo, hi = SIGMA_SEARCH_BOUNDS
+    assert at(lo) + CALIBRATION_TOLERANCE >= 95.37 >= at(hi) - CALIBRATION_TOLERANCE
+    for iteration in range(1, CALIBRATION_MAX_ITERATIONS + 1):
+        mid = 0.5 * (lo + hi)
+        rel = at(mid)
+        if abs(rel - 95.37) <= CALIBRATION_TOLERANCE:
+            break
+        lo, hi = (mid, hi) if rel > 95.37 else (lo, mid)
+    assert (result.sigma_noise, result.achieved_reliability, result.iterations) == (mid, rel, iteration)
 
 
 def test_measure_reliability_consistent_with_crp_reliability(pa64):

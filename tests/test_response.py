@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from papuf import (
+    CrpSet,
     DelayParams,
     propagate_many,
     Design,
@@ -17,7 +20,7 @@ from papuf import (
 )
 from papuf import circuit
 from papuf.netlist import default_ff_taps
-from papuf.oracle import reference_expand, reference_propagate
+from papuf.oracle import reference_expand, reference_load_crps, reference_propagate
 from papuf.response import (
     EXPAND_BLOCK_VALUES,
     LFSR_TAPS,
@@ -432,3 +435,111 @@ def test_crp_loader_accepts_any_record_order_and_rejects_gaps(tmp_path):
     path.write_text("\n".join(head + records[:-1]) + "\n")
     with pytest.raises(ValueError, match="missing"):
         load_crps(path)
+
+
+def _one_record_file(tmp_path, response_hex):
+    """A 1-record CRP file of 12-bit responses whose response field is ``response_hex``."""
+    crps = CrpSet(["dev-0"], np.ones((1, 16), dtype=np.uint8), np.ones((1, 1, 1, 12), dtype=np.uint8),
+                  Netlist(Design.PA_PUF, 16), DelayParams(), 0)
+    path = tmp_path / "crps.csv"
+    save_crps(crps, path)
+    text = path.read_text()
+    assert text.endswith(",fff0,12\n")
+    path.write_text(text.replace(",fff0,12\n", f",{response_hex},12\n"))
+    return path, len(text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "response_hex,message",
+    [
+        ("ffff", "nonzero padding bits after bit 12 in 'ffff'"),
+        ("fff1", "nonzero padding bits after bit 12 in 'fff1'"),
+        (" fff0", "expected 4 hex digits for 12 bits, got ' fff0'"),
+        ("ff f0", "expected 4 hex digits for 12 bits, got 'ff f0'"),
+        ("fff", "expected 4 hex digits for 12 bits, got 'fff'"),
+    ],
+)
+def test_response_hex_follows_the_challenge_rule(tmp_path, response_hex, message):
+    # zero padding bits and no stray whitespace, so that save, load and save
+    # again stays byte-identical
+    path, line = _one_record_file(tmp_path, response_hex)
+    for parse in (load_crps, reference_load_crps):
+        with pytest.raises(ValueError) as exc:
+            parse(path)
+        assert str(exc.value) == f"{path}, line {line}: {message}"
+    path, _ = _one_record_file(tmp_path, "FFF0")
+    assert load_crps(path).responses.all()
+
+
+def _crp_file(data, path) -> bytes:
+    """A valid CRP file: records shuffled, blank lines, whitespace around
+    some lines and mixed LF/CRLF line ends, each kind drawn per file."""
+    stages = data.draw(st.sampled_from([6, 16, 64]), label="stages")
+    n_bits = data.draw(st.integers(8, 128), label="n_bits")
+    reps = data.draw(st.sampled_from([1, 2, 10, 12]), label="repetitions")
+    ids = data.draw(st.lists(st.text("ab-_019", min_size=1, max_size=9), min_size=1, max_size=3, unique=True))
+    blank, lead, trail = (data.draw(st.sampled_from(["", " ", "\t", "\x0b\x1c"]), label=label)
+                          for label in ("blank line", "leading space", "trailing space"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    challenges = random_seed_challenges(stages, data.draw(st.integers(1, 4), label="challenges"), seed)
+    responses = rng.integers(0, 2, size=(len(ids), challenges.shape[0], reps, n_bits), dtype=np.uint8)
+    save_crps(CrpSet(ids, challenges, responses, Netlist(Design.PA_PUF, stages), DelayParams(), seed), path)
+    lines = path.read_text().splitlines()
+    start = lines.index("device_id,challenge_hex,repetition,response_hex,response_bits_len") + 1
+    records = [lines[start + i] for i in rng.permutation(len(lines) - start)]
+    records = [lead * rng.integers(0, 2) + line + trail * rng.integers(0, 2) for line in records]
+    for _ in range(rng.integers(0, 4)):
+        records.insert(int(rng.integers(0, len(records) + 1)), blank)
+    ends = rng.choice(["\n", "\r\n"], size=start + len(records))
+    return "".join(line + end for line, end in zip(lines[:start] + records, ends)).encode()
+
+
+def _parsed(parse, path):
+    """What ``parse`` makes of a file: its CrpSet's contents, or its error."""
+    try:
+        crps = parse(path)
+    except ValueError as exc:
+        return str(exc)
+    return (crps.device_ids, crps.challenges.shape, crps.challenges.tobytes(), crps.responses.shape,
+            crps.responses.tobytes(), crps.netlist, crps.params, crps.master_eval_seed, crps.challenge_mode,
+            crps.extra_header)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_load_crps_equals_the_line_by_line_reference(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("crp") / "crps.csv"
+    path.write_bytes(_crp_file(data, path))
+    loaded = _parsed(load_crps, path)
+    assert not isinstance(loaded, str), loaded
+    assert loaded == _parsed(reference_load_crps, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_crps_equals_the_reference_on_mutations(tmp_path_factory, data):
+    # one byte replaced, inserted or deleted, or one line repeated elsewhere
+    # or dropped: both parsers return the same set, or raise the same error
+    # on the same line
+    path = tmp_path_factory.mktemp("crp") / "crps.csv"
+    text = bytearray(_crp_file(data, path))
+    table = text.index(b"\n", text.index(b"response_bits_len")) + 1  # the header is kvfile's
+    pick = data.draw(st.randoms())
+    at = pick.randrange(table, len(text))
+    byte = data.draw(st.sampled_from(b"019afAFgz,- \t\r\n\x00\x1c\xff"), label="byte")
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "repeat line", "drop line"]), label="edit")
+    if edit == "replace":
+        text[at] = byte
+    elif edit == "insert":
+        text.insert(at, byte)
+    elif edit == "delete":
+        del text[at]
+    else:
+        lines = text[table:].splitlines(keepends=True)
+        line = lines.pop(pick.randrange(len(lines)))
+        for _ in range(2 if edit == "repeat line" else 0):
+            lines.insert(pick.randrange(len(lines) + 1), line)
+        text[table:] = b"".join(lines)
+    path.write_bytes(bytes(text))
+    assert _parsed(load_crps, path) == _parsed(reference_load_crps, path)
