@@ -297,7 +297,7 @@ def save_model(model: AttackModel, path, extra_header: dict | None = None) -> No
 def load_model(path) -> AttackModel:
     schema = {"features": str, "stages": int, **_METADATA,
               "weights": lambda text: np.array([float(v) for v in text.split()])}
-    with open(path, encoding="utf-8") as handle:
+    with kvfile.open_text(path) as handle:
         fields = kvfile.read(handle, schema)
     feature_map = FeatureMap(fields["features"], fields["stages"])
     if fields["weights"].size != feature_map.dimension + 1:

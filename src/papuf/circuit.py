@@ -50,6 +50,14 @@ about BLOCK_VALUES values, so nothing of size devices x rows x lines, and
 no one-hot encoding of the codes, is ever allocated.
 ``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
 
+A feed-forward chain is the same kernel in segments.  A run [a, b) of
+stages driven by the challenge alone maps its input times to
+out[l] = in[(l - n1) mod L] + off[l], with n1 the run's ones and off the
+closed form on stages a..b-1.  Runs are cut at every target stage, whose
+per-line selects come from a tap arbiter, and after every tap stage.
+Every sum stays in int64 units, so a tap arbiter reads correctly rounded
+times too, and lines whose sums are equal tie exactly there as well.
+
 ``_sample`` draws every jitter value and tie bit: those of one
 observation point over a row block.  An arbiter reads only gaps, so the
 jitter is drawn in gap space, lines - 1 standard normals per evaluation
@@ -64,12 +72,13 @@ and flip-flop, only when some gap of the block is within the window.
 ``propagate_blocks`` is the block reader for every netlist: a whole
 population of (device, repetition) jobs, one row block at a time, one
 noise stream and tie key per job and point.  Tapless blocks take their
-clean times from the kernel; feed-forward blocks step the chain on three
-per-line (devices, repetitions, rows) arrays, whose repetition axis stays
-1 until the first target stage, so the repetitions of a device share the
-clean prefix.  ``propagate_many`` is its one-job case.  Tapless
-``repeated_reads`` caches the clean times and reads its repetition-major
-rows from one noise stream and tie key, whole repetitions per block.
+clean times from the kernel; feed-forward blocks go through the segments
+(``_feed_forward_times``) on three per-line (devices, repetitions, rows)
+arrays, whose repetition axis stays 1 until the first target stage, so
+the repetitions of a device share the clean prefix.  ``propagate_many``
+is its one-job case.  Tapless ``repeated_reads`` caches the clean times
+and reads its repetition-major rows from one noise stream and tie key,
+whole repetitions per block.
 """
 
 from __future__ import annotations
@@ -84,16 +93,13 @@ from .device import NOISE_TAG, TIE_TAG, DelayParams, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
 
-# Source line per output line under the select=1 permutation of the 3-line
-# chain; only the feed-forward stage loop applies it explicitly.
-ROT3 = (2, 0, 1)
-
 # Target size of one row block, in float64 values (512 KiB): it bounds the
 # stage codes, the arrival times and the jitter of one block alike.
 BLOCK_VALUES = 1 << 16
 
-# Consecutive stages summed by one gather of the closed-form kernel; each
-# group's table has 2^GROUP_STAGES * lines rows per device column.
+# Consecutive stages summed by one gather of the closed-form kernel, at most
+# 8 (a group's bits are one byte); each group's table has 2^GROUP_STAGES *
+# lines rows per device column.
 GROUP_STAGES = 4
 
 
@@ -206,39 +212,70 @@ def _scaled_table(delay_table: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _group_table(scaled: np.ndarray) -> np.ndarray:
-    """(groups*2^G*L, L) int64 table of GROUP_STAGES-stage sums.
+    """(groups*2^G*L, D*L) int64 table of GROUP_STAGES-stage sums of D devices.
 
-    Row g*2^G*L + b*L + r, for the bits b of the group's stages (stage
-    g*G + j is bit j) and r ones after the group, holds per line the sum of
-    the group's delays.  Stages past the chain's end add 0 with bit 0.
+    ``scaled`` stacks the devices' scaled tables, (D, stages, 2, L).  Row
+    g*2^G*L + b*L + r, for the bits b of the group's stages (stage g*G + j
+    is bit j) and r ones after the group, holds the sum of the group's
+    delays per line, device d in columns d*L to (d+1)*L.  Stages past the
+    chain's end add 0 with bit 0.
     """
-    stages, _, lines = scaled.shape
+    n_dev, stages, _, lines = scaled.shape
     group = GROUP_STAGES
     n_groups = -(-stages // group)
-    padded = np.zeros((n_groups * group, 2, lines), dtype=np.int64)
-    padded[:stages] = scaled
+    padded = np.zeros((n_groups * group, 2, n_dev, lines), dtype=np.int64)
+    padded[:stages] = scaled.transpose(1, 2, 0, 3)
     line = np.arange(lines)
-    rolled = padded[:, :, (line[None, :] - line[:, None]) % lines]  # [i, c, r, l] = delay[i, c, l - r]
+    rolled = padded[..., (line[None, :] - line[:, None]) % lines]  # [i, c, d, r, l] = delay[d, i, c, l - r]
     bits = (np.arange(1 << group)[:, None] >> np.arange(group)) & 1  # (2^G, G)
     after = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits  # ones of the group after stage j
-    stage = np.arange(n_groups)[:, None, None, None] * group + np.arange(group)[:, None]
-    summed = rolled[stage, bits[:, :, None], (after[:, :, None] + line) % lines].sum(axis=2)
-    return summed.reshape(-1, lines)
+    first = np.arange(n_groups)[:, None, None] * group
+    summed = np.zeros((n_groups, 1 << group, lines, n_dev, lines), dtype=np.int64)
+    for j in range(group):
+        summed += rolled[first + j, bits[:, j, None], :, (after[:, j, None] + line) % lines]
+    return summed.reshape(-1, n_dev * lines)
 
 
-def _group_codes(challenges: np.ndarray, lines: int) -> np.ndarray:
-    """(groups, N) ``_group_table`` row of every stage group of a (N, stages) batch."""
+def _scaled_tables(devices: Sequence[DeviceInstance]) -> tuple[np.ndarray, np.ndarray]:
+    """The devices' ``_scaled_table``s stacked, (D, stages, 2, L), and their units 2^e, (D,)."""
+    scaled = [_scaled_table(device.delay_table) for device in devices]
+    return np.stack([table for table, _ in scaled]), np.array([np.ldexp(1.0, e) for _, e in scaled])
+
+
+def _group_codes(challenges: np.ndarray, lines: int) -> tuple[np.ndarray, np.ndarray]:
+    """(groups, N) ``_group_table`` row of every stage group of a (N, stages) batch,
+    and the (N,) count of ones of each challenge, mod ``lines``."""
     group = GROUP_STAGES
     n_rows, stages = challenges.shape
     n_groups = -(-stages // group)
-    bits = np.zeros((n_groups * group, n_rows), dtype=np.intp)
+    bits = np.zeros((n_groups * group, n_rows), dtype=np.uint8)
     bits[:stages] = challenges.T
     bits = bits.reshape(n_groups, group, n_rows)
-    ones = bits.sum(axis=1)
-    ones_after = np.cumsum(ones[::-1], axis=0)[::-1] - ones
-    value = np.tensordot(1 << np.arange(group), bits, axes=(0, 1))
-    base = np.arange(n_groups, dtype=np.intp)[:, None] * ((1 << group) * lines)
-    return base + value * lines + ones_after % lines
+    value = bits[:, 0].copy()
+    for j in range(1, group):
+        value |= bits[:, j] << j
+    ones = np.bitwise_count(value)
+    codes = np.empty((n_groups, n_rows), dtype=np.intp)
+    after = np.zeros(n_rows, dtype=np.uint8)  # ones after group g, mod lines
+    for g in range(n_groups - 1, -1, -1):
+        codes[g] = after
+        after += ones[g]
+        after %= lines
+    codes += value * np.intp(lines)
+    codes += np.arange(n_groups)[:, None] * ((1 << group) * lines)
+    return codes, after
+
+
+def _group_sums(table: np.ndarray, challenges: np.ndarray, lines: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, D*L) int64 sums of a (N, stages) batch's ``_group_table`` rows,
+    one row per stage group, and the (N,) ones of each challenge, mod ``lines``."""
+    codes, ones = _group_codes(challenges, lines)
+    sums = np.take(table, codes[0], axis=0)
+    gathered = np.empty_like(sums)
+    for code in codes[1:]:
+        np.take(table, code, axis=0, out=gathered, mode="clip")
+        sums += gathered
+    return sums, ones
 
 
 def _block_rows(values_per_row: int, multiple: int = 1) -> int:
@@ -256,34 +293,47 @@ def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarra
     """Clean arrival times of tapless devices, one row block at a time.
 
     Each block gathers and adds one group-table row per stage group in
-    int64, then casts and scales each device's columns by its unit once.
-    ``challenges`` is a validated (N, stages) uint8 batch and the devices
-    share its netlist.  Yields (rows, times) per block of ``block_rows``
-    rows; times is (B, D*lines) with device d in columns d*lines to
-    (d+1)*lines.
+    int64 (``_group_sums``), then casts and scales each device's columns by
+    its unit once.  ``challenges`` is a validated (N, stages) uint8 batch
+    and the devices share its netlist.  Yields (rows, times) per block of
+    ``block_rows`` rows; times is (B, D*lines) with device d in columns
+    d*lines to (d+1)*lines.
     """
     lines = devices[0].netlist.lines
-    scaled = [_scaled_table(device.delay_table) for device in devices]
-    tables = np.hstack([_group_table(table) for table, _ in scaled])
-    units = np.repeat([np.ldexp(1.0, e) for _, e in scaled], lines)
+    scaled, units = _scaled_tables(devices)
+    tables = _group_table(scaled)
+    units = np.repeat(units, lines)
     for rows in _row_blocks(challenges.shape[0], block_rows):
-        codes = _group_codes(challenges[rows], lines)
-        sums = np.take(tables, codes[0], axis=0)
-        gathered = np.empty_like(sums)
-        for code in codes[1:]:
-            np.take(tables, code, axis=0, out=gathered, mode="clip")
-            sums += gathered
+        sums, _ = _group_sums(tables, challenges[rows], lines)
         times = sums.astype(np.float64)
         times *= units
         yield rows, times
 
 
+def _clean_gaps(times: Sequence[np.ndarray], units=None) -> list[np.ndarray]:
+    """The lines - 1 free clean gaps t_l - t_{l+1} of per-line times.
+
+    With ``units``, the times are a feed-forward chain's exact int64 ones,
+    each cast to float64 and scaled by its device's unit before the
+    subtraction, with at most two lines in float64 at a time.
+    """
+    if units is None:
+        return [times[k] - times[k + 1] for k in range(len(times) - 1)]
+    gaps, upper = [], times[0] * units
+    for line in times[1:]:
+        lower = line * units
+        gaps.append(upper - lower)
+        upper = lower
+    return gaps
+
+
 def _sample(
-    streams: list, start: int, params: DelayParams, times: Sequence[np.ndarray], shape: tuple[int, ...]
+    streams: list, start: int, params: DelayParams, clean: Sequence[np.ndarray], shape: tuple[int, ...]
 ) -> list[np.ndarray]:
     """Flip-flop bits of one observation point, one ``shape`` array per pair.
 
-    ``times`` holds one clean-time array per line, broadcast to ``shape``.
+    ``clean`` holds the lines - 1 free clean gaps (``_clean_gaps``), each
+    broadcast to ``shape``.
     An arbiter reads only gaps, so each evaluation draws lines - 1 standard
     normals: u for 2 lines, (u, v) for 3.  With a = sigma*sqrt(2) and
     b = sigma*sqrt(1.5) the noisy gaps are
@@ -304,7 +354,7 @@ def _sample(
     being a pure function of their position, no window or block split
     moves them.  This is the one place where noise and tie bits are drawn.
     """
-    free = len(times) - 1
+    free = len(clean)
     size = math.prod(shape) // len(streams)
     normals = np.empty((len(streams), size, free))
     for j, (noise_rng, _) in enumerate(streams):
@@ -315,10 +365,12 @@ def _sample(
     gaps = [u * a]
     if free == 2:
         g_cb = normals[..., 1] * (params.sigma_noise * math.sqrt(1.5))
-        g_cb -= u * (a / 2)
+        u *= a / 2
+        g_cb -= u
         gaps.append(g_cb)
-    for k, gap in enumerate(gaps):
-        gap += times[k] - times[k + 1]
+    del normals, u  # the gaps hold all that the flip-flops read
+    for gap, clean_gap in zip(gaps, clean):
+        gap += clean_gap
 
     def tie() -> np.ndarray:
         return np.stack([_tie_bits(key, start, size, _pairs(free + 1)) for _, key in streams]).reshape(*shape, -1)
@@ -326,45 +378,104 @@ def _sample(
     return _latch(gaps, params.metastability_window, tie)
 
 
-def _feed_forward_times(
-    taps, delay: np.ndarray, challenges: np.ndarray, streams: list, start: int, params: DelayParams
-):
-    """Clean terminal times of one feed-forward row block, as three per-line arrays.
+def _feed_forward_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple], np.ndarray]:
+    """The steps of a feed-forward population's chain, in stage order, and the units.
 
-    ``delay`` stacks the devices' delay tables, (D, stages, 2, 3),
+    Between the taps' reads and their target stages the chain is driven by
+    the challenge alone.  Such a run of stages [a, b) is ``("run", a, b,
+    table)``, with ``table`` the ``_group_table`` of every device's scaled
+    delays a..b-1.  Runs are cut at every target stage and after every tap
+    stage.  ``("tap", point)`` reads observation point ``point`` after its
+    tap stage.  ``("target", point, low, high)`` applies the selects of
+    ``point``: ``low`` and ``high`` are the target stage's scaled delays at
+    select 0 and 1, three (D, 1, 1) arrays each, one per line.  The units
+    2^e of the devices come as a (D, 1, 1) array.
+    """
+    netlist = devices[0].netlist
+    scaled, units = _scaled_tables(devices)
+    targets, tapped = {}, {}
+    for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
+        targets[target] = point
+        tapped.setdefault(tap, []).append(("tap", point))
+    steps: list[tuple] = []
+    start = 0
+
+    def run(stop: int) -> None:
+        if stop > start:
+            steps.append(("run", start, stop, _group_table(scaled[:, start:stop])))
+
+    for i in range(netlist.stages):
+        if i in targets:
+            run(i)
+            low, high = (list(scaled[:, i, select].T[:, :, None, None]) for select in (0, 1))
+            steps.append(("target", targets[i], low, high))
+            start = i + 1
+        if i in tapped:
+            run(i + 1)
+            steps += tapped[i]
+            start = i + 1
+    run(netlist.stages)
+    return steps, units[:, None, None]
+
+
+def _run_times(times: list[np.ndarray], table: np.ndarray, bits: np.ndarray, n_dev: int) -> list[np.ndarray]:
+    """Per-line times after a run of stages driven by its (B, stages) challenge ``bits``.
+
+    out[l] = in[(l - n1) mod 3] + off[l], with n1 the run's ones and off
+    its ``table`` rows summed at (D, 1, B).  ``times`` is empty at the
+    chain's start, where every line is 0.  A run of one stage rotates with
+    one ``where`` on its bits, a longer one with two.
+    """
+    sums, ones = _group_sums(table, bits, 3)
+    off = np.ascontiguousarray(sums.T).reshape(n_dev, 3, 1, bits.shape[0])
+    if not times:
+        return [off[:, line] for line in range(3)]
+    if bits.shape[1] == 1:
+        flip = bits[:, 0].view(bool)
+        return [np.where(flip, times[line - 1], times[line]) + off[:, line] for line in range(3)]
+    one, two = ones == 1, ones == 2
+    return [
+        np.where(one, times[line - 1], np.where(two, times[line - 2], times[line])) + off[:, line]
+        for line in range(3)
+    ]
+
+
+def _feed_forward_times(
+    steps: list[tuple], units: np.ndarray, challenges: np.ndarray, streams: list, start: int, params: DelayParams
+) -> list[np.ndarray]:
+    """Exact clean terminal times of one feed-forward row block, three per-line int64 arrays.
+
+    ``steps`` and ``units`` come from ``_feed_forward_steps``;
     ``streams[point]`` holds the (noise stream, tie key) pairs of every
     (device, repetition) job at an observation point, and the block's first
-    row is evaluation ``start``.  The chain is stepped on three arrays, one
-    per line (T, C, B), of shape (D, R, B); until the first target stage the
-    repetition axis has length 1 and broadcasts, so every repetition of a
-    device shares the clean prefix.  A tap arbiter samples its point and
-    turns the flip-flop bits into the (D, R, B) per-line selects of its
-    target stage.  Each line computes ``where(sel, rotated, times) +
-    delay[i][sel]`` as one (N, 3) batch would.
+    row is evaluation ``start``.  The times are multiples of each device's
+    unit.  A run [a, b) maps its input times to out[l] = in[(l - n1) mod 3]
+    + off[l] (``_run_times``), where n1 is its ones and off the kernel's
+    closed form on the run, gathered at (D, 1, B), so the repetitions of a
+    device share it.  The times stay (D, 1, B) until the first target
+    stage, where the tap arbiter's per-line selects make them (D, R, B).
+    A tap, like the terminal arbiter, reads the gaps of the exact times
+    cast to float64 and scaled by the unit (``_clean_gaps``): those of the
+    correctly rounded sums, as ``arrival_time_blocks`` gives them.
     """
-    n_dev = delay.shape[0]
+    n_dev = units.shape[0]
     shape = (n_dev, len(streams[0]) // n_dev, challenges.shape[0])
-    taps_at_stage: dict[int, list[tuple[int, int]]] = {}
-    for point, (tap, target) in enumerate(taps, start=1):
-        taps_at_stage.setdefault(tap, []).append((point, target))
-    pending: dict[int, list[np.ndarray]] = {}
-    times = [np.zeros((n_dev, 1, challenges.shape[0]))] * 3
-    for i in range(delay.shape[1]):
-        if i in pending:
-            sel = pending.pop(i)  # per-line selects from a feed-forward arbiter
-            low, high = delay[:, i, 0, :, None, None], delay[:, i, 1, :, None, None]
-            times = [
-                np.where(sel[l].astype(bool), times[ROT3[l]], times[l])
-                + np.where(sel[l], high[:, l], low[:, l])
-                for l in range(3)
-            ]
+    times: list[np.ndarray] = []
+    selects: dict[int, list[np.ndarray]] = {}
+    for kind, *step in steps:
+        if kind == "run":
+            a, b, table = step
+            times = _run_times(times, table, challenges[:, a:b], n_dev)
+        elif kind == "tap":
+            (point,) = step
+            selects[point] = _sample(streams[point], start, params, _clean_gaps(times, units), shape)
         else:
-            bits = challenges[:, i]
-            flip = bits == 1
-            added = delay[:, i][:, bits]  # (D, B, 3)
-            times = [np.where(flip, times[ROT3[l]], times[l]) + added[:, None, :, l] for l in range(3)]
-        for point, target in taps_at_stage.get(i, ()):
-            pending[target] = _sample(streams[point], start, params, times, shape)
+            point, low, high = step
+            sel = selects.pop(point)
+            times = [
+                np.where(sel[line].view(bool), times[line - 1] + high[line], times[line] + low[line])
+                for line in range(3)
+            ]
     return times
 
 
@@ -382,7 +493,9 @@ def propagate_blocks(
     starts are multiples of ``block_multiple``, and a block holds about
     BLOCK_VALUES values over jobs x rows x lines.  Tapless netlists take
     their clean times from the closed-form kernel; feed-forward netlists
-    step the chain in ``_feed_forward_times``.  Each (device, repetition)
+    take them from ``_feed_forward_times``, which applies the same kernel
+    to the runs between taps and target stages, with tables built once per
+    call.  Each (device, repetition)
     keeps the noise stream of every observation point open across blocks,
     and row n is tie evaluation n, so the bits equal
     ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
@@ -396,18 +509,17 @@ def propagate_blocks(
         for point in range(len(netlist.ff_taps) + 1)
     ]
     if netlist.ff_taps:
-        # the stage loop holds a few (jobs, rows) arrays per line, never stage codes
-        delay = np.stack([device.delay_table for device in devices])
+        steps, units = _feed_forward_steps(devices)
         for rows in _row_blocks(challenges.shape[0], _block_rows(n_dev * n_rep * lines, block_multiple)):
-            times = _feed_forward_times(netlist.ff_taps, delay, challenges[rows], streams, rows.start, params)
-            flops = _sample(streams[0], rows.start, params, times, (n_dev, n_rep, rows.stop - rows.start))
+            clean = _clean_gaps(_feed_forward_times(steps, units, challenges[rows], streams, rows.start, params), units)
+            flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, rows.stop - rows.start))
             yield rows, _response(flops)
     else:
         block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
         for rows, times in arrival_time_blocks(devices, challenges, block_rows):
             per_device = times.reshape(-1, n_dev, 1, lines).transpose(1, 2, 0, 3)
-            per_line = [per_device[..., line] for line in range(lines)]
-            flops = _sample(streams[0], rows.start, params, per_line, (n_dev, n_rep, times.shape[0]))
+            clean = _clean_gaps([per_device[..., line] for line in range(lines)])
+            flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, times.shape[0]))
             yield rows, _response(flops)
 
 
@@ -524,10 +636,10 @@ def repeated_reads(
     if clean is None:
         clean = clean_arrival_times(device, challenges)
     n_eval, lines = clean.shape
-    per_line = list(np.ascontiguousarray(clean.T))
+    gaps = _clean_gaps(list(clean.T))
     streams = [(_noise_rng(eval_seed, 0), _tie_key(eval_seed, 0))]
     out = np.empty((repetitions, n_eval), dtype=np.uint8)
     for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval * lines))):
-        flops = _sample(streams, reps.start * n_eval, device.params, per_line, (reps.stop - reps.start, n_eval))
+        flops = _sample(streams, reps.start * n_eval, device.params, gaps, (reps.stop - reps.start, n_eval))
         out[reps] = _response(flops)
     return out

@@ -100,7 +100,7 @@ def _build_config(args) -> ExperimentConfig:
     config = ExperimentConfig()
     if getattr(args, "config", None):
         schema = {key: (type(value), value) for key, value in asdict(config).items()}
-        with open(args.config, encoding="utf-8") as handle:
+        with kvfile.open_text(args.config) as handle:
             loaded = kvfile.read(handle, schema)
         for key in loaded:
             if key not in schema and not key.startswith("#"):
@@ -273,7 +273,7 @@ def _cmd_keygen_reproduce(args) -> int:
     _check_votes(args.votes)
     device = load_device(args.device)
     helper = load_helper(args.helper)
-    with open(args.helper, encoding="utf-8") as handle:
+    with kvfile.open_text(args.helper) as handle:
         recorded = kvfile.read(handle, {}).get("# challenge_hex")
     if args.challenge_hex:
         seed_chal = _challenge_bits(args.challenge_hex, device.netlist.stages, "--challenge-hex")
@@ -391,7 +391,9 @@ def _cmd_report(args) -> int:
     for name in args.inputs:
         path = Path(name)
         chash = None
-        for raw in path.read_text(encoding="utf-8").splitlines():
+        with kvfile.open_text(path) as handle:
+            text = handle.read()
+        for raw in text.splitlines():
             line = raw.strip()
             if line.startswith("# config="):
                 chash = kvfile.split(line, name)[1]

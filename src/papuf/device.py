@@ -164,7 +164,7 @@ def save_device(device: DeviceInstance, path, extra_header: dict | None = None) 
 
 def load_device(path) -> DeviceInstance:
     schema = {"device_id": str, "design": Design, "stages": int, "ff_taps": parse_taps, "seed": int, **PARAM_SCHEMA}
-    with open(path, encoding="utf-8") as handle:
+    with kvfile.open_text(path) as handle:
         fields = kvfile.read(handle, schema, marker="delays:")
         try:
             delays = [float(v) for line in handle for v in line.split()]

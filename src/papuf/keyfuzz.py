@@ -87,7 +87,7 @@ def load_helper(path) -> HelperData:
     # Keys outside the schema, such as the retired slice_start, are ignored.
     schema = {"m": int, "n": int, "k": int, "t": int,
               "primitive_poly": lambda text: int(text, 0), "offset_hex": str}
-    with open(path, encoding="utf-8") as handle:
+    with kvfile.open_text(path) as handle:
         fields = kvfile.read(handle, schema)
     try:
         code = BchCode.construct(fields["m"], fields["t"], fields["primitive_poly"])

@@ -9,12 +9,37 @@ Device, helper, attack-model, config, metrics, key and CRP files share it::
 
 Blank lines and comments without ``=`` are skipped.  Malformed input raises
 ``ValueError`` naming the file and the missing or bad key, or the file and
-line number of a line that is not ``key=value``.
+line number of a line that is not ``key=value``.  Every reader of these
+files, the CRP loader included, opens them through ``open_text``.
 """
 
 from __future__ import annotations
 
+import contextlib
+from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text, for a ``with`` block.
+
+    Bytes that are not UTF-8, met anywhere in the block, are a
+    ``ValueError`` naming the path and the line of the first bad byte, as
+    text mode counts lines (LF, CR LF or CR ends one).
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[: exc.start]
+            line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+            raise ValueError(f"{path}, line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+        raise
 
 
 def write(path, kind: str | None, fields: Mapping, header: Mapping | None = None,

@@ -53,10 +53,10 @@ def gate_level_priority(order: tuple[str, str, str]) -> int:
 def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) -> int:
     """Reference evaluation by explicit per-stage permutation composition.
 
-    A tapless chain sums its delays exactly and rounds once, as the
-    closed-form kernel does; a feed-forward chain steps in floats, as its
-    stage loop does.  Refuses netlists beyond MAX_ORACLE_STAGES; the point
-    is exhaustive checking of small instances, not speed.
+    Every chain sums its delays as exact ``Fraction``s, and an arbiter reads
+    each sum rounded once, as the kernel gives it.  Refuses netlists beyond
+    MAX_ORACLE_STAGES; the point is exhaustive checking of small instances,
+    not speed.
     """
     netlist = device.netlist
     if netlist.stages > MAX_ORACLE_STAGES:
@@ -73,8 +73,8 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
         tap_points.setdefault(tap, []).append((point, target))
     pending: dict[int, list[int]] = {}
 
-    delay = device.delay_table.tolist() if netlist.ff_taps else _fraction_table(device)
-    times = [0] * lines  # an int, so that the sums stay Fractions or floats
+    delay = _fraction_table(device)
+    times = [Fraction(0)] * lines
     for stage in range(netlist.stages):
         if stage in pending:
             selects = pending.pop(stage)
@@ -109,71 +109,74 @@ def _oracle_stage(delay: list, stage: int, times: list, selects: list[int]) -> l
     ]
 
 
+def _reference_times(device: DeviceInstance, challenges, read_tap=None) -> np.ndarray:
+    """Terminal arrival times of a batch, (N, lines), each sum rounded once.
+
+    Steps every challenge through the chain one stage at a time, adding
+    each delay as an exact ``Fraction``.  The fractions share the table's
+    common denominator, so only their numerators are added, as Python
+    integers.  After a feed-forward tap stage, ``read_tap(point, times)``
+    gets the (N, lines) rounded times of the batch and returns the (N, 3)
+    selects of the tap's target stage.
+    """
+    netlist = device.netlist
+    table = _fraction_table(device)
+    denominator = math.lcm(*(f.denominator for stage in table for select in stage for f in select))
+    delay = [[[f.numerator * (denominator // f.denominator) for f in select] for select in stage] for stage in table]
+    taps_at_stage: dict[int, list[tuple[int, int]]] = {}
+    for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
+        taps_at_stage.setdefault(tap, []).append((point, target))
+    pending: dict[int, list] = {}
+    rows = [[0] * netlist.lines for _ in range(len(challenges))]
+    for stage in range(netlist.stages):
+        if stage in pending:
+            selects = pending.pop(stage)
+        else:
+            selects = [[int(challenge[stage])] * netlist.lines for challenge in challenges]
+        rows = [_oracle_stage(delay, stage, times, sel) for times, sel in zip(rows, selects)]
+        for point, target in taps_at_stage.get(stage, ()):
+            pending[target] = read_tap(point, _rounded(rows, denominator, netlist.lines)).tolist()
+    return _rounded(rows, denominator, netlist.lines)
+
+
+def _rounded(rows: list, denominator: int, lines: int) -> np.ndarray:
+    """(N, lines) float64 of the times numerator / denominator; an int / int
+    division is correctly rounded."""
+    return np.array([[t / denominator for t in times] for times in rows], dtype=np.float64).reshape(-1, lines)
+
+
 def reference_clean_times(device: DeviceInstance, challenges) -> np.ndarray:
     """Noise-free terminal arrival times of a tapless netlist, (N, lines).
 
-    Steps every challenge through the chain one stage at a time, adding
-    each delay as an exact ``Fraction``, and rounds each sum once with
-    ``float``.  No stage limit, so it serves as the reference for the
-    closed-form kernel at full chain length.
+    Exact ``Fraction`` sums, each rounded once.  No stage limit, so it
+    serves as the reference for the closed-form kernel at full chain length.
     """
     if device.netlist.ff_taps:
         raise ValueError("clean arrival times are undefined for feed-forward netlists")
-    delay = _fraction_table(device)
-    rows = []
-    for challenge in challenges:
-        times = [Fraction(0)] * device.netlist.lines
-        for stage, bit in enumerate(int(b) for b in challenge):
-            times = _oracle_stage(delay, stage, times, [bit] * len(times))
-        rows.append([float(t) for t in times])
-    return np.array(rows, dtype=np.float64).reshape(-1, device.netlist.lines)
+    return _reference_times(device, challenges)
 
 
 def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) -> np.ndarray:
     """Noisy response bits of one (device, eval_seed) job, (N,) uint8.
 
-    A tapless chain takes its exact clean times from
-    ``reference_clean_times``.  A feed-forward chain steps the whole
-    (N, lines) batch one stage at a time in floats: every stage gathers the
-    rotated times and adds ``delay[i][sel]``; a feed-forward tap draws its
-    own noise stream and tie bits over the whole batch, and its (N, 3)
-    flip-flop bits select its target stage per line.
-    No stage limit, so it serves as the reference for the block reader of
+    The chain sums exact ``Fraction``s stage by stage (``_reference_times``),
+    and every arbiter reads the sums rounded once.  A feed-forward tap draws
+    its own noise stream and tie bits over the whole batch, and its (N, 3)
+    flip-flop bits select its target stage per line.  No stage limit, so it
+    serves as the reference for the block reader of
     ``circuit.propagate_blocks`` at full chain length.
     """
-    netlist = device.netlist
-    challenges = np.asarray(challenges, dtype=np.uint8)
-    n_eval, lines = challenges.shape[0], netlist.lines
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
-    delay = device.delay_table
-    rotation = [2, 0, 1] if lines == 3 else [1, 0]  # source line per output line
-    taps_at_stage: dict[int, list[tuple[int, int]]] = {}
-    for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
-        taps_at_stage.setdefault(tap, []).append((point, target))
-    pending: dict[int, np.ndarray] = {}
+    challenges = np.asarray(challenges, dtype=np.uint8)
+    n_eval = challenges.shape[0]
 
-    if not netlist.ff_taps:
-        times = reference_clean_times(device, challenges)
-    else:
-        times = np.zeros((n_eval, lines))
-        line_idx = np.arange(lines)
-        for i in range(netlist.stages):
-            rotated = times[:, rotation]
-            if i in pending:
-                sel = pending.pop(i)  # (N, 3) per-line selects from a feed-forward arbiter
-                times = np.where(sel.astype(bool), rotated, times) + delay[i][sel, line_idx]
-            else:
-                sel = challenges[:, i]
-                times = np.where((sel == 1)[:, None], rotated, times) + delay[i][sel]
-            for point, target in taps_at_stage.get(i, ()):
-                gaps = _reference_gaps(times, sigma, _noise_rng(eval_seed, point))
-                tie = _tie_bits(_tie_key(eval_seed, point), 0, n_eval, 3)
-                pending[target] = _reference_flip_flops(gaps, window, tie)
+    def read(point: int, times: np.ndarray) -> np.ndarray:
+        gaps = _reference_gaps(times, sigma, _noise_rng(eval_seed, point))
+        return _reference_flip_flops(gaps, window, _tie_bits(_tie_key(eval_seed, point), 0, n_eval, gaps.shape[1]))
 
-    gaps = _reference_gaps(times, sigma, _noise_rng(eval_seed, 0))
-    q = _reference_flip_flops(gaps, window, _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, gaps.shape[1]))
-    if lines == 2:
+    q = read(0, _reference_times(device, challenges.tolist(), read))
+    if device.netlist.lines == 2:
         return q[:, 0]
     return 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
 
@@ -318,7 +321,7 @@ def reference_load_crps(path) -> CrpSet:
     cells: dict[tuple[str, bytes, int], np.ndarray] = {}
     challenges: dict[bytes, np.ndarray] = {}  # first-seen order
     n_bits = None
-    with open(path, encoding="utf-8") as handle:
+    with kvfile.open_text(path) as handle:
         lines = enumerate(handle, 1)
         header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=lines)
         stages = header["# netlist"].stages
@@ -357,4 +360,4 @@ def reference_load_crps(path) -> CrpSet:
         [[cells[device_id, key, rep] for rep in range(repetitions)] for key in challenges]
         for device_id in device_ids
     ]
-    return _crp_set(header, device_ids, np.stack(list(challenges.values())), np.array(responses, dtype=np.uint8))
+    return _crp_set(path, header, device_ids, np.stack(list(challenges.values())), np.array(responses, dtype=np.uint8))

@@ -225,7 +225,9 @@ class CrpSet:
     ``responses`` has shape (devices, challenges, repetitions, bits); row
     (d, c, r) is the response of device d to seed challenge c on repeated
     evaluation r.  A set is a pure function of (population seeds, params,
-    master_eval_seed, challenge_mode).
+    master_eval_seed, challenge_mode).  A device id is one field of a CRP
+    record, so an empty id, or one that holds a comma, a CR or an LF, is a
+    ``ValueError``.
     """
 
     device_ids: list[str]
@@ -238,6 +240,9 @@ class CrpSet:
     extra_header: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for device_id in self.device_ids:
+            if not device_id or any(mark in device_id for mark in ",\r\n"):
+                raise ValueError(f"device id {device_id!r} must be non-empty and hold no comma, CR or LF")
         d, c, _, _ = self.responses.shape
         if d != len(self.device_ids):
             raise ValueError("device_ids do not match response array")
@@ -299,7 +304,7 @@ def collect_crps(
     record set is reproducible bit for bit.  The whole population is read
     in one pass of ``circuit.propagate_blocks`` over row blocks of whole
     seed challenges, whatever its netlist: the closed-form kernel for
-    tapless chains, the per-line stage loop for feed-forward ones.
+    tapless chains, its segments between taps for feed-forward ones.
     """
     if not population:
         raise ValueError("population must not be empty")
@@ -392,18 +397,22 @@ _CRP_HEADER = {
 }
 
 
-def _crp_set(header: dict, device_ids: list[str], challenges: np.ndarray, responses: np.ndarray) -> CrpSet:
-    """The CrpSet of a checked CRP-file header and its parsed records."""
-    return CrpSet(
-        device_ids=device_ids,
-        challenges=challenges,
-        responses=responses,
-        netlist=header["# netlist"],
-        params=header["# params"],
-        master_eval_seed=header["# master_eval_seed"],
-        challenge_mode=header["# challenge_mode"],
-        extra_header={} if header["# config"] is None else {"config": header["# config"]},
-    )
+def _crp_set(path, header: dict, device_ids: list[str], challenges: np.ndarray, responses: np.ndarray) -> CrpSet:
+    """The CrpSet of a checked CRP-file header and its parsed records; a
+    ``ValueError`` of ``CrpSet``, such as an empty device id, names the file."""
+    try:
+        return CrpSet(
+            device_ids=device_ids,
+            challenges=challenges,
+            responses=responses,
+            netlist=header["# netlist"],
+            params=header["# params"],
+            master_eval_seed=header["# master_eval_seed"],
+            challenge_mode=header["# challenge_mode"],
+            extra_header={} if header["# config"] is None else {"config": header["# config"]},
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _hex_digits(bits: np.ndarray) -> np.ndarray:
@@ -619,9 +628,9 @@ def load_crps(path) -> CrpSet:
     The table is parsed as whole columns (``_parse_records``);
     ``oracle.reference_load_crps`` is the line-by-line reference.
     """
-    with open(path, encoding="utf-8") as handle:
+    with kvfile.open_text(path) as handle:
         numbered = enumerate(handle, 1)
         header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=numbered)
         first_line, text = next(numbered, (0, ""))
         text += handle.read()
-    return _crp_set(header, *_parse_records(path, text, first_line, header["# netlist"].stages))
+    return _crp_set(path, header, *_parse_records(path, text, first_line, header["# netlist"].stages))

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, multivariate_normal, norm
 
@@ -22,6 +22,7 @@ from papuf import (
 from papuf import circuit
 from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_key
 from papuf.device import DeviceInstance
+from papuf.netlist import default_ff_taps
 from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times, reference_propagate
 
 
@@ -431,6 +432,99 @@ def test_lines_with_equal_exact_sums_tie_whatever_the_stage_order():
     assert 0 < tie.mean() < 1
     assert np.array_equal(propagate_many(dev, challenges, eval_seed=9), tie)
     assert exhaustive_propagate(dev, challenges[0], eval_seed=9) == tie[0]
+
+
+def _block_reads(devices, challenges, eval_seeds):
+    """(D, R, N) bits of ``circuit.propagate_blocks``."""
+    out = np.empty((len(devices), len(eval_seeds[0]), challenges.shape[0]), dtype=np.uint8)
+    for rows, bits in circuit.propagate_blocks(devices, challenges, eval_seeds):
+        out[:, :, rows] = bits
+    return out
+
+
+def _reference_reads(devices, challenges, eval_seeds):
+    """(D, R, N) bits of ``oracle.reference_propagate``, one call per job."""
+    return np.array([[reference_propagate(dev, challenges, s) for s in seeds] for dev, seeds in zip(devices, eval_seeds)])
+
+
+FEED_FORWARD_LAYOUTS = [
+    Netlist(Design.FF_PA_PUF, stages, default_ff_taps(stages, count))
+    for stages in (8, 16, 64)
+    for count in range(1, stages - 1)
+]
+
+
+def test_noiseless_feed_forward_reads_equal_the_exact_reference(monkeypatch):
+    # At sigma 0 and window 0 a read is the race of exact sums, or a tie bit
+    # where two of them are equal.  Every default tap count that fits on 8,
+    # 16 and 64 stages; on 16 stages with 6 taps, a tap stage is another
+    # tap's target.
+    assert {4, 6} <= {tap for tap, _ in default_ff_taps(16, 6)} & {target for _, target in default_ff_taps(16, 6)}
+    rng = np.random.default_rng(40)
+    for netlist in FEED_FORWARD_LAYOUTS:
+        devices = synthesize_population(DelayParams(), netlist, 2, netlist.stages * 100 + len(netlist.ff_taps))
+        challenges = rng.integers(0, 2, size=(16, netlist.stages), dtype=np.uint8)
+        expected = _reference_reads(devices, challenges, [[3, 4], [5, 6]])
+        assert np.array_equal(_block_reads(devices, challenges, [[3, 4], [5, 6]]), expected), netlist.describe()
+        # one job a device: row blocks of 5 rows, and stage groups of 1 to 6 stages
+        for name, value in [("BLOCK_VALUES", 30)] + [("GROUP_STAGES", g) for g in range(1, 7)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(circuit, name, value)
+                reads = _block_reads(devices, challenges, [[3], [5]])
+            assert np.array_equal(reads, expected[:, :1]), (netlist.describe(), name, value)
+
+
+def test_feed_forward_lines_with_equal_exact_sums_tie_at_the_tap_arbiter():
+    # Every challenge bit is 0, so up to the tap after stage 2 each line adds
+    # its own column.  In stage order T sums to 1 (each 2^-53 rounds away)
+    # and C to 1 + 2^-52, but both exact sums are 1 + 2^-52: the tap's T-C
+    # flip-flop latches its tie bit.  The target stage 3 sends T to about 3
+    # (select 0) or 35 (select 1), so with C near 2 and B at 31 the response
+    # is that tie bit.
+    tiny = 2.0**-53
+    table = np.ones((4, 2, 3))
+    table[:3, 0, 0] = (1.0, tiny, tiny)
+    table[:3, 0, 1] = (tiny, tiny, 1.0)
+    table[:3, 0, 2] = 10.0
+    table[3, :, 0] = (2.0, 5.0)
+    dev = DeviceInstance("tie", Netlist(Design.FF_PA_PUF, 4, ((2, 3),)), DelayParams(), 0, table)
+    challenges = np.zeros((64, 4), dtype=np.uint8)
+    tie = _tie_bits(_tie_key(9, 1), 0, 64, 3)[:, 0]
+    assert 0 < tie.mean() < 1
+    assert np.array_equal(propagate_many(dev, challenges, eval_seed=9), tie)
+    assert np.array_equal(reference_propagate(dev, challenges, eval_seed=9), tie)
+    assert exhaustive_propagate(dev, challenges[0], eval_seed=9) == tie[0]
+
+
+@st.composite
+def tap_layouts(draw):
+    """A valid FF-PA-PUF netlist on 5 to 24 stages with up to 6 taps."""
+    stages = draw(st.integers(5, 24))
+    targets = draw(st.lists(st.integers(1, stages - 1), unique=True, max_size=6))
+    return Netlist(Design.FF_PA_PUF, stages, tuple((draw(st.integers(0, target - 1)), target) for target in targets))
+
+
+@given(
+    netlist=tap_layouts(),
+    block_values=st.sampled_from([7, 100, 1 << 16]),
+    seed=st.integers(0, 2**16),
+)
+@example(Netlist(Design.FF_PA_PUF, 8, ((2, 3), (3, 4))), 100, 1)  # adjacent targets, a tap just before its target
+@example(Netlist(Design.FF_PA_PUF, 8, ((0, 2), (1, 3), (2, 5))), 7, 2)  # runs of length 0 and 1
+@example(Netlist(Design.FF_PA_PUF, 6, ((4, 5), (0, 1))), 1 << 16, 3)  # a one-stage first run, a last-stage target
+@settings(max_examples=30, deadline=None)
+def test_feed_forward_block_reads_equal_the_reference_on_any_tap_layout(netlist, block_values, seed):
+    params = DelayParams(sigma_noise=2.0, metastability_window=0.3)
+    devices = synthesize_population(params, netlist, 2, seed)
+    challenges = np.random.default_rng(seed).integers(0, 2, size=(40, netlist.stages), dtype=np.uint8)
+    eval_seeds = [[seed, seed + 1], [seed + 2, seed + 3]]
+    original = circuit.BLOCK_VALUES
+    circuit.BLOCK_VALUES = block_values
+    try:
+        reads = _block_reads(devices, challenges, eval_seeds)
+    finally:
+        circuit.BLOCK_VALUES = original
+    assert np.array_equal(reads, _reference_reads(devices, challenges, eval_seeds))
 
 
 def test_a_device_scales_its_delays_by_its_own_unit():

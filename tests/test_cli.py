@@ -325,18 +325,8 @@ def test_malformed_model_file_is_an_error_not_a_traceback(tmp_path, capsys, pref
     assert err.startswith("error:") and str(model) in err and named in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "kind, old, new, named",
-    [
-        ("device", "\n", "\ngarbage\n", "line 2"),
-        ("helper", "\n", "\ngarbage\n", "line 2"),
-        ("model", "\n", "\ngarbage\n", "line 2"),
-        ("config", "\n", "\ngarbage\n", "line 2"),
-        ("config", "\nstages=16", "\nstages=sixteen", "'stages'"),
-        ("crps", "# netlist=design=APUF;", "# netlist=design=APUF;stages;", "'# netlist'"),
-    ],
-)
-def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, capsys, kind, old, new, named):
+def _every_file_kind(tmp_path):
+    """A device, helper, model, config and CRP file, and the command that reads each."""
     out = str(tmp_path)
     paths = {
         "device": tmp_path / "device.txt",
@@ -360,6 +350,22 @@ def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, ca
         "config": ["crp", "gen", "--config", str(paths["config"]), "--out-dir", str(tmp_path / "again")],
         "crps": ["metrics", "--crps", str(paths["crps"]), "--out-dir", out],
     }
+    return paths, commands
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, named",
+    [
+        ("device", "\n", "\ngarbage\n", "line 2"),
+        ("helper", "\n", "\ngarbage\n", "line 2"),
+        ("model", "\n", "\ngarbage\n", "line 2"),
+        ("config", "\n", "\ngarbage\n", "line 2"),
+        ("config", "\nstages=16", "\nstages=sixteen", "'stages'"),
+        ("crps", "# netlist=design=APUF;", "# netlist=design=APUF;stages;", "'# netlist'"),
+    ],
+)
+def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, capsys, kind, old, new, named):
+    paths, commands = _every_file_kind(tmp_path)
     text = paths[kind].read_text()
     assert old in text
     paths[kind].write_text(text.replace(old, new, 1))
@@ -367,6 +373,29 @@ def test_malformed_line_or_value_names_the_file_and_the_line_or_key(tmp_path, ca
     assert run(*commands[kind]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(paths[kind]) in err and named in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["device", "helper", "model", "config", "crps"])
+def test_a_file_that_is_not_utf8_names_the_file_and_the_line(tmp_path, capsys, kind):
+    paths, commands = _every_file_kind(tmp_path)
+    lines = paths[kind].read_bytes().split(b"\n")
+    lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+    paths[kind].write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(*commands[kind]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[kind]}, line 4: not UTF-8 text (byte 0xff)\n"
+
+
+def test_a_crp_device_id_that_cannot_be_a_field_is_an_error(tmp_path, capsys):
+    path = tmp_path / "crps.csv"
+    assert run("crp", "gen", "--design", "pa-puf", "--stages", "16", "--population", "2",
+               "--challenges", "3", "--response-size", "8", "--out-dir", str(tmp_path)) == 0
+    path.write_text(path.read_text().replace("\ndev-001,", "\n,"))
+    capsys.readouterr()
+    assert run("metrics", "--crps", str(path), "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: device id '' must be non-empty and hold no comma, CR or LF\n"
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from papuf import (
     synthesize_device,
     synthesize_population,
 )
+from papuf import kvfile
 from papuf.attack import AttackModel, load_model, save_model
 from papuf.cli import DESIGN_NAMES, ExperimentConfig, _build_config, _echo_config
 from papuf.netlist import format_taps
@@ -161,3 +163,12 @@ def test_effective_config_read_back_reproduces_the_config_hash(config):
         again = _build_config(argparse.Namespace(config=str(Path(directory) / "effective-config.kv")))
     assert again == config
     assert again.config_hash() == chash
+
+
+def test_open_text_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path):
+    # lines end in LF, CR LF or CR, as text mode reads them; the bad byte is on line 4
+    path = tmp_path / "f.kv"
+    path.write_bytes(b"# papuf-x v1\r\na=1\rb=2\nc=\xff\xfe\nd=4\n")
+    with pytest.raises(ValueError) as error, kvfile.open_text(path) as handle:
+        kvfile.read(handle, {})
+    assert str(error.value) == f"{path}, line 4: not UTF-8 text (byte 0xff)"

@@ -362,6 +362,19 @@ def test_crp_file_round_trip_apuf(tmp_path):
     assert np.array_equal(loaded.challenges, crps.challenges)
 
 
+@pytest.mark.parametrize("bad", ["a,b", "", "a\rb", "a\nb", "dev\r\n"])
+def test_crp_set_rejects_a_device_id_that_cannot_be_a_record_field(tmp_path, bad):
+    challenges = random_seed_challenges(16, 2, 1)
+    responses = np.zeros((2, 2, 1, 8), dtype=np.uint8)
+    with pytest.raises(ValueError) as error:
+        CrpSet(["dev-0", bad], challenges, responses, Netlist(Design.PA_PUF, 16), DelayParams(), 1)
+    assert str(error.value) == f"device id {bad!r} must be non-empty and hold no comma, CR or LF"
+    # the ids save_crps writes load back as they were
+    crps = CrpSet(["dev-0", "a b;c"], challenges, responses, Netlist(Design.PA_PUF, 16), DelayParams(), 1)
+    save_crps(crps, tmp_path / "crps.csv")
+    assert load_crps(tmp_path / "crps.csv").device_ids == ["a b;c", "dev-0"]
+
+
 def test_crp_loader_rejects_duplicates(tmp_path):
     params = DelayParams()
     pop = synthesize_population(params, Netlist(Design.PA_PUF, 16), 1, 4)
