@@ -58,17 +58,18 @@ per-line selects come from a tap arbiter, and after every tap stage.
 Every sum stays in int64 units, so a tap arbiter reads correctly rounded
 times too, and lines whose sums are equal tie exactly there as well.
 
-``_sample`` draws every jitter value and tie bit: those of one
-observation point over a row block.  An arbiter reads only gaps, so the
-jitter is drawn in gap space, lines - 1 standard normals per evaluation
-(u, v for three lines) whose law equals that of the differences of
-independent per-line Normal(0, sigma_noise) jitters.  They come from an
-ordered list of SFC64 noise streams consumed row by row, so block
-boundaries never change a bit.  ``read_probabilities`` gives the
-analytic P(bit = 1) of a tapless chain under the same law at window 0.
-A tie bit is a pure function of its position: ``_tie_bits`` mixes a key,
-derived once per (eval_seed, point), with the counter of its evaluation
-and flip-flop, only when some gap of the block is within the window.
+``_sample`` draws the jitter values and tie bits of every propagation:
+those of one observation point over a row block.  An arbiter reads only
+gaps, so the jitter is drawn in gap space, lines - 1 standard normals per
+evaluation (u, v for three lines) whose law equals that of the
+differences of independent per-line Normal(0, sigma_noise) jitters.  They
+come from an ordered list of SFC64 noise streams consumed row by row, so
+block boundaries never change a bit.  ``read_probabilities`` gives the
+closed-form P(bit = 1) of a tapless chain under the same law, at every
+metastability window.  A tie bit is a pure function of its position:
+``_tie_bits`` mixes a key, derived once per (eval_seed, point), with the
+counter of its evaluation and flip-flop, only when some gap of the block
+is within the window.
 ``propagate_blocks`` is the block reader for every netlist: a whole
 population of (device, repetition) jobs, one row block at a time, one
 noise stream and tie key per job and point.  Tapless blocks take their
@@ -76,9 +77,15 @@ clean times from the kernel; feed-forward blocks go through the segments
 (``_feed_forward_times``) on three per-line (devices, repetitions, rows)
 arrays, whose repetition axis stays 1 until the first target stage, so
 the repetitions of a device share the clean prefix.  ``propagate_many``
-is its one-job case.  Tapless ``repeated_reads`` caches the clean times
-and reads its repetition-major rows from one noise stream and tie key,
-whole repetitions per block.
+is its one-job case.
+
+Tapless ``repeated_reads`` draws no jitter.  Given the clean times, the
+reads of a challenge are independent Bernoulli(p) bits, p its read
+probability, so it computes p once per challenge, as a threshold
+floor(p * 2^63), and compares one word of the SFC64 noise stream of its
+eval_seed, shifted right by one, per read: repetition-major, whole
+repetitions per block.  Feed-forward ``repeated_reads`` propagates each
+repetition through ``propagate_many``.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import normal
 from .bch import as_bits
 from .device import NOISE_TAG, TIE_TAG, DelayParams, DeviceInstance
 from .netlist import Netlist
@@ -352,7 +360,9 @@ def _sample(
     start+1, ... of the key.  Tie bits are computed only when some gap is
     within the metastability window, since no other decision reads them;
     being a pure function of their position, no window or block split
-    moves them.  This is the one place where noise and tie bits are drawn.
+    moves them.  Every propagation draws its noise and tie bits here;
+    tapless ``repeated_reads`` reads words against ``_read_probabilities``
+    instead.
     """
     free = len(clean)
     size = math.prod(shape) // len(streams)
@@ -559,49 +569,73 @@ def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.nd
     return out
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+def _read_probabilities(times: np.ndarray, params: DelayParams) -> np.ndarray:
+    """P(response bit = 1) of each row of (N, lines) clean arrival times, (N,).
 
+    Let m_k be the clean gaps of the flip-flops, (t_top - t_bot) for 2
+    lines and (t_T - t_C, t_C - t_B, t_B - t_T) for 3, s = sigma*sqrt(2) the
+    spread of a jittered gap, w the metastability window, u_k = (w - m_k)/s
+    and h_k = (-w - m_k)/s.  A flip-flop inside the window latches a fair
+    tie bit that no other draw sees, and the arbiter XORs it into its
+    output, so a read with any flip-flop inside the window is 1 with
+    probability 1/2; otherwise it is the strict race.
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, 0.5*erfc(-x/sqrt(2)), elementwise."""
-    return 0.5 * _erfc(x * -math.sqrt(0.5)).astype(np.float64)
+    2 lines: p = Phi(h) + (Phi(u) - Phi(h))/2.  3 lines: the six strict
+    orderings, each two adjacent gaps below -w, are disjoint and cover
+    every read with no flip-flop inside the window, so p = sum of the three
+    cyclic orthants + (1 - sum of all six)/2.  Adjacent gaps have
+    correlation -1/2; with P(X > a, Y > b) = 1 - Phi(a) - Phi(b) + L(a, b)
+    the anticyclic orthants fold into the cyclic ones at the other edge of
+    the window, and
+
+        p = sum_k Phi(u_k) - 1 - sum_k [L(u_k, u_k+1) - L(h_k, h_k+1)] / 2
+
+    with Phi = ``normal.cdf`` and L = ``normal.orthant``.  At window 0 the
+    bracket vanishes: a read is 1 exactly when two of the three flip-flops
+    latch 1, so p is the expected count of ones, three values of Phi, minus
+    1.  At sigma_noise 0 a read is its clean race, or 1/2 where a gap is
+    within the window.  Rows are taken in blocks of about BLOCK_VALUES
+    values.
+    """
+    sigma, window = params.sigma_noise, params.metastability_window
+    n_rows, lines = times.shape
+    pairs = _pairs(lines)
+    # values per row held at once: about 8 arrays of the argument's size in
+    # normal.cdf, and two of ORTHANT_NODES values per argument in normal.orthant
+    per_row = 2 * 3 * normal.ORTHANT_NODES if pairs == 3 and window > 0 else 8 * lines
+    p = np.empty(n_rows)
+    for rows in _row_blocks(n_rows, _block_rows(per_row)):
+        t = times[rows]
+        m = t[:, :pairs] - t[:, np.arange(1, pairs + 1) % lines]
+        s = sigma * math.sqrt(2.0)
+        if sigma == 0:
+            race = _arbitrate(t, 0.0, np.zeros((len(t), pairs), dtype=np.uint8))
+            p[rows] = np.where((np.abs(m) <= window).any(axis=1), 0.5, race)
+        elif pairs == 1:
+            p[rows] = normal.cdf((window - m[:, 0]) / s)
+            if window > 0:
+                p[rows] = (p[rows] + normal.cdf((-window - m[:, 0]) / s)) / 2
+        else:
+            u, h = (window - m) / s, (-window - m) / s
+            p[rows] = normal.cdf(u).sum(axis=1) - 1.0
+            if window > 0:
+                step = [1, 2, 0]
+                p[rows] -= (normal.orthant(u, u[:, step]) - normal.orthant(h, h[:, step])).sum(axis=1) / 2
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def read_probabilities(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
-    """P(response bit = 1) of each challenge of a tapless device at window 0, (N,).
+    """P(response bit = 1) of each challenge of a tapless device, (N,).
 
-    A read is 1 when the jittered gaps fall in the arbiter's 1 region.  For
-    2 lines that is Phi((t_bot - t_top) / (sigma*sqrt(2))).  For 3 lines it
-    is the sum over the cyclic orderings (a, b, c) of (T, C, B) of
-    P(a < b < c); given the middle line's jitter sigma*z the other two races
-    are independent, so P(a < b < c) = E_z[Phi((t_b - t_a)/sigma + z) *
-    Phi((t_c - t_b)/sigma - z)], taken with 48-node Gauss-Hermite
-    quadrature (the tests hold it to the bivariate normal CDF within
-    1e-12).  At sigma_noise 0 a read is its clean race, or 1/2 where two
-    lines tie exactly and a fair tie bit decides.  Feed-forward netlists and
-    a positive metastability window are a ``ValueError``.
+    The closed form of ``_read_probabilities`` on the clean arrival times,
+    exact at every metastability window up to the rounding of its normal
+    CDFs: at window 0 three values of Phi per 3-line challenge, beyond it
+    six orthants of the bivariate normal at correlation -1/2 by Genz's
+    12-node rule.  Feed-forward netlists are a ``ValueError``.
     """
     if device.netlist.ff_taps:
         raise ValueError("read probabilities are defined for tapless netlists only")
-    sigma, window = device.params.sigma_noise, device.params.metastability_window
-    if window > 0:
-        raise ValueError(f"read probabilities are defined at metastability window 0 only, got {window}")
-    times = clean_arrival_times(device, challenges)
-    lines = times.shape[1]
-    if sigma == 0:
-        # a tie flips the output with its tie bit, so the mean over both values is 1/2
-        ties = np.zeros((times.shape[0], _pairs(lines)), dtype=np.uint8)
-        return (_arbitrate(times, 0.0, ties) + _arbitrate(times, 0.0, ties + 1)) / 2
-    if lines == 2:
-        return _phi((times[:, 1] - times[:, 0]) / (sigma * math.sqrt(2.0)))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(48)
-    weights /= math.sqrt(2.0 * math.pi)
-    p = np.zeros(times.shape[0])
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        first = _phi(((times[:, b] - times[:, a]) / sigma)[:, None] + nodes)
-        second = _phi(((times[:, c] - times[:, b]) / sigma)[:, None] - nodes)
-        p += (first * second) @ weights
-    return np.clip(p, 0.0, 1.0)
+    return _read_probabilities(clean_arrival_times(device, challenges), device.params)
 
 
 def repeated_reads(
@@ -615,12 +649,15 @@ def repeated_reads(
 
     Tapless designs compute the clean arrival times once, through
     ``clean_arrival_times``, or take them as ``clean`` from a caller that
-    already has them, and read the R*N repetition-major rows through
-    the shared sampler from the noise stream and tie key of ``eval_seed``.
-    Each block holds whole repetitions, about BLOCK_VALUES values, so the
-    bits equal ``propagate_many(device, np.tile(challenges, (R, 1)),
-    eval_seed)`` reshaped to (R, N).  Feed-forward designs make one full
-    propagation per repetition, seeded ``derive_seed(eval_seed, "rep", r)``.
+    already has them.  Given them, the reads of a challenge are independent
+    Bernoulli(p) bits, p its ``_read_probabilities`` value, which is the law
+    of the sampler's jitter and tie bits.  So p becomes a threshold
+    floor(p * 2^63), and read r of challenge n is 1 when word r*N + n of
+    the SFC64 noise stream of ``eval_seed``, shifted right by one, is below
+    it: one word per read, drawn repetition-major in blocks of whole
+    repetitions, so block boundaries never move a bit, p = 1 always reads
+    1 and p = 0 never does.  Feed-forward designs make one full propagation
+    per repetition, seeded ``derive_seed(eval_seed, "rep", r)``.
     Deterministic under (device, challenges, repetitions, eval_seed).  Zero
     repetitions give a (0, N) array; a negative count is a ``ValueError``.
     """
@@ -635,11 +672,13 @@ def repeated_reads(
         return reads
     if clean is None:
         clean = clean_arrival_times(device, challenges)
-    n_eval, lines = clean.shape
-    gaps = _clean_gaps(list(clean.T))
-    streams = [(_noise_rng(eval_seed, 0), _tie_key(eval_seed, 0))]
-    out = np.empty((repetitions, n_eval), dtype=np.uint8)
-    for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval * lines))):
-        flops = _sample(streams, reps.start * n_eval, device.params, gaps, (reps.stop - reps.start, n_eval))
-        out[reps] = _response(flops)
-    return out
+    n_eval = clean.shape[0]
+    thresholds = np.floor(np.ldexp(_read_probabilities(clean, device.params), 63)).astype(np.uint64)
+    words = _noise_rng(eval_seed, 0).bit_generator
+    out = np.empty((repetitions, n_eval), dtype=bool)
+    for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval))):
+        block = words.random_raw((reps.stop - reps.start, n_eval))
+        block >>= 1
+        np.less(block, thresholds, out=out[reps])
+        del block  # one block alive at a time
+    return out.view(np.uint8)

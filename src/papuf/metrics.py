@@ -293,11 +293,13 @@ def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed
     Every probe is one ``measure_reliability`` call at the probed sigma.
     Only sigma_noise changes between probes, so the expanded reliability
     challenges and, for a tapless device, their clean arrival times are
-    computed once, before the bisection, and shared; a probe then only
-    draws, latches and votes.  All probes reuse the same evaluation seed,
-    so jitter draws are common random numbers scaled by sigma and the
-    probe function is monotone in practice.  A target of 100 is satisfied
-    exactly by sigma_noise = 0.
+    computed once, before the bisection, and shared; a probe then computes
+    each challenge's read probability p(sigma), reads and votes.  All
+    probes reuse the same evaluation seed, so the reads are common random
+    numbers: for a tapless device one noise word per read, compared
+    against p(sigma), and for a feed-forward one jitter draws scaled by
+    sigma.  The probe function is monotone in practice.  A target of 100
+    is satisfied exactly by sigma_noise = 0.
     """
     if not 50.0 < target_reliability <= 100.0:
         raise CalibrationError(f"target reliability must be in (50, 100], got {target_reliability}")

@@ -31,6 +31,7 @@ from .response import (
     CRP_COLUMNS,
     LFSR_TAPS,
     CrpSet,
+    _check_device_id,
     _crp_set,
     _decimal_to_int,
     hex_to_bits,
@@ -312,11 +313,11 @@ def reference_load_crps(path) -> CrpSet:
     """``response.load_crps`` as a line-by-line reader over Python dicts.
 
     Each stripped, non-blank line is split and checked field by field in
-    record order (columns, repetition, response_bits_len, response hex,
-    challenge hex, then the cell), so the first bad line raises, as in
-    ``load_crps``.  The field rules are ``_decimal_to_int`` and
-    ``hex_to_bits``; records are kept per (device id, challenge bits,
-    repetition) cell and arranged at the end.
+    record order (columns, device id, repetition, response_bits_len,
+    response hex, challenge hex, then the cell), so the first bad line
+    raises, as in ``load_crps``.  The field rules are ``_check_device_id``,
+    ``_decimal_to_int`` and ``hex_to_bits``; records are kept per (device
+    id, challenge bits, repetition) cell and arranged at the end.
     """
     cells: dict[tuple[str, bytes, int], np.ndarray] = {}
     challenges: dict[bytes, np.ndarray] = {}  # first-seen order
@@ -334,6 +335,7 @@ def reference_load_crps(path) -> CrpSet:
                 if len(fields) != 5:
                     raise ValueError(f"expected {CRP_COLUMNS}, got {line!r}")
                 device_id, chal_hex, rep_text, resp_hex, length = fields
+                _check_device_id(device_id)
                 rep = _decimal_to_int(rep_text, "repetition")
                 bits = _decimal_to_int(length, "response_bits_len")
                 if bits == 0:
@@ -360,4 +362,4 @@ def reference_load_crps(path) -> CrpSet:
         [[cells[device_id, key, rep] for rep in range(repetitions)] for key in challenges]
         for device_id in device_ids
     ]
-    return _crp_set(path, header, device_ids, np.stack(list(challenges.values())), np.array(responses, dtype=np.uint8))
+    return _crp_set(header, device_ids, np.stack(list(challenges.values())), np.array(responses, dtype=np.uint8))

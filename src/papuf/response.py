@@ -218,6 +218,13 @@ def neighbor_seed_challenges(width: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
+def _check_device_id(device_id: str) -> None:
+    """A device id is one field of a CRP record: an empty id, or one that
+    holds a comma, a CR or an LF, is a ``ValueError``."""
+    if not device_id or any(mark in device_id for mark in ",\r\n"):
+        raise ValueError(f"device id {device_id!r} must be non-empty and hold no comma, CR or LF")
+
+
 @dataclass
 class CrpSet:
     """Challenge-response records for a device population.
@@ -241,8 +248,7 @@ class CrpSet:
 
     def __post_init__(self):
         for device_id in self.device_ids:
-            if not device_id or any(mark in device_id for mark in ",\r\n"):
-                raise ValueError(f"device id {device_id!r} must be non-empty and hold no comma, CR or LF")
+            _check_device_id(device_id)
         d, c, _, _ = self.responses.shape
         if d != len(self.device_ids):
             raise ValueError("device_ids do not match response array")
@@ -397,22 +403,18 @@ _CRP_HEADER = {
 }
 
 
-def _crp_set(path, header: dict, device_ids: list[str], challenges: np.ndarray, responses: np.ndarray) -> CrpSet:
-    """The CrpSet of a checked CRP-file header and its parsed records; a
-    ``ValueError`` of ``CrpSet``, such as an empty device id, names the file."""
-    try:
-        return CrpSet(
-            device_ids=device_ids,
-            challenges=challenges,
-            responses=responses,
-            netlist=header["# netlist"],
-            params=header["# params"],
-            master_eval_seed=header["# master_eval_seed"],
-            challenge_mode=header["# challenge_mode"],
-            extra_header={} if header["# config"] is None else {"config": header["# config"]},
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _crp_set(header: dict, device_ids: list[str], challenges: np.ndarray, responses: np.ndarray) -> CrpSet:
+    """The CrpSet of a checked CRP-file header and its parsed records."""
+    return CrpSet(
+        device_ids=device_ids,
+        challenges=challenges,
+        responses=responses,
+        netlist=header["# netlist"],
+        params=header["# params"],
+        master_eval_seed=header["# master_eval_seed"],
+        challenge_mode=header["# challenge_mode"],
+        extra_header={} if header["# config"] is None else {"config": header["# config"]},
+    )
 
 
 def _hex_digits(bits: np.ndarray) -> np.ndarray:
@@ -582,6 +584,8 @@ def _parse_records(path, text: str, first_line: int, stages: int):
     def field(j: int, k: int) -> str:
         return text_of(field_starts[k][j], field_ends[k][j])
 
+    # a field holds no comma or line break, so only an empty id is bad here
+    check(field_ends[0] == field_starts[0], lambda j: _rule_error(_check_device_id, field(j, 0)))
     reps, ok = _decimal_columns(buf, field_starts[2], field_ends[2])
     check(~ok, lambda j: _rule_error(_decimal_to_int, field(j, 2), "repetition"))
     sizes, ok = _decimal_columns(buf, field_starts[4], field_ends[4])
@@ -633,4 +637,4 @@ def load_crps(path) -> CrpSet:
         header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=numbered)
         first_line, text = next(numbered, (0, ""))
         text += handle.read()
-    return _crp_set(path, header, *_parse_records(path, text, first_line, header["# netlist"].stages))
+    return _crp_set(header, *_parse_records(path, text, first_line, header["# netlist"].stages))

@@ -19,7 +19,7 @@ from papuf import (
     synthesize_device,
     synthesize_population,
 )
-from papuf import circuit
+from papuf import circuit, normal
 from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_key
 from papuf.device import DeviceInstance
 from papuf.netlist import default_ff_taps
@@ -352,32 +352,27 @@ def test_oracle_refuses_large_netlists(pa64):
         exhaustive_propagate(pa64, np.zeros(64, dtype=np.uint8))
 
 
-def test_repeated_reads_matches_distribution_and_chunking(pa64, monkeypatch):
-    def reads_per_block_size(dev, challenges, repetitions, eval_seed, block_values):
-        reads = []
-        for values in block_values:
-            monkeypatch.setattr(circuit, "BLOCK_VALUES", values)
-            reads.append(repeated_reads(dev, challenges, repetitions, eval_seed=eval_seed))
-        return reads
+def _closed_form_reads(dev, challenges, repetitions, eval_seed):
+    """Read r of cell n is 1 when word r*N + n of the noise stream, shifted
+    right by one, is below floor(p * 2^63), in Python integers."""
+    thresholds = [math.floor(math.ldexp(p, 63)) for p in read_probabilities(dev, challenges)]
+    words = _noise_rng(eval_seed, 0).bit_generator.random_raw(repetitions * len(thresholds)).tolist()
+    bits = [word >> 1 < thresholds[i % len(thresholds)] for i, word in enumerate(words)]
+    return np.array(bits, dtype=np.uint8).reshape(repetitions, len(thresholds))
 
-    noisy = pa64.with_params(pa64.params.with_noise(2.0))
-    challenges = np.random.default_rng(4).integers(0, 2, size=(64, 64), dtype=np.uint8)
-    # 64 rows x 3 lines per repetition: blocks of 7 repetitions, or all 30 in one
-    a, b = reads_per_block_size(noisy, challenges, 30, 11, (7 * 64 * 3, 1 << 40))
-    assert np.array_equal(a, b)
-    assert a.shape == (30, 64)
-    # A window wide enough for frequent random tie breaks: the tie stream
-    # must not depend on how repetitions are grouped either.
-    params = DelayParams(sigma_noise=2.0, metastability_window=3.0)
+
+def test_repeated_reads_matches_distribution_and_chunking(monkeypatch):
     challenges = np.random.default_rng(5).integers(0, 2, size=(37, 16), dtype=np.uint8)
-    for design in (Design.APUF, Design.PA_PUF):
+    for design, window in product((Design.APUF, Design.PA_PUF), (0.0, 3.0)):
+        params = DelayParams(sigma_noise=2.0, metastability_window=window)
         dev = synthesize_device(params, Netlist(design, 16), 21)
+        monkeypatch.undo()
+        expected = _closed_form_reads(dev, challenges, 10, 12)
+        assert (expected != expected[0]).sum() >= 20, design  # cells that flip
         # blocks of 1 repetition, of 3, or all 10 in one
-        one, three, whole = reads_per_block_size(dev, challenges, 10, 12, (1, 3 * 37 * dev.netlist.lines, 1 << 40))
-        assert np.array_equal(one, whole) and np.array_equal(three, whole), design
-        # and each row equals an independent full read of the same streams
-        row = propagate_many(dev, np.tile(challenges, (10, 1)), eval_seed=12).reshape(10, 37)
-        assert np.array_equal(whole, row), design
+        for values in (1, 3 * 37, 1 << 40):
+            monkeypatch.setattr(circuit, "BLOCK_VALUES", values)
+            assert np.array_equal(repeated_reads(dev, challenges, 10, eval_seed=12), expected), (design, window)
 
 
 @pytest.mark.parametrize(
@@ -606,39 +601,65 @@ def test_each_stream_draws_lines_minus_one_normals_per_row(monkeypatch, netlist)
         assert rng.standard_normal() == fresh.standard_normal()
 
 
+def test_normal_cdfs_equal_math_erfc_and_scipy():
+    # a dense grid, both ends of Cody's middle range (|x| / sqrt 2 = 0.46875 and 4) and the tails
+    edges = math.sqrt(2.0) * np.array([0.46875, 4.0])
+    x = np.concatenate([np.linspace(-40.0, 40.0, 400_001), edges, -edges, np.nextafter(edges, 0), [-1e300, 1e300]])
+    expected = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    assert np.abs(normal.cdf(x) - expected).max() <= 2.3e-16
+    rng = np.random.default_rng(8)
+    h, k = rng.normal(0.0, 3.0, (2, 300))
+    h[:4], k[:4] = [0.0, 9.0, -9.0, 1e300], [0.0, -9.0, 9.0, -1e300]
+    cov = [[1.0, -0.5], [-0.5, 1.0]]
+    expected = [multivariate_normal.cdf([a, b], cov=cov) for a, b in zip(np.clip(h, -40, 40), np.clip(k, -40, 40))]
+    assert np.abs(normal.orthant(h, k) - expected).max() <= 1e-15
+
+
 def test_read_probabilities_equal_the_normal_cdf():
+    # p = P(no flip-flop within the window and a cyclic order) + P(some flip-flop within it) / 2
     rng = np.random.default_rng(21)
-    for case in range(40):
+    for case in range(80):
         sigma = float(rng.uniform(0.3, 8.0))
+        window = float(rng.uniform(0.05, 2.0) * sigma) if case % 2 else 0.0
+        params = DelayParams(sigma_noise=sigma, metastability_window=window)
         challenges = rng.integers(0, 2, size=(8, 8), dtype=np.uint8)
-        pa = synthesize_device(DelayParams(sigma_noise=sigma), Netlist(Design.PA_PUF, 8), case)
+        pa = synthesize_device(params, Netlist(Design.PA_PUF, 8), case)
         times = clean_arrival_times(pa, challenges)
-        # (T-C, C-B, B-T) have variance 2 sigma^2 and pairwise covariance -sigma^2
+        # (T-C, C-B, B-T) have variance 2 sigma^2 and pairwise covariance -sigma^2; each strict
+        # order has two adjacent gaps below -window, the cyclic ones (T-C, C-B), (C-B, B-T),
+        # (B-T, T-C), and the anticyclic ones those gaps negated
         cov = sigma**2 * np.array([[2.0, -1.0], [-1.0, 2.0]])
         gaps = times - times[:, [1, 2, 0]]
-        expected = [
-            sum(multivariate_normal.cdf([0.0, 0.0], mean=gap[[k, (k + 1) % 3]], cov=cov) for k in range(3))
-            for gap in gaps
-        ]
+        corner = [-window, -window]
+        expected = []
+        for gap in gaps:
+            cyclic = sum(multivariate_normal.cdf(corner, mean=gap[[k, (k + 1) % 3]], cov=cov) for k in range(3))
+            anti = sum(multivariate_normal.cdf(corner, mean=-gap[[k, (k + 1) % 3]], cov=cov) for k in range(3))
+            expected.append(cyclic + (1.0 - cyclic - anti) / 2)
         assert np.abs(read_probabilities(pa, challenges) - expected).max() <= 1e-12
-        apuf = synthesize_device(DelayParams(sigma_noise=sigma), Netlist(Design.APUF, 8), case)
+        apuf = synthesize_device(params, Netlist(Design.APUF, 8), case)
         times = clean_arrival_times(apuf, challenges)
-        expected = norm.cdf(0.0, loc=times[:, 0] - times[:, 1], scale=sigma * math.sqrt(2.0))
+        gap, s = times[:, 0] - times[:, 1], sigma * math.sqrt(2.0)
+        below, above = norm.cdf(-window, loc=gap, scale=s), norm.cdf(window, loc=gap, scale=s)
+        expected = below + (above - below) / 2
         assert np.abs(read_probabilities(apuf, challenges) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
 def test_flip_rates_match_read_probabilities(design):
-    dev = synthesize_device(DelayParams(sigma_noise=1.953125), Netlist(design, 64), 3)
+    # the sampler's reads, through propagate_many, against the closed form that repeated_reads draws from
     challenges = np.random.default_rng(12).integers(0, 2, size=(1024, 64), dtype=np.uint8)
-    p = read_probabilities(dev, challenges)
-    assert ((p > 0.01) & (p < 0.99)).sum() >= 50  # enough cells that flip
-    reads = 4000
-    ones = repeated_reads(dev, challenges, reads, eval_seed=13).sum(axis=0)
-    # each cell's count of ones lies in the central 4-sigma interval of Binomial(reads, p),
-    # taken exactly, so that cells with p*reads << 1 are judged fairly
-    low, high = binom.interval(1.0 - 2.0 * norm.sf(4.0), reads, p)
-    assert np.all((low <= ones) & (ones <= high))
+    reads, parts = 4000, 8
+    tiled = np.tile(challenges, (reads // parts, 1))
+    for sigma, window in ((1.953125, 0.0), (2.0, 3.0)):
+        dev = synthesize_device(DelayParams(sigma_noise=sigma, metastability_window=window), Netlist(design, 64), 3)
+        p = read_probabilities(dev, challenges)
+        assert ((p > 0.01) & (p < 0.99)).sum() >= 50, window  # enough cells that flip
+        ones = sum(propagate_many(dev, tiled, eval_seed=13 + part).reshape(-1, 1024).sum(axis=0) for part in range(parts))
+        # each cell's count of ones lies in the central 4-sigma interval of Binomial(reads, p),
+        # taken exactly, so that cells with p*reads << 1 are judged fairly
+        low, high = binom.interval(1.0 - 2.0 * norm.sf(4.0), reads, p)
+        assert np.all((low <= ones) & (ones <= high)), window
 
 
 def test_read_probabilities_without_noise_and_their_domain(pa64):
@@ -646,18 +667,29 @@ def test_read_probabilities_without_noise_and_their_domain(pa64):
     assert np.array_equal(read_probabilities(pa64, challenges), propagate_many(pa64, challenges))
     tied = synthesize_device(DelayParams(sigma_process=0.0), Netlist(Design.PA_PUF, 4), 1)
     assert np.array_equal(read_probabilities(tied, challenges[:, :4]), np.full(200, 0.5))
-    windowed = synthesize_device(DelayParams(sigma_noise=1.0, metastability_window=0.1), Netlist(Design.PA_PUF, 4), 1)
-    with pytest.raises(ValueError, match="window 0"):
-        read_probabilities(windowed, challenges[:, :4])
+    # at sigma_noise 0 with a window: the clean race, or 1/2 where a gap is within the window
+    times = clean_arrival_times(pa64, challenges)
+    gaps = np.abs(times - times[:, [1, 2, 0]])
+    window = float(np.median(gaps.min(axis=1)))
+    windowed = pa64.with_params(DelayParams(metastability_window=window))
+    expected = np.where((gaps <= window).any(axis=1), 0.5, propagate_many(pa64, challenges))
+    assert 0 < (expected == 0.5).sum() < 200
+    assert np.array_equal(read_probabilities(windowed, challenges), expected)
     ff = synthesize_device(DelayParams(sigma_noise=1.0), Netlist(Design.FF_PA_PUF, 4, ((0, 2),)), 1)
     with pytest.raises(ValueError, match="tapless"):
         read_probabilities(ff, challenges[:, :4])
 
 
 def test_repeated_reads_noiseless_is_constant(pa64):
+    # p = 0 never reads 1 and p = 1 always reads 1, whose threshold 2^63 lies above every shifted word:
+    # the noiseless device, and a noisy one whose gaps are far beyond its noise
     challenges = np.random.default_rng(4).integers(0, 2, size=(32, 64), dtype=np.uint8)
-    reads = repeated_reads(pa64, challenges, 10, eval_seed=3)
-    assert (reads == reads[0]).all()
+    for sigma in (0.0, 1e-3):
+        dev = pa64.with_params(DelayParams(sigma_noise=sigma))
+        p = read_probabilities(dev, challenges)
+        assert set(p.tolist()) == {0.0, 1.0}
+        reads = repeated_reads(dev, challenges, 2000, eval_seed=3)
+        assert np.array_equal(reads, np.broadcast_to(p.astype(np.uint8), reads.shape))
 
 
 def test_netlist_describe_parse_round_trip():

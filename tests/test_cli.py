@@ -392,10 +392,11 @@ def test_a_crp_device_id_that_cannot_be_a_field_is_an_error(tmp_path, capsys):
     assert run("crp", "gen", "--design", "pa-puf", "--stages", "16", "--population", "2",
                "--challenges", "3", "--response-size", "8", "--out-dir", str(tmp_path)) == 0
     path.write_text(path.read_text().replace("\ndev-001,", "\n,"))
+    line = next(number for number, text in enumerate(path.read_text().splitlines(), 1) if text.startswith(","))
     capsys.readouterr()
     assert run("metrics", "--crps", str(path), "--out-dir", str(tmp_path)) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: device id '' must be non-empty and hold no comma, CR or LF\n"
+    assert err == f"error: {path}, line {line}: device id '' must be non-empty and hold no comma, CR or LF\n"
 
 
 @pytest.mark.parametrize(

@@ -375,6 +375,24 @@ def test_crp_set_rejects_a_device_id_that_cannot_be_a_record_field(tmp_path, bad
     assert load_crps(tmp_path / "crps.csv").device_ids == ["a b;c", "dev-0"]
 
 
+def test_an_empty_device_id_names_its_line_in_record_order(tmp_path):
+    crps = CrpSet(["dev-0"], random_seed_challenges(16, 3, 1), np.zeros((1, 3, 1, 8), dtype=np.uint8),
+                  Netlist(Design.PA_PUF, 16), DelayParams(), 1)
+    path = tmp_path / "crps.csv"
+    save_crps(crps, path)
+    lines = path.read_text().splitlines()
+    empty_id = ",".join(["", *lines[-2].split(",")[1:]])
+    bad_size = lines[-1].removesuffix(",8") + ",x"
+    # the last two records are lines len - 1 and len: whichever bad record comes first is named
+    for records, error in (([empty_id, bad_size], "device id '' must be non-empty and hold no comma, CR or LF"),
+                           ([bad_size, empty_id], "response_bits_len")):
+        path.write_text("\n".join(lines[:-2] + records) + "\n")
+        for parse in (load_crps, reference_load_crps):
+            with pytest.raises(ValueError) as exc:
+                parse(path)
+            assert str(exc.value).startswith(f"{path}, line {len(lines) - 1}: ") and error in str(exc.value), parse
+
+
 def test_crp_loader_rejects_duplicates(tmp_path):
     params = DelayParams()
     pop = synthesize_population(params, Netlist(Design.PA_PUF, 16), 1, 4)
