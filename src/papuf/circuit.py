@@ -36,7 +36,15 @@ rounded to the unit, which moves a clean time by at most stages/2 units
 before its final rounding: within one ulp of the exact sum on a 64-stage
 chain.  Integer sums do not depend on order or grouping, and one int64 ->
 float64 cast and an exact multiplication by 2^e give the correctly rounded
-sum.  So lines whose sums are equal tie exactly, whatever the stage order.
+sum.
+
+An arbiter reads only gaps, so the kernel sums them directly: a gap
+t_l - t_{l+1} is the sum of the per-stage differences of the two lines'
+delays, so the table of a population keeps lines - 1 free gap columns per
+device, each the exact difference of two line columns.  Every flip-flop
+then reads the exact gap, rounded once.  Lines whose exact sums are equal
+tie exactly, whatever the stage order; lines whose exact sums differ never
+tie, even where their times round to the same double.
 
 The kernel adds GROUP_STAGES stages per gather.  Stage group g with bits b
 (stage g*G + j is bit j) and r ones after the group has the code
@@ -45,18 +53,21 @@ enters only through its group table, whose row holds the group's summed
 delays per line.  The tables of several devices sit side by side as
 columns, so one set of codes serves a whole population.
 
-``arrival_time_blocks`` is that kernel.  It works through row blocks of
-about BLOCK_VALUES values, so nothing of size devices x rows x lines, and
-no one-hot encoding of the codes, is ever allocated.
-``clean_arrival_times`` and tapless ``repeated_reads`` go through it.
+``kernel_blocks`` is that kernel, given a table: the line table
+(``clean_arrival_times``, and through it ``read_probabilities`` and
+tapless ``repeated_reads``) or the gap table (``propagate_blocks``).  It
+works through row blocks of about BLOCK_VALUES values, so nothing of size
+devices x rows x lines, and no one-hot encoding of the codes, is ever
+allocated.
 
 A feed-forward chain is the same kernel in segments.  A run [a, b) of
 stages driven by the challenge alone maps its input times to
 out[l] = in[(l - n1) mod L] + off[l], with n1 the run's ones and off the
 closed form on stages a..b-1.  Runs are cut at every target stage, whose
 per-line selects come from a tap arbiter, and after every tap stage.
-Every sum stays in int64 units, so a tap arbiter reads correctly rounded
-times too, and lines whose sums are equal tie exactly there as well.
+Every sum stays in int64 units, and a tap arbiter, like the terminal one,
+reads the int64 difference of two lines rounded once (``_clean_gaps``):
+the same rule as the gap table.
 
 ``_sample`` draws the jitter values and tie bits of every propagation:
 those of one observation point over a row block.  An arbiter reads only
@@ -73,11 +84,11 @@ is within the window.
 ``propagate_blocks`` is the block reader for every netlist: a whole
 population of (device, repetition) jobs, one row block at a time, one
 noise stream and tie key per job and point.  Tapless blocks take their
-clean times from the kernel; feed-forward blocks go through the segments
-(``_feed_forward_times``) on three per-line (devices, repetitions, rows)
-arrays, whose repetition axis stays 1 until the first target stage, so
-the repetitions of a device share the clean prefix.  ``propagate_many``
-is its one-job case.
+clean gaps from the kernel's gap table; feed-forward blocks go through
+the segments (``_feed_forward_times``) on three per-line (devices,
+repetitions, rows) arrays, whose repetition axis stays 1 until the first
+target stage, so the repetitions of a device share the clean prefix.
+``propagate_many`` is its one-job case.
 
 Tapless ``repeated_reads`` draws no jitter.  Given the clean times, the
 reads of a challenge are independent Bernoulli(p) bits, p its read
@@ -297,42 +308,50 @@ def _row_blocks(n_rows: int, block_rows: int):
         yield slice(start, min(start + block_rows, n_rows))
 
 
-def arrival_time_blocks(devices: Sequence[DeviceInstance], challenges: np.ndarray, block_rows: int):
-    """Clean arrival times of tapless devices, one row block at a time.
+def _population_table(devices: Sequence[DeviceInstance], gaps: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """A tapless population's kernel table and the unit 2^e of each of its columns.
 
-    Each block gathers and adds one group-table row per stage group in
-    int64 (``_group_sums``), then casts and scales each device's columns by
-    its unit once.  ``challenges`` is a validated (N, stages) uint8 batch
-    and the devices share its netlist.  Yields (rows, times) per block of
-    ``block_rows`` rows; times is (B, D*lines) with device d in columns
-    d*lines to (d+1)*lines.
+    The ``_group_table`` of the devices' scaled delays, L columns per
+    device.  With ``gaps`` it keeps the lines - 1 free gap columns of each
+    device instead, device d in columns d*(L-1) to (d+1)*(L-1): row by row
+    the exact differences t_l - t_{l+1} of its line columns.  A difference
+    of sums is the sum of the differences, so the gap rows of a challenge
+    add up to its exact clean gaps, all below 2^62 units in magnitude.
     """
-    lines = devices[0].netlist.lines
     scaled, units = _scaled_tables(devices)
-    tables = _group_table(scaled)
-    units = np.repeat(units, lines)
-    for rows in _row_blocks(challenges.shape[0], block_rows):
-        sums, _ = _group_sums(tables, challenges[rows], lines)
-        times = sums.astype(np.float64)
-        times *= units
-        yield rows, times
+    table = _group_table(scaled)
+    if gaps:
+        per_line = table.reshape(table.shape[0], len(devices), -1)
+        table = (per_line[..., :-1] - per_line[..., 1:]).reshape(table.shape[0], -1)
+    return table, np.repeat(units, table.shape[1] // len(devices))
 
 
-def _clean_gaps(times: Sequence[np.ndarray], units=None) -> list[np.ndarray]:
-    """The lines - 1 free clean gaps t_l - t_{l+1} of per-line times.
+def kernel_blocks(table: np.ndarray, units: np.ndarray, challenges: np.ndarray, lines: int, block_rows: int):
+    """The closed-form kernel: exact sums of ``table`` rows, one row block at a time.
 
-    With ``units``, the times are a feed-forward chain's exact int64 ones,
-    each cast to float64 and scaled by its device's unit before the
-    subtraction, with at most two lines in float64 at a time.
+    Each block gathers and adds one ``_population_table`` row per stage
+    group in int64 (``_group_sums``), then casts every column to float64
+    once and scales it by its unit, so each value is the correctly rounded
+    exact sum: a clean time of the line table, a clean gap of the gap
+    table.  ``challenges`` is a validated (N, stages) uint8 batch of the
+    devices' ``lines``-line netlist.  Yields (rows, values) per block of
+    ``block_rows`` rows, values (B, columns).
     """
-    if units is None:
-        return [times[k] - times[k + 1] for k in range(len(times) - 1)]
-    gaps, upper = [], times[0] * units
-    for line in times[1:]:
-        lower = line * units
-        gaps.append(upper - lower)
-        upper = lower
-    return gaps
+    for rows in _row_blocks(challenges.shape[0], block_rows):
+        sums, _ = _group_sums(table, challenges[rows], lines)
+        values = sums.astype(np.float64)
+        values *= units
+        yield rows, values
+
+
+def _clean_gaps(times: Sequence[np.ndarray], units: np.ndarray) -> list[np.ndarray]:
+    """The lines - 1 free clean gaps t_l - t_{l+1} of exact int64 per-line times.
+
+    Each gap is the int64 difference of adjacent lines, cast to float64 and
+    scaled by its device's unit once: the correctly rounded exact gap, as
+    the gap table of ``_population_table`` gives it.
+    """
+    return [(upper - lower) * units for upper, lower in zip(times, times[1:])]
 
 
 def _sample(
@@ -340,15 +359,16 @@ def _sample(
 ) -> list[np.ndarray]:
     """Flip-flop bits of one observation point, one ``shape`` array per pair.
 
-    ``clean`` holds the lines - 1 free clean gaps (``_clean_gaps``), each
-    broadcast to ``shape``.
+    ``clean`` holds the lines - 1 free clean gaps m, each the exact gap
+    rounded once (the kernel's gap table, or ``_clean_gaps`` of a
+    feed-forward chain) and broadcast to ``shape``.
     An arbiter reads only gaps, so each evaluation draws lines - 1 standard
     normals: u for 2 lines, (u, v) for 3.  With a = sigma*sqrt(2) and
     b = sigma*sqrt(1.5) the noisy gaps are
 
-        g = (t_top - t_bot) + a*u                        (2 lines)
-        g_TC = (t_T - t_C) + a*u
-        g_CB = (t_C - t_B) + (b*v - (a/2)*u)             (3 lines)
+        g = m_top,bot + a*u                              (2 lines)
+        g_TC = m_TC + a*u
+        g_CB = m_CB + (b*v - (a/2)*u)                    (3 lines)
         g_BT = -(g_TC + g_CB),
 
     which is the law of the differences of independent Normal(0, sigma)
@@ -464,9 +484,10 @@ def _feed_forward_times(
     closed form on the run, gathered at (D, 1, B), so the repetitions of a
     device share it.  The times stay (D, 1, B) until the first target
     stage, where the tap arbiter's per-line selects make them (D, R, B).
-    A tap, like the terminal arbiter, reads the gaps of the exact times
-    cast to float64 and scaled by the unit (``_clean_gaps``): those of the
-    correctly rounded sums, as ``arrival_time_blocks`` gives them.
+    A tap, like the terminal arbiter, reads the int64 differences of
+    adjacent lines, each cast to float64 and scaled by the unit once
+    (``_clean_gaps``): the correctly rounded exact gaps, as the tapless
+    gap table gives them.
     """
     n_dev = units.shape[0]
     shape = (n_dev, len(streams[0]) // n_dev, challenges.shape[0])
@@ -502,12 +523,13 @@ def propagate_blocks(
     parameter set.  Yields (rows, bits) with bits of shape (D, R, B); block
     starts are multiples of ``block_multiple``, and a block holds about
     BLOCK_VALUES values over jobs x rows x lines.  Tapless netlists take
-    their clean times from the closed-form kernel; feed-forward netlists
-    take them from ``_feed_forward_times``, which applies the same kernel
-    to the runs between taps and target stages, with tables built once per
-    call.  Each (device, repetition)
-    keeps the noise stream of every observation point open across blocks,
-    and row n is tie evaluation n, so the bits equal
+    their clean gaps from the closed-form kernel on the population's gap
+    table; feed-forward netlists take exact times from
+    ``_feed_forward_times``, which applies the same kernel to the runs
+    between taps and target stages, and their gaps from ``_clean_gaps``.
+    Tables are built once per call.  Each (device, repetition) keeps the
+    noise stream of every observation point open across blocks, and row n
+    is tie evaluation n, so the bits equal
     ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
     """
     netlist = devices[0].netlist
@@ -525,11 +547,12 @@ def propagate_blocks(
             flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, rows.stop - rows.start))
             yield rows, _response(flops)
     else:
+        table, units = _population_table(devices, gaps=True)
         block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
-        for rows, times in arrival_time_blocks(devices, challenges, block_rows):
-            per_device = times.reshape(-1, n_dev, 1, lines).transpose(1, 2, 0, 3)
-            clean = _clean_gaps([per_device[..., line] for line in range(lines)])
-            flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, times.shape[0]))
+        for rows, gaps in kernel_blocks(table, units, challenges, lines, block_rows):
+            per_device = gaps.reshape(-1, n_dev, 1, lines - 1).transpose(1, 2, 0, 3)
+            clean = [per_device[..., k] for k in range(lines - 1)]
+            flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, gaps.shape[0]))
             yield rows, _response(flops)
 
 
@@ -563,8 +586,9 @@ def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.nd
         raise ValueError("clean arrival times are undefined for feed-forward netlists")
     challenges = _validate_challenges(netlist, challenges)
     out = np.empty((challenges.shape[0], netlist.lines))
+    table, units = _population_table([device])
     block_rows = _block_rows(max(netlist.stages, netlist.lines))
-    for rows, times in arrival_time_blocks([device], challenges, block_rows):
+    for rows, times in kernel_blocks(table, units, challenges, netlist.lines, block_rows):
         out[rows] = times
     return out
 
@@ -573,12 +597,14 @@ def _read_probabilities(times: np.ndarray, params: DelayParams) -> np.ndarray:
     """P(response bit = 1) of each row of (N, lines) clean arrival times, (N,).
 
     Let m_k be the clean gaps of the flip-flops, (t_top - t_bot) for 2
-    lines and (t_T - t_C, t_C - t_B, t_B - t_T) for 3, s = sigma*sqrt(2) the
-    spread of a jittered gap, w the metastability window, u_k = (w - m_k)/s
-    and h_k = (-w - m_k)/s.  A flip-flop inside the window latches a fair
-    tie bit that no other draw sees, and the arbiter XORs it into its
-    output, so a read with any flip-flop inside the window is 1 with
-    probability 1/2; otherwise it is the strict race.
+    lines and (t_T - t_C, t_C - t_B, t_B - t_T) for 3: differences of the
+    rounded times, so within one ulp of a time of the exact gaps that the
+    sampler reads.  Let s = sigma*sqrt(2) be the spread of a jittered gap,
+    w the metastability window, u_k = (w - m_k)/s and h_k = (-w - m_k)/s.
+    A flip-flop inside the window latches a fair tie bit that no other draw
+    sees, and the arbiter XORs it into its output, so a read with any
+    flip-flop inside the window is 1 with probability 1/2; otherwise it is
+    the strict race.
 
     2 lines: p = Phi(h) + (Phi(u) - Phi(h))/2.  3 lines: the six strict
     orderings, each two adjacent gaps below -w, are disjoint and cover

@@ -78,10 +78,13 @@ def _as_response_matrix(responses) -> np.ndarray:
 def _hd_histogram(bits: np.ndarray, all_pairs: bool = False) -> np.ndarray:
     """Counts of each Hamming distance 0..n between the rows of a (K, ..., n)
     bit array: row i against row i + 1, or with ``all_pairs`` against every
-    row j > i.  Distances are popcounts of XORed ``np.packbits`` bytes; the
-    pairs of one row i are compared at once."""
+    row j > i.  Distances are popcounts of XORed ``np.packbits`` bytes, read
+    as the widest unsigned words that divide their count (uint64 for 128
+    bits); the pairs of one row i are compared at once."""
     n = bits.shape[-1]
     packed = np.packbits(bits, axis=-1)
+    word = next(size for size in (8, 4, 2, 1) if packed.shape[-1] % size == 0)
+    packed = packed.view(f"u{word}")
     histogram = np.zeros(n + 1, dtype=np.int64)
     if all_pairs:
         pairs = ((packed[i], packed[i + 1 :]) for i in range(packed.shape[0] - 1))

@@ -8,7 +8,8 @@ pieces are the noise streams and the tie bits (``circuit._noise_rng``,
 ``_tie_key``, ``_tie_bits``), which must match bit for bit so that random
 tie breaks are comparable.  The noisy gaps are restated from the stream
 definition (lines - 1 normals per evaluation, in gap space) with the same
-floating-point operations as ``circuit._sample``.  The CRP-file reader
+floating-point operations as ``circuit._sample``, on clean gaps that are
+each the exact difference of two sums, rounded once.  The CRP-file reader
 shares the header schema and the field rules (``hex_to_bits``,
 ``response._decimal_to_int``) with ``load_crps`` and restates the record
 table: its lines, their order, the cells and their checks.
@@ -55,9 +56,9 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
     """Reference evaluation by explicit per-stage permutation composition.
 
     Every chain sums its delays as exact ``Fraction``s, and an arbiter reads
-    each sum rounded once, as the kernel gives it.  Refuses netlists beyond
-    MAX_ORACLE_STAGES; the point is exhaustive checking of small instances,
-    not speed.
+    each gap as the exact difference of two sums rounded once, as the
+    kernel gives it.  Refuses netlists beyond MAX_ORACLE_STAGES; the point
+    is exhaustive checking of small instances, not speed.
     """
     netlist = device.netlist
     if netlist.stages > MAX_ORACLE_STAGES:
@@ -83,11 +84,11 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
             selects = [challenge[stage]] * lines
         times = _oracle_stage(delay, stage, times, selects)
         for point, target in tap_points.get(stage, ()):
-            gaps = _reference_gaps(np.array([times], dtype=np.float64), sigma, _noise_rng(eval_seed, point))[0]
+            gaps = _reference_gaps(_fraction_gaps(times), sigma, _noise_rng(eval_seed, point))[0]
             tie = _tie_bits(_tie_key(eval_seed, point), 0, 1, 3)[0]
             pending[target] = [_oracle_compare(gaps[k], window, int(tie[k])) for k in range(3)]
 
-    gaps = _reference_gaps(np.array([times], dtype=np.float64), sigma, _noise_rng(eval_seed, 0))[0]
+    gaps = _reference_gaps(_fraction_gaps(times), sigma, _noise_rng(eval_seed, 0))[0]
     tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, len(gaps))[0]
     q = [_oracle_compare(gaps[k], window, int(tie[k])) for k in range(len(gaps))]
     if lines == 2:
@@ -100,6 +101,12 @@ def _fraction_table(device: DeviceInstance) -> list:
     return [[[Fraction(v) for v in select] for select in stage] for stage in device.delay_table.tolist()]
 
 
+def _fraction_gaps(times: list) -> np.ndarray:
+    """(1, lines - 1) free gaps t_l - t_{l+1} of ``Fraction`` times, each exact
+    difference rounded once (``float`` of a ``Fraction`` is correctly rounded)."""
+    return np.array([[float(upper - lower) for upper, lower in zip(times, times[1:])]])
+
+
 def _oracle_stage(delay: list, stage: int, times: list, selects: list[int]) -> list:
     """One mux stage by explicit permutation: select 1 makes line l read line l-1."""
     lines = len(times)
@@ -110,15 +117,15 @@ def _oracle_stage(delay: list, stage: int, times: list, selects: list[int]) -> l
     ]
 
 
-def _reference_times(device: DeviceInstance, challenges, read_tap=None) -> np.ndarray:
-    """Terminal arrival times of a batch, (N, lines), each sum rounded once.
+def _reference_times(device: DeviceInstance, challenges, read_tap=None) -> tuple[list, int]:
+    """Exact terminal arrival times of a batch: per-row numerators, and their denominator.
 
     Steps every challenge through the chain one stage at a time, adding
     each delay as an exact ``Fraction``.  The fractions share the table's
     common denominator, so only their numerators are added, as Python
-    integers.  After a feed-forward tap stage, ``read_tap(point, times)``
-    gets the (N, lines) rounded times of the batch and returns the (N, 3)
-    selects of the tap's target stage.
+    integers.  After a feed-forward tap stage, ``read_tap(point, gaps)``
+    gets the (N, 2) clean gaps of the batch (``_rounded_gaps``) and returns
+    the (N, 3) selects of the tap's target stage.
     """
     netlist = device.netlist
     table = _fraction_table(device)
@@ -136,14 +143,20 @@ def _reference_times(device: DeviceInstance, challenges, read_tap=None) -> np.nd
             selects = [[int(challenge[stage])] * netlist.lines for challenge in challenges]
         rows = [_oracle_stage(delay, stage, times, sel) for times, sel in zip(rows, selects)]
         for point, target in taps_at_stage.get(stage, ()):
-            pending[target] = read_tap(point, _rounded(rows, denominator, netlist.lines)).tolist()
-    return _rounded(rows, denominator, netlist.lines)
+            pending[target] = read_tap(point, _rounded_gaps(rows, denominator, netlist.lines)).tolist()
+    return rows, denominator
 
 
-def _rounded(rows: list, denominator: int, lines: int) -> np.ndarray:
-    """(N, lines) float64 of the times numerator / denominator; an int / int
+def _rounded(rows: list, denominator: int, width: int) -> np.ndarray:
+    """(N, width) float64 of the numerators / denominator; an int / int
     division is correctly rounded."""
-    return np.array([[t / denominator for t in times] for times in rows], dtype=np.float64).reshape(-1, lines)
+    return np.array([[t / denominator for t in row] for row in rows], dtype=np.float64).reshape(-1, width)
+
+
+def _rounded_gaps(rows: list, denominator: int, lines: int) -> np.ndarray:
+    """(N, lines - 1) free gaps t_l - t_{l+1} of per-row time numerators:
+    each exact difference over the denominator, rounded once."""
+    return _rounded([[upper - lower for upper, lower in zip(row, row[1:])] for row in rows], denominator, lines - 1)
 
 
 def reference_clean_times(device: DeviceInstance, challenges) -> np.ndarray:
@@ -154,49 +167,50 @@ def reference_clean_times(device: DeviceInstance, challenges) -> np.ndarray:
     """
     if device.netlist.ff_taps:
         raise ValueError("clean arrival times are undefined for feed-forward netlists")
-    return _reference_times(device, challenges)
+    return _rounded(*_reference_times(device, challenges), device.netlist.lines)
 
 
 def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) -> np.ndarray:
     """Noisy response bits of one (device, eval_seed) job, (N,) uint8.
 
     The chain sums exact ``Fraction``s stage by stage (``_reference_times``),
-    and every arbiter reads the sums rounded once.  A feed-forward tap draws
-    its own noise stream and tie bits over the whole batch, and its (N, 3)
-    flip-flop bits select its target stage per line.  No stage limit, so it
-    serves as the reference for the block reader of
-    ``circuit.propagate_blocks`` at full chain length.
+    and every arbiter reads the exact differences of the sums, each rounded
+    once (``_rounded_gaps``).  A feed-forward tap draws its own noise
+    stream and tie bits over the whole batch, and its (N, 3) flip-flop bits
+    select its target stage per line.  No stage limit, so it serves as the
+    reference for the block reader of ``circuit.propagate_blocks`` at full
+    chain length.
     """
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
     challenges = np.asarray(challenges, dtype=np.uint8)
     n_eval = challenges.shape[0]
 
-    def read(point: int, times: np.ndarray) -> np.ndarray:
-        gaps = _reference_gaps(times, sigma, _noise_rng(eval_seed, point))
+    def read(point: int, clean: np.ndarray) -> np.ndarray:
+        gaps = _reference_gaps(clean, sigma, _noise_rng(eval_seed, point))
         return _reference_flip_flops(gaps, window, _tie_bits(_tie_key(eval_seed, point), 0, n_eval, gaps.shape[1]))
 
-    q = read(0, _reference_times(device, challenges.tolist(), read))
+    q = read(0, _rounded_gaps(*_reference_times(device, challenges.tolist(), read), device.netlist.lines))
     if device.netlist.lines == 2:
         return q[:, 0]
     return 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
 
 
-def _reference_gaps(times: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """(N, pairs) noisy gaps first - second of (N, lines) clean times.
+def _reference_gaps(clean: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """(N, pairs) noisy gaps first - second of (N, lines - 1) clean free gaps.
 
     (T - C, C - B, B - T) for 3 lines, closed as -(g_TC + g_CB), and
     (top - bottom) for 2.  Row n reads the stream's normals u (and v) of
     evaluation n, and each gap's jitter is the difference of two
     Normal(0, sigma) line jitters written in them.
     """
-    n_eval, lines = times.shape
-    normals = rng.standard_normal((n_eval, lines - 1))
+    n_eval, free = clean.shape
+    normals = rng.standard_normal((n_eval, free))
     a = sigma * math.sqrt(2.0)
-    g_tc = (times[:, 0] - times[:, 1]) + a * normals[:, 0]
-    if lines == 2:
+    g_tc = clean[:, 0] + a * normals[:, 0]
+    if free == 1:
         return g_tc[:, None]
-    g_cb = (times[:, 1] - times[:, 2]) + (sigma * math.sqrt(1.5) * normals[:, 1] - a / 2 * normals[:, 0])
+    g_cb = clean[:, 1] + (sigma * math.sqrt(1.5) * normals[:, 1] - a / 2 * normals[:, 0])
     return np.stack([g_tc, g_cb, -(g_tc + g_cb)], axis=1)
 
 

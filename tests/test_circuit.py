@@ -23,7 +23,14 @@ from papuf import circuit, normal
 from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_key
 from papuf.device import DeviceInstance
 from papuf.netlist import default_ff_taps
-from papuf.oracle import exhaustive_propagate, gate_level_priority, reference_clean_times, reference_propagate
+from papuf.oracle import (
+    _reference_times,
+    _rounded_gaps,
+    exhaustive_propagate,
+    gate_level_priority,
+    reference_clean_times,
+    reference_propagate,
+)
 
 
 def arrivals_for(order):
@@ -491,6 +498,53 @@ def test_feed_forward_lines_with_equal_exact_sums_tie_at_the_tap_arbiter():
     assert exhaustive_propagate(dev, challenges[0], eval_seed=9) == tie[0]
 
 
+def _near_tie_table(stages: int, lines: int) -> np.ndarray:
+    """A delay table whose first two lines, read with every select 0, sum to
+    1025 + 3*2^-50 and 1025 + 2^-49 over stages 0..2: exact sums 2^-50 apart
+    that round to the same double (its ulp at 1025 is 2^-42).  The third
+    line adds 1000 per stage; every other delay is 1.  The per-stage maxima
+    sum to under 2^12, so the device's unit is at most 2^-50 and the table
+    is exact."""
+    table = np.ones((stages, 2, lines))
+    table[:3, 0, 0] = (1024.0, 1.0, 3 * 2.0**-50)
+    table[:3, 0, 1] = (1024.0, 1.0, 2.0**-49)
+    if lines == 3:
+        table[:3, 0, 2] = 1000.0
+    return table
+
+
+@pytest.mark.parametrize("design", [Design.PA_PUF, Design.APUF, Design.FF_PA_PUF])
+def test_exact_sums_that_round_to_one_double_read_their_strict_race(design):
+    # Every challenge bit is 0.  The first line is 2^-50 later than the second
+    # in exact arithmetic, while the two rounded times are equal, so a gap
+    # taken as a difference of rounded times is 0: a tie at window 0.  The
+    # arbiter must read the strict race (first < second is 0) instead.
+    #   PA-PUF: (qT, qC, qB) = (0, 1, 0), so the response is 0.
+    #   APUF: the response is top < bottom, 0.
+    #   FF-PA-PUF, tap after stage 2 onto stage 3: the tap's qT selects T's
+    #   input at stage 3, about 1027 (select 0) or 3005 (select 1) against
+    #   C at 1026 and B at 3001, so the response is qT, 0.
+    taps = ((2, 3),) if design is Design.FF_PA_PUF else ()
+    netlist = Netlist(design, 4, taps)
+    table = _near_tie_table(4, netlist.lines)
+    if taps:
+        table[3, :, 0] = (2.0, 5.0)
+    dev = DeviceInstance("near-tie", netlist, DelayParams(), 0, table)
+    scaled, e = circuit._scaled_table(table)
+    assert e <= -50 and np.array_equal(np.ldexp(scaled, e), table)
+    challenges = np.zeros((64, 4), dtype=np.uint8)
+    point, pairs = (1 if taps else 0), (1 if design is Design.APUF else 3)
+    tie = _tie_bits(_tie_key(9, point), 0, 64, pairs)[:, 0]
+    assert 0 < tie.mean() < 1  # a reader of rounded times would answer these
+    strict = np.zeros(64, dtype=np.uint8)
+    assert np.array_equal(propagate_many(dev, challenges, eval_seed=9), strict)
+    assert np.array_equal(reference_propagate(dev, challenges, eval_seed=9), strict)
+    # the exhaustive oracle reads one evaluation per seed: some of these
+    # seeds have a first tie bit of 1
+    assert 0 < sum(_tie_bits(_tie_key(s, point), 0, 1, pairs)[0, 0] for s in range(8)) < 8
+    assert all(exhaustive_propagate(dev, challenges[0], eval_seed=s) == 0 for s in range(8))
+
+
 @st.composite
 def tap_layouts(draw):
     """A valid FF-PA-PUF netlist on 5 to 24 stages with up to 6 taps."""
@@ -534,7 +588,8 @@ def test_a_device_scales_its_delays_by_its_own_unit():
     alone = clean_arrival_times(default, challenges)
     assert np.array_equal(alone, reference_clean_times(default, challenges))
     population = np.empty((500, 9))
-    for rows, times in circuit.arrival_time_blocks([small, default, large], challenges, 128):
+    table, units = circuit._population_table([small, default, large])
+    for rows, times in circuit.kernel_blocks(table, units, challenges, 3, 128):
         population[rows] = times
     assert np.array_equal(population[:, 3:6], alone)
     # the small device spans too many binades to be exact in int64: its
@@ -545,17 +600,19 @@ def test_a_device_scales_its_delays_by_its_own_unit():
 
 
 def _one_pass_over_the_stream(device, challenges, eval_seed):
-    """Response bits restated from the stream definition: lines - 1 normals per row, whole batch at once."""
+    """Response bits restated from the stream definition: lines - 1 normals per row, whole batch at once,
+    added to the exact clean gaps rounded once."""
     sigma, window = device.params.sigma_noise, device.params.metastability_window
-    times = clean_arrival_times(device, challenges)
-    n_eval, lines = times.shape
+    lines = device.netlist.lines
+    clean = _rounded_gaps(*_reference_times(device, challenges.tolist()), lines)
+    n_eval = clean.shape[0]
     normals = _noise_rng(eval_seed, 0).standard_normal((n_eval, lines - 1))
     u = normals[:, 0]
     a = sigma * math.sqrt(2.0)
-    gaps = [(times[:, 0] - times[:, 1]) + a * u]
+    gaps = [clean[:, 0] + a * u]
     if lines == 3:
         v = normals[:, 1]
-        gaps.append((times[:, 1] - times[:, 2]) + (sigma * math.sqrt(1.5) * v - a / 2 * u))
+        gaps.append(clean[:, 1] + (sigma * math.sqrt(1.5) * v - a / 2 * u))
         gaps.append(-(gaps[0] + gaps[1]))
     tie = _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, len(gaps))
     q = [np.where(np.abs(g) <= window, tie[:, k], g < 0) for k, g in enumerate(gaps)]

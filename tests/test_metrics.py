@@ -98,14 +98,31 @@ def test_inter_hd_symmetric_under_permutation():
     assert base == pytest.approx(shuffled)
 
 
+def _brute_force_hd_histogram(rows, pairs) -> np.ndarray:
+    """Counts of each Hamming distance 0..n over the given (i, j) row pairs, bit by bit."""
+    n = len(rows[0])
+    histogram = np.zeros(n + 1, dtype=np.int64)
+    for i, j in pairs:
+        histogram[sum(int(a) != int(b) for a, b in zip(rows[i], rows[j]))] += 1
+    return histogram
+
+
 def test_hd_implementations_match_naive_oracles():
+    # widths up to 130 bits pack into 1..17 bytes, so the popcount reads
+    # uint8, uint16, uint32 and uint64 words
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 17))
+    widths = [int(rng.integers(1, 131)) for _ in range(200)] + [8, 16, 32, 64, 128, 130]
+    for n in widths:
         k = int(rng.integers(2, 7))
         rows = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-        assert intra_hd(rows)[0] == pytest.approx(naive_intra_hd(rows))
-        assert inter_hd(rows)[0] == pytest.approx(naive_inter_hd(rows))
+        intra_mean, intra_histogram = intra_hd(rows)
+        inter_mean, inter_histogram = inter_hd(rows)
+        assert intra_mean == pytest.approx(naive_intra_hd(rows))
+        assert inter_mean == pytest.approx(naive_inter_hd(rows))
+        consecutive = [(i, i + 1) for i in range(k - 1)]
+        every = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        assert np.array_equal(intra_histogram, _brute_force_hd_histogram(rows, consecutive)), n
+        assert np.array_equal(inter_histogram, _brute_force_hd_histogram(rows, every)), n
 
 
 def test_hd_input_validation():

@@ -424,18 +424,21 @@ def test_collect_crps_equals_per_device_propagation(design, taps):
 
 
 @pytest.mark.parametrize(
-    "netlist",
+    "netlist,group_stages",
     [
-        Netlist(Design.FF_PA_PUF, 64, ((16, 32), (32, 48))),
-        Netlist(Design.FF_PA_PUF, 16, default_ff_taps(16, 6)),
-        Netlist(Design.APUF, 16),
+        pytest.param(Netlist(Design.FF_PA_PUF, 64, ((16, 32), (32, 48))), 4, id="netlist0"),
+        pytest.param(Netlist(Design.FF_PA_PUF, 16, default_ff_taps(16, 6)), 4, id="netlist1"),
+        pytest.param(Netlist(Design.APUF, 16), 4, id="netlist2"),
+        # the tapless gap table at other group sizes, 3 and 6 not dividing 16
+        *(pytest.param(Netlist(Design.APUF, 16), g, id=f"netlist2-group{g}") for g in (1, 3, 6)),
     ],
 )
 @pytest.mark.parametrize("window", [0.0, 0.3])
-def test_block_reader_equals_the_per_job_reference(monkeypatch, netlist, window):
+def test_block_reader_equals_the_per_job_reference(monkeypatch, netlist, group_stages, window):
     # feed-forward propagate_many reads blocks of 200 rows, which split the
     # 128-row challenges; collect_crps reads one challenge a block
     monkeypatch.setattr(circuit, "BLOCK_VALUES", 600)
+    monkeypatch.setattr(circuit, "GROUP_STAGES", group_stages)
     params = DelayParams(sigma_noise=2.0, metastability_window=window)
     pop = synthesize_population(params, netlist, 3, 21)
     crps = collect_crps(pop, 13, 3, 128, 77)
