@@ -54,8 +54,9 @@ delays per line.  The tables of several devices sit side by side as
 columns, so one set of codes serves a whole population.
 
 ``kernel_blocks`` is that kernel, given a table: the line table
-(``clean_arrival_times``, and through it ``read_probabilities`` and
-tapless ``repeated_reads``) or the gap table (``propagate_blocks``).  It
+(``clean_arrival_times``) or the gap table (``propagate_blocks``, and
+``clean_gaps``, through which ``read_probabilities`` and tapless
+``repeated_reads`` read the gaps that the sampler reads).  It
 works through row blocks of about BLOCK_VALUES values, so nothing of size
 devices x rows x lines, and no one-hot encoding of the codes, is ever
 allocated.
@@ -66,31 +67,35 @@ out[l] = in[(l - n1) mod L] + off[l], with n1 the run's ones and off the
 closed form on stages a..b-1.  Runs are cut at every target stage, whose
 per-line selects come from a tap arbiter, and after every tap stage.
 Every sum stays in int64 units, and a tap arbiter, like the terminal one,
-reads the int64 difference of two lines rounded once (``_clean_gaps``):
+reads the int64 difference of two lines rounded once (``_time_gaps``):
 the same rule as the gap table.
 
-``_sample`` draws the jitter values and tie bits of every propagation:
-those of one observation point over a row block.  An arbiter reads only
-gaps, so the jitter is drawn in gap space, lines - 1 standard normals per
-evaluation (u, v for three lines) whose law equals that of the
-differences of independent per-line Normal(0, sigma_noise) jitters.  They
-come from an ordered list of SFC64 noise streams consumed row by row, so
-block boundaries never change a bit.  ``read_probabilities`` gives the
-closed-form P(bit = 1) of a tapless chain under the same law, at every
-metastability window.  A tie bit is a pure function of its position:
-``_tie_bits`` mixes a key, derived once per (eval_seed, point), with the
-counter of its evaluation and flip-flop, only when some gap of the block
-is within the window.
+``_sample`` turns jitter values into the flip-flop bits of one
+observation point over a row block, and computes its tie bits.  An
+arbiter reads only gaps, so the jitter is drawn in gap space, lines - 1
+standard normals per evaluation (u, v for three lines) whose law equals
+that of the differences of independent per-line Normal(0, sigma_noise)
+jitters.  Each (device, repetition) job has one SFC64 noise stream, read
+row-major over its P observation points (point 0 the terminal arbiter,
+points 1..P-1 the feed-forward taps): the normals of row n at point p sit
+at stream position (n*P + p)*(lines - 1), so block boundaries never
+change a bit, and a tapless chain (P = 1) reads its rows in order.
+``read_probabilities`` gives the closed-form P(bit = 1) of a tapless
+chain under the same law, at every metastability window.  A tie bit is a
+pure function of its position: ``_tie_bits`` mixes a key, derived once
+per (eval_seed, point), with the counter of its evaluation and
+flip-flop, only when some gap of the block is within the window.
 ``propagate_blocks`` is the block reader for every netlist: a whole
 population of (device, repetition) jobs, one row block at a time, one
-noise stream and tie key per job and point.  Tapless blocks take their
-clean gaps from the kernel's gap table; feed-forward blocks go through
-the segments (``_feed_forward_times``) on three per-line (devices,
-repetitions, rows) arrays, whose repetition axis stays 1 until the first
-target stage, so the repetitions of a device share the clean prefix.
-``propagate_many`` is its one-job case.
+noise stream per job and one tie key per job and point.  Each block
+fills every job's normals of all its points with one draw.  Tapless
+blocks take their clean gaps from the kernel's gap table; feed-forward
+blocks go through the segments (``_feed_forward_times``) on three
+per-line (devices, repetitions, rows) arrays, whose repetition axis
+stays 1 until the first target stage, so the repetitions of a device
+share the clean prefix.  ``propagate_many`` is its one-job case.
 
-Tapless ``repeated_reads`` draws no jitter.  Given the clean times, the
+Tapless ``repeated_reads`` draws no jitter.  Given the clean gaps, the
 reads of a challenge are independent Bernoulli(p) bits, p its read
 probability, so it computes p once per challenge, as a threshold
 floor(p * 2^63), and compares one word of the SFC64 noise stream of its
@@ -113,7 +118,8 @@ from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
 
 # Target size of one row block, in float64 values (512 KiB): it bounds the
-# stage codes, the arrival times and the jitter of one block alike.
+# stage codes and the arrival times of one block; the jitter of a block is
+# sized by its rows and observation points (see propagate_blocks).
 BLOCK_VALUES = 1 << 16
 
 # Consecutive stages summed by one gather of the closed-form kernel, at most
@@ -122,8 +128,10 @@ BLOCK_VALUES = 1 << 16
 GROUP_STAGES = 4
 
 
-def _noise_rng(eval_seed: int, point: int) -> np.random.Generator:
-    seed = np.random.SeedSequence([eval_seed & SEED_MASK, NOISE_TAG, point])
+def _noise_rng(eval_seed: int) -> np.random.Generator:
+    """The one SFC64 noise stream of an evaluation seed.  Its third seed word,
+    0, is part of the stream's definition: every stored noisy read depends on it."""
+    seed = np.random.SeedSequence([eval_seed & SEED_MASK, NOISE_TAG, 0])
     return np.random.Generator(np.random.SFC64(seed))
 
 
@@ -298,7 +306,12 @@ def _group_sums(table: np.ndarray, challenges: np.ndarray, lines: int) -> tuple[
 
 
 def _block_rows(values_per_row: int, multiple: int = 1) -> int:
-    """Rows per kernel block: about BLOCK_VALUES values, a multiple of ``multiple``."""
+    """Rows per kernel block: about BLOCK_VALUES values, a multiple of ``multiple``.
+
+    ``values_per_row`` counts what the caller sizes its blocks by; in
+    ``propagate_blocks`` that is the clean values of a row, and a block
+    also holds the row's normals (see there).
+    """
     return max(1, BLOCK_VALUES // (values_per_row * multiple)) * multiple
 
 
@@ -344,7 +357,7 @@ def kernel_blocks(table: np.ndarray, units: np.ndarray, challenges: np.ndarray, 
         yield rows, values
 
 
-def _clean_gaps(times: Sequence[np.ndarray], units: np.ndarray) -> list[np.ndarray]:
+def _time_gaps(times: Sequence[np.ndarray], units: np.ndarray) -> list[np.ndarray]:
     """The lines - 1 free clean gaps t_l - t_{l+1} of exact int64 per-line times.
 
     Each gap is the int64 difference of adjacent lines, cast to float64 and
@@ -355,14 +368,25 @@ def _clean_gaps(times: Sequence[np.ndarray], units: np.ndarray) -> list[np.ndarr
 
 
 def _sample(
-    streams: list, start: int, params: DelayParams, clean: Sequence[np.ndarray], shape: tuple[int, ...]
+    normals: np.ndarray,
+    keys: Sequence[int],
+    start: int,
+    params: DelayParams,
+    clean: Sequence[np.ndarray],
+    shape: tuple[int, ...],
 ) -> list[np.ndarray]:
     """Flip-flop bits of one observation point, one ``shape`` array per pair.
 
     ``clean`` holds the lines - 1 free clean gaps m, each the exact gap
-    rounded once (the kernel's gap table, or ``_clean_gaps`` of a
-    feed-forward chain) and broadcast to ``shape``.
-    An arbiter reads only gaps, so each evaluation draws lines - 1 standard
+    rounded once (the kernel's gap table, or ``_time_gaps`` of a
+    feed-forward chain) and broadcast to ``shape``, (devices, repetitions,
+    rows).  ``normals`` is the point's slice of the block's noise,
+    (jobs, rows, lines - 1) with the jobs in the C order of ``shape``, and
+    ``keys`` holds the point's tie key of each job.  It draws nothing, and
+    it overwrites ``normals``.  The gaps are new contiguous arrays, since
+    the flip-flops read each of them several times, and a point's slice of
+    the noise is strided.
+    An arbiter reads only gaps, so each evaluation reads lines - 1 standard
     normals: u for 2 lines, (u, v) for 3.  With a = sigma*sqrt(2) and
     b = sigma*sqrt(1.5) the noisy gaps are
 
@@ -373,22 +397,15 @@ def _sample(
 
     which is the law of the differences of independent Normal(0, sigma)
     line jitters: variance 2 sigma^2 per gap, covariance -sigma^2 between
-    g_TC and g_CB (Delvaux and Verbauwhede, HOST 2013).  The C-ordered
-    positions of ``shape`` are split into equal runs, one per (noise
-    stream, tie key) pair in order: the stream fills its run row by row,
-    (u, v) per evaluation, and the run holds tie evaluations start,
-    start+1, ... of the key.  Tie bits are computed only when some gap is
-    within the metastability window, since no other decision reads them;
-    being a pure function of their position, no window or block split
-    moves them.  Every propagation draws its noise and tie bits here;
-    tapless ``repeated_reads`` reads words against ``_read_probabilities``
-    instead.
+    g_TC and g_CB (Delvaux and Verbauwhede, HOST 2013).  The rows of a
+    job are its tie evaluations start, start+1, ... of its key.  Tie bits
+    are computed only when some gap is within the metastability window,
+    since no other decision reads them; being a pure function of their
+    position, no window or block split moves them.  Every propagation
+    reads its noise and tie bits here; tapless ``repeated_reads`` reads
+    words against ``_read_probabilities`` instead.
     """
     free = len(clean)
-    size = math.prod(shape) // len(streams)
-    normals = np.empty((len(streams), size, free))
-    for j, (noise_rng, _) in enumerate(streams):
-        noise_rng.standard_normal(out=normals[j])
     normals = normals.reshape(*shape, free)
     u = normals[..., 0]
     a = params.sigma_noise * math.sqrt(2.0)
@@ -398,12 +415,11 @@ def _sample(
         u *= a / 2
         g_cb -= u
         gaps.append(g_cb)
-    del normals, u  # the gaps hold all that the flip-flops read
     for gap, clean_gap in zip(gaps, clean):
         gap += clean_gap
 
     def tie() -> np.ndarray:
-        return np.stack([_tie_bits(key, start, size, _pairs(free + 1)) for _, key in streams]).reshape(*shape, -1)
+        return np.stack([_tie_bits(key, start, shape[-1], _pairs(free + 1)) for key in keys]).reshape(*shape, -1)
 
     return _latch(gaps, params.metastability_window, tie)
 
@@ -471,26 +487,34 @@ def _run_times(times: list[np.ndarray], table: np.ndarray, bits: np.ndarray, n_d
 
 
 def _feed_forward_times(
-    steps: list[tuple], units: np.ndarray, challenges: np.ndarray, streams: list, start: int, params: DelayParams
+    steps: list[tuple],
+    units: np.ndarray,
+    challenges: np.ndarray,
+    normals: np.ndarray,
+    keys: list[list[int]],
+    start: int,
+    params: DelayParams,
 ) -> list[np.ndarray]:
     """Exact clean terminal times of one feed-forward row block, three per-line int64 arrays.
 
-    ``steps`` and ``units`` come from ``_feed_forward_steps``;
-    ``streams[point]`` holds the (noise stream, tie key) pairs of every
-    (device, repetition) job at an observation point, and the block's first
-    row is evaluation ``start``.  The times are multiples of each device's
-    unit.  A run [a, b) maps its input times to out[l] = in[(l - n1) mod 3]
-    + off[l] (``_run_times``), where n1 is its ones and off the kernel's
-    closed form on the run, gathered at (D, 1, B), so the repetitions of a
-    device share it.  The times stay (D, 1, B) until the first target
-    stage, where the tap arbiter's per-line selects make them (D, R, B).
+    ``steps`` and ``units`` come from ``_feed_forward_steps``; ``normals``
+    is the block's noise, (jobs, rows, points, 2), and ``keys[point]``
+    holds the tie key of every (device, repetition) job at an observation
+    point.  A tap reads its slice ``normals[:, :, point]`` through
+    ``_sample``.  The block's first row is evaluation ``start``.  The times
+    are multiples of each device's unit.  A run [a, b) maps its input times
+    to out[l] = in[(l - n1) mod 3] + off[l] (``_run_times``), where n1 is
+    its ones and off the kernel's closed form on the run, gathered at
+    (D, 1, B), so the repetitions of a device share it.  The times stay
+    (D, 1, B) until the first target stage, where the tap arbiter's
+    per-line selects make them (D, R, B).
     A tap, like the terminal arbiter, reads the int64 differences of
     adjacent lines, each cast to float64 and scaled by the unit once
-    (``_clean_gaps``): the correctly rounded exact gaps, as the tapless
+    (``_time_gaps``): the correctly rounded exact gaps, as the tapless
     gap table gives them.
     """
     n_dev = units.shape[0]
-    shape = (n_dev, len(streams[0]) // n_dev, challenges.shape[0])
+    shape = (n_dev, len(keys[0]) // n_dev, challenges.shape[0])
     times: list[np.ndarray] = []
     selects: dict[int, list[np.ndarray]] = {}
     for kind, *step in steps:
@@ -499,7 +523,8 @@ def _feed_forward_times(
             times = _run_times(times, table, challenges[:, a:b], n_dev)
         elif kind == "tap":
             (point,) = step
-            selects[point] = _sample(streams[point], start, params, _clean_gaps(times, units), shape)
+            clean = _time_gaps(times, units)
+            selects[point] = _sample(normals[:, :, point], keys[point], start, params, clean, shape)
         else:
             point, low, high = step
             sel = selects.pop(point)
@@ -508,6 +533,27 @@ def _feed_forward_times(
                 for line in range(3)
             ]
     return times
+
+
+def _check_population(devices: Sequence[DeviceInstance], eval_seeds: Sequence[Sequence[int]]) -> None:
+    """One ``ValueError`` naming each way in which ``devices`` and ``eval_seeds``
+    are not one population: one row of seeds per device, rows of one length,
+    and one netlist and parameter set."""
+    if not devices:
+        raise ValueError("population must not be empty")
+    problems = []
+    if len(eval_seeds) != len(devices):
+        problems.append(f"{len(eval_seeds)} rows of eval seeds for {len(devices)} devices")
+    lengths = sorted({len(seeds) for seeds in eval_seeds})
+    if len(lengths) > 1:
+        problems.append(f"rows of eval seeds of unequal lengths {lengths}")
+    first = devices[0]
+    for field in ("netlist", "params"):
+        others = [dev.device_id for dev in devices if getattr(dev, field) != getattr(first, field)]
+        if others:
+            problems.append(f"device(s) {', '.join(others)} differ from {first.device_id} in {field}")
+    if problems:
+        raise ValueError("population devices must share one netlist and parameter set: " + "; ".join(problems))
 
 
 def propagate_blocks(
@@ -520,58 +566,91 @@ def propagate_blocks(
 
     ``eval_seeds[d][r]`` seeds repetition r of device d; every device gets
     the same number of repetitions R, and all share one netlist and
-    parameter set.  Yields (rows, bits) with bits of shape (D, R, B); block
-    starts are multiples of ``block_multiple``, and a block holds about
-    BLOCK_VALUES values over jobs x rows x lines.  Tapless netlists take
-    their clean gaps from the closed-form kernel on the population's gap
-    table; feed-forward netlists take exact times from
-    ``_feed_forward_times``, which applies the same kernel to the runs
-    between taps and target stages, and their gaps from ``_clean_gaps``.
-    Tables are built once per call.  Each (device, repetition) keeps the
-    noise stream of every observation point open across blocks, and row n
-    is tie evaluation n, so the bits equal
+    parameter set (a ``ValueError`` names each mismatch).  Yields (rows,
+    bits) with bits of shape (D, R, B); block starts are multiples of
+    ``block_multiple``.  Tapless netlists take their clean gaps from the
+    closed-form kernel on the population's gap table; feed-forward
+    netlists take exact times from ``_feed_forward_times``, which applies
+    the same kernel to the runs between taps and target stages, and their
+    gaps from ``_time_gaps``.  Tables are built once per call.
+
+    Each (device, repetition) job keeps one noise stream open across
+    blocks and reads it row-major over its P observation points: a block
+    of B rows fills the job's B x P x (lines - 1) normals with one draw,
+    and point p of row n reads positions (n*P + p)*(lines - 1) onwards.
+    Row n is tie evaluation n of each point's key, so the bits equal
     ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
+    Block rows are sized by the clean values of a row, about BLOCK_VALUES
+    of them over jobs x rows x lines.  A block also holds its noise,
+    jobs x rows x P x (lines - 1) normals, in one buffer allocated once
+    per call: a feed-forward block of P points holds about 2P/3 times
+    BLOCK_VALUES normals beside its clean values.
     """
+    _check_population(devices, eval_seeds)
     netlist = devices[0].netlist
     challenges = _validate_challenges(netlist, challenges)
     lines, params = netlist.lines, devices[0].params
     n_dev, n_rep = len(devices), len(eval_seeds[0])
-    streams = [
-        [(_noise_rng(s, point), _tie_key(s, point)) for seeds in eval_seeds for s in seeds]
-        for point in range(len(netlist.ff_taps) + 1)
-    ]
+    seeds = [s for row in eval_seeds for s in row]
+    rngs = [_noise_rng(s) for s in seeds]
+    keys = [[_tie_key(s, point) for s in seeds] for point in range(len(netlist.ff_taps) + 1)]
+
     if netlist.ff_taps:
         steps, units = _feed_forward_steps(devices)
-        for rows in _row_blocks(challenges.shape[0], _block_rows(n_dev * n_rep * lines, block_multiple)):
-            clean = _clean_gaps(_feed_forward_times(steps, units, challenges[rows], streams, rows.start, params), units)
-            flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, rows.stop - rows.start))
-            yield rows, _response(flops)
+        block_rows = _block_rows(n_dev * n_rep * lines, block_multiple)
+        blocks = ((rows, None) for rows in _row_blocks(challenges.shape[0], block_rows))
     else:
         table, units = _population_table(devices, gaps=True)
         block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
-        for rows, gaps in kernel_blocks(table, units, challenges, lines, block_rows):
+        blocks = kernel_blocks(table, units, challenges, lines, block_rows)
+    noise = np.empty((len(seeds), min(block_rows, challenges.shape[0]), len(keys), lines - 1))
+    for rows, gaps in blocks:
+        n_rows = rows.stop - rows.start
+        normals = noise[:, :n_rows]
+        for rng, out in zip(rngs, normals):
+            rng.standard_normal(out=out)
+        if netlist.ff_taps:
+            times = _feed_forward_times(steps, units, challenges[rows], normals, keys, rows.start, params)
+            clean = _time_gaps(times, units)
+        else:
             per_device = gaps.reshape(-1, n_dev, 1, lines - 1).transpose(1, 2, 0, 3)
             clean = [per_device[..., k] for k in range(lines - 1)]
-            flops = _sample(streams[0], rows.start, params, clean, (n_dev, n_rep, gaps.shape[0]))
-            yield rows, _response(flops)
+        flops = _sample(normals[:, :, 0], keys[0], rows.start, params, clean, (n_dev, n_rep, n_rows))
+        yield rows, _response(flops)
 
 
 def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: int = 0) -> np.ndarray:
     """Evaluate a batch of challenges in one pass; returns (N,) response bits.
 
     Each row is one independent evaluation: its jitter is drawn row-wise
-    from a noise stream and its tie bits are mixed from a tie key, both
-    derived from eval_seed per observation point (every feed-forward tap
-    plus the terminal arbiter).  The whole batch is deterministic under
-    (device, challenges, eval_seed); standard-normal draws are scaled by
-    sigma_noise, so rescaling delays, noise and window together never
-    changes a response bit.  This is the one-job case of
-    ``propagate_blocks``, for every netlist.
+    from the one noise stream of eval_seed, row-major over the observation
+    points (the terminal arbiter, then every feed-forward tap), and its tie
+    bits are mixed from a tie key derived from eval_seed per point.  The
+    whole batch is deterministic under (device, challenges, eval_seed);
+    standard-normal draws are scaled by sigma_noise, so rescaling delays,
+    noise and window together never changes a response bit.  This is the
+    one-job case of ``propagate_blocks``, for every netlist.
     """
     challenges = _validate_challenges(device.netlist, challenges)
     out = np.empty(challenges.shape[0], dtype=np.uint8)
     for rows, bits in propagate_blocks([device], challenges, [[eval_seed]]):
         out[rows] = bits[0, 0]
+    return out
+
+
+def _tapless_sums(device: DeviceInstance, challenges: np.ndarray, gaps: bool) -> np.ndarray:
+    """The kernel's values of one tapless device over a batch: its line
+    table's clean times, (N, lines), or with ``gaps`` its gap table's clean
+    gaps, (N, lines - 1)."""
+    netlist = device.netlist
+    if netlist.ff_taps:
+        raise ValueError("clean arrival times and gaps are undefined for feed-forward netlists")
+    challenges = _validate_challenges(netlist, challenges)
+    table, units = _population_table([device], gaps)
+    out = np.empty((challenges.shape[0], table.shape[1]))
+    block_rows = _block_rows(max(netlist.stages, netlist.lines))
+    for rows, values in kernel_blocks(table, units, challenges, netlist.lines, block_rows):
+        out[rows] = values
     return out
 
 
@@ -581,25 +660,25 @@ def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.nd
     Only valid for netlists without feed-forward taps, where the data path
     is a pure function of the challenge.
     """
-    netlist = device.netlist
-    if netlist.ff_taps:
-        raise ValueError("clean arrival times are undefined for feed-forward netlists")
-    challenges = _validate_challenges(netlist, challenges)
-    out = np.empty((challenges.shape[0], netlist.lines))
-    table, units = _population_table([device])
-    block_rows = _block_rows(max(netlist.stages, netlist.lines))
-    for rows, times in kernel_blocks(table, units, challenges, netlist.lines, block_rows):
-        out[rows] = times
-    return out
+    return _tapless_sums(device, challenges, gaps=False)
 
 
-def _read_probabilities(times: np.ndarray, params: DelayParams) -> np.ndarray:
-    """P(response bit = 1) of each row of (N, lines) clean arrival times, (N,).
+def clean_gaps(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
+    """Noise-free free gaps t_l - t_{l+1} of a tapless netlist, (N, lines - 1).
 
-    Let m_k be the clean gaps of the flip-flops, (t_top - t_bot) for 2
-    lines and (t_T - t_C, t_C - t_B, t_B - t_T) for 3: differences of the
-    rounded times, so within one ulp of a time of the exact gaps that the
-    sampler reads.  Let s = sigma*sqrt(2) be the spread of a jittered gap,
+    Each is the exact gap rounded once, from the kernel's gap table: the
+    clean gaps that ``propagate_many`` adds its jitter to.
+    """
+    return _tapless_sums(device, challenges, gaps=True)
+
+
+def _read_probabilities(gaps: np.ndarray, params: DelayParams) -> np.ndarray:
+    """P(response bit = 1) of each row of (N, lines - 1) clean free gaps, (N,).
+
+    Let m_k be the clean gaps of the flip-flops, as the sampler forms them
+    from the free gaps (``clean_gaps``): m_top,bot for 2 lines, and for 3
+    (m_TC, m_CB, m_BT) with the closing gap m_BT = -(m_TC + m_CB).  Let
+    s = sigma*sqrt(2) be the spread of a jittered gap,
     w the metastability window, u_k = (w - m_k)/s and h_k = (-w - m_k)/s.
     A flip-flop inside the window latches a fair tie bit that no other draw
     sees, and the arbiter XORs it into its output, so a read with any
@@ -624,18 +703,19 @@ def _read_probabilities(times: np.ndarray, params: DelayParams) -> np.ndarray:
     values.
     """
     sigma, window = params.sigma_noise, params.metastability_window
-    n_rows, lines = times.shape
-    pairs = _pairs(lines)
+    n_rows, free = gaps.shape
+    pairs = _pairs(free + 1)
     # values per row held at once: about 8 arrays of the argument's size in
     # normal.cdf, and two of ORTHANT_NODES values per argument in normal.orthant
-    per_row = 2 * 3 * normal.ORTHANT_NODES if pairs == 3 and window > 0 else 8 * lines
+    per_row = 2 * 3 * normal.ORTHANT_NODES if pairs == 3 and window > 0 else 8 * (free + 1)
     p = np.empty(n_rows)
     for rows in _row_blocks(n_rows, _block_rows(per_row)):
-        t = times[rows]
-        m = t[:, :pairs] - t[:, np.arange(1, pairs + 1) % lines]
+        m = gaps[rows]
+        if pairs == 3:
+            m = np.column_stack([m, -(m[:, 0] + m[:, 1])])
         s = sigma * math.sqrt(2.0)
         if sigma == 0:
-            race = _arbitrate(t, 0.0, np.zeros((len(t), pairs), dtype=np.uint8))
+            race = _response([(m[:, k] < 0).view(np.uint8) for k in range(pairs)])
             p[rows] = np.where((np.abs(m) <= window).any(axis=1), 0.5, race)
         elif pairs == 1:
             p[rows] = normal.cdf((window - m[:, 0]) / s)
@@ -653,15 +733,15 @@ def _read_probabilities(times: np.ndarray, params: DelayParams) -> np.ndarray:
 def read_probabilities(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
     """P(response bit = 1) of each challenge of a tapless device, (N,).
 
-    The closed form of ``_read_probabilities`` on the clean arrival times,
-    exact at every metastability window up to the rounding of its normal
-    CDFs: at window 0 three values of Phi per 3-line challenge, beyond it
-    six orthants of the bivariate normal at correlation -1/2 by Genz's
-    12-node rule.  Feed-forward netlists are a ``ValueError``.
+    The closed form of ``_read_probabilities`` on the clean gaps that the
+    sampler reads (``clean_gaps``), exact at every metastability window up
+    to the rounding of its normal CDFs: at window 0 three values of Phi per
+    3-line challenge, beyond it six orthants of the bivariate normal at
+    correlation -1/2 by Genz's 12-node rule.  Feed-forward netlists are a ``ValueError``.
     """
     if device.netlist.ff_taps:
         raise ValueError("read probabilities are defined for tapless netlists only")
-    return _read_probabilities(clean_arrival_times(device, challenges), device.params)
+    return _read_probabilities(clean_gaps(device, challenges), device.params)
 
 
 def repeated_reads(
@@ -673,11 +753,11 @@ def repeated_reads(
 ) -> np.ndarray:
     """Evaluate the same challenge batch ``repetitions`` times; (R, N) bits.
 
-    Tapless designs compute the clean arrival times once, through
-    ``clean_arrival_times``, or take them as ``clean`` from a caller that
-    already has them.  Given them, the reads of a challenge are independent
-    Bernoulli(p) bits, p its ``_read_probabilities`` value, which is the law
-    of the sampler's jitter and tie bits.  So p becomes a threshold
+    Tapless designs compute the clean gaps once, through ``clean_gaps``,
+    or take them as ``clean`` from a caller that already has them.  Given
+    them, the reads of a challenge are independent Bernoulli(p) bits, p
+    its ``_read_probabilities`` value, which is the law of the sampler's
+    jitter and tie bits.  So p becomes a threshold
     floor(p * 2^63), and read r of challenge n is 1 when word r*N + n of
     the SFC64 noise stream of ``eval_seed``, shifted right by one, is below
     it: one word per read, drawn repetition-major in blocks of whole
@@ -697,10 +777,10 @@ def repeated_reads(
             reads[r] = propagate_many(device, challenges, derive_seed(eval_seed, "rep", r))
         return reads
     if clean is None:
-        clean = clean_arrival_times(device, challenges)
+        clean = clean_gaps(device, challenges)
     n_eval = clean.shape[0]
     thresholds = np.floor(np.ldexp(_read_probabilities(clean, device.params), 63)).astype(np.uint64)
-    words = _noise_rng(eval_seed, 0).bit_generator
+    words = _noise_rng(eval_seed).bit_generator
     out = np.empty((repetitions, n_eval), dtype=bool)
     for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval))):
         block = words.random_raw((reps.stop - reps.start, n_eval))

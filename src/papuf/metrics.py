@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import as_bits
-from .circuit import clean_arrival_times, repeated_reads
+from .circuit import clean_gaps, repeated_reads
 from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
 from .response import (
@@ -278,8 +278,8 @@ def measure_reliability(
 
     The reads answer the expanded challenges of ``eval_seed``.  A caller
     that has already computed them, and for a tapless device their clean
-    arrival times, passes them as ``challenges`` and ``clean``; neither
-    depends on sigma_noise.
+    gaps (``circuit.clean_gaps``), passes them as ``challenges`` and
+    ``clean``; neither depends on sigma_noise.
     """
     if challenges is None:
         challenges = _reliability_challenges(device.netlist.stages, eval_seed)
@@ -295,8 +295,8 @@ def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed
 
     Every probe is one ``measure_reliability`` call at the probed sigma.
     Only sigma_noise changes between probes, so the expanded reliability
-    challenges and, for a tapless device, their clean arrival times are
-    computed once, before the bisection, and shared; a probe then computes
+    challenges and, for a tapless device, their clean gaps are computed
+    once, before the bisection, and shared; a probe then computes
     each challenge's read probability p(sigma), reads and votes.  All
     probes reuse the same evaluation seed, so the reads are common random
     numbers: for a tapless device one noise word per read, compared
@@ -309,7 +309,7 @@ def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed
     if target_reliability == 100.0:
         return CalibrationResult(0.0, 100.0, 100.0, 0)
     challenges = _reliability_challenges(device.netlist.stages, eval_seed)
-    clean = None if device.netlist.ff_taps else clean_arrival_times(device, challenges)
+    clean = None if device.netlist.ff_taps else clean_gaps(device, challenges)
 
     def probe(sigma: float) -> float:
         noisy = device.with_params(device.params.with_noise(sigma))

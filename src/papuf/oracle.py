@@ -7,12 +7,14 @@ paths can be checked against an independent derivation.  The only shared
 pieces are the noise streams and the tie bits (``circuit._noise_rng``,
 ``_tie_key``, ``_tie_bits``), which must match bit for bit so that random
 tie breaks are comparable.  The noisy gaps are restated from the stream
-definition (lines - 1 normals per evaluation, in gap space) with the same
-floating-point operations as ``circuit._sample``, on clean gaps that are
-each the exact difference of two sums, rounded once.  The CRP-file reader
-shares the header schema and the field rules (``hex_to_bits``,
-``response._decimal_to_int``) with ``load_crps`` and restates the record
-table: its lines, their order, the cells and their checks.
+definition (one stream per evaluation seed, read row-major over the P
+observation points: lines - 1 normals per evaluation and point, in gap
+space) with the same floating-point operations as ``circuit._sample``, on
+clean gaps that are each the exact difference of two sums, rounded once.
+The CRP-file reader shares the header schema and the field rules
+(``hex_to_bits``, ``response._decimal_to_int``) with ``load_crps`` and
+restates the record table: its lines, their order, the cells and their
+checks.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
     lines = netlist.lines
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
+    # one evaluation's normals of every observation point, from its one stream
+    normals = _noise_rng(eval_seed).standard_normal((1, len(netlist.ff_taps) + 1, lines - 1))
 
     tap_points = {}
     for point, (tap, target) in enumerate(netlist.ff_taps, start=1):
@@ -84,11 +88,11 @@ def exhaustive_propagate(device: DeviceInstance, challenge, eval_seed: int = 0) 
             selects = [challenge[stage]] * lines
         times = _oracle_stage(delay, stage, times, selects)
         for point, target in tap_points.get(stage, ()):
-            gaps = _reference_gaps(_fraction_gaps(times), sigma, _noise_rng(eval_seed, point))[0]
+            gaps = _reference_gaps(_fraction_gaps(times), sigma, normals[:, point])[0]
             tie = _tie_bits(_tie_key(eval_seed, point), 0, 1, 3)[0]
             pending[target] = [_oracle_compare(gaps[k], window, int(tie[k])) for k in range(3)]
 
-    gaps = _reference_gaps(_fraction_gaps(times), sigma, _noise_rng(eval_seed, 0))[0]
+    gaps = _reference_gaps(_fraction_gaps(times), sigma, normals[:, 0])[0]
     tie = _tie_bits(_tie_key(eval_seed, 0), 0, 1, len(gaps))[0]
     q = [_oracle_compare(gaps[k], window, int(tie[k])) for k in range(len(gaps))]
     if lines == 2:
@@ -175,37 +179,40 @@ def reference_propagate(device: DeviceInstance, challenges, eval_seed: int = 0) 
 
     The chain sums exact ``Fraction``s stage by stage (``_reference_times``),
     and every arbiter reads the exact differences of the sums, each rounded
-    once (``_rounded_gaps``).  A feed-forward tap draws its own noise
-    stream and tie bits over the whole batch, and its (N, 3) flip-flop bits
-    select its target stage per line.  No stage limit, so it serves as the
-    reference for the block reader of ``circuit.propagate_blocks`` at full
-    chain length.
+    once (``_rounded_gaps``).  The job's one noise stream gives all its
+    normals at once, (N, P, lines - 1) for P observation points, and point
+    p (0 the terminal arbiter, 1.. the feed-forward taps) reads
+    ``[:, p]``.  A tap's tie bits cover the whole batch, and its (N, 3)
+    flip-flop bits select its target stage per line.  No stage limit, so it
+    serves as the reference for the block reader of
+    ``circuit.propagate_blocks`` at full chain length.
     """
     sigma = device.params.sigma_noise
     window = device.params.metastability_window
     challenges = np.asarray(challenges, dtype=np.uint8)
     n_eval = challenges.shape[0]
+    netlist = device.netlist
+    normals = _noise_rng(eval_seed).standard_normal((n_eval, len(netlist.ff_taps) + 1, netlist.lines - 1))
 
     def read(point: int, clean: np.ndarray) -> np.ndarray:
-        gaps = _reference_gaps(clean, sigma, _noise_rng(eval_seed, point))
+        gaps = _reference_gaps(clean, sigma, normals[:, point])
         return _reference_flip_flops(gaps, window, _tie_bits(_tie_key(eval_seed, point), 0, n_eval, gaps.shape[1]))
 
-    q = read(0, _rounded_gaps(*_reference_times(device, challenges.tolist(), read), device.netlist.lines))
-    if device.netlist.lines == 2:
+    q = read(0, _rounded_gaps(*_reference_times(device, challenges.tolist(), read), netlist.lines))
+    if netlist.lines == 2:
         return q[:, 0]
     return 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
 
 
-def _reference_gaps(clean: np.ndarray, sigma: float, rng) -> np.ndarray:
+def _reference_gaps(clean: np.ndarray, sigma: float, normals: np.ndarray) -> np.ndarray:
     """(N, pairs) noisy gaps first - second of (N, lines - 1) clean free gaps.
 
     (T - C, C - B, B - T) for 3 lines, closed as -(g_TC + g_CB), and
-    (top - bottom) for 2.  Row n reads the stream's normals u (and v) of
-    evaluation n, and each gap's jitter is the difference of two
-    Normal(0, sigma) line jitters written in them.
+    (top - bottom) for 2.  Row n reads the (N, lines - 1) ``normals`` u
+    (and v) of evaluation n, and each gap's jitter is the difference of
+    two Normal(0, sigma) line jitters written in them.
     """
-    n_eval, free = clean.shape
-    normals = rng.standard_normal((n_eval, free))
+    free = clean.shape[1]
     a = sigma * math.sqrt(2.0)
     g_tc = clean[:, 0] + a * normals[:, 0]
     if free == 1:

@@ -310,7 +310,9 @@ def collect_crps(
     record set is reproducible bit for bit.  The whole population is read
     in one pass of ``circuit.propagate_blocks`` over row blocks of whole
     seed challenges, whatever its netlist: the closed-form kernel for
-    tapless chains, its segments between taps for feed-forward ones.
+    tapless chains, its segments between taps for feed-forward ones.  The
+    devices must share one netlist and parameter set, which
+    ``propagate_blocks`` checks.
     """
     if not population:
         raise ValueError("population must not be empty")
@@ -319,9 +321,6 @@ def collect_crps(
     check_response_size(response_size)
     netlist = population[0].netlist
     params = population[0].params
-    for dev in population[1:]:
-        if dev.netlist != netlist or dev.params != params:
-            raise ValueError("population devices must share one netlist and parameter set")
 
     width = netlist.stages
     if challenge_mode == "random":

@@ -13,6 +13,7 @@ from papuf import (
     Design,
     Netlist,
     clean_arrival_times,
+    collect_crps,
     propagate_many,
     read_probabilities,
     repeated_reads,
@@ -363,7 +364,7 @@ def _closed_form_reads(dev, challenges, repetitions, eval_seed):
     """Read r of cell n is 1 when word r*N + n of the noise stream, shifted
     right by one, is below floor(p * 2^63), in Python integers."""
     thresholds = [math.floor(math.ldexp(p, 63)) for p in read_probabilities(dev, challenges)]
-    words = _noise_rng(eval_seed, 0).bit_generator.random_raw(repetitions * len(thresholds)).tolist()
+    words = _noise_rng(eval_seed).bit_generator.random_raw(repetitions * len(thresholds)).tolist()
     bits = [word >> 1 < thresholds[i % len(thresholds)] for i, word in enumerate(words)]
     return np.array(bits, dtype=np.uint8).reshape(repetitions, len(thresholds))
 
@@ -447,6 +448,30 @@ def _block_reads(devices, challenges, eval_seeds):
 def _reference_reads(devices, challenges, eval_seeds):
     """(D, R, N) bits of ``oracle.reference_propagate``, one call per job."""
     return np.array([[reference_propagate(dev, challenges, s) for s in seeds] for dev, seeds in zip(devices, eval_seeds)])
+
+
+def test_block_reader_names_each_mismatch_of_its_population():
+    netlist = Netlist(Design.PA_PUF, 16)
+    devices = synthesize_population(DelayParams(sigma_noise=1.0), netlist, 2, 1)
+    noisier = [devices[0], devices[1].with_params(DelayParams(sigma_noise=2.0))]
+    other = [devices[0], synthesize_device(DelayParams(sigma_noise=1.0), Netlist(Design.APUF, 16), 2)]
+    challenges = np.zeros((50, 16), dtype=np.uint8)
+    rows, lengths = "1 rows of eval seeds for 2 devices", r"unequal lengths \[1, 2\]"
+    params, netlists = f"{devices[1].device_id} differ from {devices[0].device_id} in params", "in netlist"
+    for population, seeds, messages in [
+        (devices, [[1]], [rows]),  # both devices would read one stream
+        (noisier, [[1], [2]], [params]),  # device 1 would be read with device 0's noise
+        (devices, [[1, 2], [3]], [lengths]),
+        (noisier, [[1, 2], [3], [4]], ["3 rows", lengths, params]),
+        (other, [[1], [2]], [netlists]),
+    ]:
+        with pytest.raises(ValueError) as error:
+            next(circuit.propagate_blocks(population, challenges, seeds))
+        for message in messages:
+            assert error.match(message), (seeds, message)
+    # collect_crps reads through the same rule
+    with pytest.raises(ValueError, match=params):
+        collect_crps(noisier, 2, 1, 8, 0)
 
 
 FEED_FORWARD_LAYOUTS = [
@@ -543,6 +568,10 @@ def test_exact_sums_that_round_to_one_double_read_their_strict_race(design):
     # seeds have a first tie bit of 1
     assert 0 < sum(_tie_bits(_tie_key(s, point), 0, 1, pairs)[0, 0] for s in range(8)) < 8
     assert all(exhaustive_propagate(dev, challenges[0], eval_seed=s) == 0 for s in range(8))
+    if not taps:
+        # the closed form and the reads drawn from it take the same exact gaps
+        assert np.array_equal(read_probabilities(dev, challenges), np.zeros(64))
+        assert not repeated_reads(dev, challenges, 200, eval_seed=9).any()
 
 
 @st.composite
@@ -600,23 +629,27 @@ def test_a_device_scales_its_delays_by_its_own_unit():
 
 
 def _one_pass_over_the_stream(device, challenges, eval_seed):
-    """Response bits restated from the stream definition: lines - 1 normals per row, whole batch at once,
-    added to the exact clean gaps rounded once."""
+    """Response bits restated from the stream definition: the job's one stream gives the whole batch's
+    (N, P, lines - 1) normals at once, row-major over the P observation points (0 the terminal arbiter,
+    1.. the taps), and point p adds row n's normals [n, p] to the exact clean gaps rounded once."""
     sigma, window = device.params.sigma_noise, device.params.metastability_window
-    lines = device.netlist.lines
-    clean = _rounded_gaps(*_reference_times(device, challenges.tolist()), lines)
-    n_eval = clean.shape[0]
-    normals = _noise_rng(eval_seed, 0).standard_normal((n_eval, lines - 1))
-    u = normals[:, 0]
-    a = sigma * math.sqrt(2.0)
-    gaps = [clean[:, 0] + a * u]
-    if lines == 3:
-        v = normals[:, 1]
-        gaps.append(clean[:, 1] + (sigma * math.sqrt(1.5) * v - a / 2 * u))
-        gaps.append(-(gaps[0] + gaps[1]))
-    tie = _tie_bits(_tie_key(eval_seed, 0), 0, n_eval, len(gaps))
-    q = [np.where(np.abs(g) <= window, tie[:, k], g < 0) for k, g in enumerate(gaps)]
-    return q[0] if lines == 2 else 1 ^ q[0] ^ q[1] ^ q[2]
+    lines, points = device.netlist.lines, len(device.netlist.ff_taps) + 1
+    n_eval = challenges.shape[0]
+    normals = _noise_rng(eval_seed).standard_normal((n_eval, points, lines - 1))
+
+    def flip_flops(point, clean):
+        u = normals[:, point, 0]
+        a = sigma * math.sqrt(2.0)
+        gaps = [clean[:, 0] + a * u]
+        if lines == 3:
+            v = normals[:, point, 1]
+            gaps.append(clean[:, 1] + (sigma * math.sqrt(1.5) * v - a / 2 * u))
+            gaps.append(-(gaps[0] + gaps[1]))
+        tie = _tie_bits(_tie_key(eval_seed, point), 0, n_eval, len(gaps))
+        return np.stack([np.where(np.abs(g) <= window, tie[:, k], g < 0) for k, g in enumerate(gaps)], axis=1)
+
+    q = flip_flops(0, _rounded_gaps(*_reference_times(device, challenges.tolist(), flip_flops), lines))
+    return q[:, 0] if lines == 2 else 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
 
 
 def test_block_propagation_equals_one_pass_over_the_streams():
@@ -635,26 +668,38 @@ def test_apuf_block_propagation_reads_one_normal_per_row():
     assert np.array_equal(propagate_many(dev, challenges, eval_seed=8), _one_pass_over_the_stream(dev, challenges, 8))
 
 
+@pytest.mark.parametrize("taps", [1, 2, 6])
+@pytest.mark.parametrize("window", [0.0, 0.3])
+def test_feed_forward_propagation_equals_one_pass_over_the_stream(taps, window):
+    # one stream per job, (N, P, 2) normals read row-major over the points; on 16 stages with 6 taps a
+    # tap stage is another tap's target
+    params = DelayParams(sigma_noise=2.0, metastability_window=window)
+    dev = synthesize_device(params, Netlist(Design.FF_PA_PUF, 16, default_ff_taps(16, taps)), 9)
+    challenges = np.random.default_rng(taps).integers(0, 2, size=(700, 16), dtype=np.uint8)
+    assert np.array_equal(propagate_many(dev, challenges, eval_seed=8), _one_pass_over_the_stream(dev, challenges, 8))
+
+
 @pytest.mark.parametrize(
     "netlist",
     [Netlist(Design.APUF, 16), Netlist(Design.PA_PUF, 16), Netlist(Design.FF_PA_PUF, 16, ((2, 5), (5, 9)))],
 )
 def test_each_stream_draws_lines_minus_one_normals_per_row(monkeypatch, netlist):
+    # one stream per eval seed, whatever the taps: P * (lines - 1) normals per row, P observation points
     real, opened = circuit._noise_rng, []
 
-    def recording(eval_seed, point):
-        opened.append(((eval_seed, point), real(eval_seed, point)))
+    def recording(eval_seed):
+        opened.append((eval_seed, real(eval_seed)))
         return opened[-1][1]
 
     monkeypatch.setattr(circuit, "_noise_rng", recording)
     monkeypatch.setattr(circuit, "BLOCK_VALUES", 96)  # several row blocks
-    dev = synthesize_device(DelayParams(sigma_noise=1.0), netlist, 2)
-    n_eval = 101
-    propagate_many(dev, np.random.default_rng(3).integers(0, 2, size=(n_eval, 16), dtype=np.uint8), eval_seed=4)
-    assert [key for key, _ in opened] == [(4, point) for point in range(len(netlist.ff_taps) + 1)]
-    for key, rng in opened:
-        fresh = real(*key)
-        fresh.standard_normal((netlist.lines - 1) * n_eval)
+    devices = synthesize_population(DelayParams(sigma_noise=1.0), netlist, 2, 2)
+    n_eval, seeds = 101, [[4, 5], [6, 7]]
+    _block_reads(devices, np.random.default_rng(3).integers(0, 2, size=(n_eval, 16), dtype=np.uint8), seeds)
+    assert [seed for seed, _ in opened] == [4, 5, 6, 7]
+    for seed, rng in opened:
+        fresh = real(seed)
+        fresh.standard_normal((len(netlist.ff_taps) + 1) * (netlist.lines - 1) * n_eval)
         assert rng.standard_normal() == fresh.standard_normal()
 
 

@@ -165,7 +165,7 @@ def test_sweep_ff_follows_the_configured_design(tmp_path, capsys):
             "--sigma-noise", "2.0", "--taps", "0,2", "--seeds", "1"]
     for design in ([], ["--design", "pa-puf"], ["--design", "ff-pa-puf"]):
         assert run(*argv, *design, "--out-dir", str(tmp_path)) == 0
-        assert capsys.readouterr().out == "0,50.0868,93.8223\n2,51.0417,85.9230\n"
+        assert capsys.readouterr().out == "0,50.0868,93.8223\n2,49.3924,86.2558\n"
     (tmp_path / "sweep_ff.csv").unlink()
     assert run(*argv, "--design", "apuf", "--out-dir", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: the feed-forward sweep applies to the 3-line designs\n"

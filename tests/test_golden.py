@@ -39,8 +39,8 @@ MODULE_FILES = {
 
 CLI_FILES = {
     "effective-config.kv": "ffd8621dc1a0a55c360e9ab50d02a95c3534f20d6305e7a2e5cef6b3504cec1c",
-    "crps.csv": "43317860ca19b87c82d8144d8c0c12a777a2f61e1ea86920afd0d44cb03d76cc",
-    "metrics.kv": "c1a8500983db875d1b2fdf676357320a688ab88ecae78d5b8c391d1ba9ff85db",
+    "crps.csv": "51cd0c0697b5530a8e6e8d49dcb08d5c05f9730e692f0ec905f4e0b164c138b1",
+    "metrics.kv": "92662bf660999bf50859e77174be791ecae17950dddc13173c87335971d830dc",
     "device.txt": "f56cd651501a0976e21e7ed3b78d12e9eab49830d72ea144b509a1058c22ddc6",
     "helper.txt": "51b40dbed671545a225600a99a017c71d094e8fd52fa1f15ed258156bacb2b48",
     "key.txt": "9e18002added07db62f244fa75cd77000df743cbe2fac2dfe2368a457034ca24",

@@ -330,16 +330,16 @@ def test_calibrate_hits_target_and_monotone(pa64):
     [Netlist(Design.APUF, 64), Netlist(Design.PA_PUF, 64), Netlist(Design.FF_PA_PUF, 16, ((4, 8), (8, 12)))],
 )
 def test_calibration_equals_a_bisection_over_measure_reliability(monkeypatch, netlist):
-    # calibrate_noise shares the challenges and clean times between its
+    # calibrate_noise shares the challenges and clean gaps between its
     # probes; the bisection here measures every probe on its own
     device = synthesize_device(DelayParams(), netlist, 8)
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return circuit.clean_arrival_times(*args)
+        return circuit.clean_gaps(*args)
 
-    monkeypatch.setattr(metrics, "clean_arrival_times", counted)
+    monkeypatch.setattr(metrics, "clean_gaps", counted)
     result = calibrate_noise(95.37, device, eval_seed=6)
     assert len(calls) == (0 if netlist.ff_taps else 1)
 
