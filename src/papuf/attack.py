@@ -6,6 +6,12 @@ by ``_lbfgs``, a small L-BFGS solver, on the mean logistic loss plus a
 fixed L2 term; the problem is convex, so one start from zero suffices.
 The 3-line designs are reported with confidence intervals under both the
 parity and raw-bit maps, neither of which can represent them.
+
+Every feature is exactly +1 or -1.  The parity features come from a suffix
+XOR of the challenge bits on 64-bit words, and each design matrix, bias
+column included, is written once from the uint8 challenge bits
+(``_design``); ``oracle.reference_parity_features`` is the float product
+it must equal.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kvfile
+from .bch import as_bits
 from .device import DelayParams, synthesize_device
 from .netlist import Netlist
 from .response import CrpSet, collect_crps
@@ -43,22 +50,59 @@ class FeatureMap:
         return self.stages + 1 if self.kind == "parity" else self.stages
 
     def apply(self, challenges: np.ndarray) -> np.ndarray:
-        if self.kind == "parity":
-            return parity_features(challenges)
-        return 1.0 - 2.0 * np.asarray(challenges, dtype=np.float64)
+        """(N, dimension) features of (N, stages) challenge bits.
+
+        Anything other than 0 and 1 in ``challenges`` is a ``ValueError``.
+        """
+        return _design(as_bits(challenges, "challenges"), self.kind, bias=False)
+
+
+def _suffix_parity(bits: np.ndarray) -> np.ndarray:
+    """(N, stages) uint8: bit i is the XOR of bits i..stages-1 of its row.
+
+    Each row is packed little-endian into 64-bit words, so stage 64k + j is
+    bit j of word k.  Six shift-XORs w ^= w >> s (s = 1, 2, ..., 32) give
+    every bit the XOR of itself and the higher bits of its word; then each
+    word, right to left, is inverted where the words after it hold an odd
+    number of ones, which bit 0 of the next word now says.
+    """
+    rows, stages = bits.shape
+    words = -(-stages // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : -(-stages // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    w = packed.view("<u8")
+    for shift in (1, 2, 4, 8, 16, 32):
+        w ^= w >> shift
+    for k in range(words - 2, -1, -1):
+        w[:, k] ^= np.uint64(0) - (w[:, k + 1] & np.uint64(1))
+    return np.unpackbits(packed, axis=1, count=stages, bitorder="little")
+
+
+def _design(bits: np.ndarray, kind: str, bias: bool) -> np.ndarray:
+    """C-contiguous float64 features of (N, stages) 0/1 bits.
+
+    A bias column of ones follows the features if ``bias``.  Every value is
+    written once: the signs 1 - 2*bit as int8, and ones in
+    the parity map's constant column and the bias column.
+    """
+    bits = np.atleast_2d(bits)
+    rows, stages = bits.shape
+    signed = _suffix_parity(bits) if kind == "parity" else bits
+    out = np.empty((rows, stages + (kind == "parity") + bias))
+    out[:, :stages] = 1 - 2 * signed.view(np.int8)
+    out[:, stages:] = 1.0
+    return out
 
 
 def parity_features(challenges: np.ndarray) -> np.ndarray:
-    """Signed suffix products: feature i = prod_{j >= i} (1 - 2 c_j).
+    """Signed suffix parities: feature i = prod_{j >= i} (1 - 2 c_j).
 
     The last feature is the empty product, identically +1, so the output
-    has stages + 1 columns with values in {-1, +1}.
+    has stages + 1 columns, each value exactly -1 or +1.  Each product is
+    the sign of the XOR of bits i.. of the challenge, computed on 64-bit
+    words (``_suffix_parity``).
     """
-    signs = 1.0 - 2.0 * np.atleast_2d(np.asarray(challenges, dtype=np.float64))
-    n = signs.shape[1]
-    out = np.ones((signs.shape[0], n + 1))
-    out[:, :n] = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
-    return out
+    return _design(as_bits(challenges, "challenges"), "parity", bias=False)
 
 
 # The fit's L-BFGS iteration cap, and the share of records it trains on; the
@@ -148,30 +192,31 @@ def fit_logistic(
 ) -> AttackModel:
     """L-BFGS on the mean logistic loss plus ``0.5 * L2 * |w|^2``.
 
-    Deterministic under seed (used only for the train/validation shuffle).
-    ``MAX_ITERATIONS`` caps the iterations.  The metadata records the
-    regularised loss of every iterate as ``losses`` (non-increasing) and
-    the number of loss-and-gradient evaluations, each one pass over the
-    training rows, as ``epochs``.
+    ``x`` holds (N, stages) challenge bits; anything other than 0 and 1 is
+    a ``ValueError``.  Deterministic under seed (used only for the
+    train/validation shuffle).  ``MAX_ITERATIONS`` caps the iterations.
+    The metadata records the regularised loss of every iterate as
+    ``losses`` (non-increasing) and the number of loss-and-gradient
+    evaluations, each one pass over the training rows, as ``epochs``.
     """
-    feats = feature_map.apply(x)
+    bits = np.atleast_2d(as_bits(x, "challenges"))
     labels = np.asarray(y, dtype=np.float64)
-    n_records = feats.shape[0]
+    n_records = bits.shape[0]
     order = np.random.default_rng(seed & SEED_MASK).permutation(n_records)
     split = int(round(TRAIN_FRACTION * n_records))
     train_idx, val_idx = order[:split], order[split:]
-    design = np.column_stack([feats, np.ones(n_records)])
-    xt, yt = design[train_idx], labels[train_idx]
+    # Rows are permuted as uint8 bits; each design is then written once.
+    xt, yt = _design(bits[train_idx], feature_map.kind, bias=True), labels[train_idx]
 
     def objective(weights):
         scores = xt @ weights
         loss = np.mean(np.logaddexp(0.0, scores) - yt * scores) + 0.5 * L2 * (weights @ weights)
         return float(loss), xt.T @ (_sigmoid(scores) - yt) / xt.shape[0] + L2 * weights
 
-    weights, losses, evaluations = _lbfgs(objective, np.zeros(design.shape[1]), MAX_ITERATIONS)
+    weights, losses, evaluations = _lbfgs(objective, np.zeros(xt.shape[1]), MAX_ITERATIONS)
     val_acc = float("nan")
     if val_idx.size:
-        val_pred = (design[val_idx] @ weights > 0).astype(np.uint8)
+        val_pred = (_design(bits[val_idx], feature_map.kind, bias=True) @ weights > 0).astype(np.uint8)
         val_acc = float((val_pred == labels[val_idx]).mean() * 100.0)
     model = AttackModel(
         weights=weights,

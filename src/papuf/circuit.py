@@ -17,8 +17,8 @@ into the arbiter output: the priority arbiter of the 3-line designs outputs
 NOT(qT ^ qC ^ qB), 1 exactly on the cyclic rotations of (T, C, B), so 3 of
 the 6 strict orderings, and the 2-line arbiter outputs top<bottom.  A
 feed-forward tap arbiter passes (qT, qC, qB) on as the per-line mux selects
-of its target stage.  ``_flip_flops`` and ``_arbitrate`` apply the rule to
-given tie bits.  The gate-level reference is ``oracle.gate_level_priority``.
+of its target stage.  The references are ``oracle.gate_level_priority``
+(the gates) and ``oracle._reference_flip_flops`` (the rule on gaps).
 
 Without feed-forward taps the chain has a closed form.  A delay added on
 line m at stage i moves one line on at every later select-1 stage, so with
@@ -207,17 +207,6 @@ def _response(flops: list[np.ndarray]) -> np.ndarray:
         return flops[0]
     q0, q1, q2 = flops
     return 1 ^ q0 ^ q1 ^ q2
-
-
-def _flip_flops(sampled: np.ndarray, window: float, tie: np.ndarray) -> list[np.ndarray]:
-    """(qT, qC, qB) = (T<C, C<B, B<T) of (..., 3) sampled times, given (..., 3) tie bits."""
-    free = [sampled[..., k] - sampled[..., k + 1] for k in range(sampled.shape[-1] - 1)]
-    return _latch(free, window, lambda: tie)
-
-
-def _arbitrate(final: np.ndarray, window: float, tie: np.ndarray) -> np.ndarray:
-    """Response bits of (..., lines) sampled arrival times, given (..., pairs) tie bits."""
-    return _response(_flip_flops(final, window, tie))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ definition (one stream per evaluation seed, read row-major over the P
 observation points: lines - 1 normals per evaluation and point, in gap
 space) with the same floating-point operations as ``circuit._sample``, on
 clean gaps that are each the exact difference of two sums, rounded once.
+The parity features of the attack are float products of the signs.
 The CRP-file reader shares the header schema and the field rules
 (``hex_to_bits``, ``response._decimal_to_int``) with ``load_crps`` and
 restates the record table: its lines, their order, the cells and their
@@ -324,6 +325,24 @@ def reference_expand(seeds, count: int) -> np.ndarray:
             sequence.append(state)
         out.append(sequence)
     return np.array(out, dtype=np.uint8).reshape(len(out), count, -1)
+
+
+# ---------------------------------------------------------------------------
+# attack features as float products
+
+
+def reference_parity_features(challenges) -> np.ndarray:
+    """Parity features as running float products: feature i = prod_{j >= i} (1 - 2 c_j).
+
+    A cumulative product of the signs over the reversed challenge, then a
+    column of ones (the empty product); ``attack.parity_features`` must
+    equal it exactly.
+    """
+    signs = 1.0 - 2.0 * np.atleast_2d(np.asarray(challenges, dtype=np.float64))
+    n = signs.shape[1]
+    out = np.ones((signs.shape[0], n + 1))
+    out[:, :n] = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,10 @@ class CrpSet:
         """Single-bit (challenge, response) pairs of the first device's first read.
 
         Pairs expanded challenge i with response bit i; shapes
-        ((C*n, stages), (C*n,)).  The expansion runs once per set and is
-        kept packed, an eighth of its unpacked size.
+        ((C*n, stages), (C*n,)).  The expansion is kept packed, an eighth
+        of its unpacked size: ``collect_crps`` hands over the one it read
+        the responses with, and any other set expands its challenges once,
+        on the first call.
         """
         x = np.unpackbits(self._packed_expanded_challenges, axis=-1, count=self.netlist.stages)
         y = self.responses[0, :, 0, :].reshape(-1)
@@ -345,7 +347,7 @@ def collect_crps(
         responses[:, block] = bits.reshape(
             len(population), repetitions, -1, response_size
         ).transpose(0, 2, 1, 3)
-    return CrpSet(
+    crps = CrpSet(
         device_ids=[dev.device_id for dev in population],
         challenges=seeds,
         responses=responses,
@@ -354,6 +356,9 @@ def collect_crps(
         master_eval_seed=int(master_eval_seed),
         challenge_mode=challenge_mode,
     )
+    # flat_crps reads this expansion instead of running expand_many again.
+    crps._packed_expanded_challenges = np.packbits(expanded, axis=-1)
+    return crps
 
 
 # ---------------------------------------------------------------------------

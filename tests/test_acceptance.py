@@ -31,9 +31,9 @@ from papuf import (
 )
 from papuf.attack import FeatureMap, evaluate_attack, fit_logistic, train
 from papuf.bch import BchCode, bch_decode, bch_encode, default_code
-from papuf.circuit import _arbitrate, repeated_reads
+from papuf.circuit import repeated_reads
 from papuf.metrics import inter_hd, intra_hd
-from papuf.oracle import _oracle_systematic_codewords, exhaustive_propagate
+from papuf.oracle import _oracle_systematic_codewords, _reference_flip_flops, exhaustive_propagate
 from papuf.response import expand_many, majority_vote, neighbor_seed_challenges, random_seed_challenges
 from papuf.seeds import derive_seed
 
@@ -71,8 +71,10 @@ def test_c01_priority_arbiter_balance(reporter):
     outputs = {}
     for order in permutations("TCB"):
         rank = {name: pos for pos, name in enumerate(order)}
-        final = np.array([[rank["T"], rank["C"], rank["B"]]], dtype=np.float64)
-        outputs[order] = int(_arbitrate(final, 0.0, np.zeros((1, 3), dtype=np.uint8))[0])
+        # gaps T - C, C - B and B - T; each flip-flop latches gap < 0
+        gaps = np.array([[rank["T"] - rank["C"], rank["C"] - rank["B"], rank["B"] - rank["T"]]], dtype=np.float64)
+        q = _reference_flip_flops(gaps, 0.0, np.zeros((1, 3), dtype=np.uint8))[0]
+        outputs[order] = int(1 ^ q[0] ^ q[1] ^ q[2])
     elapsed = time.perf_counter() - start
     assert sum(outputs.values()) == 3
     assert outputs[("T", "C", "B")] == 1

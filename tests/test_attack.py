@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from papuf import DelayParams, Design, Netlist, collect_crps, synthesize_device
 from papuf import attack
@@ -14,6 +18,7 @@ from papuf.attack import (
     save_model,
     train,
 )
+from papuf.oracle import reference_parity_features
 from papuf.seeds import SEED_MASK, derive_seed
 
 
@@ -58,6 +63,61 @@ def test_parity_features_injective_on_challenges():
     # consecutive-ratio reconstruction: c_j determined by phi_j / phi_{j+1}
     recovered = (feats[:, :-1] * feats[:, 1:] < 0).astype(np.uint8)
     assert np.array_equal(recovered, challenges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stages=st.integers(1, 130), rows=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(stages=63, rows=40, seed=1)
+@example(stages=64, rows=40, seed=2)
+@example(stages=65, rows=40, seed=3)
+@example(stages=127, rows=40, seed=4)
+@example(stages=128, rows=40, seed=5)
+@example(stages=129, rows=40, seed=6)
+def test_parity_features_equal_the_float_products(stages, rows, seed):
+    # widths past 64 carry each word's parity into the words before it
+    rng = np.random.default_rng(seed)
+    challenges = rng.integers(0, 2, size=(rows, stages), dtype=np.uint8)
+    challenges[: rows // 4] = 1  # all-ones rows flip the sign at every stage
+    feats = parity_features(challenges)
+    assert feats.flags.c_contiguous and feats.dtype == np.float64
+    assert np.array_equal(feats, reference_parity_features(challenges))
+    assert np.array_equal(FeatureMap("parity", stages).apply(challenges), feats)
+
+
+@pytest.mark.parametrize("kind", ["parity", "raw_bits"])
+def test_fit_equals_lbfgs_on_the_float_design(apuf_sets, kind):
+    # the design the fit replaced: float features, a ones column, rows gathered by the permutation
+    x, y = apuf_sets[0].flat_crps()
+    model = fit_logistic(x, y, FeatureMap(kind, 64), seed=3)
+    feats = reference_parity_features(x) if kind == "parity" else 1.0 - 2.0 * x.astype(np.float64)
+    design = np.column_stack([feats, np.ones(len(y))])
+    order = np.random.default_rng(3 & SEED_MASK).permutation(len(y))
+    split = int(round(attack.TRAIN_FRACTION * len(y)))
+    xt, yt = design[order[:split]], y[order[:split]].astype(np.float64)
+
+    def objective(weights):
+        scores = xt @ weights
+        loss = np.mean(np.logaddexp(0.0, scores) - yt * scores) + 0.5 * attack.L2 * (weights @ weights)
+        return float(loss), xt.T @ (attack._sigmoid(scores) - yt) / xt.shape[0] + attack.L2 * weights
+
+    weights, losses, evaluations = attack._lbfgs(objective, np.zeros(design.shape[1]), attack.MAX_ITERATIONS)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.metadata["losses"], losses) and model.metadata["epochs"] == evaluations
+    val_pred = (design[order[split:]] @ weights > 0).astype(np.uint8)
+    assert model.metadata["validation_accuracy"] == float((val_pred == y[order[split:]]).mean() * 100.0)
+
+
+def test_non_binary_challenge_bits_are_rejected():
+    challenges = np.zeros((120, 8), dtype=np.uint8)
+    challenges[5, 3] = 2
+    labels = np.zeros(120, dtype=np.uint8)
+    for kind in ("parity", "raw_bits"):
+        with pytest.raises(ValueError, match="0 and 1"):
+            FeatureMap(kind, 8).apply(challenges)
+        with pytest.raises(ValueError, match="0 and 1"):
+            fit_logistic(challenges, labels, FeatureMap(kind, 8), seed=0)
+    with pytest.raises(ValueError, match="0 and 1"):
+        parity_features(challenges)
 
 
 def test_feature_map_dimensions():
@@ -173,19 +233,9 @@ def test_train_requires_enough_records():
 def test_evaluate_rejects_empty_holdout(apuf_sets):
     train_set, holdout = apuf_sets
     model = train(train_set, seed=0)
-    with pytest.raises(ValueError):
-        empty = holdout
-        x, y = empty.flat_crps()
-        model_map = model.feature_map
-        # simulate an empty holdout through the public surface
-        import dataclasses
-
-        broken = dataclasses.replace(
-            empty,
-            challenges=empty.challenges[:0],
-            responses=empty.responses[:, :0],
-        )
-        evaluate_attack(model, broken)
+    empty = dataclasses.replace(holdout, challenges=holdout.challenges[:0], responses=holdout.responses[:, :0])
+    with pytest.raises(ValueError, match="holdout set is empty"):
+        evaluate_attack(model, empty)
 
 
 def test_compare_designs_reports_rows():

@@ -21,10 +21,11 @@ from papuf import (
     synthesize_population,
 )
 from papuf import circuit, normal
-from papuf.circuit import _arbitrate, _flip_flops, _noise_rng, _tie_bits, _tie_key
+from papuf.circuit import _noise_rng, _tie_bits, _tie_key
 from papuf.device import DeviceInstance
 from papuf.netlist import default_ff_taps
 from papuf.oracle import (
+    _reference_flip_flops,
     _reference_times,
     _rounded_gaps,
     exhaustive_propagate,
@@ -39,10 +40,28 @@ def arrivals_for(order):
     return [float(rank["T"]), float(rank["C"]), float(rank["B"])]
 
 
+def flip_flops(times, window, tie):
+    """(N, pairs) flip-flop bits of (N, lines) arrival times by the oracle's rule on gaps.
+
+    The gaps are T - C and C - B (top - bottom for 2 lines) and, for 3
+    lines, the closing gap B - T = -(g_TC + g_CB).
+    """
+    gaps = times[:, :-1] - times[:, 1:]
+    if times.shape[1] == 3:
+        gaps = np.column_stack([gaps, -(gaps[:, 0] + gaps[:, 1])])
+    return _reference_flip_flops(gaps, window, tie)
+
+
+def arbitrate(times, window, tie):
+    """Arbiter output: top<bottom for 2 lines, NOT(qT ^ qC ^ qB) for 3."""
+    q = flip_flops(times, window, tie)
+    return q[:, 0] if q.shape[1] == 1 else 1 ^ q[:, 0] ^ q[:, 1] ^ q[:, 2]
+
+
 def arbitrate_orderings(orders, window=0.0):
     """Terminal decisions for strict orderings, with all tie bits 0."""
     final = np.array([arrivals_for(order) for order in orders])
-    return _arbitrate(final, window, np.zeros((len(orders), 3), dtype=np.uint8))
+    return arbitrate(final, window, np.zeros((len(orders), 3), dtype=np.uint8))
 
 
 def propagate_one(device, challenge, eval_seed=0):
@@ -53,14 +72,14 @@ def test_simple_arbiter_race_semantics():
     final = np.array([[5.0, 9.0], [9.0, 5.0]])
     tie = np.ones((2, 1), dtype=np.uint8)
     # top edge first -> 1, bottom edge first -> 0; the tie bits are unused
-    assert _arbitrate(final, 0.0, tie).tolist() == [1, 0]
+    assert arbitrate(final, 0.0, tie).tolist() == [1, 0]
 
 
 def test_simple_arbiter_tie_is_fair():
     window = 0.1
     final = np.full((10_000, 2), 5.0)
     tie = _tie_bits(_tie_key(0, 0), 0, 10_000, 1)
-    bits = _arbitrate(final, window, tie)
+    bits = arbitrate(final, window, tie)
     assert np.array_equal(bits, tie[:, 0])
     assert 0.48 < np.mean(bits) < 0.52
 
@@ -89,7 +108,7 @@ def test_priority_arbiter_is_xnor_of_all_eight_flip_flop_patterns():
     # choose (q0, q1, q2), including 000 and 111, which no strict ordering gives.
     patterns = np.array(list(product((0, 1), repeat=3)), dtype=np.uint8)
     final = np.random.default_rng(7).normal(size=(8, 3))
-    bits = _arbitrate(final, np.inf, patterns)
+    bits = arbitrate(final, np.inf, patterns)
     assert bits.dtype == np.uint8
     assert bits.tolist() == [1 ^ q0 ^ q1 ^ q2 for q0, q1, q2 in patterns.tolist()]
 
@@ -98,14 +117,14 @@ def test_feed_forward_arbiter_pairwise_contract():
     # F0 = (T before C), F1 = (C before B), F2 = (B before T)
     orders = [("T", "C", "B"), ("B", "C", "T"), ("C", "T", "B")]
     sampled = np.array([arrivals_for(order) for order in orders])
-    flops = np.stack(_flip_flops(sampled, 0.0, np.ones((3, 3), dtype=np.uint8)), axis=1)
+    flops = flip_flops(sampled, 0.0, np.ones((3, 3), dtype=np.uint8))
     assert flops.tolist() == [[1, 1, 0], [0, 0, 1], [0, 1, 0]]
 
 
 def test_feed_forward_arbiter_tie_determinism():
     # tied lines latch the tie bits of the tap's own stream, so equal seeds agree
     tie = _tie_bits(_tie_key(9, 1), 0, 64, 3)
-    flops = np.stack(_flip_flops(np.ones((64, 3)), 0.5, tie), axis=1)
+    flops = flip_flops(np.ones((64, 3)), 0.5, tie)
     assert np.array_equal(flops, tie)
     assert np.array_equal(tie, _tie_bits(_tie_key(9, 1), 0, 64, 3))
 

@@ -270,19 +270,25 @@ def test_collect_crps_deterministic():
     assert np.array_equal(a.challenges, b.challenges)
 
 
-def test_flat_crps_expands_the_challenges_once(monkeypatch):
+def test_flat_crps_expands_the_challenges_once(monkeypatch, tmp_path):
+    # a collected set reads the expansion collect_crps made; a loaded one expands once
     from papuf import response
 
     pop = synthesize_population(DelayParams(sigma_noise=1.0), Netlist(Design.PA_PUF, 16), 2, 5)
     crps = collect_crps(pop, 6, 2, 8, 31)
+    save_crps(crps, tmp_path / "crps.csv")
+    loaded = load_crps(tmp_path / "crps.csv")
     calls = []
     real = response.expand_many
     monkeypatch.setattr(response, "expand_many", lambda *args: calls.append(args) or real(*args))
     x0, y0 = crps.flat_crps()
     x1, y1 = crps.flat_crps()
-    assert len(calls) == 1 and np.array_equal(x0, x1) and x0.dtype == np.uint8
+    assert not calls and np.array_equal(x0, x1) and x0.dtype == np.uint8
     assert np.array_equal(x0, real(crps.challenges, 8).reshape(-1, 16))
     assert np.array_equal(y0, crps.responses[0, :, 0, :].reshape(-1)) and np.array_equal(y0, y1)
+    x2, y2 = loaded.flat_crps()
+    x3, _ = loaded.flat_crps()
+    assert len(calls) == 1 and np.array_equal(x2, x0) and np.array_equal(x3, x0) and np.array_equal(y2, y0)
 
 
 def test_collect_crps_validates_inputs():
