@@ -61,14 +61,18 @@ works through row blocks of about BLOCK_VALUES values, so nothing of size
 devices x rows x lines, and no one-hot encoding of the codes, is ever
 allocated.
 
-A feed-forward chain is the same kernel in segments.  A run [a, b) of
-stages driven by the challenge alone maps its input times to
-out[l] = in[(l - n1) mod L] + off[l], with n1 the run's ones and off the
-closed form on stages a..b-1.  Runs are cut at every target stage, whose
-per-line selects come from a tap arbiter, and after every tap stage.
-Every sum stays in int64 units, and a tap arbiter, like the terminal one,
-reads the int64 difference of two lines rounded once (``_time_gaps``):
-the same rule as the gap table.
+A feed-forward chain is the same kernel in segments, carried in gap
+space: its state is the pair of exact int64 free gaps (g_TC, g_CB), and
+g_BT = -(g_TC + g_CB).  A run [a, b) of stages driven by the challenge
+alone maps line l to in[(l - n1) mod 3] + off[l], with n1 the run's
+ones, so it rotates the gaps (n1 = 1 gives (g_BT, g_TC), n1 = 2 gives
+(g_CB, g_BT)) and adds the run's offsets, the gap table's closed form on
+stages a..b-1.  Runs are cut at every target stage, whose per-line
+selects come from a tap arbiter, and after every tap stage.  A target
+stage takes B as reference (T = g_TC + g_CB, C = g_CB, B = 0).  Every
+value is a difference of partial sums below 2^62 units, so nothing
+overflows, and a tap arbiter, like the terminal one, reads each int64
+gap rounded once: the same rule as the gap table.
 
 ``_sample`` turns jitter values into the flip-flop bits of one
 observation point over a row block, and computes its tie bits.  An
@@ -82,18 +86,18 @@ at stream position (n*P + p)*(lines - 1), so block boundaries never
 change a bit, and a tapless chain (P = 1) reads its rows in order.
 ``read_probabilities`` gives the closed-form P(bit = 1) of a tapless
 chain under the same law, at every metastability window.  A tie bit is a
-pure function of its position: ``_tie_bits`` mixes a key, derived once
-per (eval_seed, point), with the counter of its evaluation and
-flip-flop, only when some gap of the block is within the window.
-``propagate_blocks`` is the block reader for every netlist: a whole
-population of (device, repetition) jobs, one row block at a time, one
-noise stream per job and one tie key per job and point.  Each block
-fills every job's normals of all its points with one draw.  Tapless
-blocks take their clean gaps from the kernel's gap table; feed-forward
-blocks go through the segments (``_feed_forward_times``) on three
-per-line (devices, repetitions, rows) arrays, whose repetition axis
-stays 1 until the first target stage, so the repetitions of a device
-share the clean prefix.  ``propagate_many`` is its one-job case.
+pure function of its position: ``_tie_bits`` mixes the key of its
+(eval_seed, point) with the counter of its evaluation and flip-flop.
+Keys and bits are derived only when some gap of the block is within the
+window.  ``propagate_blocks`` is the block reader for every netlist: a
+whole population of (device, repetition) jobs, one row block at a time,
+one noise stream per job.  Each block fills every job's normals of all
+its points with one draw.  Tapless blocks take their clean gaps from the
+kernel's gap table; feed-forward blocks go through the segments
+(``_feed_forward_gaps``) on two (devices, repetitions, rows) gap arrays,
+whose repetition axis stays 1 until the first target stage, so the
+repetitions of a device share the clean prefix.  ``propagate_many`` is
+its one-job case.
 
 Tapless ``repeated_reads`` draws no jitter.  Given the clean gaps, the
 reads of a challenge are independent Bernoulli(p) bits, p its read
@@ -310,21 +314,24 @@ def _row_blocks(n_rows: int, block_rows: int):
         yield slice(start, min(start + block_rows, n_rows))
 
 
-def _population_table(devices: Sequence[DeviceInstance], gaps: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """A tapless population's kernel table and the unit 2^e of each of its columns.
+def _gap_table(table: np.ndarray, n_dev: int) -> np.ndarray:
+    """The lines - 1 free gap columns of a ``_group_table`` of ``n_dev`` devices,
+    device d in columns d*(L-1) to (d+1)*(L-1): row by row the exact
+    differences t_l - t_{l+1} of its line columns.  A difference of sums is
+    the sum of the differences, so the gap rows of a challenge add up to its
+    exact gaps, all below 2^62 units in magnitude."""
+    per_line = table.reshape(table.shape[0], n_dev, -1)
+    return (per_line[..., :-1] - per_line[..., 1:]).reshape(table.shape[0], -1)
 
-    The ``_group_table`` of the devices' scaled delays, L columns per
-    device.  With ``gaps`` it keeps the lines - 1 free gap columns of each
-    device instead, device d in columns d*(L-1) to (d+1)*(L-1): row by row
-    the exact differences t_l - t_{l+1} of its line columns.  A difference
-    of sums is the sum of the differences, so the gap rows of a challenge
-    add up to its exact clean gaps, all below 2^62 units in magnitude.
-    """
+
+def _population_table(devices: Sequence[DeviceInstance], gaps: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """A tapless population's kernel table and the unit 2^e of each of its columns:
+    the ``_group_table`` of the devices' scaled delays, L columns per
+    device, or with ``gaps`` its ``_gap_table``."""
     scaled, units = _scaled_tables(devices)
     table = _group_table(scaled)
     if gaps:
-        per_line = table.reshape(table.shape[0], len(devices), -1)
-        table = (per_line[..., :-1] - per_line[..., 1:]).reshape(table.shape[0], -1)
+        table = _gap_table(table, len(devices))
     return table, np.repeat(units, table.shape[1] // len(devices))
 
 
@@ -346,69 +353,51 @@ def kernel_blocks(table: np.ndarray, units: np.ndarray, challenges: np.ndarray, 
         yield rows, values
 
 
-def _time_gaps(times: Sequence[np.ndarray], units: np.ndarray) -> list[np.ndarray]:
-    """The lines - 1 free clean gaps t_l - t_{l+1} of exact int64 per-line times.
-
-    Each gap is the int64 difference of adjacent lines, cast to float64 and
-    scaled by its device's unit once: the correctly rounded exact gap, as
-    the gap table of ``_population_table`` gives it.
-    """
-    return [(upper - lower) * units for upper, lower in zip(times, times[1:])]
-
-
-def _sample(
-    normals: np.ndarray,
-    keys: Sequence[int],
-    start: int,
-    params: DelayParams,
-    clean: Sequence[np.ndarray],
-    shape: tuple[int, ...],
-) -> list[np.ndarray]:
-    """Flip-flop bits of one observation point, one ``shape`` array per pair.
+def _sample(normals: np.ndarray, seeds: Sequence[int], point: int, start: int, params: DelayParams,
+            clean: Sequence[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Flip-flop bits of observation point ``point``, one ``shape`` array per pair.
 
     ``clean`` holds the lines - 1 free clean gaps m, each the exact gap
-    rounded once (the kernel's gap table, or ``_time_gaps`` of a
-    feed-forward chain) and broadcast to ``shape``, (devices, repetitions,
-    rows).  ``normals`` is the point's slice of the block's noise,
-    (jobs, rows, lines - 1) with the jobs in the C order of ``shape``, and
-    ``keys`` holds the point's tie key of each job.  It draws nothing, and
-    it overwrites ``normals``.  The gaps are new contiguous arrays, since
-    the flip-flops read each of them several times, and a point's slice of
-    the noise is strided.
+    rounded once and broadcast to ``shape``, (devices, repetitions, rows).
+    ``normals`` is the block's noise, (jobs, rows, points, lines - 1) with
+    the jobs in the C order of ``shape``, and ``seeds`` holds each job's
+    eval seed.  It draws nothing and writes nothing into ``normals``: it
+    reads u and v from the point's strided slice once each, into new
+    contiguous gaps, since the flip-flops read each gap several times.
     An arbiter reads only gaps, so each evaluation reads lines - 1 standard
     normals: u for 2 lines, (u, v) for 3.  With a = sigma*sqrt(2) and
     b = sigma*sqrt(1.5) the noisy gaps are
 
         g = m_top,bot + a*u                              (2 lines)
         g_TC = m_TC + a*u
-        g_CB = m_CB + (b*v - (a/2)*u)                    (3 lines)
+        g_CB = m_CB + (b*v - (a*u)*0.5)                  (3 lines)
         g_BT = -(g_TC + g_CB),
 
     which is the law of the differences of independent Normal(0, sigma)
     line jitters: variance 2 sigma^2 per gap, covariance -sigma^2 between
     g_TC and g_CB (Delvaux and Verbauwhede, HOST 2013).  The rows of a
-    job are its tie evaluations start, start+1, ... of its key.  Tie bits
-    are computed only when some gap is within the metastability window,
-    since no other decision reads them; being a pure function of their
-    position, no window or block split moves them.  Every propagation
-    reads its noise and tie bits here; tapless ``repeated_reads`` reads
-    words against ``_read_probabilities`` instead.
+    job are its tie evaluations start, start+1, ... of the key of its
+    (seed, point).  Keys and tie bits are derived only when some gap is
+    within the metastability window, since no other decision reads them;
+    being a pure function of their position, no window or block split
+    moves them.  Every propagation reads its noise and tie bits here;
+    tapless ``repeated_reads`` reads words against ``_read_probabilities``.
     """
     free = len(clean)
-    normals = normals.reshape(*shape, free)
-    u = normals[..., 0]
-    a = params.sigma_noise * math.sqrt(2.0)
-    gaps = [u * a]
+    normals = normals[:, :, point].reshape(*shape, free)
+    au = normals[..., 0] * (params.sigma_noise * math.sqrt(2.0))
+    gaps = [au]
     if free == 2:
         g_cb = normals[..., 1] * (params.sigma_noise * math.sqrt(1.5))
-        u *= a / 2
-        g_cb -= u
+        g_cb -= au * 0.5
         gaps.append(g_cb)
     for gap, clean_gap in zip(gaps, clean):
         gap += clean_gap
 
     def tie() -> np.ndarray:
-        return np.stack([_tie_bits(key, start, shape[-1], _pairs(free + 1)) for key in keys]).reshape(*shape, -1)
+        pairs = _pairs(free + 1)
+        bits = [_tie_bits(_tie_key(seed, point), start, shape[-1], pairs) for seed in seeds]
+        return np.stack(bits).reshape(*shape, -1)
 
     return _latch(gaps, params.metastability_window, tie)
 
@@ -418,7 +407,7 @@ def _feed_forward_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple],
 
     Between the taps' reads and their target stages the chain is driven by
     the challenge alone.  Such a run of stages [a, b) is ``("run", a, b,
-    table)``, with ``table`` the ``_group_table`` of every device's scaled
+    table)``, with ``table`` the ``_gap_table`` of every device's scaled
     delays a..b-1.  Runs are cut at every target stage and after every tap
     stage.  ``("tap", point)`` reads observation point ``point`` after its
     tap stage.  ``("target", point, low, high)`` applies the selects of
@@ -437,7 +426,7 @@ def _feed_forward_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple],
 
     def run(stop: int) -> None:
         if stop > start:
-            steps.append(("run", start, stop, _group_table(scaled[:, start:stop])))
+            steps.append(("run", start, stop, _gap_table(_group_table(scaled[:, start:stop]), len(devices))))
 
     for i in range(netlist.stages):
         if i in targets:
@@ -453,75 +442,87 @@ def _feed_forward_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple],
     return steps, units[:, None, None]
 
 
-def _run_times(times: list[np.ndarray], table: np.ndarray, bits: np.ndarray, n_dev: int) -> list[np.ndarray]:
-    """Per-line times after a run of stages driven by its (B, stages) challenge ``bits``.
+def _run_gaps(gaps: list[np.ndarray], table: np.ndarray, bits: np.ndarray, n_dev: int) -> list[np.ndarray]:
+    """The free gaps (g_TC, g_CB) after a run of stages driven by its (B, stages) ``bits``.
 
-    out[l] = in[(l - n1) mod 3] + off[l], with n1 the run's ones and off
-    its ``table`` rows summed at (D, 1, B).  ``times`` is empty at the
-    chain's start, where every line is 0.  A run of one stage rotates with
-    one ``where`` on its bits, a longer one with two.
+    Line l leaves the run as in[(l - n1) mod 3] + off[l], n1 the run's
+    ones, so the gaps rotate and gain the run's offsets o, its ``table``
+    rows summed at (D, 1, B): n1 = 0 gives (g_TC + o1, g_CB + o2), n1 = 1
+    (g_BT + o1, g_TC + o2) and n1 = 2 (g_CB + o1, g_BT + o2).  ``gaps``
+    is empty at the chain's start, where g = o.  A run of one stage
+    rotates with one ``where`` on its bits, a longer one with two.
     """
     sums, ones = _group_sums(table, bits, 3)
-    off = np.ascontiguousarray(sums.T).reshape(n_dev, 3, 1, bits.shape[0])
-    if not times:
-        return [off[:, line] for line in range(3)]
+    o_tc, o_cb = np.ascontiguousarray(sums.T).reshape(n_dev, 2, 1, bits.shape[0]).transpose(1, 0, 2, 3)
+    if not gaps:
+        return [o_tc, o_cb]
+    g_tc, g_cb = gaps
+    g_bt = -(g_tc + g_cb)
     if bits.shape[1] == 1:
         flip = bits[:, 0].view(bool)
-        return [np.where(flip, times[line - 1], times[line]) + off[:, line] for line in range(3)]
+        return [np.where(flip, g_bt, g_tc) + o_tc, np.where(flip, g_tc, g_cb) + o_cb]
     one, two = ones == 1, ones == 2
-    return [
-        np.where(one, times[line - 1], np.where(two, times[line - 2], times[line])) + off[:, line]
-        for line in range(3)
-    ]
+    return [np.where(one, g_bt, np.where(two, g_cb, g_tc)) + o_tc,
+            np.where(one, g_tc, np.where(two, g_bt, g_cb)) + o_cb]
 
 
-def _feed_forward_times(
-    steps: list[tuple],
-    units: np.ndarray,
-    challenges: np.ndarray,
-    normals: np.ndarray,
-    keys: list[list[int]],
-    start: int,
-    params: DelayParams,
-) -> list[np.ndarray]:
-    """Exact clean terminal times of one feed-forward row block, three per-line int64 arrays.
+def _target_gaps(gaps: list[np.ndarray], selects: list[np.ndarray], low: list, high: list) -> list[np.ndarray]:
+    """The free gaps after a target stage whose line l reads t[l-1] + high[l] where
+    its select is 1 and t[l] + low[l] where it is 0.
+
+    Times are taken relative to line B: T = g_TC + g_CB, C = g_CB, B = 0,
+    so T' = sT ? high_T : T + low_T, C' = sC ? T + high_C : C + low_C and
+    B' = sB ? C + high_B : low_B, and the new gaps are (T' - C', C' - B').
+    """
+    g_tc, g_cb = gaps
+    s_t, s_c, s_b = (np.negative(s, dtype=np.int64) for s in selects)
+    t = g_tc + g_cb
+    new_t = _pick(s_t, high[0], t + low[0])
+    new_c = _pick(s_c, t + high[1], g_cb + low[1])
+    new_t -= new_c
+    new_c -= _pick(s_b, g_cb + high[2], low[2])
+    return [new_t, new_c]
+
+
+def _pick(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a where the int64 ``mask`` is -1 and b where it is 0, blended bitwise:
+    ``np.where`` branches on every value, which random selects make slow."""
+    out = np.bitwise_and(a ^ b, mask)
+    out ^= b
+    return out
+
+
+def _feed_forward_gaps(steps: list[tuple], units: np.ndarray, challenges: np.ndarray, normals: np.ndarray,
+                       seeds: Sequence[int], start: int, params: DelayParams) -> list[np.ndarray]:
+    """Clean terminal gaps (g_TC, g_CB) of one feed-forward row block, carried in exact int64.
 
     ``steps`` and ``units`` come from ``_feed_forward_steps``; ``normals``
-    is the block's noise, (jobs, rows, points, 2), and ``keys[point]``
-    holds the tie key of every (device, repetition) job at an observation
-    point.  A tap reads its slice ``normals[:, :, point]`` through
-    ``_sample``.  The block's first row is evaluation ``start``.  The times
-    are multiples of each device's unit.  A run [a, b) maps its input times
-    to out[l] = in[(l - n1) mod 3] + off[l] (``_run_times``), where n1 is
-    its ones and off the kernel's closed form on the run, gathered at
-    (D, 1, B), so the repetitions of a device share it.  The times stay
-    (D, 1, B) until the first target stage, where the tap arbiter's
-    per-line selects make them (D, R, B).
-    A tap, like the terminal arbiter, reads the int64 differences of
-    adjacent lines, each cast to float64 and scaled by the unit once
-    (``_time_gaps``): the correctly rounded exact gaps, as the tapless
-    gap table gives them.
+    is the block's noise, (jobs, rows, points, 2), and ``seeds`` the eval
+    seed of every (device, repetition) job.  The block's first row is
+    evaluation ``start``.  A run goes through ``_run_gaps``, whose offsets
+    are gathered at (D, 1, B), so the repetitions of a device share them;
+    the gaps stay (D, 1, B) until the first target stage
+    (``_target_gaps``), where the tap arbiter's per-line selects make them
+    (D, R, B).  A tap (through ``_sample``) and the terminal arbiter read
+    ``g * units``, each exact gap cast to float64 and scaled by its unit
+    once, as the tapless gap table gives it; the terminal ones are returned.
     """
     n_dev = units.shape[0]
-    shape = (n_dev, len(keys[0]) // n_dev, challenges.shape[0])
-    times: list[np.ndarray] = []
+    shape = (n_dev, len(seeds) // n_dev, challenges.shape[0])
+    gaps: list[np.ndarray] = []
     selects: dict[int, list[np.ndarray]] = {}
     for kind, *step in steps:
         if kind == "run":
             a, b, table = step
-            times = _run_times(times, table, challenges[:, a:b], n_dev)
+            gaps = _run_gaps(gaps, table, challenges[:, a:b], n_dev)
         elif kind == "tap":
             (point,) = step
-            clean = _time_gaps(times, units)
-            selects[point] = _sample(normals[:, :, point], keys[point], start, params, clean, shape)
+            clean = [g * units for g in gaps]
+            selects[point] = _sample(normals, seeds, point, start, params, clean, shape)
         else:
             point, low, high = step
-            sel = selects.pop(point)
-            times = [
-                np.where(sel[line].view(bool), times[line - 1] + high[line], times[line] + low[line])
-                for line in range(3)
-            ]
-    return times
+            gaps = _target_gaps(gaps, selects.pop(point), low, high)
+    return [g * units for g in gaps]
 
 
 def _check_population(devices: Sequence[DeviceInstance], eval_seeds: Sequence[Sequence[int]]) -> None:
@@ -559,9 +560,9 @@ def propagate_blocks(
     bits) with bits of shape (D, R, B); block starts are multiples of
     ``block_multiple``.  Tapless netlists take their clean gaps from the
     closed-form kernel on the population's gap table; feed-forward
-    netlists take exact times from ``_feed_forward_times``, which applies
-    the same kernel to the runs between taps and target stages, and their
-    gaps from ``_time_gaps``.  Tables are built once per call.
+    netlists take their exact int64 gaps from ``_feed_forward_gaps``, which
+    applies the same kernel to the runs between taps and target stages,
+    and read ``g * units``.  Tables are built once per call.
 
     Each (device, repetition) job keeps one noise stream open across
     blocks and reads it row-major over its P observation points: a block
@@ -569,8 +570,8 @@ def propagate_blocks(
     and point p of row n reads positions (n*P + p)*(lines - 1) onwards.
     Row n is tie evaluation n of each point's key, so the bits equal
     ``propagate_many(devices[d], challenges, eval_seeds[d][r])[rows]``.
-    Block rows are sized by the clean values of a row, about BLOCK_VALUES
-    of them over jobs x rows x lines.  A block also holds its noise,
+    Block rows are sized to about BLOCK_VALUES values over jobs x rows x
+    lines.  A block also holds its noise,
     jobs x rows x P x (lines - 1) normals, in one buffer allocated once
     per call: a feed-forward block of P points holds about 2P/3 times
     BLOCK_VALUES normals beside its clean values.
@@ -582,7 +583,6 @@ def propagate_blocks(
     n_dev, n_rep = len(devices), len(eval_seeds[0])
     seeds = [s for row in eval_seeds for s in row]
     rngs = [_noise_rng(s) for s in seeds]
-    keys = [[_tie_key(s, point) for s in seeds] for point in range(len(netlist.ff_taps) + 1)]
 
     if netlist.ff_taps:
         steps, units = _feed_forward_steps(devices)
@@ -592,19 +592,18 @@ def propagate_blocks(
         table, units = _population_table(devices, gaps=True)
         block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
         blocks = kernel_blocks(table, units, challenges, lines, block_rows)
-    noise = np.empty((len(seeds), min(block_rows, challenges.shape[0]), len(keys), lines - 1))
-    for rows, gaps in blocks:
+    noise = np.empty((len(seeds), min(block_rows, challenges.shape[0]), len(netlist.ff_taps) + 1, lines - 1))
+    for rows, values in blocks:
         n_rows = rows.stop - rows.start
         normals = noise[:, :n_rows]
         for rng, out in zip(rngs, normals):
             rng.standard_normal(out=out)
         if netlist.ff_taps:
-            times = _feed_forward_times(steps, units, challenges[rows], normals, keys, rows.start, params)
-            clean = _time_gaps(times, units)
+            clean = _feed_forward_gaps(steps, units, challenges[rows], normals, seeds, rows.start, params)
         else:
-            per_device = gaps.reshape(-1, n_dev, 1, lines - 1).transpose(1, 2, 0, 3)
+            per_device = values.reshape(-1, n_dev, 1, lines - 1).transpose(1, 2, 0, 3)
             clean = [per_device[..., k] for k in range(lines - 1)]
-        flops = _sample(normals[:, :, 0], keys[0], rows.start, params, clean, (n_dev, n_rep, n_rows))
+        flops = _sample(normals, seeds, 0, rows.start, params, clean, (n_dev, n_rep, n_rows))
         yield rows, _response(flops)
 
 

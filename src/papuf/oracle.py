@@ -9,8 +9,10 @@ pieces are the noise streams and the tie bits (``circuit._noise_rng``,
 tie breaks are comparable.  The noisy gaps are restated from the stream
 definition (one stream per evaluation seed, read row-major over the P
 observation points: lines - 1 normals per evaluation and point, in gap
-space) with the same floating-point operations as ``circuit._sample``, on
+space) with the floating-point operations of ``circuit._sample``, on
 clean gaps that are each the exact difference of two sums, rounded once.
+Where the sampler halves a*u the oracle multiplies u by a/2; halving is
+exact outside the subnormal range, so both give the same double.
 The parity features of the attack are float products of the signs.
 The CRP-file reader shares the header schema and the field rules
 (``hex_to_bits``, ``response._decimal_to_int``) with ``load_crps`` and

@@ -171,22 +171,26 @@ def random_seed_challenges(width: int, count: int, seed: int) -> np.ndarray:
     """Uniform non-zero, pairwise-distinct seed challenges, (count, width).
 
     Distinctness keeps (device, seed challenge, repetition) a unique record
-    key, which the CRP file format relies on.
+    key, which the CRP file format relies on.  Candidate rows are drawn in
+    batches, and zero and repeated rows are skipped in stream order.  Each
+    bit takes one byte of a 32-bit word, and a call drops its last word's
+    leftover bytes, so rows padded to 4*ceil(width/4) bytes read the stream
+    as one ``integers`` call per row of ``width`` bits would.
     """
     if count > (1 << width) - 1:
         raise ValueError(f"cannot draw {count} distinct non-zero seeds of width {width}")
     rng = np.random.default_rng([seed & SEED_MASK, _CHALLENGE_TAG])
+    zero = bytes(width)
     seen: set[bytes] = set()
     out = np.empty((count, width), dtype=np.uint8)
     filled = 0
     while filled < count:
-        row = rng.integers(0, 2, size=width, dtype=np.uint8)
-        key = row.tobytes()
-        if not row.any() or key in seen:
-            continue
-        seen.add(key)
-        out[filled] = row
-        filled += 1
+        for row in rng.integers(0, 2, size=(count - filled, -(-width // 4) * 4), dtype=np.uint8)[:, :width]:
+            key = row.tobytes()
+            if key != zero and key not in seen:
+                seen.add(key)
+                out[filled] = row
+                filled += 1
     return out
 
 

@@ -624,6 +624,43 @@ def test_feed_forward_block_reads_equal_the_reference_on_any_tap_layout(netlist,
     assert np.array_equal(reads, _reference_reads(devices, challenges, eval_seeds))
 
 
+def test_target_stage_in_gap_space_equals_the_per_line_rule():
+    # int64 times near 2^61 and delays below 2^60, as deep in a chain whose sums reach 2^62 units; every
+    # one of the 8 select patterns, including the cyclic contradictions 000 and 111, in every row block
+    rng = np.random.default_rng(21)
+    n_dev, n_rep, n_rows = 2, 3, 64
+
+    def per_line(times, selects, low, high):  # new[l] = s_l ? t[l-1] + high_l : t[l] + low_l
+        return [np.where(selects[line] == 1, times[line - 1] + high[line], times[line] + low[line]) for line in range(3)]
+
+    times = list(2**61 - rng.integers(0, 2**40, size=(3, n_dev, 1, n_rows)))
+    times[1][0, 0, :4] = times[0][0, 0, :4]  # lines that tie exactly
+    gaps = [times[0] - times[1], times[1] - times[2]]
+    for _ in range(2):  # from the (D, 1, B) prefix, then on (D, R, B) gaps
+        patterns = rng.integers(0, 8, size=(n_dev, n_rep, n_rows))
+        patterns[..., :8] = np.arange(8)
+        selects = [((patterns >> (2 - line)) & 1).astype(np.uint8) for line in range(3)]
+        low, high = (list(rng.integers(0, 2**60, size=(3, n_dev, 1, 1))) for _ in range(2))
+        times = per_line(times, selects, low, high)
+        gaps = circuit._target_gaps(gaps, selects, low, high)
+        assert [g.shape for g in gaps] == [(n_dev, n_rep, n_rows)] * 2
+        assert np.array_equal(gaps[0], times[0] - times[1]) and np.array_equal(gaps[1], times[1] - times[2])
+
+
+def test_tie_keys_are_derived_only_where_a_gap_is_within_the_window(monkeypatch):
+    real, derived = circuit._tie_key, []
+    monkeypatch.setattr(circuit, "_tie_key", lambda seed, point: derived.append((seed, point)) or real(seed, point))
+    netlist = Netlist(Design.FF_PA_PUF, 16, default_ff_taps(16, 3))
+    challenges = np.random.default_rng(4).integers(0, 2, size=(300, 16), dtype=np.uint8)
+    eval_seeds = [[1, 2], [3, 4], [5, 6]]
+    # noisy gaps at window 0 never tie exactly here, so no decision reads a tie bit
+    _block_reads(synthesize_population(DelayParams(sigma_noise=2.0), netlist, 3, 7), challenges, eval_seeds)
+    assert derived == []
+    devices = synthesize_population(DelayParams(sigma_noise=2.0, metastability_window=0.3), netlist, 3, 7)
+    assert np.array_equal(_block_reads(devices, challenges, eval_seeds), _reference_reads(devices, challenges, eval_seeds))
+    assert {point for _, point in derived} == {0, 1, 2, 3}
+
+
 def test_a_device_scales_its_delays_by_its_own_unit():
     # The unit is chosen per device, so the delays of a device with small
     # delays (mean 1, sigma 1) or large ones (mean 10^4) never change the

@@ -22,6 +22,7 @@ from papuf import circuit
 from papuf.netlist import default_ff_taps
 from papuf.oracle import reference_expand, reference_load_crps, reference_propagate
 from papuf.response import (
+    _CHALLENGE_TAG,
     EXPAND_BLOCK_VALUES,
     LFSR_TAPS,
     bits_to_hex,
@@ -31,7 +32,7 @@ from papuf.response import (
     neighbor_seed_challenges,
     random_seed_challenges,
 )
-from papuf.seeds import derive_seed
+from papuf.seeds import SEED_MASK, derive_seed
 
 
 def lfsr_reference_cycle(width):
@@ -316,6 +317,32 @@ def test_random_seed_challenges_distinct():
     assert seeds.any(axis=1).all()
     with pytest.raises(ValueError):
         random_seed_challenges(4, 16, 0)  # only 15 non-zero states exist
+
+
+def _seed_challenges_row_by_row(width, count, seed):
+    """One ``integers`` call per candidate row, skipping zero and repeated rows."""
+    rng = np.random.default_rng([seed & SEED_MASK, _CHALLENGE_TAG])
+    rows, seen = [], set()
+    while len(rows) < count:
+        row = rng.integers(0, 2, size=width, dtype=np.uint8)
+        if row.any() and row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(count, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65]),
+    fill=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_random_seed_challenges_read_the_stream_one_row_per_call(width, fill, seed):
+    # narrow widths skip most candidates (at width 2 only three rows exist), so several batches are drawn
+    count = round(fill * min(200, (1 << width) - 1))
+    seeds = random_seed_challenges(width, count, seed)
+    assert seeds.dtype == np.uint8 and seeds.flags.c_contiguous
+    assert np.array_equal(seeds, _seed_challenges_row_by_row(width, count, seed))
 
 
 def test_hex_packing_msb_first():
