@@ -192,14 +192,17 @@ def fit_logistic(
 ) -> AttackModel:
     """L-BFGS on the mean logistic loss plus ``0.5 * L2 * |w|^2``.
 
-    ``x`` holds (N, stages) challenge bits; anything other than 0 and 1 is
-    a ``ValueError``.  Deterministic under seed (used only for the
+    ``x`` holds (N, stages) challenge bits; anything other than 0 and 1,
+    or a column count other than ``feature_map.stages``, is a
+    ``ValueError``.  Deterministic under seed (used only for the
     train/validation shuffle).  ``MAX_ITERATIONS`` caps the iterations.
     The metadata records the regularised loss of every iterate as
     ``losses`` (non-increasing) and the number of loss-and-gradient
     evaluations, each one pass over the training rows, as ``epochs``.
     """
     bits = np.atleast_2d(as_bits(x, "challenges"))
+    if bits.shape[1] != feature_map.stages:
+        raise ValueError(f"challenges of {bits.shape[1]} stages do not match a feature map of {feature_map.stages}")
     labels = np.asarray(y, dtype=np.float64)
     n_records = bits.shape[0]
     order = np.random.default_rng(seed & SEED_MASK).permutation(n_records)

@@ -53,26 +53,26 @@ enters only through its group table, whose row holds the group's summed
 delays per line.  The tables of several devices sit side by side as
 columns, so one set of codes serves a whole population.
 
-``kernel_blocks`` is that kernel, given a table: the line table
-(``clean_arrival_times``) or the gap table (``propagate_blocks``, and
+Every clean gap comes from one step list (``_chain_steps``), read one
+row block at a time by ``_chain_gaps``: in ``propagate_blocks``, and in
 ``clean_gaps``, through which ``read_probabilities`` and tapless
-``repeated_reads`` read the gaps that the sampler reads).  It
-works through row blocks of about BLOCK_VALUES values, so nothing of size
-devices x rows x lines, and no one-hot encoding of the codes, is ever
-allocated.
+``repeated_reads`` read the gaps that the sampler reads.  Blocks hold
+about BLOCK_VALUES clean values, so nothing of size devices x rows x
+lines, and no one-hot encoding of the codes, is ever allocated.
+``clean_arrival_times`` sums the group table's line columns instead.
 
-A feed-forward chain is the same kernel in segments, carried in gap
-space: its state is the pair of exact int64 free gaps (g_TC, g_CB), and
-g_BT = -(g_TC + g_CB).  A run [a, b) of stages driven by the challenge
-alone maps line l to in[(l - n1) mod 3] + off[l], with n1 the run's
-ones, so it rotates the gaps (n1 = 1 gives (g_BT, g_TC), n1 = 2 gives
-(g_CB, g_BT)) and adds the run's offsets, the gap table's closed form on
-stages a..b-1.  Runs are cut at every target stage, whose per-line
-selects come from a tap arbiter, and after every tap stage.  A target
-stage takes B as reference (T = g_TC + g_CB, C = g_CB, B = 0).  Every
-value is a difference of partial sums below 2^62 units, so nothing
-overflows, and a tap arbiter, like the terminal one, reads each int64
-gap rounded once: the same rule as the gap table.
+The step list carries a chain in gap space: its state is its exact int64
+free gaps, (g_TC, g_CB) for three lines, and g_BT = -(g_TC + g_CB).  A run
+[a, b) of stages driven by the challenge alone maps line l to
+in[(l - n1) mod 3] + off[l], with n1 the run's ones, so it rotates the
+gaps (n1 = 1 gives (g_BT, g_TC), n1 = 2 gives (g_CB, g_BT)) and adds the
+run's offsets, the gap table's closed form on stages a..b-1.  Runs are
+cut at every target stage, whose per-line selects come from a tap
+arbiter, and after every tap stage, so a tapless chain, on either line
+count, is one run whose gaps are its offsets.  A target stage takes B as
+reference (T = g_TC + g_CB, C = g_CB, B = 0).  Every value is a
+difference of partial sums below 2^62 units, so nothing overflows, and a
+tap arbiter, like the terminal one, reads each int64 gap rounded once.
 
 ``_sample`` turns jitter values into the flip-flop bits of one
 observation point over a row block, and computes its tie bits.  An
@@ -92,12 +92,10 @@ Keys and bits are derived only when some gap of the block is within the
 window.  ``propagate_blocks`` is the block reader for every netlist: a
 whole population of (device, repetition) jobs, one row block at a time,
 one noise stream per job.  Each block fills every job's normals of all
-its points with one draw.  Tapless blocks take their clean gaps from the
-kernel's gap table; feed-forward blocks go through the segments
-(``_feed_forward_gaps``) on two (devices, repetitions, rows) gap arrays,
-whose repetition axis stays 1 until the first target stage, so the
-repetitions of a device share the clean prefix.  ``propagate_many`` is
-its one-job case.
+its points with one draw and takes its clean gaps from ``_chain_gaps``,
+as (devices, repetitions, rows) arrays whose repetition axis stays 1
+until the first target stage, so the repetitions of a device share the
+clean prefix.  ``propagate_many`` is its one-job case.
 
 Tapless ``repeated_reads`` draws no jitter.  Given the clean gaps, the
 reads of a challenge are independent Bernoulli(p) bits, p its read
@@ -111,6 +109,7 @@ repetition through ``propagate_many``.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -121,9 +120,11 @@ from .device import NOISE_TAG, TIE_TAG, DelayParams, DeviceInstance
 from .netlist import Netlist
 from .seeds import SEED_MASK, derive_seed
 
-# Target size of one row block, in float64 values (512 KiB): it bounds the
-# stage codes and the arrival times of one block; the jitter of a block is
-# sized by its rows and observation points (see propagate_blocks).
+# Target size of one row block, in clean values (512 KiB of float64): it
+# bounds jobs x rows x lines of a block; its jitter scales with its rows and
+# observation points (see propagate_blocks), and its stage codes, groups x
+# rows intp, are not bounded: a one-job 64-stage block of about 21,800 rows
+# holds about 2.8 MB of codes.
 BLOCK_VALUES = 1 << 16
 
 # Consecutive stages summed by one gather of the closed-form kernel, at most
@@ -324,37 +325,8 @@ def _gap_table(table: np.ndarray, n_dev: int) -> np.ndarray:
     return (per_line[..., :-1] - per_line[..., 1:]).reshape(table.shape[0], -1)
 
 
-def _population_table(devices: Sequence[DeviceInstance], gaps: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """A tapless population's kernel table and the unit 2^e of each of its columns:
-    the ``_group_table`` of the devices' scaled delays, L columns per
-    device, or with ``gaps`` its ``_gap_table``."""
-    scaled, units = _scaled_tables(devices)
-    table = _group_table(scaled)
-    if gaps:
-        table = _gap_table(table, len(devices))
-    return table, np.repeat(units, table.shape[1] // len(devices))
-
-
-def kernel_blocks(table: np.ndarray, units: np.ndarray, challenges: np.ndarray, lines: int, block_rows: int):
-    """The closed-form kernel: exact sums of ``table`` rows, one row block at a time.
-
-    Each block gathers and adds one ``_population_table`` row per stage
-    group in int64 (``_group_sums``), then casts every column to float64
-    once and scales it by its unit, so each value is the correctly rounded
-    exact sum: a clean time of the line table, a clean gap of the gap
-    table.  ``challenges`` is a validated (N, stages) uint8 batch of the
-    devices' ``lines``-line netlist.  Yields (rows, values) per block of
-    ``block_rows`` rows, values (B, columns).
-    """
-    for rows in _row_blocks(challenges.shape[0], block_rows):
-        sums, _ = _group_sums(table, challenges[rows], lines)
-        values = sums.astype(np.float64)
-        values *= units
-        yield rows, values
-
-
-def _sample(normals: np.ndarray, seeds: Sequence[int], point: int, start: int, params: DelayParams,
-            clean: Sequence[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
+def _sample(normals: np.ndarray, seeds: Sequence[int], start: int, params: DelayParams, shape: tuple[int, ...],
+            point: int, clean: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Flip-flop bits of observation point ``point``, one ``shape`` array per pair.
 
     ``clean`` holds the lines - 1 free clean gaps m, each the exact gap
@@ -402,18 +374,19 @@ def _sample(normals: np.ndarray, seeds: Sequence[int], point: int, start: int, p
     return _latch(gaps, params.metastability_window, tie)
 
 
-def _feed_forward_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple], np.ndarray]:
-    """The steps of a feed-forward population's chain, in stage order, and the units.
+def _chain_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple], np.ndarray]:
+    """The steps of a population's chain, in stage order, and the units.
 
     Between the taps' reads and their target stages the chain is driven by
     the challenge alone.  Such a run of stages [a, b) is ``("run", a, b,
     table)``, with ``table`` the ``_gap_table`` of every device's scaled
     delays a..b-1.  Runs are cut at every target stage and after every tap
-    stage.  ``("tap", point)`` reads observation point ``point`` after its
-    tap stage.  ``("target", point, low, high)`` applies the selects of
-    ``point``: ``low`` and ``high`` are the target stage's scaled delays at
-    select 0 and 1, three (D, 1, 1) arrays each, one per line.  The units
-    2^e of the devices come as a (D, 1, 1) array.
+    stage, so a tapless chain is the one run [0, stages).  ``("tap",
+    point)`` reads observation point ``point`` after its tap stage.
+    ``("target", point, low, high)`` applies the selects of ``point``:
+    ``low`` and ``high`` are the target stage's scaled delays at select 0
+    and 1, three (D, 1, 1) arrays each, one per line.  The units 2^e of the
+    devices come as a (D, 1, 1) array.
     """
     netlist = devices[0].netlist
     scaled, units = _scaled_tables(devices)
@@ -443,19 +416,23 @@ def _feed_forward_steps(devices: Sequence[DeviceInstance]) -> tuple[list[tuple],
 
 
 def _run_gaps(gaps: list[np.ndarray], table: np.ndarray, bits: np.ndarray, n_dev: int) -> list[np.ndarray]:
-    """The free gaps (g_TC, g_CB) after a run of stages driven by its (B, stages) ``bits``.
+    """The free gaps after a run of stages driven by its (B, stages) ``bits``.
 
-    Line l leaves the run as in[(l - n1) mod 3] + off[l], n1 the run's
-    ones, so the gaps rotate and gain the run's offsets o, its ``table``
-    rows summed at (D, 1, B): n1 = 0 gives (g_TC + o1, g_CB + o2), n1 = 1
-    (g_BT + o1, g_TC + o2) and n1 = 2 (g_CB + o1, g_BT + o2).  ``gaps``
-    is empty at the chain's start, where g = o.  A run of one stage
+    The run's offsets o are its ``table`` rows summed at (D, 1, B), with
+    ``table.shape[1] // n_dev`` free gaps per device: one for 2 lines,
+    (g_TC, g_CB) for 3.  ``gaps`` is empty at the chain's start, where
+    g = o, as on every tapless chain.  Later, line l leaves the run as
+    in[(l - n1) mod 3] + off[l], n1 the run's ones, so the gaps rotate and
+    gain o: n1 = 0 gives (g_TC + o1, g_CB + o2), n1 = 1 (g_BT + o1,
+    g_TC + o2) and n1 = 2 (g_CB + o1, g_BT + o2).  A run of one stage
     rotates with one ``where`` on its bits, a longer one with two.
     """
-    sums, ones = _group_sums(table, bits, 3)
-    o_tc, o_cb = np.ascontiguousarray(sums.T).reshape(n_dev, 2, 1, bits.shape[0]).transpose(1, 0, 2, 3)
+    free = table.shape[1] // n_dev
+    sums, ones = _group_sums(table, bits, free + 1)
+    offsets = np.ascontiguousarray(sums.T).reshape(n_dev, free, 1, bits.shape[0]).transpose(1, 0, 2, 3)
     if not gaps:
-        return [o_tc, o_cb]
+        return list(offsets)
+    o_tc, o_cb = offsets
     g_tc, g_cb = gaps
     g_bt = -(g_tc + g_cb)
     if bits.shape[1] == 1:
@@ -492,23 +469,20 @@ def _pick(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _feed_forward_gaps(steps: list[tuple], units: np.ndarray, challenges: np.ndarray, normals: np.ndarray,
-                       seeds: Sequence[int], start: int, params: DelayParams) -> list[np.ndarray]:
-    """Clean terminal gaps (g_TC, g_CB) of one feed-forward row block, carried in exact int64.
+def _chain_gaps(steps: list[tuple], units: np.ndarray, challenges: np.ndarray, read_tap) -> list[np.ndarray]:
+    """Clean terminal free gaps of one row block, carried in exact int64.
 
-    ``steps`` and ``units`` come from ``_feed_forward_steps``; ``normals``
-    is the block's noise, (jobs, rows, points, 2), and ``seeds`` the eval
-    seed of every (device, repetition) job.  The block's first row is
-    evaluation ``start``.  A run goes through ``_run_gaps``, whose offsets
-    are gathered at (D, 1, B), so the repetitions of a device share them;
-    the gaps stay (D, 1, B) until the first target stage
-    (``_target_gaps``), where the tap arbiter's per-line selects make them
-    (D, R, B).  A tap (through ``_sample``) and the terminal arbiter read
+    ``steps`` and ``units`` come from ``_chain_steps``.  A run goes
+    through ``_run_gaps``, whose offsets are gathered at (D, 1, B), so the
+    repetitions of a device share them; the gaps stay (D, 1, B) until the
+    first target stage (``_target_gaps``), where the tap arbiter's
+    per-line selects make them (D, R, B).  ``read_tap(point, clean)``
+    returns the flip-flop bits of tap ``point`` (``_sample``); it is never
+    called on a tapless chain.  A tap and the terminal arbiter read
     ``g * units``, each exact gap cast to float64 and scaled by its unit
-    once, as the tapless gap table gives it; the terminal ones are returned.
+    once; the terminal ones are returned.
     """
     n_dev = units.shape[0]
-    shape = (n_dev, len(seeds) // n_dev, challenges.shape[0])
     gaps: list[np.ndarray] = []
     selects: dict[int, list[np.ndarray]] = {}
     for kind, *step in steps:
@@ -517,8 +491,7 @@ def _feed_forward_gaps(steps: list[tuple], units: np.ndarray, challenges: np.nda
             gaps = _run_gaps(gaps, table, challenges[:, a:b], n_dev)
         elif kind == "tap":
             (point,) = step
-            clean = [g * units for g in gaps]
-            selects[point] = _sample(normals, seeds, point, start, params, clean, shape)
+            selects[point] = read_tap(point, [g * units for g in gaps])
         else:
             point, low, high = step
             gaps = _target_gaps(gaps, selects.pop(point), low, high)
@@ -558,11 +531,8 @@ def propagate_blocks(
     the same number of repetitions R, and all share one netlist and
     parameter set (a ``ValueError`` names each mismatch).  Yields (rows,
     bits) with bits of shape (D, R, B); block starts are multiples of
-    ``block_multiple``.  Tapless netlists take their clean gaps from the
-    closed-form kernel on the population's gap table; feed-forward
-    netlists take their exact int64 gaps from ``_feed_forward_gaps``, which
-    applies the same kernel to the runs between taps and target stages,
-    and read ``g * units``.  Tables are built once per call.
+    ``block_multiple``.  Every netlist takes its clean gaps from
+    ``_chain_gaps`` on the steps of ``_chain_steps``, built once per call.
 
     Each (device, repetition) job keeps one noise stream open across
     blocks and reads it row-major over its P observation points: a block
@@ -573,7 +543,7 @@ def propagate_blocks(
     Block rows are sized to about BLOCK_VALUES values over jobs x rows x
     lines.  A block also holds its noise,
     jobs x rows x P x (lines - 1) normals, in one buffer allocated once
-    per call: a feed-forward block of P points holds about 2P/3 times
+    per call: a block of P points holds about (lines - 1)P/lines times
     BLOCK_VALUES normals beside its clean values.
     """
     _check_population(devices, eval_seeds)
@@ -584,27 +554,16 @@ def propagate_blocks(
     seeds = [s for row in eval_seeds for s in row]
     rngs = [_noise_rng(s) for s in seeds]
 
-    if netlist.ff_taps:
-        steps, units = _feed_forward_steps(devices)
-        block_rows = _block_rows(n_dev * n_rep * lines, block_multiple)
-        blocks = ((rows, None) for rows in _row_blocks(challenges.shape[0], block_rows))
-    else:
-        table, units = _population_table(devices, gaps=True)
-        block_rows = _block_rows(max(netlist.stages, n_dev * n_rep * lines), block_multiple)
-        blocks = kernel_blocks(table, units, challenges, lines, block_rows)
+    steps, units = _chain_steps(devices)
+    block_rows = _block_rows(n_dev * n_rep * lines, block_multiple)
     noise = np.empty((len(seeds), min(block_rows, challenges.shape[0]), len(netlist.ff_taps) + 1, lines - 1))
-    for rows, values in blocks:
+    for rows in _row_blocks(challenges.shape[0], block_rows):
         n_rows = rows.stop - rows.start
         normals = noise[:, :n_rows]
         for rng, out in zip(rngs, normals):
             rng.standard_normal(out=out)
-        if netlist.ff_taps:
-            clean = _feed_forward_gaps(steps, units, challenges[rows], normals, seeds, rows.start, params)
-        else:
-            per_device = values.reshape(-1, n_dev, 1, lines - 1).transpose(1, 2, 0, 3)
-            clean = [per_device[..., k] for k in range(lines - 1)]
-        flops = _sample(normals, seeds, 0, rows.start, params, clean, (n_dev, n_rep, n_rows))
-        yield rows, _response(flops)
+        read_tap = partial(_sample, normals, seeds, rows.start, params, (n_dev, n_rep, n_rows))
+        yield rows, _response(read_tap(0, _chain_gaps(steps, units, challenges[rows], read_tap)))
 
 
 def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: int = 0) -> np.ndarray:
@@ -626,38 +585,47 @@ def propagate_many(device: DeviceInstance, challenges: np.ndarray, eval_seed: in
     return out
 
 
-def _tapless_sums(device: DeviceInstance, challenges: np.ndarray, gaps: bool) -> np.ndarray:
-    """The kernel's values of one tapless device over a batch: its line
-    table's clean times, (N, lines), or with ``gaps`` its gap table's clean
-    gaps, (N, lines - 1)."""
+def _tapless(device: DeviceInstance, challenges: np.ndarray) -> tuple[np.ndarray, int]:
+    """A validated batch of a tapless device, and its rows per block."""
     netlist = device.netlist
     if netlist.ff_taps:
         raise ValueError("clean arrival times and gaps are undefined for feed-forward netlists")
-    challenges = _validate_challenges(netlist, challenges)
-    table, units = _population_table([device], gaps)
-    out = np.empty((challenges.shape[0], table.shape[1]))
-    block_rows = _block_rows(max(netlist.stages, netlist.lines))
-    for rows, values in kernel_blocks(table, units, challenges, netlist.lines, block_rows):
-        out[rows] = values
-    return out
+    return _validate_challenges(netlist, challenges), _block_rows(max(netlist.stages, netlist.lines))
 
 
 def clean_arrival_times(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
     """Noise-free terminal arrival times, (N, lines).
 
     Only valid for netlists without feed-forward taps, where the data path
-    is a pure function of the challenge.
+    is a pure function of the challenge.  Each block sums the device's
+    line table in int64, then casts once and scales by the unit, so every
+    time is the exact sum rounded once.
     """
-    return _tapless_sums(device, challenges, gaps=False)
+    challenges, block_rows = _tapless(device, challenges)
+    scaled, units = _scaled_tables([device])
+    table, lines = _group_table(scaled), device.netlist.lines
+    out = np.empty((challenges.shape[0], lines))
+    for rows in _row_blocks(challenges.shape[0], block_rows):
+        sums, _ = _group_sums(table, challenges[rows], lines)
+        out[rows] = sums
+        out[rows] *= units[0]
+    return out
 
 
 def clean_gaps(device: DeviceInstance, challenges: np.ndarray) -> np.ndarray:
     """Noise-free free gaps t_l - t_{l+1} of a tapless netlist, (N, lines - 1).
 
-    Each is the exact gap rounded once, from the kernel's gap table: the
-    clean gaps that ``propagate_many`` adds its jitter to.
+    Each is the exact gap rounded once, read through the same steps as
+    ``propagate_blocks``: the clean gaps that ``propagate_many`` adds its
+    jitter to.
     """
-    return _tapless_sums(device, challenges, gaps=True)
+    challenges, block_rows = _tapless(device, challenges)
+    steps, units = _chain_steps([device])
+    out = np.empty((challenges.shape[0], device.netlist.lines - 1))
+    for rows in _row_blocks(challenges.shape[0], block_rows):
+        for k, gap in enumerate(_chain_gaps(steps, units, challenges[rows], None)):
+            out[rows, k] = gap[0, 0]
+    return out
 
 
 def _read_probabilities(gaps: np.ndarray, params: DelayParams) -> np.ndarray:

@@ -120,6 +120,14 @@ def test_non_binary_challenge_bits_are_rejected():
         parity_features(challenges)
 
 
+def test_fit_rejects_challenges_of_another_stage_count():
+    challenges = np.random.default_rng(2).integers(0, 2, size=(120, 16), dtype=np.uint8)
+    labels = challenges[:, 0]
+    for kind in ("parity", "raw_bits"):
+        with pytest.raises(ValueError, match="challenges of 16 stages do not match a feature map of 64"):
+            fit_logistic(challenges, labels, FeatureMap(kind, 64), seed=0)
+
+
 def test_feature_map_dimensions():
     assert FeatureMap("parity", 64).dimension == 65
     assert FeatureMap("raw_bits", 64).dimension == 64

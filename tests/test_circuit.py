@@ -664,24 +664,34 @@ def test_tie_keys_are_derived_only_where_a_gap_is_within_the_window(monkeypatch)
 def test_a_device_scales_its_delays_by_its_own_unit():
     # The unit is chosen per device, so the delays of a device with small
     # delays (mean 1, sigma 1) or large ones (mean 10^4) never change the
-    # exact clean times of a default device read in the same population.
+    # exact clean gaps of a default device read in the same population.
     netlist = Netlist(Design.PA_PUF, 64)
     default = synthesize_device(DelayParams(), netlist, 31)
     small = synthesize_device(DelayParams(mean_delay=1.0, sigma_process=1.0), netlist, 32)
     large = synthesize_device(DelayParams(mean_delay=1e4, sigma_process=1e3), netlist, 33)
     challenges = np.random.default_rng(34).integers(0, 2, size=(500, 64), dtype=np.uint8)
-    alone = clean_arrival_times(default, challenges)
-    assert np.array_equal(alone, reference_clean_times(default, challenges))
-    population = np.empty((500, 9))
-    table, units = circuit._population_table([small, default, large])
-    for rows, times in circuit.kernel_blocks(table, units, challenges, 3, 128):
-        population[rows] = times
-    assert np.array_equal(population[:, 3:6], alone)
+    steps, units = circuit._chain_steps([small, default, large])
+    population = np.stack(circuit._chain_gaps(steps, units, challenges, None), axis=-1)[:, 0]  # (3, 500, 2)
+    for gaps, device in zip(population, (small, default, large)):
+        assert np.array_equal(gaps, circuit.clean_gaps(device, challenges))
+    assert np.array_equal(population[1], _rounded_gaps(*_reference_times(default, challenges.tolist()), 3))
+    assert np.array_equal(clean_arrival_times(default, challenges), reference_clean_times(default, challenges))
     # the small device spans too many binades to be exact in int64: its
     # delays round to its unit, and its clean times stay within one ulp
     exact = reference_clean_times(small, challenges)
-    assert np.all(np.abs(population[:, :3] - exact) <= np.spacing(exact))
-    assert np.array_equal(population[:, :3], clean_arrival_times(small, challenges))
+    assert np.all(np.abs(clean_arrival_times(small, challenges) - exact) <= np.spacing(exact))
+
+
+@pytest.mark.parametrize("design", [Design.APUF, Design.PA_PUF])
+@pytest.mark.parametrize("stages", [1, 5, 64])
+def test_clean_gaps_equal_the_exact_gaps_rounded_once(monkeypatch, design, stages):
+    # blocks of 256 // max(stages, lines) rows: 300 rows span 3 to 75 blocks
+    monkeypatch.setattr(circuit, "BLOCK_VALUES", 256)
+    netlist = Netlist(design, stages)
+    device = synthesize_device(DelayParams(), netlist, 40 + stages)
+    rows = np.random.default_rng(stages).integers(0, 2, size=(300, stages), dtype=np.uint8)
+    expected = _rounded_gaps(*_reference_times(device, rows.tolist()), netlist.lines)
+    assert np.array_equal(circuit.clean_gaps(device, rows), expected)
 
 
 def _one_pass_over_the_stream(device, challenges, eval_seed):

@@ -462,6 +462,7 @@ def test_collect_crps_equals_per_device_propagation(design, taps):
         pytest.param(Netlist(Design.FF_PA_PUF, 64, ((16, 32), (32, 48))), 4, id="netlist0"),
         pytest.param(Netlist(Design.FF_PA_PUF, 16, default_ff_taps(16, 6)), 4, id="netlist1"),
         pytest.param(Netlist(Design.APUF, 16), 4, id="netlist2"),
+        pytest.param(Netlist(Design.PA_PUF, 16), 4, id="netlist3"),
         # the tapless gap table at other group sizes, 3 and 6 not dividing 16
         *(pytest.param(Netlist(Design.APUF, 16), g, id=f"netlist2-group{g}") for g in (1, 3, 6)),
     ],
