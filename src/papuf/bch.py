@@ -5,13 +5,13 @@ word is the coefficient of x^(n-1-i).  Encoding is systematic, so the
 first k bits of a codeword are the message.
 
 Decoding runs on Python ints from tables built once per code
-(``_decode_tables``).  The column of bit i is one int packing the t odd
-syndromes of the word with only bit i set, and the table int of a byte
-position and byte value is the XOR of the columns of that byte's set bits.
-So the odd syndromes of a word are an XOR of one int per byte, and
-S_2j = S_j^2 (Lin & Costello, *Error Control Coding*, binary BCH codes)
-gives the even ones; a zero syndrome returns at once.  Otherwise binary
-Berlekamp-Massey (t steps) gives the error locator.  The
+(``_decode_tables``).  Every syndrome S_j is linear in the word and, with
+m <= 8, fits a byte, so the column of bit i is one int packing all 2t
+syndromes of the word with only bit i set, S_j in byte j - 1.  The table
+int of a byte position and byte value is the XOR of the columns of that
+byte's set bits, so S_1..S_2t of a word are an XOR of one int per byte, and
+``int.to_bytes`` unpacks them; a zero syndrome returns at once.  Otherwise
+binary Berlekamp-Massey (t steps) gives the error locator.  The
 Chien search (R. T. Chien, "Cyclic decoding procedures for BCH codes",
 IEEE Trans. IT 1964) evaluates it at all n points at once: for each
 locator degree d and field value v, one int holds v*alpha^(-d(n-1-i)) in
@@ -152,14 +152,15 @@ def default_code() -> BchCode:
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
-    value = 0
-    for bit in np.asarray(bits, dtype=np.uint8):
-        value = (value << 1) | int(bit)
-    return value
+    """A 0/1 bit vector as an int, first bit most significant."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    """The low ``width`` bits of ``value`` as a uint8 vector, most significant first."""
+    pad = -width % 8
+    packed = np.frombuffer((value << pad).to_bytes((width + pad) // 8, "big"), dtype=np.uint8)
+    return np.unpackbits(packed, count=width)
 
 
 def bch_encode(message: np.ndarray, code: BchCode) -> np.ndarray:
@@ -179,14 +180,17 @@ def bch_encode(message: np.ndarray, code: BchCode) -> np.ndarray:
 class _DecodeTables:
     """Read-only lookup tables of one code, built on its first decode.
 
-    ``syndromes[b][v]`` packs the t odd syndromes S_1, S_3, ..., S_2t-1, m
-    bits each with S_2j+1 at bit m*j, of the word whose ``np.packbits``
-    byte b is v and all other bits are 0: the XOR of the columns of the set
-    bits of v, where the column of bit i is alpha^((2j+1)(n-1-i)) for each
-    j.  ``chien[d - 1][v]`` holds v*alpha^(-d(n-1-i)) in lane i, for locator
+    ``syndromes[b][v]`` packs the 2t syndromes S_1, ..., S_2t, one byte
+    each with S_j at bit 8(j - 1), of the word whose ``np.packbits`` byte b
+    is v and all other bits are 0: the XOR of the columns of the set bits
+    of v, where the column of bit i holds alpha^(j(n-1-i)) in byte j - 1.
+    ``chien[d - 1][v]`` holds v*alpha^(-d(n-1-i)) in lane i, for locator
     degree d = 1..t; lanes are m + 1 bits wide, one per bit position.
+    ``field`` is the code's GF(2^m), kept here so that a decode reads the
+    field's tables without a second cache lookup.
     """
 
+    field: GF2m
     syndromes: tuple[tuple[int, ...], ...]
     chien: tuple[tuple[int, ...], ...]
     ones: int  # 1 in every lane: the locator's constant coefficient
@@ -207,7 +211,7 @@ def _decode_tables(code: BchCode) -> _DecodeTables:
     exp = np.array(field.exp[: field.order], dtype=np.int64)
     log = np.array(field.log, dtype=np.int64)
     powers = np.arange(n - 1, -1, -1)  # the exponent of bit i is n-1-i
-    columns = _pack(exp[(powers[:, None] * np.arange(1, 2 * t, 2)[None, :]) % field.order], m)
+    columns = _pack(exp[(powers[:, None] * np.arange(1, 2 * t + 1)[None, :]) % field.order], 8)
     columns += [0] * (-n % 8)  # the pad bits of the last byte
     syndromes = []
     for byte in range(len(columns) // 8):
@@ -221,7 +225,15 @@ def _decode_tables(code: BchCode) -> _DecodeTables:
         values[0] = 0
         chien.append(tuple(_pack(values, m + 1)))
     lanes = _pack(np.array([[1] * n, [(1 << m) - 1] * n, [1 << m] * n]), m + 1)
-    return _DecodeTables(tuple(syndromes), tuple(chien), *lanes)
+    return _DecodeTables(field, tuple(syndromes), tuple(chien), *lanes)
+
+
+def _packed_syndromes(received: np.ndarray, byte_syndromes) -> int:
+    """S_1..S_2t of a 0/1 word, S_j in byte j - 1: one table int per byte, XORed."""
+    packed = 0
+    for byte, value in enumerate(np.packbits(received).tobytes()):
+        packed ^= byte_syndromes[byte][value]
+    return packed
 
 
 def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
@@ -246,7 +258,7 @@ def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
         for i in range(1, length + 1):
             discrepancy ^= rows[step - i][locator[i]]
         if discrepancy:
-            scale = products[exp[(log[discrepancy] - prev_log) % order]]
+            scale = products[exp[log[discrepancy] - prev_log + order]]  # exp is 2*order long
             grows = 2 * length <= step
             if grows:
                 saved = locator[: length + 1]
@@ -286,52 +298,52 @@ def bch_decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | 
 
     Returns None when the received word is provably outside every t-ball
     the decoder can resolve (uncorrectable), never a silently wrong guess
-    for in-ball words.  A word holding anything but 0 and 1 is a
-    ``ValueError``.
-
-    The odd syndromes are an XOR of one table int per byte of the word,
-    and S_2j = S_j^2 gives the even ones; a zero syndrome returns at once.
-    Berlekamp-Massey gives the locator, and the Chien search evaluates it
-    at all n points as an XOR of at most t + 1 table ints, one lane per bit:
-    lane i is zero iff bit i is in error.  ``~(x + below) & high`` marks
-    the zero lanes without carries between them, since every lane value is
-    below 2^m.  The root count must equal the locator degree, and the
-    residual check XORs the columns of the error bits into the syndromes.
+    for in-ball words.  A word holding anything but 0 and 1, or of another
+    length than n, is a ``ValueError``.
     """
     received = as_bits(received, "received word")
     if received.shape != (code.n,):
         raise ValueError(f"received word must have {code.n} bits, got shape {received.shape}")
+    return _decode(received, code)
+
+
+def _decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | None:
+    """``bch_decode`` of a checked word: a (n,) uint8 array of 0/1 bits.
+
+    S_1..S_2t are an XOR of one table int per byte of the word, one byte
+    each; a zero syndrome returns at once.  Berlekamp-Massey gives the
+    locator, and the Chien search evaluates it at all n points as an XOR of
+    at most t + 1 table ints, one lane per bit: lane i is zero iff bit i is
+    in error.  ``~(x + below) & high`` marks the zero lanes without carries
+    between them, since every lane value is below 2^m.  The root count must
+    equal the locator degree, and the residual check XORs the columns of
+    the error bits into the syndromes.  All of them must cancel; since
+    S_2j = S_j^2, that is the same test as the odd ones cancelling.
+    """
     tables = _decode_tables(code)
     byte_syndromes = tables.syndromes
-    odd = 0
-    for byte, value in enumerate(np.packbits(received).tobytes()):
-        odd ^= byte_syndromes[byte][value]
-    if not odd:
+    packed = _packed_syndromes(received, byte_syndromes)
+    if not packed:
         return received[: code.k].copy(), 0
-    field, m = code.field, code.m
-    syndromes = [0] * (2 * code.t)
-    syndromes[0::2] = [(odd >> shift) & field.order for shift in range(0, m * code.t, m)]
-    for j in range(1, code.t + 1):  # S_2j = S_j^2, at list index 2j - 1
-        s = syndromes[j - 1]
-        syndromes[2 * j - 1] = field.products[s][s]
-    locator = _berlekamp_massey(field, syndromes)
+    locator = _berlekamp_massey(tables.field, list(packed.to_bytes(2 * code.t, "little")))
     degree = len(locator) - 1
     if degree > code.t:
         return None
     values = tables.ones
-    for d in range(1, degree + 1):
-        values ^= tables.chien[d - 1][locator[d]]
+    for row, coef in zip(tables.chien, locator[1:]):
+        values ^= row[coef]
     zero_lanes = ~(values + tables.below) & tables.high
     if zero_lanes.bit_count() != degree:
         return None
     message = received[: code.k].copy()
+    lane = code.m + 1
     while zero_lanes:
         low = zero_lanes & -zero_lanes
         zero_lanes ^= low
-        bit = low.bit_length() // (m + 1) - 1
-        odd ^= byte_syndromes[bit >> 3][0x80 >> (bit & 7)]  # the residual check, by linearity
+        bit = low.bit_length() // lane - 1
+        packed ^= byte_syndromes[bit >> 3][0x80 >> (bit & 7)]  # the residual check, by linearity
         if bit < code.k:
             message[bit] ^= 1
-    if odd:
+    if packed:
         return None
     return message, degree

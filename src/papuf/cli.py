@@ -13,6 +13,7 @@ import hashlib
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 from . import __version__, kvfile
@@ -447,6 +448,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="out_dir")
 
 
+@cache  # built once per process: parse_args does not change the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="papuf", description=__doc__)
     parser.add_argument("--version", action="version", version=f"papuf {__version__}")

@@ -14,59 +14,77 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvfile
-from .bch import BchCode, as_bits, bch_decode, bch_encode
+from .bch import BchCode, _decode, as_bits, bch_encode
 from .response import bits_to_hex, hex_to_bits
 from .seeds import SEED_MASK
 
 
 @dataclass(frozen=True)
 class HelperData:
-    """Public enrollment output: the code offset and the code it was made with."""
+    """Public enrollment output: the code offset and the code it was made with.
+
+    The offset is checked once, here: anything but a vector of n 0/1 bits
+    is a ``ValueError``, and it is kept as uint8.
+    """
 
     offset: np.ndarray  # (n,) bits, codeword XOR response slice
     code: BchCode
 
+    def __post_init__(self):
+        offset = as_bits(self.offset, "helper offset")
+        if offset.shape != (self.code.n,):
+            raise ValueError(f"helper offset must have {self.code.n} bits, got shape {offset.shape}")
+        object.__setattr__(self, "offset", offset)
+
     def __eq__(self, other) -> bool:
         same_code = isinstance(other, HelperData) and self.code == other.code
-        return same_code and np.array_equal(self.offset, other.offset)
+        return same_code and self.offset.tobytes() == other.offset.tobytes()
 
 
 @dataclass(frozen=True)
 class SecretKey:
-    bits: np.ndarray  # (k,) message bits
+    bits: np.ndarray  # (k,) uint8 message bits, as enroll and reproduce make them
 
     def hex(self) -> str:
         return bits_to_hex(self.bits)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SecretKey) and np.array_equal(self.bits, other.bits)
+        return (
+            isinstance(other, SecretKey)
+            and self.bits.shape == other.bits.shape
+            and self.bits.tobytes() == other.bits.tobytes()
+        )
+
+
+def _response_bits(response: np.ndarray, code: BchCode) -> np.ndarray:
+    """The first n bits of a checked response: a vector of 0/1 bits, at least n long."""
+    response = as_bits(response, "response")
+    if response.ndim != 1 or response.shape[0] < code.n:
+        raise ValueError(f"response of shape {response.shape} is not a vector of at least n={code.n} bits")
+    return response[: code.n]
 
 
 def enroll(response: np.ndarray, code: BchCode, key_seed: int) -> tuple[HelperData, SecretKey]:
     """Bind a fresh random key to a response; responses longer than n are
     truncated to the first n bits (a 128-bit response drops its last bit).
     A response holding anything but 0 and 1 is a ``ValueError``."""
-    response = as_bits(response, "response")
-    if response.shape[0] < code.n:
-        raise ValueError(f"response of {response.shape[0]} bits is shorter than n={code.n}")
+    response = _response_bits(response, code)
     rng = np.random.default_rng(key_seed & SEED_MASK)
     message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
     codeword = bch_encode(message, code)
-    offset = codeword ^ response[: code.n]
+    offset = codeword ^ response
     return HelperData(offset, code), SecretKey(message)
 
 
 def reproduce(noisy_response: np.ndarray, helper: HelperData) -> SecretKey | None:
     """Recover the enrolled key from a noisy read, or None on decode failure.
 
-    A read holding anything but 0 and 1 is a ``ValueError``.
+    A read holding anything but 0 and 1 is a ``ValueError``.  The read is
+    the only array checked here: the helper's offset was checked when the
+    helper was made.
     """
     code = helper.code
-    noisy_response = as_bits(noisy_response, "response")
-    if noisy_response.shape[0] < code.n:
-        raise ValueError(f"response of {noisy_response.shape[0]} bits is shorter than n={code.n}")
-    received = helper.offset ^ noisy_response[: code.n]
-    decoded = bch_decode(received, code)
+    decoded = _decode(helper.offset ^ _response_bits(noisy_response, code), code)
     if decoded is None:
         return None
     message, _ = decoded

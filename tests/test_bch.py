@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papuf.bch import BchCode, _berlekamp_massey, bch_decode, bch_encode, default_code
+from papuf.bch import (
+    BchCode,
+    _berlekamp_massey,
+    _bits_to_int,
+    _decode_tables,
+    _int_to_bits,
+    _packed_syndromes,
+    bch_decode,
+    bch_encode,
+    default_code,
+)
 from papuf.oracle import _oracle_systematic_codewords, naive_nearest_codeword
 
 
@@ -237,6 +247,30 @@ def test_berlekamp_massey_locators_equal_the_pinned_digest(code127):
         word = rng.integers(0, 2, size=code127.n, dtype=np.uint8)
         digest.update(bytes(_berlekamp_massey(code127.field, _syndromes(word, code127))) + b"|")
     assert digest.hexdigest() == "2e9ee538546bcede9028c6ed85faa0dd8861a887ca202a7d53895f36604af13b"
+
+
+@pytest.mark.parametrize("m,t", [(3, 1), (4, 3), (5, 5), (6, 7), (7, 10), (8, 16)])
+def test_byte_lane_syndromes_equal_the_term_by_term_sums(m, t):
+    code = BchCode.construct(m, t)
+    rows = _decode_tables(code).syndromes
+    rng = np.random.default_rng(m)
+    largest = 0
+    for _ in range(100):
+        word = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+        lanes = list(_packed_syndromes(word, rows).to_bytes(2 * t, "little"))
+        assert lanes == _syndromes(word, code)
+        largest = max(largest, *lanes)
+    assert largest == code.n  # the lanes reach 2^m - 1: 255 at m = 8
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 64, 127])
+def test_bit_vectors_and_ints_convert_most_significant_bit_first(width):
+    rng = np.random.default_rng(width)
+    for bits in [np.zeros(width, np.uint8), np.ones(width, np.uint8), rng.integers(0, 2, width, dtype=np.uint8)]:
+        value = sum(int(bit) << (width - 1 - i) for i, bit in enumerate(bits))
+        assert _bits_to_int(bits) == value
+        out = _int_to_bits(value, width)
+        assert out.dtype == np.uint8 and out.tolist() == bits.tolist()
 
 
 @pytest.mark.parametrize("weight", range(16))

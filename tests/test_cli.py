@@ -629,6 +629,15 @@ def test_attack_compare_csv_has_five_fields_on_every_row(tmp_path, capsys):
     assert text.count('"') == 4  # only the two feed-forward rows are quoted
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_parses():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["keygen", "enroll", "--device", "a.txt", "--votes", "3"])
+    second = parser.parse_args(["keygen", "enroll", "--device", "b.txt"])
+    assert (first.device, first.votes) == ("a.txt", 3)
+    assert (second.device, second.votes) == ("b.txt", 11)
+
+
 def test_readme_walkthrough_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI walkthrough", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -105,14 +105,46 @@ def test_helper_file_round_trip(tmp_path, code, response):
 
 
 def test_helper_equality(code, response):
-    helper, _ = enroll(response, code, key_seed=13)
+    helper, key = enroll(response, code, key_seed=13)
     same, _ = enroll(response, code, key_seed=13)
     assert helper == same and not helper != same
     flipped = HelperData(helper.offset ^ np.eye(1, code.n, 5, dtype=np.uint8)[0], code)
     assert helper != flipped
     other_code = BchCode.construct(code.m, code.t - 1)
     assert helper != HelperData(helper.offset, other_code)
-    assert helper != helper.offset
+    assert helper != helper.offset and helper != key
+
+
+@pytest.mark.parametrize("change", ["non-binary", "short", "long", "matrix"])
+def test_helper_offset_is_checked_once_when_made(code, response, change):
+    helper, _ = enroll(response, code, key_seed=15)
+    offset = {
+        "non-binary": np.where(np.arange(code.n) == 4, 2, helper.offset),
+        "short": helper.offset[:-1],
+        "long": np.append(helper.offset, 0),
+        "matrix": helper.offset[None, :],
+    }[change]
+    with pytest.raises(ValueError, match="helper offset"):
+        HelperData(offset, code)
+    loaded = HelperData(helper.offset.astype(bool), code)
+    assert loaded.offset.dtype == np.uint8 and loaded == helper
+
+
+def test_secret_key_equality(code, response):
+    _, key = enroll(response, code, key_seed=16)
+    assert key == SecretKey(key.bits.copy()) and not key != SecretKey(key.bits.copy())
+    flipped = key.bits.copy()
+    flipped[3] ^= 1
+    assert key != SecretKey(flipped)
+    assert key != SecretKey(key.bits[:-1]) and key != SecretKey(key.bits.reshape(8, -1))
+    assert SecretKey(np.zeros(8, np.uint8)) != SecretKey(np.zeros(16, np.uint8))
+    assert key != key.bits and key != key.hex()
+
+
+def test_reproduction_rejects_a_read_that_is_not_a_vector(code, response):
+    helper, _ = enroll(response, code, key_seed=17)
+    with pytest.raises(ValueError, match="vector"):
+        reproduce(np.stack([response, response]), helper)
 
 
 def test_helper_file_without_slice_start_and_older_files_load(tmp_path, code, response):
