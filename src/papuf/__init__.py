@@ -5,7 +5,6 @@ from .attack import (
     FeatureMap,
     compare_designs,
     evaluate_attack,
-    parity_features,
     train,
 )
 from .bch import BchCode, bch_decode, bch_encode, default_code

@@ -11,7 +11,7 @@ Every feature is exactly +1 or -1.  The parity features come from a suffix
 XOR of the challenge bits on 64-bit words, and each design matrix, bias
 column included, is written once from the uint8 challenge bits
 (``_design``); ``oracle.reference_parity_features`` is the float product
-it must equal.
+it must equal.  The fit and ``AttackModel.predict`` score that one design.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ class FeatureMap:
     def dimension(self) -> int:
         return self.stages + 1 if self.kind == "parity" else self.stages
 
-    def apply(self, challenges: np.ndarray) -> np.ndarray:
-        """(N, dimension) features of (N, stages) challenge bits.
-
-        Anything other than 0 and 1 in ``challenges`` is a ``ValueError``.
-        """
-        return _design(as_bits(challenges, "challenges"), self.kind, bias=False)
-
 
 def _suffix_parity(bits: np.ndarray) -> np.ndarray:
     """(N, stages) uint8: bit i is the XOR of bits i..stages-1 of its row.
@@ -78,31 +71,23 @@ def _suffix_parity(bits: np.ndarray) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=stages, bitorder="little")
 
 
-def _design(bits: np.ndarray, kind: str, bias: bool) -> np.ndarray:
-    """C-contiguous float64 features of (N, stages) 0/1 bits.
+def _design(bits: np.ndarray, kind: str) -> np.ndarray:
+    """C-contiguous float64 design matrix of (N, stages) 0/1 bits.
 
-    A bias column of ones follows the features if ``bias``.  Every value is
-    written once: the signs 1 - 2*bit as int8, and ones in
-    the parity map's constant column and the bias column.
+    The features come first, then a bias column of ones.  Parity feature i
+    is prod_{j >= i} (1 - 2 c_j), the sign of the XOR of bits i.. of the
+    challenge (``_suffix_parity``), and the parity map's last feature is
+    the empty product, identically +1.  Every value is written once: the
+    signs 1 - 2*bit as int8, and ones in the parity map's constant column
+    and the bias column.
     """
     bits = np.atleast_2d(bits)
     rows, stages = bits.shape
     signed = _suffix_parity(bits) if kind == "parity" else bits
-    out = np.empty((rows, stages + (kind == "parity") + bias))
+    out = np.empty((rows, stages + (kind == "parity") + 1))
     out[:, :stages] = 1 - 2 * signed.view(np.int8)
     out[:, stages:] = 1.0
     return out
-
-
-def parity_features(challenges: np.ndarray) -> np.ndarray:
-    """Signed suffix parities: feature i = prod_{j >= i} (1 - 2 c_j).
-
-    The last feature is the empty product, identically +1, so the output
-    has stages + 1 columns, each value exactly -1 or +1.  Each product is
-    the sign of the XOR of bits i.. of the challenge, computed on 64-bit
-    words (``_suffix_parity``).
-    """
-    return _design(as_bits(challenges, "challenges"), "parity", bias=False)
 
 
 # The fit's L-BFGS iteration cap, and the share of records it trains on; the
@@ -129,9 +114,10 @@ class AttackModel:
     metadata: dict = field(default_factory=dict)
 
     def predict(self, challenges: np.ndarray) -> np.ndarray:
-        feats = self.feature_map.apply(challenges)
-        scores = feats @ self.weights[:-1] + self.weights[-1]
-        return (scores > 0).astype(np.uint8)
+        """0/1 bits of (N, stages) challenge bits, scored as the fit scores its
+        validation rows.  Anything other than 0 and 1 is a ``ValueError``."""
+        design = _design(as_bits(challenges, "challenges"), self.feature_map.kind)
+        return (design @ self.weights > 0).astype(np.uint8)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -209,7 +195,7 @@ def fit_logistic(
     split = int(round(TRAIN_FRACTION * n_records))
     train_idx, val_idx = order[:split], order[split:]
     # Rows are permuted as uint8 bits; each design is then written once.
-    xt, yt = _design(bits[train_idx], feature_map.kind, bias=True), labels[train_idx]
+    xt, yt = _design(bits[train_idx], feature_map.kind), labels[train_idx]
 
     def objective(weights):
         scores = xt @ weights
@@ -219,7 +205,7 @@ def fit_logistic(
     weights, losses, evaluations = _lbfgs(objective, np.zeros(xt.shape[1]), MAX_ITERATIONS)
     val_acc = float("nan")
     if val_idx.size:
-        val_pred = (_design(bits[val_idx], feature_map.kind, bias=True) @ weights > 0).astype(np.uint8)
+        val_pred = (_design(bits[val_idx], feature_map.kind) @ weights > 0).astype(np.uint8)
         val_acc = float((val_pred == labels[val_idx]).mean() * 100.0)
     model = AttackModel(
         weights=weights,

@@ -9,7 +9,9 @@ reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import itertools
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -129,7 +131,7 @@ def _echo_config(config: ExperimentConfig, out_dir: Path) -> str:
 
 
 def _write_kv(path: Path, pairs: dict, chash: str | None, echo: bool = True) -> None:
-    fields = {key: f"{value:.6f}" if isinstance(value, float) else value for key, value in sorted(pairs.items())}
+    fields = dict(sorted(pairs.items()))
     kvfile.write(path, None, fields, {"config": chash} if chash else None)
     if echo:
         for key, value in fields.items():
@@ -207,19 +209,10 @@ def _cmd_metrics(args) -> int:
     report = compute_report(crps)
     out_dir = _out_dir(args)
     chash = crps.extra_header.get("config")
-    _write_kv(out_dir / "metrics.kv", dict(kvfile.split(line, "report") for line in report.report_lines()), chash)
-    _write_csv(
-        out_dir / "intra_hd_hist.csv",
-        "bin,count",
-        [f"{b},{c}" for b, c in enumerate(report.intra_hd_histogram)],
-        chash,
-    )
-    _write_csv(
-        out_dir / "inter_hd_hist.csv",
-        "bin,count",
-        [f"{b},{c}" for b, c in enumerate(report.inter_hd_histogram)],
-        chash,
-    )
+    _write_kv(out_dir / "metrics.kv", report.fields(), chash)
+    for name, histogram in (("intra_hd_hist.csv", report.intra_hd_histogram),
+                            ("inter_hd_hist.csv", report.inter_hd_histogram)):
+        _write_csv(out_dir / name, "bin,count", [f"{b},{c}" for b, c in enumerate(histogram)], chash)
     return 0
 
 
@@ -237,6 +230,13 @@ def _check_votes(votes: int) -> None:
         raise ValueError(f"--votes: expected a positive odd count, got {votes}")
 
 
+def _voted_read(device, seed_chal, args, tag: str):
+    """The majority of ``args.votes`` reads of the expanded seed challenge;
+    ``tag`` names the reads' noise seed, derived from ``args.seed``."""
+    expanded = expand_challenge(seed_chal, args.response_size)
+    return majority_vote(repeated_reads(device, expanded, args.votes, derive_seed(args.seed, tag)))
+
+
 def _cmd_keygen_enroll(args) -> int:
     _check_votes(args.votes)
     device = load_device(args.device)
@@ -245,10 +245,7 @@ def _cmd_keygen_enroll(args) -> int:
         seed_chal = _challenge_bits(args.challenge_hex, device.netlist.stages, "--challenge-hex")
     else:
         seed_chal = random_seed_challenges(device.netlist.stages, 1, args.seed)[0]
-    expanded = expand_challenge(seed_chal, args.response_size)
-    reads = repeated_reads(device, expanded, args.votes, derive_seed(args.seed, "enroll-reads"))
-    response = majority_vote(reads)
-    helper, key = enroll(response, code, derive_seed(args.seed, "key"))
+    helper, key = enroll(_voted_read(device, seed_chal, args, "enroll-reads"), code, derive_seed(args.seed, "key"))
     out_dir = _out_dir(args)
     helper_path = Path(args.helper_out) if args.helper_out else out_dir / "helper.txt"
     chash = _file_hash(args.device)
@@ -257,16 +254,10 @@ def _cmd_keygen_enroll(args) -> int:
         helper_path,
         extra_header={"config": chash, "challenge_hex": bits_to_hex(seed_chal)},
     )
-    _write_kv(
-        out_dir / "key.txt",
-        {"key_hex": key.hex(), "code": f"bch({code.n},{code.k},{code.t})"},
-        chash,
-        echo=False,
-    )
-    for line in sorted(
-        [f"code=bch({code.n},{code.k},{code.t})", f"helper_file={helper_path}", f"key_hex={key.hex()}"]
-    ):
-        print(line)
+    fields = {"code": f"bch({code.n},{code.k},{code.t})", "key_hex": key.hex()}
+    _write_kv(out_dir / "key.txt", fields, chash, echo=False)
+    for name, value in sorted({**fields, "helper_file": helper_path}.items()):
+        print(f"{name}={value}")
     return 0
 
 
@@ -282,10 +273,7 @@ def _cmd_keygen_reproduce(args) -> int:
         seed_chal = _challenge_bits(recorded, device.netlist.stages, f"{args.helper}: bad '# challenge_hex'")
     else:
         raise ValueError("no challenge: pass --challenge-hex or use helper data that records one")
-    expanded = expand_challenge(seed_chal, args.response_size)
-    reads = repeated_reads(device, expanded, args.votes, derive_seed(args.seed, "reproduce-reads"))
-    response = majority_vote(reads)
-    key = reproduce(response, helper)
+    key = reproduce(_voted_read(device, seed_chal, args, "reproduce-reads"), helper)
     if key is None:
         print("error: key reproduction failed (uncorrectable response)", file=sys.stderr)
         return 1
@@ -315,12 +303,7 @@ def _cmd_attack_eval(args) -> int:
 
 
 def _cmd_attack_compare(args) -> int:
-    stages = args.stages
-    designs = []
-    for name in args.designs.split(","):
-        design = _design(name.strip())
-        taps = default_ff_taps(stages, 2) if design is Design.FF_PA_PUF else ()
-        designs.append(Netlist(design, stages, taps))
+    designs = [ExperimentConfig(design=name.strip(), stages=args.stages).netlist() for name in args.designs.split(",")]
     params = DelayParams(sigma_noise=args.sigma_noise)
     rows = compare_designs(
         designs,
@@ -386,22 +369,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _before_table(numbered_line) -> bool:
+    """Blank, a comment or ``key=value``: anything else is a table's marker
+    (``delays:``) or column header, and the table follows it."""
+    line = numbered_line[1].strip()
+    return not line or line.startswith("#") or "=" in line
+
+
 def _cmd_report(args) -> int:
     hashes = {}
     pairs = {}
     for name in args.inputs:
         path = Path(name)
-        chash = None
         with kvfile.open_text(path) as handle:
-            text = handle.read()
-        for raw in text.splitlines():
-            line = raw.strip()
-            if line.startswith("# config="):
-                chash = kvfile.split(line, name)[1]
-            elif line and not line.startswith("#") and "=" in line and "," not in line:
-                key, value = kvfile.split(line, name)
-                pairs[f"{path.name}:{key}"] = value
-        hashes[str(path)] = chash
+            fields = kvfile.read(handle, {}, lines=itertools.takewhile(_before_table, enumerate(handle, 1)))
+        hashes[str(path)] = fields.get("# config")
+        pairs.update((f"{path.name}:{key}", value) for key, value in fields.items() if not key.startswith("#"))
     distinct = {h for h in hashes.values() if h is not None}
     if len(distinct) > 1 and not args.force:
         print(
@@ -411,12 +394,12 @@ def _cmd_report(args) -> int:
         )
         return 1
     if args.format == "csv":
-        print("key,value")
-        for key in sorted(pairs):
-            print(f"{key},{pairs[key]}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes a value that holds a comma
+        writer.writerow(["key", "value"])
+        writer.writerows(sorted(pairs.items()))
     else:
-        for key in sorted(pairs):
-            print(f"{key}={pairs[key]}")
+        for key, value in sorted(pairs.items()):
+            print(f"{key}={value}")
     return 0
 
 
@@ -445,6 +428,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         help="separate seed for challenge selection (same population, fresh challenges)",
     )
+    parser.add_argument("--out-dir", dest="out_dir")
+
+
+def _add_keygen_flags(parser: argparse.ArgumentParser, seed: int) -> None:
+    """The flags of both keygen commands; ``seed`` is the --seed default."""
+    parser.add_argument("--device", required=True)
+    parser.add_argument("--challenge-hex", dest="challenge_hex")
+    parser.add_argument("--response-size", dest="response_size", type=int, default=128)
+    parser.add_argument("--votes", type=int, default=11)
+    parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument("--out-dir", dest="out_dir")
 
 
@@ -485,24 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_key = sub.add_parser("keygen", help="fuzzy-extractor key operations")
     key_sub = p_key.add_subparsers(dest="keygen_command", required=True)
     p_enroll = key_sub.add_parser("enroll", help="enroll a device and emit helper data")
-    p_enroll.add_argument("--device", required=True)
-    p_enroll.add_argument("--challenge-hex", dest="challenge_hex")
-    p_enroll.add_argument("--response-size", dest="response_size", type=int, default=128)
-    p_enroll.add_argument("--votes", type=int, default=11)
+    _add_keygen_flags(p_enroll, seed=0)
     p_enroll.add_argument("--code-m", dest="code_m", type=int, default=7)
     p_enroll.add_argument("--code-t", dest="code_t", type=int, default=10)
-    p_enroll.add_argument("--seed", type=int, default=0)
     p_enroll.add_argument("--helper-out", dest="helper_out")
-    p_enroll.add_argument("--out-dir", dest="out_dir")
     p_enroll.set_defaults(handler=_cmd_keygen_enroll)
     p_repro = key_sub.add_parser("reproduce", help="reproduce a key from helper data")
-    p_repro.add_argument("--device", required=True)
+    _add_keygen_flags(p_repro, seed=1)
     p_repro.add_argument("--helper", required=True)
-    p_repro.add_argument("--challenge-hex", dest="challenge_hex")
-    p_repro.add_argument("--response-size", dest="response_size", type=int, default=128)
-    p_repro.add_argument("--votes", type=int, default=11)
-    p_repro.add_argument("--seed", type=int, default=1)
-    p_repro.add_argument("--out-dir", dest="out_dir")
     p_repro.set_defaults(handler=_cmd_keygen_reproduce)
 
     p_attack = sub.add_parser("attack", help="modeling-attack harness")

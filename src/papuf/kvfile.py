@@ -97,8 +97,9 @@ def read(handle, schema: Mapping[str, Any], marker: str | None = None, lines=Non
 
     Reading stops after ``marker``, so the caller streams the table from the
     same handle.  A caller that numbers the table's lines passes its own
-    ``enumerate(handle, 1)`` as ``lines`` and goes on from where it stops.
-    Keys outside the schema come back as text.
+    ``enumerate(handle, 1)`` as ``lines`` and goes on from where it stops;
+    one that does not know a file's marker passes an iterator that ends
+    where the table starts.  Keys outside the schema come back as text.
     """
     values: dict[str, str] = {}
     found = marker is None

@@ -46,7 +46,8 @@ class MetricsReport:
     inter_hd_histogram: np.ndarray
     challenge_mode: str = "random"
 
-    def report_lines(self) -> list[str]:
+    def fields(self) -> dict[str, str]:
+        """The ``metrics.kv`` fields in key order, percentages to four decimals."""
         pairs = {
             "bit_aliasing_avg": self.bit_aliasing_avg,
             "bit_aliasing_max": self.bit_aliasing_max,
@@ -61,11 +62,7 @@ class MetricsReport:
             "uniformity_min": self.uniformity_min,
             "uniqueness": self.uniqueness,
         }
-        out = []
-        for key in sorted(pairs):
-            value = pairs[key]
-            out.append(f"{key}={value}" if isinstance(value, str) else f"{key}={value:.4f}")
-        return out
+        return {key: value if isinstance(value, str) else f"{value:.4f}" for key, value in pairs.items()}
 
 
 def _as_response_matrix(responses) -> np.ndarray:

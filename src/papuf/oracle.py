@@ -337,8 +337,8 @@ def reference_parity_features(challenges) -> np.ndarray:
     """Parity features as running float products: feature i = prod_{j >= i} (1 - 2 c_j).
 
     A cumulative product of the signs over the reversed challenge, then a
-    column of ones (the empty product); ``attack.parity_features`` must
-    equal it exactly.
+    column of ones (the empty product); the parity columns of
+    ``attack._design``, all but its bias column, must equal it exactly.
     """
     signs = 1.0 - 2.0 * np.atleast_2d(np.asarray(challenges, dtype=np.float64))
     n = signs.shape[1]

@@ -14,7 +14,6 @@ from papuf.attack import (
     evaluate_attack,
     fit_logistic,
     load_model,
-    parity_features,
     save_model,
     train,
 )
@@ -31,14 +30,19 @@ def apuf_sets():
     return train_set, holdout
 
 
+def _parity_columns(challenges):
+    """The parity features of the attack's design matrix, its bias column dropped."""
+    return attack._design(challenges, "parity")[:, :-1]
+
+
 def test_parity_features_all_zero_challenge():
-    feats = parity_features(np.zeros((1, 8), dtype=np.uint8))
+    feats = _parity_columns(np.zeros((1, 8), dtype=np.uint8))
     assert feats.shape == (1, 9)
     assert np.all(feats == 1.0)
 
 
 def test_parity_features_width_one():
-    feats = parity_features(np.array([[1]], dtype=np.uint8))
+    feats = _parity_columns(np.array([[1]], dtype=np.uint8))
     assert np.array_equal(feats[0], np.array([-1.0, 1.0]))
 
 
@@ -49,8 +53,8 @@ def test_parity_features_flip_sign_structure():
         j = int(rng.integers(16))
         flipped = challenge.copy()
         flipped[0, j] ^= 1
-        a = parity_features(challenge)[0]
-        b = parity_features(flipped)[0]
+        a = _parity_columns(challenge)[0]
+        b = _parity_columns(flipped)[0]
         assert np.array_equal(b[: j + 1], -a[: j + 1])
         assert np.array_equal(b[j + 1 :], a[j + 1 :])
 
@@ -58,7 +62,7 @@ def test_parity_features_flip_sign_structure():
 def test_parity_features_injective_on_challenges():
     rng = np.random.default_rng(1)
     challenges = rng.integers(0, 2, size=(200, 12), dtype=np.uint8)
-    feats = parity_features(challenges)
+    feats = _parity_columns(challenges)
     assert np.all(np.abs(feats) == 1.0)
     # consecutive-ratio reconstruction: c_j determined by phi_j / phi_{j+1}
     recovered = (feats[:, :-1] * feats[:, 1:] < 0).astype(np.uint8)
@@ -78,10 +82,11 @@ def test_parity_features_equal_the_float_products(stages, rows, seed):
     rng = np.random.default_rng(seed)
     challenges = rng.integers(0, 2, size=(rows, stages), dtype=np.uint8)
     challenges[: rows // 4] = 1  # all-ones rows flip the sign at every stage
-    feats = parity_features(challenges)
-    assert feats.flags.c_contiguous and feats.dtype == np.float64
+    feats = _parity_columns(challenges)
     assert np.array_equal(feats, reference_parity_features(challenges))
-    assert np.array_equal(FeatureMap("parity", stages).apply(challenges), feats)
+    design = attack._design(challenges, "parity")
+    assert design.flags.c_contiguous and design.dtype == np.float64
+    assert np.array_equal(design[:, -1], np.ones(rows))
 
 
 @pytest.mark.parametrize("kind", ["parity", "raw_bits"])
@@ -105,6 +110,7 @@ def test_fit_equals_lbfgs_on_the_float_design(apuf_sets, kind):
     assert np.array_equal(model.metadata["losses"], losses) and model.metadata["epochs"] == evaluations
     val_pred = (design[order[split:]] @ weights > 0).astype(np.uint8)
     assert model.metadata["validation_accuracy"] == float((val_pred == y[order[split:]]).mean() * 100.0)
+    assert np.array_equal(model.predict(x[order[split:]]), val_pred)
 
 
 def test_non_binary_challenge_bits_are_rejected():
@@ -112,12 +118,12 @@ def test_non_binary_challenge_bits_are_rejected():
     challenges[5, 3] = 2
     labels = np.zeros(120, dtype=np.uint8)
     for kind in ("parity", "raw_bits"):
+        feature_map = FeatureMap(kind, 8)
+        model = AttackModel(weights=np.ones(feature_map.dimension + 1), feature_map=feature_map)
         with pytest.raises(ValueError, match="0 and 1"):
-            FeatureMap(kind, 8).apply(challenges)
+            model.predict(challenges)
         with pytest.raises(ValueError, match="0 and 1"):
-            fit_logistic(challenges, labels, FeatureMap(kind, 8), seed=0)
-    with pytest.raises(ValueError, match="0 and 1"):
-        parity_features(challenges)
+            fit_logistic(challenges, labels, feature_map, seed=0)
 
 
 def test_fit_rejects_challenges_of_another_stage_count():
@@ -173,7 +179,7 @@ def test_fitted_apuf_model_is_a_stationary_point(apuf_sets):
     model = train(train_set, seed=2)
     x, y = train_set.flat_crps()
     rows = np.random.default_rng(2 & SEED_MASK).permutation(len(y))[: model.metadata["train_records"]]
-    design = np.column_stack([parity_features(x[rows]), np.ones(len(rows))])
+    design = np.column_stack([reference_parity_features(x[rows]), np.ones(len(rows))])
     prob = 1.0 / (1.0 + np.exp(-(design @ model.weights)))
     gradient = design.T @ (prob - y[rows]) / len(rows) + attack.L2 * model.weights
     assert np.max(np.abs(gradient)) <= attack.GRADIENT_TOL
@@ -201,7 +207,7 @@ def test_synthetic_linear_oracle_learnable():
     rng = np.random.default_rng(42)
     weights = rng.normal(size=65)
     challenges = rng.integers(0, 2, size=(5000, 64), dtype=np.uint8)
-    labels = (parity_features(challenges) @ weights > 0).astype(np.uint8)
+    labels = (reference_parity_features(challenges) @ weights > 0).astype(np.uint8)
     model = fit_logistic(challenges, labels, FeatureMap("parity", 64), seed=1)
     assert model.metadata["validation_accuracy"] >= 99.0
 

@@ -1,0 +1,31 @@
+"""The benchmark workloads' output digests at seed 5, pinned in tier 1.
+
+A change that moves any output bit of ``population``, ``keygen`` or
+``ff_sweep`` fails here, not only in a benchmark run.  ``attack`` is left
+out: its fits go through BLAS dot products, whose rounding can depend on
+the thread count that ``perfbench/run.py`` pins to 1.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE.parent / "perfbench")]
+
+import workloads  # noqa: E402
+
+DIGESTS = {
+    "population": "c3b4835ffaa1366aadf4e6933b48b058665a6dd76396c098871e2b46e7fb74b3",
+    "keygen": "f0f41fd09b57d1202147e0da096c4038c67c3d70a0b9aceba4f5f97eacff0de4",
+    "ff_sweep": "0322023ac5f41f51c84b34e7c4d32fdc8fd5260d9c834045dcf86537827d62e9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_workload_digest_at_seed_5(name, tmp_path):
+    setup, run = workloads.WORKLOADS[name]
+    rep = run(setup(5), tmp_path)
+    assert [check for check, ok in rep.checks if not ok] == []
+    assert rep.digest == DIGESTS[name]

@@ -243,6 +243,47 @@ def test_report_csv_format(tmp_path, capsys):
     assert out[0] == "key,value"
 
 
+def _fields_before_table(path: Path) -> list[str]:
+    """``name:key=value`` for each field line of a file, up to its table."""
+    pairs = []
+    for raw in path.read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            break  # a table's marker or column header
+        key, _, value = line.partition("=")
+        pairs.append(f"{path.name}:{key}={value}")
+    return pairs
+
+
+def test_report_keeps_every_field_and_no_table_row(tmp_path, capsys):
+    design = ["--design", "ff-pa-puf", "--stages", "64", "--ff-taps", "16:32,32:48", "--out-dir", str(tmp_path)]
+    assert run("device", "new", *design) == 0
+    assert run("keygen", "enroll", "--device", str(tmp_path / "device.txt"), "--out-dir", str(tmp_path)) == 0
+    assert run("crp", "gen", *design, "--population", "2", "--challenges", "20", "--repetitions", "2",
+               "--response-size", "8") == 0
+    assert run("metrics", "--crps", str(tmp_path / "crps.csv"), "--out-dir", str(tmp_path)) == 0
+    assert run("attack", "train", "--crps", str(tmp_path / "crps.csv"), "--out-dir", str(tmp_path)) == 0
+    names = ["device.txt", "effective-config.kv", "key.txt", "helper.txt", "metrics.kv", "model.txt",
+             "crps.csv", "intra_hd_hist.csv"]
+    paths = [str(tmp_path / name) for name in names]
+    expected = sorted(line for name in names for line in _fields_before_table(tmp_path / name))
+    assert {"device.txt:ff_taps=16:32,32:48", "effective-config.kv:ff_taps=16:32,32:48",
+            "key.txt:code=bch(127,64,10)"} <= set(expected)
+    for name in ("device.txt", "crps.csv", "intra_hd_hist.csv"):  # a table follows the fields
+        lines = (tmp_path / name).read_text().splitlines()
+        assert sum(bool(line) and "=" not in line for line in lines) > 2
+    capsys.readouterr()
+    assert run("report", "--force", *paths) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == expected  # each field once, whole, in key order; no table row
+    assert run("report", "--force", "--format", "csv", *paths) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert rows[1:] == [line.split("=", 1) for line in expected]
+
+
 def test_usage_error_exit_code():
     assert run("no-such-command") == 2
     assert run("device") == 2

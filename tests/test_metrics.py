@@ -285,8 +285,9 @@ def test_compute_report_invariants():
     # intra histogram: consecutive pairs per device; inter: pairs per challenge
     assert report.intra_hd_histogram.sum() == 3 * 11
     assert report.inter_hd_histogram.sum() == 3 * 12
-    lines = report.report_lines()
-    assert lines == sorted(lines)
+    fields = report.fields()
+    assert list(fields) == sorted(fields)
+    assert fields["uniqueness"] == f"{report.uniqueness:.4f}" and fields["challenge_mode"] == "random"
 
 
 # ---------------------------------------------------------------------------
