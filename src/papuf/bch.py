@@ -275,17 +275,32 @@ def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
     return locator[: degree + 1]
 
 
+# Size in bytes above which ``as_bits`` checks a uint8 array with one
+# ``max`` reduction instead of a ``bytes.translate`` copy.  Measured on a
+# 2-vCPU Xeon host, best of 9: 1.23 against 1.58 us at 2,048 bytes, 1.52
+# against 1.29 us at 2,560 bytes, 919 against 14 us at 9,984 x 64.
+AS_BITS_REDUCE_BYTES = 2048
+
+
 def as_bits(values, what: str) -> np.ndarray:
     """``values`` as a uint8 array of 0/1 bits.
 
     Anything other than 0 and 1 is a ``ValueError`` naming ``what``,
-    checked before the cast, so 256 or 0.7 is never read as a 0 bit.
+    checked before the cast, so 256 or 0.7 is never read as a 0 bit.  A
+    uint8 array comes back as itself, a bool one as its uint8 view.  A
+    uint8 array of more than AS_BITS_REDUCE_BYTES is checked by one ``max``
+    reduction, which copies nothing, whatever its strides; a shorter one by
+    deleting its 0 and 1 bytes from a ``tobytes`` copy, which costs less
+    than starting a reduction.
     """
     array = np.asarray(values)
     if array.dtype == np.bool_:
         return array.view(np.uint8)
     if array.dtype == np.uint8:
-        valid = not array.tobytes().translate(None, b"\x00\x01")  # bytes other than 0 and 1 remain
+        if array.size > AS_BITS_REDUCE_BYTES:
+            valid = array.max() <= 1
+        else:
+            valid = not array.tobytes().translate(None, b"\x00\x01")  # bytes other than 0 and 1 remain
     else:
         valid = bool(np.all((array == 0) | (array == 1)))
     if not valid:

@@ -81,10 +81,13 @@ class ExperimentConfig:
     challenge_seed: int = -1  # -1: derive from seed
 
     def netlist(self) -> Netlist:
+        """``ff_taps`` other than ``default`` is parsed for every design, so
+        ``Netlist`` rejects taps on a design without them."""
         design = _design(self.design)
-        taps = ()
-        if design is Design.FF_PA_PUF:
-            taps = default_ff_taps(self.stages, 2) if self.ff_taps == "default" else parse_taps(self.ff_taps)
+        if self.ff_taps != "default":
+            taps = parse_taps(self.ff_taps)
+        else:
+            taps = default_ff_taps(self.stages, 2) if design is Design.FF_PA_PUF else ()
         return Netlist(design, self.stages, taps)
 
     def params(self) -> DelayParams:

@@ -76,36 +76,66 @@ def lfsr_stride(width: int) -> int:
     return stride
 
 
-# Target size of one row block of the expansion, in challenge bits: the
-# block's float32 products then stay under 256 KB.
-EXPAND_BLOCK_VALUES = 1 << 16
+# Target size of one row block of the expansion, in challenge bits.  From
+# 8 stages up it bounds the block's buffers: its unpacked bits, (rows,
+# count, width) uint8, to 256 KB; its packed states to 32 KB; and a
+# doubling round's table indices to 128 KB and gathered table rows to
+# 128 KB per 64-bit word of state (256 KB at 128 stages).
+EXPAND_BLOCK_VALUES = 1 << 18
+
+
+def _expand_block_rows(count: int, width: int) -> int:
+    """Seeds in one row block of ``expand_many``: at least one."""
+    return max(1, EXPAND_BLOCK_VALUES // (count * width))
 
 
 @functools.lru_cache(maxsize=128)
 def _jump_matrix(width: int, doublings: int) -> np.ndarray:
-    """J^(2^doublings) over GF(2), read-only float32 (width, width).
+    """J^(2^doublings) over GF(2), read-only uint8 (width, width) of 0/1.
 
     J = M^stride, where M is the companion matrix of one clock acting on a
     row state (``state @ M`` shifts the register and feeds the XOR of the
     taps into bit 0), so ``seed @ J^j (mod 2)`` is emitted challenge j.
-    Entries stay 0/1 and every dot product is at most width <= 128, so
-    float32 products are exact and fit a uint8 before the final mod 2.
+    Products are uint8 and keep only their low bit: a sum that wraps
+    modulo 256 keeps its parity, so every product is exact.
     """
     if doublings:
         half = _jump_matrix(width, doublings - 1)
-        jump = (half @ half) % 2
+        jump = (half @ half) & 1
     else:
-        power = np.eye(width, k=1, dtype=np.float32)  # column i + 1 copies bit i
-        power[np.array(lfsr_taps(width)) - 1, 0] = 1.0  # column 0 is the feedback
-        jump = np.eye(width, dtype=np.float32)
+        power = np.eye(width, k=1, dtype=np.uint8)  # column i + 1 copies bit i
+        power[np.array(lfsr_taps(width)) - 1, 0] = 1  # column 0 is the feedback
+        jump = np.eye(width, dtype=np.uint8)
         exponent = lfsr_stride(width)
         while exponent:
             if exponent & 1:
-                jump = (jump @ power) % 2
-            power = (power @ power) % 2
+                jump = (jump @ power) & 1
+            power = (power @ power) & 1
             exponent >>= 1
     jump.setflags(write=False)
     return jump
+
+
+@functools.lru_cache(maxsize=128)
+def _jump_table(width: int, doublings: int) -> np.ndarray:
+    """``_jump_matrix(width, doublings)`` as byte tables, read-only
+    (ceil(width / 8) * 256, ceil(width / 64)) little-endian uint64.
+
+    A state is packed little-endian, bit i at bit i % 8 of byte i // 8, in
+    64-bit words.  Row 256 * k + v is the packed image of the state whose
+    byte k is v and whose other bytes are 0, so the image of any state is
+    the XOR of one row per byte.
+    """
+    n_bytes, words = -(-width // 8), -(-width // 64)
+    rows = np.zeros((8 * n_bytes, 64 * words), dtype=np.uint8)
+    rows[:width, :width] = _jump_matrix(width, doublings)
+    images = np.packbits(rows, axis=1, bitorder="little").view("<u8")  # image of bit i, (8 * n_bytes, words)
+    table = np.zeros((n_bytes, 256, words), dtype="<u8")
+    for bit in range(8):  # values with top bit `bit` add its image to the values below
+        table[:, 1 << bit : 2 << bit] = table[:, : 1 << bit] ^ images[bit::8, None]
+    table = table.reshape(-1, words)
+    table.setflags(write=False)
+    return table
 
 
 def expand_many(seed_challenges: np.ndarray, count: int) -> np.ndarray:
@@ -117,35 +147,43 @@ def expand_many(seed_challenges: np.ndarray, count: int) -> np.ndarray:
     distinct while count <= 2^width - 1.
 
     Expansion is linear over GF(2): element j is ``seed @ J^j (mod 2)`` with
-    J the stride-clock jump matrix.  Row blocks of seeds are filled by
-    doubling: elements [k, 2k) are elements [0, k) times J^k, so a block
-    takes ceil(log2 count) matrix products and no register clocks.  The
-    result is bit-identical to clocking the register.  Seeds must hold only
-    0 and 1 and must not be all zero; anything else is a ``ValueError``.
+    J the stride-clock jump matrix.  Row blocks of ``_expand_block_rows``
+    seeds are filled by doubling: elements [k, 2k) are elements [0, k) times
+    J^k, so a block takes ceil(log2 count) rounds and no register clocks.
+    States stay packed in 64-bit words through the rounds; a round maps
+    every state through ``_jump_table`` with one gather of a row per state
+    byte and one XOR reduction, and each block is unpacked into the result
+    once.  The result is bit-identical to clocking the register.  Seeds
+    must hold only 0 and 1 and must not be all zero; anything else is a
+    ``ValueError``.
     """
     if count < 1:
         raise ValueError(f"expansion count must be >= 1, got {count}")
-    states = np.ascontiguousarray(np.atleast_2d(as_bits(seed_challenges, "seed challenges")))
+    states = np.atleast_2d(as_bits(seed_challenges, "seed challenges"))
     width = states.shape[1]
     lfsr_taps(width)  # rejects widths without a tap set
     if not states.any(axis=1).all():
         raise ValueError("all-zero seed challenge is a fixed point of the LFSR expansion")
+    n_bytes, words = -(-width // 8), -(-width // 64)
+    byte_rows = np.arange(0, 256 * n_bytes, 256, dtype=np.intp)[:, None]  # first table row of each state byte
     out = np.empty((states.shape[0], count, width), dtype=np.uint8)
-    block_rows = max(1, EXPAND_BLOCK_VALUES // (count * width))
+    block_rows = _expand_block_rows(count, width)
     for start in range(0, states.shape[0], block_rows):
         block = states[start : start + block_rows]
         rows = block.shape[0]
         # Element j of seed r sits in row j * rows + r, so each doubling
         # round reads and writes one contiguous slab.
-        buf = np.empty((count * rows, width), dtype=np.uint8)
-        buf[:rows] = block
+        buf = np.zeros((count * rows, words), dtype="<u8")
+        buf[:rows].view(np.uint8)[:, :n_bytes] = np.packbits(block, axis=1, bitorder="little")
         done, doublings = 1, 0
         while done < count:
-            target = buf[done * rows : (done + min(done, count - done)) * rows]
-            product = buf[: target.shape[0]].astype(np.float32) @ _jump_matrix(width, doublings)
-            np.bitwise_and(product.astype(np.uint8), 1, out=target)
+            size = min(done, count - done) * rows
+            state_bytes = buf[:size].view(np.uint8)[:, :n_bytes].T
+            images = _jump_table(width, doublings).take(state_bytes + byte_rows, axis=0)
+            np.bitwise_xor.reduce(images, axis=0, out=buf[done * rows : done * rows + size])
             done, doublings = 2 * done, doublings + 1
-        out[start : start + rows] = buf.reshape(count, rows, width).transpose(1, 0, 2)
+        packed = buf.view(np.uint8).reshape(count, rows, 8 * words)[:, :, :n_bytes].transpose(1, 0, 2)
+        out[start : start + rows] = np.unpackbits(packed, axis=-1, count=width, bitorder="little")
     return out
 
 

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papuf.bch import (
+    AS_BITS_REDUCE_BYTES,
     BchCode,
     _berlekamp_massey,
     _bits_to_int,
     _decode_tables,
     _int_to_bits,
     _packed_syndromes,
+    as_bits,
     bch_decode,
     bch_encode,
     default_code,
@@ -337,3 +339,41 @@ def test_oracle_nearest_codeword_small_cases(code15):
 def test_oracle_refuses_large_codes(code127):
     with pytest.raises(ValueError):
         naive_nearest_codeword(np.zeros(127, dtype=np.uint8), code127)
+
+
+def _batch_with_bad_last_byte(shape):
+    batch = np.random.default_rng(sum(shape)).integers(0, 2, size=shape, dtype=np.uint8)
+    batch.reshape(-1)[-1] = 2
+    return batch
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda: _batch_with_bad_last_byte((64_000, 64)),
+        lambda: _batch_with_bad_last_byte((64_000, 64)).T,
+        lambda: _batch_with_bad_last_byte((64_000, 64))[:, 1::2],
+        lambda: _batch_with_bad_last_byte((AS_BITS_REDUCE_BYTES - 1,)),
+        lambda: _batch_with_bad_last_byte((AS_BITS_REDUCE_BYTES,)),
+        lambda: _batch_with_bad_last_byte((AS_BITS_REDUCE_BYTES + 1,)),
+        lambda: _batch_with_bad_last_byte((AS_BITS_REDUCE_BYTES + 1,))[::-1],
+    ],
+    ids=["batch", "transposed", "strided", "threshold-1", "threshold", "threshold+1", "threshold+1-reversed"],
+)
+def test_as_bits_rejects_a_bad_byte_on_both_sides_of_the_crossover(bad):
+    bad = bad()  # built per case, so the 4 MB batches are not held for the session
+    assert bad.dtype == np.uint8 and int(bad.max()) == 2
+    with pytest.raises(ValueError, match="^the batch must hold only 0 and 1 bits$"):
+        as_bits(bad, "the batch")
+
+
+@pytest.mark.parametrize(
+    "shape", [(64_000, 64), (AS_BITS_REDUCE_BYTES - 1,), (AS_BITS_REDUCE_BYTES,), (AS_BITS_REDUCE_BYTES + 1,)]
+)
+def test_as_bits_returns_a_valid_uint8_batch_itself(shape):
+    batch = np.random.default_rng(len(shape)).integers(0, 2, size=shape, dtype=np.uint8)
+    for view in (batch, batch.T, batch[..., ::2]):
+        checked = as_bits(view, "the batch")
+        assert checked is view and np.shares_memory(checked, batch)
+    empty = np.empty((0, 64), dtype=np.uint8)
+    assert as_bits(empty, "the batch") is empty

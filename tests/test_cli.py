@@ -613,6 +613,33 @@ def test_an_invalid_config_is_checked_before_it_is_echoed(tmp_path, capsys, comm
     assert not (out / "effective-config.kv").exists()
 
 
+@pytest.mark.parametrize("design, name", [("apuf", "APUF"), ("pa-puf", "PA_PUF")])
+@pytest.mark.parametrize(
+    "command",
+    [["device", "new"], ["crp", "gen"], ["sweep", "ff", "--seeds", "1"], ["sweep", "size", "--seeds", "1"], ["config"]],
+)
+def test_feed_forward_taps_on_a_design_without_them_are_an_error(tmp_path, capsys, command, design, name):
+    out = tmp_path / "out"
+    if command == ["config"]:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"design={design}\nstages=16\nff_taps=3:5\n")
+        argv = ["device", "new", "--config", str(config)]
+    else:
+        argv = [*command, "--design", design, "--stages", "16", "--ff-taps", "3:5"]
+    assert run(*argv, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: feed-forward taps are not allowed on {name}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("taps", ["none", ""])
+def test_no_feed_forward_taps_are_accepted_on_every_design(tmp_path, capsys, taps):
+    out = str(tmp_path)
+    assert run("device", "new", "--design", "apuf", "--stages", "16", "--ff-taps", taps, "--out-dir", out) == 0
+    capsys.readouterr()
+    assert run("device", "show", str(tmp_path / "device.txt")) == 0
+    assert "ff_taps=none" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

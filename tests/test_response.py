@@ -23,8 +23,8 @@ from papuf.netlist import default_ff_taps
 from papuf.oracle import reference_expand, reference_load_crps, reference_propagate
 from papuf.response import (
     _CHALLENGE_TAG,
-    EXPAND_BLOCK_VALUES,
     LFSR_TAPS,
+    _expand_block_rows,
     bits_to_hex,
     expand_many,
     hex_to_bits,
@@ -153,10 +153,11 @@ def test_expand_many_equals_clocked_reference_over_full_period(width):
     assert np.array_equal(expand_many(seeds, count), reference_expand(seeds, count))
 
 
-@pytest.mark.parametrize("width, count", [(16, 5), (64, 128)])
+@pytest.mark.parametrize("width, count", [(16, 5), (64, 128), (128, 128)])
 def test_expand_many_equals_clocked_reference_across_row_blocks(width, count):
-    block = max(1, EXPAND_BLOCK_VALUES // (count * width))
+    block = _expand_block_rows(count, width)
     rows = 2 * block + block // 2 + 1  # two full blocks and a short last one
+    assert block > 1 and rows % block not in (0, 1)
     seeds = _nonzero_seeds(rows, width, count)
     assert np.array_equal(expand_many(seeds, count), reference_expand(seeds, count))
 
