@@ -734,13 +734,29 @@ def repeated_reads(
         return reads
     if clean is None:
         clean = clean_gaps(device, challenges)
-    n_eval = clean.shape[0]
-    thresholds = np.floor(np.ldexp(_read_probabilities(clean, device.params), 63)).astype(np.uint64)
+    return _threshold_reads(clean, device.params, _noise_words(eval_seed, repetitions, clean.shape[0]), repetitions)
+
+
+def _noise_words(eval_seed: int, repetitions: int, n_eval: int):
+    """The words that tapless reads compare with their thresholds, as
+    (rows, block) pairs: word r*N + n of the SFC64 noise stream of
+    ``eval_seed``, shifted right by one, for read r of evaluation n, drawn
+    repetition-major in blocks of whole repetitions."""
     words = _noise_rng(eval_seed).bit_generator
-    out = np.empty((repetitions, n_eval), dtype=bool)
     for reps in _row_blocks(repetitions, _block_rows(max(1, n_eval))):
         block = words.random_raw((reps.stop - reps.start, n_eval))
         block >>= 1
-        np.less(block, thresholds, out=out[reps])
+        yield reps, block
         del block  # one block alive at a time
+
+
+def _threshold_reads(clean: np.ndarray, params: DelayParams, blocks, repetitions: int) -> np.ndarray:
+    """(R, N) reads of a tapless device given its clean gaps: read r of
+    evaluation n is 1 when its word in ``blocks`` (``_noise_words``) is
+    below floor(p * 2^63), p the evaluation's ``_read_probabilities`` value."""
+    thresholds = np.floor(np.ldexp(_read_probabilities(clean, params), 63)).astype(np.uint64)
+    out = np.empty((repetitions, clean.shape[0]), dtype=bool)
+    for reps, block in blocks:
+        np.less(block, thresholds, out=out[reps])
+        del block  # so that ``_noise_words`` holds the only reference to it
     return out.view(np.uint8)

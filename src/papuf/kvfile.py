@@ -44,14 +44,22 @@ def open_text(path):
 
 def write(path, kind: str | None, fields: Mapping, header: Mapping | None = None,
           marker: str | None = None, table: Iterable[str] = ()) -> None:
+    """Kind line, header comments and fields, then ``marker`` and the table.
+
+    Each item of ``table`` is written, with a line break after it, as it
+    comes, so a caller may pass a generator of line blocks and hold one at
+    a time.
+    """
     lines = [f"# papuf-{kind} v1"] if kind else []
     lines += [f"# {key}={value}" for key, value in (header or {}).items()]
     lines += [f"{key}={value}" for key, value in fields.items()]
     if marker is not None:
         lines.append(marker)
-        lines.extend(table)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
+        if marker is not None:
+            for block in table:
+                handle.write(block + "\n")
 
 
 def split(text: str, where: str) -> tuple[str, str]:

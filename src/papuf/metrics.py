@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import as_bits
-from .circuit import clean_gaps, repeated_reads
+from .circuit import _noise_words, _threshold_reads, clean_gaps, repeated_reads
 from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
 from .response import (
@@ -283,6 +283,11 @@ def measure_reliability(
     reads = repeated_reads(
         device, challenges, RELIABILITY_REPETITIONS, derive_seed(eval_seed, "rel-reads"), clean=clean
     )
+    return _read_reliability(reads)
+
+
+def _read_reliability(reads: np.ndarray) -> float:
+    """Percent agreement of (RELIABILITY_REPETITIONS, N) reads with the vote of the first ones."""
     return _agreement(reads, majority_vote(reads[: _enrollment_votes(RELIABILITY_REPETITIONS)]))
 
 
@@ -290,27 +295,35 @@ def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed
     """Bisect sigma_noise until the device's simulated reliability is within
     ``CALIBRATION_TOLERANCE`` of the target.
 
-    Every probe is one ``measure_reliability`` call at the probed sigma.
-    Only sigma_noise changes between probes, so the expanded reliability
-    challenges and, for a tapless device, their clean gaps are computed
-    once, before the bisection, and shared; a probe then computes
-    each challenge's read probability p(sigma), reads and votes.  All
-    probes reuse the same evaluation seed, so the reads are common random
-    numbers: for a tapless device one noise word per read, compared
-    against p(sigma), and for a feed-forward one jitter draws scaled by
-    sigma.  The probe function is monotone in practice.  A target of 100
-    is satisfied exactly by sigma_noise = 0.
+    Every probe gives what ``measure_reliability`` gives at the probed
+    sigma.  Only sigma_noise changes between probes, so the expanded
+    reliability challenges and, for a tapless device, their clean gaps and
+    the noise words of its reads are computed once, before the bisection,
+    and shared; a tapless probe then computes each challenge's read
+    probability p(sigma), compares the words against it and votes, and a
+    feed-forward probe is one ``measure_reliability`` call.  All probes
+    reuse the same evaluation seed, so the reads are common random
+    numbers: for a tapless device one noise word per read, and for a
+    feed-forward one jitter draws scaled by sigma.  The probe function is
+    monotone in practice.  A target of 100 is satisfied exactly by
+    sigma_noise = 0.
     """
     if not 50.0 < target_reliability <= 100.0:
         raise CalibrationError(f"target reliability must be in (50, 100], got {target_reliability}")
     if target_reliability == 100.0:
         return CalibrationResult(0.0, 100.0, 100.0, 0)
     challenges = _reliability_challenges(device.netlist.stages, eval_seed)
-    clean = None if device.netlist.ff_taps else clean_gaps(device, challenges)
+    if device.netlist.ff_taps:
+        def probe(sigma: float) -> float:
+            noisy = device.with_params(device.params.with_noise(sigma))
+            return measure_reliability(noisy, eval_seed=eval_seed, challenges=challenges)
+    else:
+        clean = clean_gaps(device, challenges)
+        blocks = list(_noise_words(derive_seed(eval_seed, "rel-reads"), RELIABILITY_REPETITIONS, clean.shape[0]))
 
-    def probe(sigma: float) -> float:
-        noisy = device.with_params(device.params.with_noise(sigma))
-        return measure_reliability(noisy, eval_seed=eval_seed, challenges=challenges, clean=clean)
+        def probe(sigma: float) -> float:
+            params = device.params.with_noise(sigma)
+            return _read_reliability(_threshold_reads(clean, params, blocks, RELIABILITY_REPETITIONS))
 
     lo, hi = SIGMA_SEARCH_BOUNDS
     rel_lo = probe(lo)

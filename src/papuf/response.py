@@ -8,6 +8,7 @@ LFSR and concatenating the bits of the expanded sequence.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import string
 from dataclasses import dataclass, field
@@ -473,10 +474,16 @@ def _hex_digits(bits: np.ndarray) -> np.ndarray:
 def save_crps(crps: CrpSet, path) -> None:
     """Write one record per (device, challenge, repetition), in that order.
 
-    The records of one device are a byte matrix with one row per challenge
-    holding its R records side by side: the hex columns of ``_hex_digits``
-    between constant columns (device id, repetition, size, separators).
+    The header goes through ``kvfile.write``, which then writes each
+    device's records as soon as they are built: a byte matrix with one row
+    per challenge holding its R records side by side, the hex columns of
+    ``_hex_digits`` between constant columns (device id, repetition, size,
+    separators).  So the text held at once is one device's, not the
+    file's.  A set with no records is a ``ValueError``, and nothing is
+    written.
     """
+    if not crps.responses.size:
+        raise ValueError(f"no CRP records to save: responses have shape {crps.responses.shape}")
     header = {
         **crps.extra_header,
         "netlist": crps.netlist.describe(),
@@ -486,21 +493,22 @@ def save_crps(crps: CrpSet, path) -> None:
         "challenge_mode": crps.challenge_mode,
         "master_eval_seed": crps.master_eval_seed,
     }
-    chal_hex, resp_hex = _hex_digits(crps.challenges), _hex_digits(crps.responses)
+    chal_hex = _hex_digits(crps.challenges)
 
     def constant(text: str) -> np.ndarray:
         encoded = np.frombuffer(text.encode(), dtype=np.uint8)
         return np.broadcast_to(encoded, (crps.n_challenges, encoded.size))
 
-    blocks = []
-    for d, device_id in enumerate(crps.device_ids):
-        columns = []
-        for r in range(crps.repetitions):
-            columns += [constant(f"{device_id},"), chal_hex, constant(f",{r},"), resp_hex[d, :, r],
-                        constant(f",{crps.response_size}\n")]
-        blocks.append(np.hstack(columns).tobytes())
-    records = b"".join(blocks).decode()
-    kvfile.write(path, "crp", {}, header, marker=CRP_COLUMNS, table=[records.removesuffix("\n")])
+    def device_blocks():
+        for device_id, responses in zip(crps.device_ids, crps.responses):
+            resp_hex = _hex_digits(responses)
+            columns = []
+            for r in range(crps.repetitions):
+                columns += [constant(f"{device_id},"), chal_hex, constant(f",{r},"), resp_hex[:, r],
+                            constant(f",{crps.response_size}\n")]
+            yield np.hstack(columns).ravel()[:-1].tobytes().decode()  # kvfile ends the block's last line
+
+    kvfile.write(path, "crp", {}, header, marker=CRP_COLUMNS, table=device_blocks())
 
 
 # Value of every byte as a hex digit; 16 marks a byte that is not one.
@@ -580,38 +588,42 @@ def _rule_error(rule, *args) -> str:
     raise RuntimeError(f"a column check and {rule.__name__}{args!r} disagree")
 
 
-def _parse_records(path, text: str, first_line: int, stages: int):
+def _stripped(text: str) -> bytes:
+    """``text`` with every line stripped as ``str.strip`` does, as UTF-8."""
+    return "\n".join(map(str.strip, text.split("\n"))).encode()
+
+
+def _parse_records(path, table, first_line: int, stages: int):
     """Device ids, challenges and (D, C, R, n) responses of a CRP record table.
 
-    ``text`` is the table, whose first line is line ``first_line`` of the
-    file.  Lines are stripped as ``str.strip`` does, and the table is one
-    byte buffer: line and comma positions come from ``np.flatnonzero``,
-    and every field is checked and decoded as a column.  The checks run in
-    the order a record is read; each looks only at the records before the
-    first failure so far, so the failure reported is that of the first bad
-    record, as a line-by-line reader finds it.
+    ``table`` is the table's bytes, lines ending in LF, whose first line is
+    line ``first_line`` of the file.  Lines are stripped as ``str.strip``
+    does: a table whose lines start or end in ASCII whitespace goes through
+    ``_stripped`` first, and other text is the caller's to strip.  Line and
+    comma positions come from ``np.flatnonzero`` over the byte buffer, and
+    every field is checked and decoded as a column; a column's positions
+    are dropped once it is read.  The checks run in the order a record is
+    read; each looks only at the records before the first failure so far,
+    so the failure reported is that of the first bad record, as a
+    line-by-line reader finds it.
     """
 
-    def lines(text: str):
-        buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    def lines(table):
+        buf = np.frombuffer(table, dtype=np.uint8)
         breaks = np.flatnonzero(buf == ord("\n"))
         return buf, np.append(0, breaks + 1), np.append(breaks, buf.size)
 
-    buf, starts, ends = lines(text)
+    buf, starts, ends = lines(table)
     nonblank = np.flatnonzero(ends > starts)
-    # Only a line that starts or ends in whitespace, or non-ASCII text, needs stripping.
-    if not text.isascii() or _SPACE[buf[starts[nonblank]]].any() or _SPACE[buf[ends[nonblank] - 1]].any():
-        buf, starts, ends = lines("\n".join(map(str.strip, text.split("\n"))))
+    if _SPACE[buf[starts[nonblank]]].any() or _SPACE[buf[ends[nonblank] - 1]].any():
+        buf, starts, ends = lines(_stripped(bytes(table).decode()))
         nonblank = np.flatnonzero(ends > starts)
     if not nonblank.size:
         raise ValueError(f"no CRP records in {path}")
     starts, ends = starts[nonblank], ends[nonblank]
+    del nonblank
     commas = np.flatnonzero(buf == ord(","))
     first_comma = np.searchsorted(commas, starts)
-
-    def text_of(start, end) -> str:
-        return buf[start:end].tobytes().decode()
-
     n, failure = starts.size, ""  # records before the first failing one, and its error
 
     def check(bad: np.ndarray, describe) -> None:
@@ -620,34 +632,44 @@ def _parse_records(path, text: str, first_line: int, stages: int):
         if hit.size:
             n, failure = int(hit[0]), describe(int(hit[0]))
         if failure and n == 0:
-            raise ValueError(f"{path}, line {first_line + nonblank[n]}: {failure}")
+            raise ValueError(f"{path}, line {line_of(0)}: {failure}")
 
+    def line_of(j: int) -> int:
+        return first_line + int(np.count_nonzero(buf[: seps[0][j] + 1] == ord("\n")))
+
+    seps = [starts - 1, ends]  # record j is buf[seps[0][j] + 1 : seps[-1][j]]
     check(np.searchsorted(commas, ends) - first_comma != 4,
-          lambda j: f"expected {CRP_COLUMNS}, got {text_of(starts[j], ends[j])!r}")
-    cut = commas[first_comma[:n, None] + np.arange(4)].T
-    field_starts, field_ends = [starts[:n], *(cut + 1)], [*cut, ends[:n]]
+          lambda j: f"expected {CRP_COLUMNS}, got {buf[starts[j] : ends[j]].tobytes().decode()!r}")
+    # Field k of record j is buf[seps[k][j] + 1 : seps[k + 1][j]].
+    seps[1:1] = [commas[first_comma[:n] + k] for k in range(4)]
+    del starts, ends, commas, first_comma
 
     def field(j: int, k: int) -> str:
-        return text_of(field_starts[k][j], field_ends[k][j])
+        return buf[seps[k][j] + 1 : seps[k + 1][j]].tobytes().decode()
+
+    def column(k: int) -> tuple[np.ndarray, np.ndarray]:
+        return seps[k][:n] + 1, seps[k + 1][:n]
 
     # a field holds no comma or line break, so only an empty id is bad here
-    check(field_ends[0] == field_starts[0], lambda j: _rule_error(_check_device_id, field(j, 0)))
-    reps, ok = _decimal_columns(buf, field_starts[2], field_ends[2])
+    check(np.equal(*column(0)), lambda j: _rule_error(_check_device_id, field(j, 0)))
+    reps, ok = _decimal_columns(buf, *column(2))
     check(~ok, lambda j: _rule_error(_decimal_to_int, field(j, 2), "repetition"))
-    sizes, ok = _decimal_columns(buf, field_starts[4], field_ends[4])
+    sizes, ok = _decimal_columns(buf, *column(4))
     check(~ok, lambda j: _rule_error(_decimal_to_int, field(j, 4), "response_bits_len"))
     check(sizes == 0, lambda j: "response_bits_len must be positive")
     n_bits = int(sizes[0])
     check(sizes != n_bits, lambda j: f"record is not {n_bits} bits long")
-    packed, ok = _hex_columns(buf, field_starts[3], field_ends[3], n_bits)
+    del sizes
+    packed, ok = _hex_columns(buf, *column(3), n_bits)
     check(~ok, lambda j: _rule_error(hex_to_bits, field(j, 3), n_bits))
-    chal_bytes, ok = _hex_columns(buf, field_starts[1], field_ends[1], stages)
+    del seps[3:]
+    chal_bytes, ok = _hex_columns(buf, *column(1), stages)
     check(~ok, lambda j: _rule_error(hex_to_bits, field(j, 1), stages))
 
-    device_ids, device = _device_groups(buf, field_starts[0][:n], field_ends[0][:n])
-    chal_bytes = chal_bytes[:n]
-    first, chal = _first_seen_groups(chal_bytes)
+    device_ids, device = _device_groups(buf, *column(0))
+    first, chal = _first_seen_groups(chal_bytes[:n])
     pair = device * first.size + chal
+    del device, chal
     reps = reps[:n]
     # Cell order; a stable sort keeps an earlier record ahead of its duplicates.
     order = np.lexsort((reps, pair))
@@ -655,12 +677,15 @@ def _parse_records(path, text: str, first_line: int, stages: int):
     duplicate[order[1:][(np.diff(pair[order]) == 0) & (np.diff(reps[order]) == 0)]] = True
     check(duplicate, lambda j: f"duplicate record for ({field(j, 0)}, {field(j, 1)}, {reps[j]})")
     if failure:
-        raise ValueError(f"{path}, line {first_line + nonblank[n]}: {failure}")
+        raise ValueError(f"{path}, line {line_of(n)}: {failure}")
+    del seps, pair, duplicate
     shape = (len(device_ids), first.size, int(reps.max()) + 1)
     if math.prod(shape) != n:
         raise ValueError(f"{path}: missing (device, challenge, repetition) records")
     challenges = np.unpackbits(chal_bytes[first], axis=1, count=stages)
-    responses = np.unpackbits(packed[order], axis=1, count=n_bits).reshape(*shape, n_bits)
+    packed = packed[order]
+    del order
+    responses = np.unpackbits(packed, axis=1, count=n_bits).reshape(*shape, n_bits)
     return device_ids, challenges, responses
 
 
@@ -675,12 +700,27 @@ def load_crps(path) -> CrpSet:
     come out sorted and challenges in first-seen order.  Every (device,
     challenge, repetition) cell must appear exactly once.  A bad record is a
     ``ValueError`` naming the file and its line, counting blank lines.
-    The table is parsed as whole columns (``_parse_records``);
+
+    The file is read as bytes.  An ASCII file with LF line ends, as
+    ``save_crps`` writes, has its header read by ``kvfile.read`` and its
+    table parsed from those bytes as whole columns (``_parse_records``),
+    with no copy as text.  Any other file, one with a CR or a byte above
+    0x7f, is read again as text through ``kvfile.open_text``, as the other
+    papuf files are, and its lines are stripped before parsing.
     ``oracle.reference_load_crps`` is the line-by-line reference.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
+        if data.isascii() and b"\r" not in data:
+            stream = io.BytesIO(data)
+            numbered = ((number, line.decode()) for number, line in enumerate(stream, 1))
+            header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=numbered)
+            start = stream.tell()
+            table, first_line = memoryview(data)[start:], 1 + data.count(b"\n", 0, start)
+            return _crp_set(header, *_parse_records(path, table, first_line, header["# netlist"].stages))
     with kvfile.open_text(path) as handle:
         numbered = enumerate(handle, 1)
         header = kvfile.read(handle, _CRP_HEADER, marker=CRP_COLUMNS, lines=numbered)
         first_line, text = next(numbered, (0, ""))
         text += handle.read()
-    return _crp_set(header, *_parse_records(path, text, first_line, header["# netlist"].stages))
+    return _crp_set(header, *_parse_records(path, _stripped(text), first_line, header["# netlist"].stages))

@@ -326,6 +326,20 @@ def test_calibrate_hits_target_and_monotone(pa64):
     assert measure_reliability(doubled, eval_seed=1) < measure_reliability(calibrated, eval_seed=1)
 
 
+@pytest.mark.parametrize("netlist", [Netlist(Design.APUF, 64), Netlist(Design.PA_PUF, 64)])
+def test_tapless_calibration_draws_its_noise_words_once(monkeypatch, netlist):
+    device = synthesize_device(DelayParams(), netlist, 8)
+    opened, real = [], circuit._noise_rng
+
+    def counted(eval_seed):
+        opened.append(eval_seed)
+        return real(eval_seed)
+
+    monkeypatch.setattr(circuit, "_noise_rng", counted)
+    result = calibrate_noise(95.37, device, eval_seed=6)
+    assert result.iterations >= 1 and opened == [derive_seed(6, "rel-reads")]
+
+
 @pytest.mark.parametrize(
     "netlist",
     [Netlist(Design.APUF, 64), Netlist(Design.PA_PUF, 64), Netlist(Design.FF_PA_PUF, 16, ((4, 8), (8, 12)))],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,12 @@ from papuf import (
     synthesize_device,
     synthesize_population,
 )
-from papuf import circuit
+from papuf import circuit, kvfile
 from papuf.netlist import default_ff_taps
 from papuf.oracle import reference_expand, reference_load_crps, reference_propagate
 from papuf.response import (
     _CHALLENGE_TAG,
+    CRP_COLUMNS,
     LFSR_TAPS,
     _expand_block_rows,
     bits_to_hex,
@@ -427,6 +430,42 @@ def test_an_empty_device_id_names_its_line_in_record_order(tmp_path):
             assert str(exc.value).startswith(f"{path}, line {len(lines) - 1}: ") and error in str(exc.value), parse
 
 
+@pytest.mark.parametrize("devices,challenges,repetitions", [(0, 3, 1), (2, 0, 1), (2, 3, 0)])
+def test_saving_a_set_with_no_records_is_an_error(tmp_path, devices, challenges, repetitions):
+    crps = CrpSet([f"dev-{d}" for d in range(devices)], random_seed_challenges(16, 3, 1)[:challenges],
+                  np.zeros((devices, challenges, repetitions, 8), dtype=np.uint8), Netlist(Design.PA_PUF, 16),
+                  DelayParams(), 1)
+    path = tmp_path / "crps.csv"
+    with pytest.raises(ValueError) as error:
+        save_crps(crps, path)
+    assert str(error.value) == (f"no CRP records to save: responses have shape "
+                                f"{(devices, challenges, repetitions, 8)}")
+    assert not path.exists()
+
+
+def test_crp_round_trip_transient_memory_is_bounded_by_the_file_size(tmp_path):
+    # the population workload's shape: 50 devices x 500 challenges x 1 read x 128 bits
+    rng = np.random.default_rng(5)
+    crps = CrpSet([f"dev-{d:03d}" for d in range(50)], random_seed_challenges(64, 500, 5),
+                  rng.integers(0, 2, size=(50, 500, 1, 128), dtype=np.uint8), Netlist(Design.PA_PUF, 64),
+                  DelayParams(), 5)
+    path = tmp_path / "crps.csv"
+    tracemalloc.start()
+    try:
+        save_crps(crps, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_crps(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before  # what it returns included
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert save_peak <= 1.25 * size, save_peak / size
+    assert load_peak <= 5 * size, load_peak / size
+    assert loaded.device_ids == crps.device_ids and np.array_equal(loaded.responses, crps.responses)
+
+
 def test_crp_loader_rejects_duplicates(tmp_path):
     params = DelayParams()
     pop = synthesize_population(params, Netlist(Design.PA_PUF, 16), 1, 4)
@@ -596,12 +635,13 @@ def test_load_crps_equals_the_reference_on_mutations(tmp_path_factory, data):
     table = text.index(b"\n", text.index(b"response_bits_len")) + 1  # the header is kvfile's
     pick = data.draw(st.randoms())
     at = pick.randrange(table, len(text))
-    byte = data.draw(st.sampled_from(b"019afAFgz,- \t\r\n\x00\x1c\xff"), label="byte")
+    byte = data.draw(st.sampled_from([*(bytes([b]) for b in b"019afAFgz,- \t\r\n\x00\x1c\xff"),
+                                      b"\xc3\xa9", b"\xc2\xa0", b"\xe2\x80\xa8"]), label="byte")
     edit = data.draw(st.sampled_from(["replace", "insert", "delete", "repeat line", "drop line"]), label="edit")
     if edit == "replace":
-        text[at] = byte
+        text[at : at + 1] = byte
     elif edit == "insert":
-        text.insert(at, byte)
+        text[at:at] = byte
     elif edit == "delete":
         del text[at]
     else:
@@ -612,3 +652,35 @@ def test_load_crps_equals_the_reference_on_mutations(tmp_path_factory, data):
         text[table:] = b"".join(lines)
     path.write_bytes(bytes(text))
     assert _parsed(load_crps, path) == _parsed(reference_load_crps, path)
+
+
+@pytest.mark.parametrize(
+    "edit,as_text",
+    [
+        pytest.param(lambda t: t.replace("dev-1,", "d\u00e9v-1,"), True, id="e-acute-in-an-id"),
+        pytest.param(lambda t: t.replace(f"{CRP_COLUMNS}\n", f"{CRP_COLUMNS}\n\u00a0"), True, id="nbsp-before"),
+        pytest.param(lambda t: t[:-1] + "\u0085\n", True, id="nel-after"),
+        pytest.param(lambda t: t.replace("dev-1,", "dev\u2028-1,"), True, id="line-separator-in-an-id"),
+        pytest.param(lambda t: t.replace("\n", "\r"), True, id="cr-line-ends"),
+        pytest.param(lambda t: t.replace("dev-1,", "dev\x00-1,"), False, id="nul-in-an-id"),
+        pytest.param(lambda t: t.replace("\ndev-1,", "\n\t dev-1,").replace(",8\n", ",8 \x0b\x1c\n"), False,
+                     id="ascii-space-around"),
+    ],
+)
+def test_load_crps_keeps_the_text_contract(tmp_path, monkeypatch, edit, as_text):
+    # a file with a CR or a non-ASCII byte is read as text, as every papuf
+    # file is, and an ASCII one is parsed from its bytes; either way both
+    # loaders make the same set of it
+    crps = CrpSet(["dev-0", "dev-1"], random_seed_challenges(16, 3, 2),
+                  np.random.default_rng(2).integers(0, 2, size=(2, 3, 2, 8), dtype=np.uint8),
+                  Netlist(Design.PA_PUF, 16), DelayParams(), 2)
+    path = tmp_path / "crps.csv"
+    save_crps(crps, path)
+    path.write_bytes(edit(path.read_text()).encode())
+    opened, real = [], kvfile.open_text
+    monkeypatch.setattr(kvfile, "open_text", lambda p: opened.append(p) or real(p))
+    loaded = _parsed(load_crps, path)
+    monkeypatch.undo()
+    assert not isinstance(loaded, str), loaded
+    assert loaded == _parsed(reference_load_crps, path)
+    assert bool(opened) == as_text
