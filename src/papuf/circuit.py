@@ -705,15 +705,13 @@ def repeated_reads(
     challenges: np.ndarray,
     repetitions: int,
     eval_seed: int = 0,
-    clean: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate the same challenge batch ``repetitions`` times; (R, N) bits.
 
-    Tapless designs compute the clean gaps once, through ``clean_gaps``,
-    or take them as ``clean`` from a caller that already has them.  Given
-    them, the reads of a challenge are independent Bernoulli(p) bits, p
-    its ``_read_probabilities`` value, which is the law of the sampler's
-    jitter and tie bits.  So p becomes a threshold
+    Tapless designs compute the clean gaps once, through ``clean_gaps``.
+    Given them, the reads of a challenge are independent Bernoulli(p)
+    bits, p its ``_read_probabilities`` value, which is the law of the
+    sampler's jitter and tie bits.  So p becomes a threshold
     floor(p * 2^63), and read r of challenge n is 1 when word r*N + n of
     the SFC64 noise stream of ``eval_seed``, shifted right by one, is below
     it: one word per read, drawn repetition-major in blocks of whole
@@ -732,8 +730,7 @@ def repeated_reads(
         for r in range(repetitions):
             reads[r] = propagate_many(device, challenges, derive_seed(eval_seed, "rep", r))
         return reads
-    if clean is None:
-        clean = clean_gaps(device, challenges)
+    clean = clean_gaps(device, challenges)
     return _threshold_reads(clean, device.params, _noise_words(eval_seed, repetitions, clean.shape[0]), repetitions)
 
 

@@ -177,13 +177,11 @@ def _cmd_crp_gen(args) -> int:
     params, netlist = config.params(), config.netlist()
     check_response_size(config.response_size)
     out_dir = _out_dir(args)
-    chash = _echo_config(config, out_dir)
     if args.calibrate_target is not None:
         reference = synthesize_device(params, netlist, derive_seed(config.seed, "device", 0))
         result = calibrate_noise(args.calibrate_target, reference, eval_seed=config.seed)
         params = params.with_noise(result.sigma_noise)
         config.sigma_noise = result.sigma_noise
-        chash = _echo_config(config, out_dir)
         print(f"calibrated_sigma_noise={result.sigma_noise:.6f}")
     population = synthesize_population(params, netlist, config.population, config.seed)
     master = (
@@ -199,9 +197,10 @@ def _cmd_crp_gen(args) -> int:
         master,
         challenge_mode=config.challenge_mode,
     )
-    crps.extra_header["config"] = chash
+    crps.extra_header["config"] = config.config_hash()
     path = Path(args.out) if args.out else out_dir / "crps.csv"
     save_crps(crps, path)
+    _echo_config(config, out_dir)
     print(f"crp_file={path}")
     print(f"records={crps.n_devices * crps.n_challenges * crps.repetitions}")
     return 0
@@ -351,7 +350,6 @@ def _cmd_sweep(args) -> int:
     params, netlist = config.params(), config.netlist()
     values = _sweep_values(args, config, netlist)
     out_dir = _out_dir(args)
-    chash = _echo_config(config, out_dir)
     common = dict(
         population_size=config.population,
         params=params,
@@ -366,7 +364,7 @@ def _cmd_sweep(args) -> int:
         rows = sweep_response_size(netlist, values, **common)
         name, label = "sweep_size.csv", "response_size"
     csv_rows = [f"{r.label},{r.uniqueness:.4f},{r.reliability:.4f}" for r in rows]
-    _write_csv(out_dir / name, f"{label},uniqueness,reliability", csv_rows, chash)
+    _write_csv(out_dir / name, f"{label},uniqueness,reliability", csv_rows, _echo_config(config, out_dir))
     for row in csv_rows:
         print(row)
     return 0

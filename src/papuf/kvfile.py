@@ -10,7 +10,8 @@ Device, helper, attack-model, config, metrics, key and CRP files share it::
 Blank lines and comments without ``=`` are skipped.  Malformed input raises
 ``ValueError`` naming the file and the missing or bad key, or the file and
 line number of a line that is not ``key=value``.  Every reader of these
-files, the CRP loader included, opens them through ``open_text``.
+files opens them through ``open_text``, except that the CRP loader reads
+an ASCII file with LF line ends as bytes, its header through ``read``.
 """
 
 from __future__ import annotations

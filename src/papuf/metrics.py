@@ -257,74 +257,62 @@ CALIBRATION_TOLERANCE = 0.25
 CALIBRATION_MAX_ITERATIONS = 60
 
 
-def _reliability_challenges(stages: int, eval_seed: int) -> np.ndarray:
-    """The expanded challenges of one reliability measurement, (C*n, stages)."""
-    seeds = random_seed_challenges(stages, RELIABILITY_CHALLENGES, derive_seed(eval_seed, "rel-chal"))
-    return expand_many(seeds, RELIABILITY_RESPONSE_SIZE).reshape(-1, stages)
+def _reliability_probe(device: DeviceInstance, eval_seed: int):
+    """``probe(sigma)``: the reliability of ``device`` at sigma_noise sigma,
+    as percent agreement of RELIABILITY_REPETITIONS reads of the expanded
+    challenges of ``eval_seed`` with the majority vote of the first ones.
 
-
-def measure_reliability(
-    device: DeviceInstance,
-    eval_seed: int = 0,
-    *,
-    challenges: np.ndarray | None = None,
-    clean: np.ndarray | None = None,
-) -> float:
-    """Monte-Carlo reliability of one device: percent agreement of repeated
-    reads with the majority-vote enrollment response.
-
-    The reads answer the expanded challenges of ``eval_seed``.  A caller
-    that has already computed them, and for a tapless device their clean
-    gaps (``circuit.clean_gaps``), passes them as ``challenges`` and
-    ``clean``; neither depends on sigma_noise.
+    What does not depend on sigma is computed once: the challenges and, for
+    a tapless device, their clean gaps and the noise words of its reads,
+    which a probe compares with its read probabilities
+    (``circuit._threshold_reads``).  A feed-forward probe is
+    ``repeated_reads`` at sigma.  Every probe reads the same words, or the
+    same jitter draws scaled by sigma: common random numbers.
     """
-    if challenges is None:
-        challenges = _reliability_challenges(device.netlist.stages, eval_seed)
-    reads = repeated_reads(
-        device, challenges, RELIABILITY_REPETITIONS, derive_seed(eval_seed, "rel-reads"), clean=clean
-    )
-    return _read_reliability(reads)
+    stages, reps = device.netlist.stages, RELIABILITY_REPETITIONS
+    seeds = random_seed_challenges(stages, RELIABILITY_CHALLENGES, derive_seed(eval_seed, "rel-chal"))
+    challenges = expand_many(seeds, RELIABILITY_RESPONSE_SIZE).reshape(-1, stages)
+    read_seed = derive_seed(eval_seed, "rel-reads")
+    if device.netlist.ff_taps:
+        def reads(sigma: float) -> np.ndarray:
+            return repeated_reads(device.with_params(device.params.with_noise(sigma)), challenges, reps, read_seed)
+    else:
+        clean = clean_gaps(device, challenges)
+        blocks = list(_noise_words(read_seed, reps, clean.shape[0]))
+
+        def reads(sigma: float) -> np.ndarray:
+            return _threshold_reads(clean, device.params.with_noise(sigma), blocks, reps)
+
+    def probe(sigma: float) -> float:
+        bits = reads(sigma)
+        return _agreement(bits, majority_vote(bits[: _enrollment_votes(reps)]))
+
+    return probe
 
 
-def _read_reliability(reads: np.ndarray) -> float:
-    """Percent agreement of (RELIABILITY_REPETITIONS, N) reads with the vote of the first ones."""
-    return _agreement(reads, majority_vote(reads[: _enrollment_votes(RELIABILITY_REPETITIONS)]))
+def measure_reliability(device: DeviceInstance, eval_seed: int = 0) -> float:
+    """Monte-Carlo reliability of one device: percent agreement of repeated
+    reads of the expanded challenges of ``eval_seed`` with their
+    majority-vote enrollment response (``_reliability_probe`` at the
+    device's own sigma_noise)."""
+    return _reliability_probe(device, eval_seed)(device.params.sigma_noise)
 
 
 def calibrate_noise(target_reliability: float, device: DeviceInstance, eval_seed: int = 0) -> CalibrationResult:
     """Bisect sigma_noise until the device's simulated reliability is within
     ``CALIBRATION_TOLERANCE`` of the target.
 
-    Every probe gives what ``measure_reliability`` gives at the probed
-    sigma.  Only sigma_noise changes between probes, so the expanded
-    reliability challenges and, for a tapless device, their clean gaps and
-    the noise words of its reads are computed once, before the bisection,
-    and shared; a tapless probe then computes each challenge's read
-    probability p(sigma), compares the words against it and votes, and a
-    feed-forward probe is one ``measure_reliability`` call.  All probes
-    reuse the same evaluation seed, so the reads are common random
-    numbers: for a tapless device one noise word per read, and for a
-    feed-forward one jitter draws scaled by sigma.  The probe function is
-    monotone in practice.  A target of 100 is satisfied exactly by
-    sigma_noise = 0.
+    Every probe is one call of the same ``_reliability_probe`` that
+    ``measure_reliability`` makes, so it gives what ``measure_reliability``
+    gives at the probed sigma, and what does not depend on sigma is
+    computed once for the whole bisection.  The probe function is monotone
+    in practice.  A target of 100 is satisfied exactly by sigma_noise = 0.
     """
     if not 50.0 < target_reliability <= 100.0:
         raise CalibrationError(f"target reliability must be in (50, 100], got {target_reliability}")
     if target_reliability == 100.0:
         return CalibrationResult(0.0, 100.0, 100.0, 0)
-    challenges = _reliability_challenges(device.netlist.stages, eval_seed)
-    if device.netlist.ff_taps:
-        def probe(sigma: float) -> float:
-            noisy = device.with_params(device.params.with_noise(sigma))
-            return measure_reliability(noisy, eval_seed=eval_seed, challenges=challenges)
-    else:
-        clean = clean_gaps(device, challenges)
-        blocks = list(_noise_words(derive_seed(eval_seed, "rel-reads"), RELIABILITY_REPETITIONS, clean.shape[0]))
-
-        def probe(sigma: float) -> float:
-            params = device.params.with_noise(sigma)
-            return _read_reliability(_threshold_reads(clean, params, blocks, RELIABILITY_REPETITIONS))
-
+    probe = _reliability_probe(device, eval_seed)
     lo, hi = SIGMA_SEARCH_BOUNDS
     rel_lo = probe(lo)
     if rel_lo + CALIBRATION_TOLERANCE < target_reliability:

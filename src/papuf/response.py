@@ -565,11 +565,16 @@ def _device_groups(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tup
     """The distinct device ids buf[starts:ends], sorted, and each field's index among them.
 
     Fields are compared as their zero-padded bytes followed by their length,
-    so an id ending in NUL stays apart from the same id without it.
+    so an id ending in NUL stays apart from the same id without it.  A
+    window that runs past the end of ``buf`` is cut from a zero-padded copy
+    of its last ``width`` bytes only.
     """
     widths = ends - starts
     width = int(widths.max())
-    rows = sliding_window_view(np.append(buf, np.zeros(width, np.uint8)), width)[starts]
+    last = buf.size - width
+    past = starts > last
+    rows = sliding_window_view(buf, width)[np.minimum(starts, last)]
+    rows[past] = sliding_window_view(np.append(buf[last:], np.zeros(width, np.uint8)), width)[starts[past] - last]
     rows[np.arange(width) >= widths[:, None]] = 0
     first, group = _first_seen_groups(np.hstack([rows, widths.astype(">u4").view(np.uint8).reshape(-1, 4)]))
     names = [buf[starts[j] : ends[j]].tobytes().decode() for j in first]

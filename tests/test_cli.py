@@ -674,6 +674,40 @@ def test_response_size_and_sweep_design_are_checked_before_the_config_is_echoed(
     assert list(out.glob("*")) == []
 
 
+NO_TAP_SET = "no registered LFSR tap set for width 20"
+TOO_FEW_COUNTS = "challenge and repetition counts must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["crp", "gen", "--stages", "20"], NO_TAP_SET),
+        (["crp", "gen", "--population", "0"], "population count must be >= 1, got 0"),
+        (["crp", "gen", "--challenges", "0"], TOO_FEW_COUNTS),
+        (["crp", "gen", "--stages", "8", "--challenges", "300"], "cannot draw 300 distinct non-zero seeds of width 8"),
+        (["crp", "gen", "--repetitions", "0"], TOO_FEW_COUNTS),
+        (["crp", "gen", "--calibrate-target", "50.01"],
+         "target 50.01% unreachable: reliability at sigma=50.0 is still 61.61%"),
+        *(
+            (["sweep", kind, "--seeds", "1", *flags], message)
+            for kind in ("ff", "size")
+            for flags, message in (
+                (["--stages", "20"], NO_TAP_SET),
+                (["--population", "1"], "uniqueness needs at least two devices"),
+                (["--repetitions", "1"], "reliability needs at least two repetitions"),
+            )
+        ),
+    ],
+)
+def test_a_run_rejected_during_its_work_leaves_no_config_echo(tmp_path, capsys, command, message):
+    # the echo is written once the work is done, so an input rejected by
+    # the work itself leaves nothing in the output directory
+    out = tmp_path / "out"
+    assert run(*command, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.glob("*")) == []
+
+
 def test_negative_sweep_tap_count_is_an_error(tmp_path, capsys):
     assert run("sweep", "ff", "--stages", "16", "--taps", "-1", "--seeds", "1", "--out-dir", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: feed-forward tap count must be >= 0, got -1\n"

@@ -5,6 +5,7 @@ import pytest
 
 from papuf import (
     CalibrationError,
+    CalibrationResult,
     CrpSet,
     DelayParams,
     Design,
@@ -371,6 +372,30 @@ def test_calibration_equals_a_bisection_over_measure_reliability(monkeypatch, ne
             break
         lo, hi = (mid, hi) if rel > 95.37 else (lo, mid)
     assert (result.sigma_noise, result.achieved_reliability, result.iterations) == (mid, rel, iteration)
+
+
+@pytest.mark.parametrize(
+    "netlist, at_half, at_two, calibrated",
+    [
+        (Netlist(Design.APUF, 64), 99.55679086538461, 98.4149639423077,
+         CalibrationResult(5.46875, 95.61298076923077, 95.37, 6)),
+        (Netlist(Design.PA_PUF, 64), 98.92327724358974, 95.95978565705128,
+         CalibrationResult(2.34375, 95.34880809294872, 95.37, 6)),
+        (Netlist(Design.FF_PA_PUF, 16, ((4, 8), (8, 12))), 91.84194711538461, 75.55088141025641,
+         CalibrationResult(0.3662109375, 95.30123197115384, 95.37, 11)),
+    ],
+)
+def test_reliability_and_calibration_values_are_pinned(netlist, at_half, at_two, calibrated):
+    # exact floats, so that a change moving both measure_reliability and
+    # calibrate_noise the same way still fails; the feed-forward case is
+    # the only pin of that path
+    device = synthesize_device(DelayParams(), netlist, 8)
+
+    def at(sigma):
+        return measure_reliability(device.with_params(device.params.with_noise(sigma)), eval_seed=6)
+
+    assert (at(0.5), at(2.0)) == (at_half, at_two)
+    assert calibrate_noise(95.37, device, eval_seed=6) == calibrated
 
 
 def test_measure_reliability_consistent_with_crp_reliability(pa64):

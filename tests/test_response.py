@@ -466,6 +466,22 @@ def test_crp_round_trip_transient_memory_is_bounded_by_the_file_size(tmp_path):
     assert loaded.device_ids == crps.device_ids and np.array_equal(loaded.responses, crps.responses)
 
 
+def test_an_id_window_past_the_end_of_the_file_reads_zero_padding(tmp_path):
+    # ids are compared in windows as wide as the longest id, so the short
+    # ids of the last records have windows that run past the end of the file
+    long_id = "x" * 300
+    crps = CrpSet([long_id, "s", "t"], random_seed_challenges(16, 3, 3),
+                  np.random.default_rng(3).integers(0, 2, size=(3, 3, 2, 8), dtype=np.uint8),
+                  Netlist(Design.PA_PUF, 16), DelayParams(), 3)
+    path = tmp_path / "crps.csv"
+    save_crps(crps, path)
+    text = path.read_bytes()
+    assert text.rindex(b"\nt,") > len(text) - len(long_id)
+    loaded = _parsed(load_crps, path)
+    assert loaded == _parsed(reference_load_crps, path)
+    assert loaded[0] == ["s", "t", long_id] and loaded[4] == crps.responses[[1, 2, 0]].tobytes()
+
+
 def test_crp_loader_rejects_duplicates(tmp_path):
     params = DelayParams()
     pop = synthesize_population(params, Netlist(Design.PA_PUF, 16), 1, 4)
