@@ -31,17 +31,10 @@ from .bch import BchCode
 from .circuit import repeated_reads
 from .device import PARAM_SCHEMA, DelayParams, load_device, save_device, synthesize_device, synthesize_population
 from .keyfuzz import enroll, load_helper, reproduce, save_helper
-from .metrics import (
-    calibrate_noise,
-    check_feed_forward_sweep,
-    compute_report,
-    sweep_feed_forward,
-    sweep_response_size,
-)
+from .metrics import calibrate_noise, compute_report, sweep_feed_forward, sweep_response_size
 from .netlist import Design, Netlist, default_ff_taps, parse_taps
 from .response import (
     bits_to_hex,
-    check_response_size,
     collect_crps,
     expand_challenge,
     hex_to_bits,
@@ -120,10 +113,9 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _out_dir(args) -> Path:
-    out = getattr(args, "out_dir", None) or os.environ.get("PAPUF_OUTDIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """``--out-dir``, else ``PAPUF_OUTDIR``, else ``.``; ``kvfile.write``
+    creates it with the first file written there."""
+    return Path(getattr(args, "out_dir", None) or os.environ.get("PAPUF_OUTDIR") or ".")
 
 
 def _echo_config(config: ExperimentConfig, out_dir: Path) -> str:
@@ -155,12 +147,11 @@ def _write_csv(path: Path, header: str, rows: list[str], chash: str | None) -> N
 
 def _cmd_device_new(args) -> int:
     config = _build_config(args)
-    params, netlist = config.params(), config.netlist()
+    device = synthesize_device(config.params(), config.netlist(), config.seed)
     out_dir = _out_dir(args)
-    chash = _echo_config(config, out_dir)
-    device = synthesize_device(params, netlist, config.seed)
     path = Path(args.out) if args.out else out_dir / "device.txt"
-    save_device(device, path, extra_header={"config": chash})
+    save_device(device, path, extra_header={"config": config.config_hash()})
+    _echo_config(config, out_dir)
     print(f"device_file={path}")
     print(f"device_id={device.device_id}")
     return 0
@@ -175,7 +166,6 @@ def _cmd_device_show(args) -> int:
 def _cmd_crp_gen(args) -> int:
     config = _build_config(args)
     params, netlist = config.params(), config.netlist()
-    check_response_size(config.response_size)
     out_dir = _out_dir(args)
     if args.calibrate_target is not None:
         reference = synthesize_device(params, netlist, derive_seed(config.seed, "device", 0))
@@ -330,25 +320,19 @@ def _cmd_attack_compare(args) -> int:
     return 0
 
 
-def _sweep_values(args, config: ExperimentConfig, netlist: Netlist) -> list[int]:
-    """The tap counts or response sizes of a sweep, checked before anything is written."""
+def _sweep_values(args) -> list[int]:
+    """The tap counts or response sizes of a sweep; the sweep checks them."""
     flag, text = ("--taps", args.taps) if args.sweep_command == "ff" else ("--sizes", args.sizes)
     try:
-        values = [int(v) for v in text.split(",")]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
-    if args.sweep_command == "ff":
-        check_feed_forward_sweep(netlist, values, config.response_size)
-    else:
-        for value in values:
-            check_response_size(value)
-    return values
 
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     params, netlist = config.params(), config.netlist()
-    values = _sweep_values(args, config, netlist)
+    values = _sweep_values(args)
     out_dir = _out_dir(args)
     common = dict(
         population_size=config.population,

@@ -12,6 +12,8 @@ Blank lines and comments without ``=`` are skipped.  Malformed input raises
 line number of a line that is not ``key=value``.  Every reader of these
 files opens them through ``open_text``, except that the CRP loader reads
 an ASCII file with LF line ends as bytes, its header through ``read``.
+``write`` is the one writer, and it creates the file's directory, so a
+caller that fails before it writes leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -47,15 +49,17 @@ def write(path, kind: str | None, fields: Mapping, header: Mapping | None = None
           marker: str | None = None, table: Iterable[str] = ()) -> None:
     """Kind line, header comments and fields, then ``marker`` and the table.
 
-    Each item of ``table`` is written, with a line break after it, as it
-    comes, so a caller may pass a generator of line blocks and hold one at
-    a time.
+    The directory of ``path`` is created, parents included, just before the
+    file is opened.  Each item of ``table`` is written, with a line break
+    after it, as it comes, so a caller may pass a generator of line blocks
+    and hold one at a time.
     """
     lines = [f"# papuf-{kind} v1"] if kind else []
     lines += [f"# {key}={value}" for key, value in (header or {}).items()]
     lines += [f"{key}={value}" for key, value in fields.items()]
     if marker is not None:
         lines.append(marker)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
         if marker is not None:

@@ -16,14 +16,7 @@ from .bch import as_bits
 from .circuit import _noise_words, _threshold_reads, clean_gaps, repeated_reads
 from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
-from .response import (
-    CrpSet,
-    check_response_size,
-    collect_crps,
-    expand_many,
-    majority_vote,
-    random_seed_challenges,
-)
+from .response import CrpSet, check_response_size, collect_crps, expand_many, random_seed_challenges
 from .seeds import derive_seed
 
 
@@ -157,33 +150,25 @@ def robustness(crps: CrpSet) -> tuple[float, float, float]:
     )
 
 
-def _enrollment_votes(repetitions: int) -> int:
-    """Reads in an enrollment majority vote: the first min(11, R), made odd."""
-    votes = min(11, repetitions)
-    return votes - 1 if votes % 2 == 0 else votes
+def _self_agreement(reads: np.ndarray, axis: int) -> float:
+    """Percent of the bits of ``reads`` equal to their enrollment response.
 
-
-def _agreement(reads: np.ndarray, golden: np.ndarray) -> float:
-    """Percent of read bits equal to the broadcast golden bits."""
+    ``axis`` holds R repeated reads; the enrollment response is the bitwise
+    majority of the first min(11, R) of them, one fewer if that is even.
+    """
+    reads = np.moveaxis(reads, axis, 0)
+    votes = min(11, reads.shape[0])
+    votes -= 1 - votes % 2
+    golden = (reads[:votes].sum(axis=0) * 2 > votes).astype(np.uint8)
     return float(100.0 - (reads != golden).mean() * 100.0)
 
 
-def enrollment_responses(crps: CrpSet) -> np.ndarray:
-    """Golden response per (device, challenge): a bitwise majority over the
-    first ``_enrollment_votes`` repetitions."""
-    votes = _enrollment_votes(crps.repetitions)
-    window = crps.responses[:, :, :votes, :]
-    return (window.sum(axis=2) * 2 > votes).astype(np.uint8)
-
-
-def reliability(crps: CrpSet, reference=None) -> float:
-    """100 minus the mean percent HD between each repeated read and the
-    golden response: ``reference`` as a (devices, challenges, bits) array,
-    or by default the majority-vote enrollment response."""
+def reliability(crps: CrpSet) -> float:
+    """100 minus the mean percent HD between each repeated read and its
+    (device, challenge) enrollment response (``_self_agreement``)."""
     if crps.repetitions < 2:
         raise ValueError("reliability needs at least two repetitions")
-    golden = enrollment_responses(crps) if reference is None else np.asarray(reference, dtype=np.uint8)
-    return _agreement(crps.responses, golden[:, :, None, :])
+    return _self_agreement(crps.responses, axis=2)
 
 
 def uniqueness(crps: CrpSet) -> float:
@@ -259,8 +244,8 @@ CALIBRATION_MAX_ITERATIONS = 60
 
 def _reliability_probe(device: DeviceInstance, eval_seed: int):
     """``probe(sigma)``: the reliability of ``device`` at sigma_noise sigma,
-    as percent agreement of RELIABILITY_REPETITIONS reads of the expanded
-    challenges of ``eval_seed`` with the majority vote of the first ones.
+    the ``_self_agreement`` of RELIABILITY_REPETITIONS reads of the
+    expanded challenges of ``eval_seed``: the statistic of ``reliability``.
 
     What does not depend on sigma is computed once: the challenges and, for
     a tapless device, their clean gaps and the noise words of its reads,
@@ -284,8 +269,7 @@ def _reliability_probe(device: DeviceInstance, eval_seed: int):
             return _threshold_reads(clean, device.params.with_noise(sigma), blocks, reps)
 
     def probe(sigma: float) -> float:
-        bits = reads(sigma)
-        return _agreement(bits, majority_vote(bits[: _enrollment_votes(reps)]))
+        return _self_agreement(reads(sigma), axis=0)
 
     return probe
 
@@ -385,19 +369,6 @@ def _sweep(tag, points, configure, seeds, params, population_size, num_challenge
     return rows
 
 
-def check_feed_forward_sweep(base_netlist: Netlist, tap_counts, response_size: int) -> None:
-    """A sweep ``sweep_feed_forward`` cannot run is a ``ValueError``.
-
-    The base design must have 3 lines, the response size must be one of
-    RESPONSE_SIZES, and every tap count must fit the chain.
-    """
-    if base_netlist.design is Design.APUF:
-        raise ValueError("the feed-forward sweep applies to the 3-line designs")
-    check_response_size(response_size)
-    for count in tap_counts:
-        default_ff_taps(base_netlist.stages, int(count))
-
-
 def sweep_feed_forward(
     base_netlist: Netlist,
     tap_counts,
@@ -412,10 +383,16 @@ def sweep_feed_forward(
     """Uniqueness and reliability as a function of the feed-forward tap count.
 
     Each tap count is measured on fresh populations for every seed; taps are
-    spread evenly over the chain via ``default_ff_taps``.
+    spread evenly over the chain via ``default_ff_taps``.  Before any work,
+    a base design without 3 lines, a response size outside RESPONSE_SIZES
+    or a tap count that does not fit the chain is a ``ValueError``.
     """
-    check_feed_forward_sweep(base_netlist, tap_counts, response_size)
-    stages = base_netlist.stages
+    if base_netlist.design is Design.APUF:
+        raise ValueError("the feed-forward sweep applies to the 3-line designs")
+    check_response_size(response_size)
+    stages, tap_counts = base_netlist.stages, tuple(tap_counts)
+    for count in tap_counts:
+        default_ff_taps(stages, int(count))
 
     def configure(count):
         return Netlist(Design.FF_PA_PUF, stages, default_ff_taps(stages, int(count))), response_size
@@ -433,7 +410,13 @@ def sweep_response_size(
     repetitions: int = 5,
     seeds=(0, 1, 2),
 ) -> list[SweepRow]:
-    """Uniqueness and reliability per response size (one row per size)."""
+    """Uniqueness and reliability per response size (one row per size).
+
+    A size outside RESPONSE_SIZES is a ``ValueError`` before any work.
+    """
+    sizes = tuple(sizes)
+    for size in sizes:
+        check_response_size(int(size))
     return _sweep(
         "size-sweep", sizes, lambda size: (netlist, int(size)),
         seeds, params, population_size, num_challenges, repetitions,

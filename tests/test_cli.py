@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from papuf import compute_report, load_crps
+from papuf import compute_report, load_crps, load_device, load_helper
 from papuf.cli import ExperimentConfig, build_parser, main
 
 
@@ -697,15 +697,117 @@ TOO_FEW_COUNTS = "challenge and repetition counts must be >= 1"
                 (["--repetitions", "1"], "reliability needs at least two repetitions"),
             )
         ),
+        (["device", "new", "--out", "{tmp}/file/dev.txt"], "[Errno 17] File exists: '{tmp}/file'"),
     ],
 )
 def test_a_run_rejected_during_its_work_leaves_no_config_echo(tmp_path, capsys, command, message):
-    # the echo is written once the work is done, so an input rejected by
-    # the work itself leaves nothing in the output directory
+    # the echo is written once the work is done, and the output directory
+    # with the first file, so an input rejected by the work itself leaves
+    # no directory behind
+    (tmp_path / "file").write_text("")  # a regular file where --out needs a directory
     out = tmp_path / "out"
-    assert run(*command, "--out-dir", str(out)) == 1
+    assert run(*(arg.format(tmp=tmp_path) for arg in command), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
+def _device_and_helper(tmp_path, *enroll_flags):
+    """A 16-stage PA-PUF device file and the helper file of its enrolment."""
+    device, helper = tmp_path / "dev.txt", tmp_path / "helper.txt"
+    out = ["--out-dir", str(tmp_path)]
+    assert run("device", "new", "--stages", "16", "--seed", "5", "--out", str(device), *out) == 0
+    assert run("keygen", "enroll", "--device", str(device), *enroll_flags, "--helper-out", str(helper), *out) == 0
+    return device, helper
+
+
+def _edit_lines(path, edit):
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+def _bogus_config(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("stages=16\nbogus=1\n")
+    return ["device", "new", "--config", str(config)], f"{config}: unknown config key 'bogus'"
+
+
+def _helper_without_challenge(tmp_path):
+    device, helper = _device_and_helper(tmp_path)
+    _edit_lines(helper, lambda lines: [line for line in lines if not line.startswith("# challenge_hex=")])
+    return (["keygen", "reproduce", "--device", str(device), "--helper", str(helper)],
+            "no challenge: pass --challenge-hex or use helper data that records one")
+
+
+def _device_edit(edit, message):
+    def case(tmp_path):
+        device, _ = _device_and_helper(tmp_path)
+        _edit_lines(device, edit)
+        return ["device", "show", str(device)], f"{device}: {message}"
+    return case
+
+
+def _crp_file_without_records(tmp_path):
+    path = tmp_path / "crps.csv"
+    assert run("crp", "gen", "--stages", "16", "--population", "2", "--challenges", "2", "--response-size", "8",
+               "--out", str(path), "--out-dir", str(tmp_path)) == 0
+    _edit_lines(path, lambda lines: [line for line in lines if not line.startswith("dev-")])
+    return ["metrics", "--crps", str(path)], f"no CRP records in {path}"
+
+
+def _helper_with_a_low_degree_polynomial(tmp_path):
+    device, helper = _device_and_helper(tmp_path, "--code-m", "4", "--code-t", "1")
+    _edit_lines(helper, lambda lines: [line.replace("=0x13", "=0x3") for line in lines])
+    return (["keygen", "reproduce", "--device", str(device), "--helper", str(helper)],
+            f"{helper}: primitive polynomial degree must be 4")
+
+
+def _code_that_cannot_correct(tmp_path):
+    device, _ = _device_and_helper(tmp_path)
+    return (["keygen", "enroll", "--device", str(device), "--code-m", "3", "--code-t", "4"],
+            "no BCH code of length 7 corrects 4 errors")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _bogus_config,
+        _helper_without_challenge,
+        _device_edit(lambda lines: [line.replace(" ", " x ", 1) if line[0].isdigit() else line for line in lines],
+                     "bad delay: could not convert string to float: 'x'"),
+        _device_edit(lambda lines: lines[:-1], "expected 96 delays, found 90"),
+        _device_edit(lambda lines: lines[: lines.index("delays:")], "no 'delays:' line"),
+        _crp_file_without_records,
+        _helper_with_a_low_degree_polynomial,
+        _code_that_cannot_correct,
+    ],
+    ids=["unknown-config-key", "no-challenge", "bad-delay", "delay-count", "no-delays-line", "no-crp-records",
+         "polynomial-degree", "code-too-short"],
+)
+def test_each_rejected_input_gives_its_one_error_line(tmp_path, capsys, monkeypatch, case):
+    argv, message = case(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv("PAPUF_OUTDIR", str(out))
+    capsys.readouterr()
+    assert run(*argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.glob("*")) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["device", "crps", "helper"])
+def test_an_output_file_may_name_a_new_directory(tmp_path, kind):
+    path = tmp_path / "a" / "b" / {"device": "dev.txt", "crps": "crps.csv", "helper": "helper.txt"}[kind]
+    out = ["--out-dir", str(tmp_path / "out")]
+    if kind == "device":
+        assert run("device", "new", "--stages", "16", "--seed", "5", "--out", str(path), *out) == 0
+        assert load_device(path).netlist.stages == 16
+    elif kind == "crps":
+        assert run("crp", "gen", "--stages", "16", "--population", "2", "--challenges", "3",
+                   "--response-size", "8", "--out", str(path), *out) == 0
+        assert load_crps(path).responses.shape == (2, 3, 11, 8)
+    else:
+        device = tmp_path / "dev.txt"
+        assert run("device", "new", "--stages", "16", "--seed", "5", "--out", str(device), *out) == 0
+        assert run("keygen", "enroll", "--device", str(device), "--helper-out", str(path), *out) == 0
+        assert load_helper(path).code.n == 127
 
 
 def test_negative_sweep_tap_count_is_an_error(tmp_path, capsys):

@@ -34,7 +34,7 @@ from papuf.metrics import (
     SIGMA_SEARCH_BOUNDS,
     _population_metrics,
     bit_aliasing,
-    enrollment_responses,
+    sweep_feed_forward,
     sweep_response_size,
 )
 from papuf.oracle import naive_inter_hd, naive_intra_hd
@@ -207,26 +207,26 @@ def test_reliability_synthetic_flip_rate():
     flips = rng.random(reads.shape) < 0.05
     noisy = reads ^ flips.astype(np.uint8)
     assert noisy.size >= 100_000
-    rel = reliability(make_crps(noisy), reference=golden)
-    assert rel == pytest.approx(95.0, abs=0.5)
+    # a majority of 9 reads at a 5% flip rate is the golden bit in all but ~1e-4 of the cells
+    assert reliability(make_crps(noisy)) == pytest.approx(95.0, abs=0.5)
 
 
 def test_reliability_100_iff_all_reads_equal_reference():
     rng = np.random.default_rng(17)
     golden = rng.integers(0, 2, size=(2, 6, 32), dtype=np.uint8)
     reads = np.repeat(golden[:, :, None, :], 5, axis=2)
-    crps = make_crps(reads)
-    assert reliability(crps, reference=golden) == 100.0
-    reads[1, 2, 3, 7] ^= 1
-    assert reliability(make_crps(reads), reference=golden) < 100.0
+    assert reliability(make_crps(reads)) == 100.0
+    reads[1, 2, 3, 7] ^= 1  # one read of five disagrees with the unchanged majority
+    assert reliability(make_crps(reads)) == pytest.approx(100.0 - 100.0 / reads.size)
 
 
 def test_enrollment_majority_window_is_odd():
-    rng = np.random.default_rng(19)
-    reads = rng.integers(0, 2, size=(1, 4, 12, 8), dtype=np.uint8)
-    golden = enrollment_responses(make_crps(reads))
-    votes = reads[:, :, :11, :]
-    assert np.array_equal(golden, (votes.sum(axis=2) * 2 > 11).astype(np.uint8))
+    # Only the first 11 reads vote, and each column below votes 1.  Of 12
+    # reads, 4 of the first 9 read 1, so a 9-read window would vote 0; of
+    # 13 reads, 6 of the first 11 read 1, where all 13 would vote 0.
+    for column in ([1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1], [1] * 6 + [0] * 7):
+        reads = np.broadcast_to(np.array(column, dtype=np.uint8)[None, None, :, None], (1, 4, len(column), 8))
+        assert reliability(make_crps(reads)) == pytest.approx(100.0 * sum(column) / len(column))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +432,17 @@ def test_sweep_response_size_values():
         assert abs(row.uniqueness - 50.0) <= 4 * 50.0 / np.sqrt(cells)
     # each size draws from its own seeds, so the other sizes never change its row
     assert sweep_response_size(netlist, sizes=(16,), **sweep) == [rows[1]]
+
+
+def test_a_sweep_checks_its_points_before_the_work_and_still_runs_each():
+    sweep = dict(population_size=2, params=DelayParams(), num_challenges=2, repetitions=2, seeds=(0,))
+    netlist = Netlist(Design.PA_PUF, 16)
+    with pytest.raises(ValueError, match="got 7"):
+        sweep_response_size(netlist, sizes=(8, 7), **sweep)
+    # points given as an iterator are checked and then swept, not used up by the check
+    assert [row.label for row in sweep_response_size(netlist, sizes=iter([8, 16]), **sweep)] == ["8", "16"]
+    rows = sweep_feed_forward(netlist, iter([0, 1]), response_size=8, **sweep)
+    assert [row.label for row in rows] == ["0", "1"]
 
 
 # ---------------------------------------------------------------------------
