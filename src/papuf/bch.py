@@ -4,29 +4,35 @@ Codewords are bit vectors of length n = 2^m - 1, MSB first: bit i of a
 word is the coefficient of x^(n-1-i).  Encoding is systematic, so the
 first k bits of a codeword are the message.
 
-Decoding runs on Python ints from tables built once per code
-(``_decode_tables``).  Every syndrome S_j is linear in the word and, with
-m <= 8, fits a byte, so the column of bit i is one int packing all 2t
-syndromes of the word with only bit i set, S_j in byte j - 1.  The table
-int of a byte position and byte value is the XOR of the columns of that
-byte's set bits, so S_1..S_2t of a word are an XOR of one int per byte, and
-``int.to_bytes`` unpacks them; a zero syndrome returns at once.  Otherwise
-binary Berlekamp-Massey (t steps) gives the error locator.  The
+Decoding runs on Python ints from tables that a code object builds on its
+first decode and keeps (``BchCode._tables``).  Every syndrome S_j is linear
+in the word and, with m <= 8, fits a byte, so the column of bit i is one
+int packing all 2t syndromes of the word with only bit i set, S_j in byte
+j - 1.  The table int of a byte position and byte value is the XOR of the
+columns of that byte's set bits, so S_1..S_2t of a word are an XOR of one
+int per byte, and ``int.to_bytes`` unpacks them; a zero syndrome returns at
+once.  Otherwise binary Berlekamp-Massey runs for at most t steps, and each
+step with zero discrepancy, and the last, tries the locator it has.  The
 Chien search (R. T. Chien, "Cyclic decoding procedures for BCH codes",
 IEEE Trans. IT 1964) evaluates it at all n points at once: for each
 locator degree d and field value v, one int holds v*alpha^(-d(n-1-i)) in
 lane i, so the evaluation is an XOR of at most t + 1 ints, the zero lanes
 are found with one add and two masks, and the root count is a popcount.
 The residual check XORs the columns of the flipped bits into the received
-syndromes.  Anything inconsistent (locator degree above t, root count not
-equal to the degree, residual syndromes) is reported as an explicit
-failure rather than a guessed codeword.
+syndromes.  A try passes when the locator degree is at most t, the root
+count equals the degree and no residual syndrome is left.
+
+The first try that passes is the result, and it is exactly the full run's:
+it names the unique codeword within t, whose locator the full run also
+finds (see ``_decode``).  When the last try fails too, the word is
+reported as an explicit failure rather than a guessed codeword.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -129,6 +135,12 @@ class BchCode:
     def field(self) -> GF2m:
         return _field_cache(self.m, self.primitive_poly)
 
+    @cached_property
+    def _tables(self) -> "_DecodeTables":
+        """The decode tables, built on this code object's first decode and
+        then read as a plain attribute: no hashing of the code per word."""
+        return _decode_tables(self)
+
 
 @lru_cache(maxsize=None)
 def _field_cache(m: int, primitive_poly: int) -> GF2m:
@@ -205,7 +217,6 @@ def _pack(values: np.ndarray, width: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-@lru_cache(maxsize=None)
 def _decode_tables(code: BchCode) -> _DecodeTables:
     field, m, n, t = code.field, code.m, code.n, code.t
     exp = np.array(field.exp[: field.order], dtype=np.int64)
@@ -236,27 +247,30 @@ def _packed_syndromes(received: np.ndarray, byte_syndromes) -> int:
     return packed
 
 
-def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
-    """Error locator polynomial (coefficient list, index = degree) of S_1..S_2t.
+def _berlekamp_massey(field: GF2m, syndromes: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """Candidate error locators of S_1..S_2t, as (steps run, locator) pairs.
 
     Binary form: the syndromes of a binary word satisfy S_2j = S_j^2, so
     every odd-step discrepancy is zero and only the t even steps are run,
-    each advancing the shift by 2.  Each syndrome's row of the field's
-    product table is looked up once, and the locator lives in a fixed list
-    of 2t + 1 coefficients, since its degree never exceeds the register
-    length.
+    each advancing the shift by 2.  A step whose discrepancy is zero yields
+    the locator it leaves (coefficient list, index = degree), and so does
+    the last step: the last pair is the locator of all 2t syndromes.  The
+    discrepancy reads the field's product-table row of each locator
+    coefficient, so nothing is looked up for a step that does not run, and
+    the locator lives in a fixed list of 2t + 1 coefficients, since its
+    degree never exceeds the register length.
     """
     products, exp, log, order = field.products, field.exp, field.log, field.order
-    rows = [products[s] for s in syndromes]
     locator = [1] + [0] * len(syndromes)
     prev = [1]  # the locator's coefficients when the length last grew
     prev_log = 0  # log of the discrepancy then
     length = 0
     shift = 1
+    last = len(syndromes) - 2
     for step in range(0, len(syndromes), 2):
         discrepancy = syndromes[step]
         for i in range(1, length + 1):
-            discrepancy ^= rows[step - i][locator[i]]
+            discrepancy ^= products[locator[i]][syndromes[step - i]]
         if discrepancy:
             scale = products[exp[log[discrepancy] - prev_log + order]]  # exp is 2*order long
             grows = 2 * length <= step
@@ -269,10 +283,11 @@ def _berlekamp_massey(field: GF2m, syndromes: list[int]) -> list[int]:
                 length = step + 1 - length
                 shift = 0
         shift += 2
-    degree = length
-    while not locator[degree]:
-        degree -= 1
-    return locator[: degree + 1]
+        if not discrepancy or step == last:
+            degree = length
+            while not locator[degree]:
+                degree -= 1
+            yield step // 2 + 1, locator[: degree + 1]
 
 
 # Size in bytes above which ``as_bits`` checks a uint8 array with one
@@ -325,22 +340,50 @@ def bch_decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | 
 def _decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | None:
     """``bch_decode`` of a checked word: a (n,) uint8 array of 0/1 bits.
 
-    S_1..S_2t are an XOR of one table int per byte of the word, one byte
-    each; a zero syndrome returns at once.  Berlekamp-Massey gives the
-    locator, and the Chien search evaluates it at all n points as an XOR of
-    at most t + 1 table ints, one lane per bit: lane i is zero iff bit i is
-    in error.  ``~(x + below) & high`` marks the zero lanes without carries
-    between them, since every lane value is below 2^m.  The root count must
-    equal the locator degree, and the residual check XORs the columns of
-    the error bits into the syndromes.  All of them must cancel; since
-    S_2j = S_j^2, that is the same test as the odd ones cancelling.
+    A zero syndrome returns at once.  Otherwise Berlekamp-Massey runs until
+    a locator passes ``_correct``: each step with zero discrepancy tries the
+    locator it has, a failed try steps on from the same state, and the last
+    step's locator is tried as if no earlier try had been made.
+
+    Stopping at the first locator that passes is exact.  A passing locator
+    of degree L <= t names L bits whose flip cancels all 2t syndromes: a
+    codeword within t, which is unique, since the code's distance is at
+    least 2t + 1.  Berlekamp-Massey over all 2t syndromes returns the
+    locator of that same pattern (the shortest LFSR is unique when
+    2L <= 2t; Massey, "Shift-register synthesis and BCH decoding", IEEE
+    Trans. IT 1969), so the message and count are the full run's.  A word
+    with no codeword within t fails every try, as it fails the full run.
+    The degree guard is needed: an early locator can be longer than t, and
+    without it the try could name a codeword beyond t that the full run
+    rejects.  The locator of a weight-w word is final after w steps, so a
+    word of weight w <= t - 2 stops at step w + 1 or before.
     """
-    tables = _decode_tables(code)
-    byte_syndromes = tables.syndromes
-    packed = _packed_syndromes(received, byte_syndromes)
+    tables = code._tables
+    packed = _packed_syndromes(received, tables.syndromes)
     if not packed:
         return received[: code.k].copy(), 0
-    locator = _berlekamp_massey(tables.field, list(packed.to_bytes(2 * code.t, "little")))
+    for _, locator in _berlekamp_massey(tables.field, packed.to_bytes(2 * code.t, "little")):
+        decoded = _correct(received, code, tables, packed, locator)
+        if decoded is not None:
+            return decoded
+    return None
+
+
+def _correct(
+    received: np.ndarray, code: BchCode, tables: _DecodeTables, packed: int, locator: list[int]
+) -> tuple[np.ndarray, int] | None:
+    """(message, degree) of ``received`` with the bits of ``locator`` flipped,
+    or None unless the locator checks out: degree at most t, as many roots
+    as its degree, and no residual syndrome.
+
+    The Chien search evaluates the locator at all n points as an XOR of at
+    most t + 1 table ints, one lane per bit: lane i is zero iff bit i is in
+    error.  ``~(x + below) & high`` marks the zero lanes without carries
+    between them, since every lane value is below 2^m.  The residual check
+    XORs the columns of the error bits into ``packed``, the received
+    syndromes.  All of them must cancel; since S_2j = S_j^2, that is the
+    same test as the odd ones cancelling.
+    """
     degree = len(locator) - 1
     if degree > code.t:
         return None
@@ -350,6 +393,7 @@ def _decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | Non
     zero_lanes = ~(values + tables.below) & tables.high
     if zero_lanes.bit_count() != degree:
         return None
+    byte_syndromes = tables.syndromes
     message = received[: code.k].copy()
     lane = code.m + 1
     while zero_lanes:

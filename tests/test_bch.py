@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from papuf import bch
 from papuf.bch import (
     AS_BITS_REDUCE_BYTES,
     BchCode,
     _berlekamp_massey,
     _bits_to_int,
-    _decode_tables,
+    _correct,
+    _decode,
     _int_to_bits,
     _packed_syndromes,
     as_bits,
@@ -29,6 +31,10 @@ def code127():
 @pytest.fixture(scope="module")
 def code15():
     return BchCode.construct(4, 2)
+
+
+# One code per field size, each with t + 5 <= 15.
+CODES_PER_M = [(3, 1), (4, 3), (5, 5), (6, 7), (7, 10), (8, 10)]
 
 
 def test_code_parameters(code127, code15):
@@ -240,6 +246,12 @@ def _syndromes(word, code):
     return out
 
 
+def _final_locator(field, syndromes):
+    """The locator of all 2t syndromes: the last one Berlekamp-Massey yields."""
+    *_, (_, locator) = _berlekamp_massey(field, syndromes)
+    return locator
+
+
 def test_berlekamp_massey_locators_equal_the_pinned_digest(code127):
     # 11,000 random words, mostly far beyond t; the digest was computed with
     # the variable-length Berlekamp-Massey that this one replaced.
@@ -247,14 +259,14 @@ def test_berlekamp_massey_locators_equal_the_pinned_digest(code127):
     digest = hashlib.sha256()
     for _ in range(11_000):
         word = rng.integers(0, 2, size=code127.n, dtype=np.uint8)
-        digest.update(bytes(_berlekamp_massey(code127.field, _syndromes(word, code127))) + b"|")
+        digest.update(bytes(_final_locator(code127.field, _syndromes(word, code127))) + b"|")
     assert digest.hexdigest() == "2e9ee538546bcede9028c6ed85faa0dd8861a887ca202a7d53895f36604af13b"
 
 
 @pytest.mark.parametrize("m,t", [(3, 1), (4, 3), (5, 5), (6, 7), (7, 10), (8, 16)])
 def test_byte_lane_syndromes_equal_the_term_by_term_sums(m, t):
     code = BchCode.construct(m, t)
-    rows = _decode_tables(code).syndromes
+    rows = code._tables.syndromes
     rng = np.random.default_rng(m)
     largest = 0
     for _ in range(100):
@@ -278,20 +290,108 @@ def test_bit_vectors_and_ints_convert_most_significant_bit_first(width):
 @pytest.mark.parametrize("weight", range(16))
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_decode_properties(code127, weight, seed):
-    # Within t: the message, with corrected == weight.  Any result at all:
-    # a codeword within t of the received word, corrected == that distance.
+def test_decode_properties(weight, seed):
+    # On one code per m = 3..8 with at least ``weight`` bits.  Within t: the
+    # message, with corrected == weight.  Any result at all: a codeword
+    # within t of the received word, corrected == that distance.
     rng = np.random.default_rng(seed)
-    message = rng.integers(0, 2, size=code127.k, dtype=np.uint8)
-    received = bch_encode(message, code127)
-    received[rng.choice(code127.n, size=weight, replace=False)] ^= 1
-    out = bch_decode(received, code127)
-    if weight <= code127.t:
-        assert out is not None
-        assert np.array_equal(out[0], message) and out[1] == weight
-    if out is not None:
-        distance = int((bch_encode(out[0], code127) != received).sum())
-        assert distance <= code127.t and out[1] == distance
+    for m, t in CODES_PER_M:
+        code = BchCode.construct(m, t)
+        if weight > code.n:
+            continue
+        message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        received = bch_encode(message, code)
+        received[rng.choice(code.n, size=weight, replace=False)] ^= 1
+        out = bch_decode(received, code)
+        if weight <= code.t:
+            assert out is not None
+            assert np.array_equal(out[0], message) and out[1] == weight
+        if out is not None:
+            distance = int((bch_encode(out[0], code) != received).sum())
+            assert distance <= code.t and out[1] == distance
+
+
+def _full_decode(received, code):
+    """``_decode`` with the early stop taken out: all t Berlekamp-Massey
+    steps, then one try of the last locator."""
+    tables = code._tables
+    packed = _packed_syndromes(received, tables.syndromes)
+    if not packed:
+        return received[: code.k].copy(), 0
+    locator = _final_locator(tables.field, packed.to_bytes(2 * code.t, "little"))
+    return _correct(received, code, tables, packed, locator)
+
+
+def _codewords(code, rng, count):
+    """``count`` random messages and their codewords, through the generator matrix."""
+    generator = np.stack([bch_encode(row, code) for row in np.eye(code.k, dtype=np.uint8)])
+    messages = rng.integers(0, 2, size=(count, code.k), dtype=np.uint8)
+    codewords = (messages.astype(np.float32) @ generator.astype(np.float32)) % 2  # sums <= k are exact
+    return messages, codewords.astype(np.uint8)
+
+
+def _errors(code, rng, weights):
+    """One row per weight, with that many random bits set."""
+    ranks = rng.random((len(weights), code.n)).argsort(axis=1).argsort(axis=1)
+    return (ranks < np.asarray(weights)[:, None]).astype(np.uint8)
+
+
+EQUIVALENCE_WORDS = 17_000  # per code: 102,000 words over the six codes
+
+
+@pytest.mark.parametrize("m,t", CODES_PER_M)
+def test_early_stop_equals_the_full_berlekamp_massey_run(m, t):
+    # Three kinds of words, each decoded with and without the early stop:
+    # codewords with 0..t + 7 flipped bits, uniform random words, and reads
+    # that lie within t of another codeword than the enrolled one, the
+    # offset c XOR r of a response r and a read r XOR c XOR c' XOR e.
+    code = BchCode.construct(m, t)
+    rng = np.random.default_rng(100 + m)
+    third = EQUIVALENCE_WORDS // 3
+    weights = np.arange(third) % (min(t + 7, code.n) + 1)
+    near = _codewords(code, rng, third)[1] ^ _errors(code, rng, weights)
+    uniform = rng.integers(0, 2, size=(third, code.n), dtype=np.uint8)
+    count = EQUIVALENCE_WORDS - 2 * third
+    other_messages, others = _codewords(code, rng, count)
+    enrolled = _codewords(code, rng, count)[1]
+    responses = rng.integers(0, 2, size=(count, code.n), dtype=np.uint8)
+    offsets = enrolled ^ responses
+    reads = responses ^ enrolled ^ others ^ _errors(code, rng, np.arange(count) % (t + 1))
+    elsewhere = offsets ^ reads
+    words = np.concatenate([near, uniform, elsewhere])
+    for index, word in enumerate(words):
+        early, full = _decode(word, code), _full_decode(word, code)
+        if full is None:
+            assert early is None
+            continue
+        assert early is not None and early[1] == full[1] and np.array_equal(early[0], full[0])
+        if index >= 2 * third:
+            assert np.array_equal(early[0], other_messages[index - 2 * third])
+    assert len(words) == EQUIVALENCE_WORDS
+
+
+def test_weight_w_words_stop_by_step_w_plus_one(monkeypatch):
+    # A locator of weight w is final after w steps, so step w + 1 has a zero
+    # discrepancy and its try succeeds; w <= t - 2 leaves steps unrun.
+    run = bch._berlekamp_massey
+    steps = []
+
+    def recording(field, syndromes):
+        for step, locator in run(field, syndromes):
+            steps.append(step)
+            yield step, locator
+
+    monkeypatch.setattr(bch, "_berlekamp_massey", recording)
+    rng = np.random.default_rng(11)
+    for m, t in CODES_PER_M:
+        code = BchCode.construct(m, t)
+        for weight in range(1, t - 1):
+            messages, codewords = _codewords(code, rng, 20)
+            for message, word in zip(messages, codewords ^ _errors(code, rng, [weight] * 20)):
+                steps.clear()
+                out = bch_decode(word, code)
+                assert out is not None and out[1] == weight and np.array_equal(out[0], message)
+                assert steps[-1] <= weight + 1 < t
 
 
 def test_decode_on_a_second_code_matches_nearest_codeword():
