@@ -71,6 +71,14 @@ def _suffix_parity(bits: np.ndarray) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=stages, bitorder="little")
 
 
+def _challenge_bits(challenges, feature_map: FeatureMap) -> np.ndarray:
+    """(N, stages) 0/1 bits; other values or column counts are a ``ValueError``."""
+    bits = np.atleast_2d(as_bits(challenges, "challenges"))
+    if bits.shape[1] != feature_map.stages:
+        raise ValueError(f"challenges of {bits.shape[1]} stages do not match a feature map of {feature_map.stages}")
+    return bits
+
+
 def _design(bits: np.ndarray, kind: str) -> np.ndarray:
     """C-contiguous float64 design matrix of (N, stages) 0/1 bits.
 
@@ -115,8 +123,9 @@ class AttackModel:
 
     def predict(self, challenges: np.ndarray) -> np.ndarray:
         """0/1 bits of (N, stages) challenge bits, scored as the fit scores its
-        validation rows.  Anything other than 0 and 1 is a ``ValueError``."""
-        design = _design(as_bits(challenges, "challenges"), self.feature_map.kind)
+        validation rows.  Anything other than 0 and 1, or another stage
+        count than the model's, is a ``ValueError``."""
+        design = _design(_challenge_bits(challenges, self.feature_map), self.feature_map.kind)
         return (design @ self.weights > 0).astype(np.uint8)
 
 
@@ -178,24 +187,24 @@ def fit_logistic(
 ) -> AttackModel:
     """L-BFGS on the mean logistic loss plus ``0.5 * L2 * |w|^2``.
 
-    ``x`` holds (N, stages) challenge bits; anything other than 0 and 1,
-    or a column count other than ``feature_map.stages``, is a
-    ``ValueError``.  Deterministic under seed (used only for the
-    train/validation shuffle).  ``MAX_ITERATIONS`` caps the iterations.
-    The metadata records the regularised loss of every iterate as
-    ``losses`` (non-increasing) and the number of loss-and-gradient
+    ``x`` holds (N, stages) challenge bits and ``y`` N labels; anything
+    other than 0 and 1, stages other than ``feature_map.stages`` or another
+    label shape is a ``ValueError``.  Deterministic under seed (used only
+    for the train/validation shuffle).  ``MAX_ITERATIONS`` caps the
+    iterations.  The metadata records the regularised loss of every iterate
+    as ``losses`` (non-increasing) and the number of loss-and-gradient
     evaluations, each one pass over the training rows, as ``epochs``.
     """
-    bits = np.atleast_2d(as_bits(x, "challenges"))
-    if bits.shape[1] != feature_map.stages:
-        raise ValueError(f"challenges of {bits.shape[1]} stages do not match a feature map of {feature_map.stages}")
-    labels = np.asarray(y, dtype=np.float64)
+    bits = _challenge_bits(x, feature_map)
     n_records = bits.shape[0]
+    labels = as_bits(y, "labels")
+    if labels.shape != (n_records,):
+        raise ValueError(f"labels must be one bit per challenge row, shape ({n_records},), got shape {labels.shape}")
     order = np.random.default_rng(seed & SEED_MASK).permutation(n_records)
     split = int(round(TRAIN_FRACTION * n_records))
     train_idx, val_idx = order[:split], order[split:]
     # Rows are permuted as uint8 bits; each design is then written once.
-    xt, yt = _design(bits[train_idx], feature_map.kind), labels[train_idx]
+    xt, yt = _design(bits[train_idx], feature_map.kind), labels[train_idx].astype(np.float64)
 
     def objective(weights):
         scores = xt @ weights
@@ -278,6 +287,8 @@ def compare_designs(
     Purely descriptive: rows carry per-seed accuracies plus mean and
     standard deviation, with no pass/fail judgement.
     """
+    if not designs:
+        raise ValueError("the attack comparison needs at least one design")
     stage_counts = {netlist.stages for netlist in designs}
     if len(stage_counts) != 1:
         raise ValueError("all compared designs must share one stage count")

@@ -11,10 +11,10 @@ int packing all 2t syndromes of the word with only bit i set, S_j in byte
 j - 1.  The table int of a byte position and byte value is the XOR of the
 columns of that byte's set bits, so S_1..S_2t of a word are an XOR of one
 int per byte, and ``int.to_bytes`` unpacks them; a zero syndrome returns at
-once.  Otherwise binary Berlekamp-Massey runs for at most t steps, and each
-step with zero discrepancy, and the last, tries the locator it has.  The
-Chien search (R. T. Chien, "Cyclic decoding procedures for BCH codes",
-IEEE Trans. IT 1964) evaluates it at all n points at once: for each
+once.  Otherwise binary Berlekamp-Massey runs in ``_decode`` for at most
+t steps, and each step with zero discrepancy, and the last, tries its
+locator with ``_correct``.  The Chien search (R. T. Chien, "Cyclic
+decoding procedures for BCH codes", IEEE Trans. IT 1964) evaluates it at all n points at once: for each
 locator degree d and field value v, one int holds v*alpha^(-d(n-1-i)) in
 lane i, so the evaluation is an XOR of at most t + 1 ints, the zero lanes
 are found with one add and two masks, and the root count is a popcount.
@@ -30,7 +30,6 @@ reported as an explicit failure rather than a guessed codeword.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -131,7 +130,7 @@ class BchCode:
             primitive_poly = PRIMITIVE_POLYS[m]
         return _construct_cached(cls, m, t, primitive_poly)
 
-    @property
+    @cached_property
     def field(self) -> GF2m:
         return _field_cache(self.m, self.primitive_poly)
 
@@ -198,11 +197,8 @@ class _DecodeTables:
     of v, where the column of bit i holds alpha^(j(n-1-i)) in byte j - 1.
     ``chien[d - 1][v]`` holds v*alpha^(-d(n-1-i)) in lane i, for locator
     degree d = 1..t; lanes are m + 1 bits wide, one per bit position.
-    ``field`` is the code's GF(2^m), kept here so that a decode reads the
-    field's tables without a second cache lookup.
     """
 
-    field: GF2m
     syndromes: tuple[tuple[int, ...], ...]
     chien: tuple[tuple[int, ...], ...]
     ones: int  # 1 in every lane: the locator's constant coefficient
@@ -236,7 +232,7 @@ def _decode_tables(code: BchCode) -> _DecodeTables:
         values[0] = 0
         chien.append(tuple(_pack(values, m + 1)))
     lanes = _pack(np.array([[1] * n, [(1 << m) - 1] * n, [1 << m] * n]), m + 1)
-    return _DecodeTables(field, tuple(syndromes), tuple(chien), *lanes)
+    return _DecodeTables(tuple(syndromes), tuple(chien), *lanes)
 
 
 def _packed_syndromes(received: np.ndarray, byte_syndromes) -> int:
@@ -245,49 +241,6 @@ def _packed_syndromes(received: np.ndarray, byte_syndromes) -> int:
     for byte, value in enumerate(np.packbits(received).tobytes()):
         packed ^= byte_syndromes[byte][value]
     return packed
-
-
-def _berlekamp_massey(field: GF2m, syndromes: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
-    """Candidate error locators of S_1..S_2t, as (steps run, locator) pairs.
-
-    Binary form: the syndromes of a binary word satisfy S_2j = S_j^2, so
-    every odd-step discrepancy is zero and only the t even steps are run,
-    each advancing the shift by 2.  A step whose discrepancy is zero yields
-    the locator it leaves (coefficient list, index = degree), and so does
-    the last step: the last pair is the locator of all 2t syndromes.  The
-    discrepancy reads the field's product-table row of each locator
-    coefficient, so nothing is looked up for a step that does not run, and
-    the locator lives in a fixed list of 2t + 1 coefficients, since its
-    degree never exceeds the register length.
-    """
-    products, exp, log, order = field.products, field.exp, field.log, field.order
-    locator = [1] + [0] * len(syndromes)
-    prev = [1]  # the locator's coefficients when the length last grew
-    prev_log = 0  # log of the discrepancy then
-    length = 0
-    shift = 1
-    last = len(syndromes) - 2
-    for step in range(0, len(syndromes), 2):
-        discrepancy = syndromes[step]
-        for i in range(1, length + 1):
-            discrepancy ^= products[locator[i]][syndromes[step - i]]
-        if discrepancy:
-            scale = products[exp[log[discrepancy] - prev_log + order]]  # exp is 2*order long
-            grows = 2 * length <= step
-            if grows:
-                saved = locator[: length + 1]
-            for i, coef in enumerate(prev, start=shift):
-                locator[i] ^= scale[coef]
-            if grows:
-                prev, prev_log = saved, log[discrepancy]
-                length = step + 1 - length
-                shift = 0
-        shift += 2
-        if not discrepancy or step == last:
-            degree = length
-            while not locator[degree]:
-                degree -= 1
-            yield step // 2 + 1, locator[: degree + 1]
 
 
 # Size in bytes above which ``as_bits`` checks a uint8 array with one
@@ -340,10 +293,16 @@ def bch_decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | 
 def _decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | None:
     """``bch_decode`` of a checked word: a (n,) uint8 array of 0/1 bits.
 
-    A zero syndrome returns at once.  Otherwise Berlekamp-Massey runs until
-    a locator passes ``_correct``: each step with zero discrepancy tries the
-    locator it has, a failed try steps on from the same state, and the last
-    step's locator is tried as if no earlier try had been made.
+    A zero syndrome returns at once.  Otherwise binary Berlekamp-Massey
+    runs: S_2j = S_j^2 for a binary word, so every odd-step discrepancy is
+    zero and only the t even steps run, each advancing the shift by 2.  The
+    discrepancy reads the field's product-table row of each locator
+    coefficient, and the locator lives in a fixed list of 2t + 1
+    coefficients (index = degree), which its degree never outgrows.  Each
+    step with zero discrepancy, and the last, tries the locator it has,
+    trimmed to its degree, with ``_correct``.  The first that passes is the
+    result; a failed try steps on from the same state, so the last try is
+    the full run's, that of all 2t syndromes.
 
     Stopping at the first locator that passes is exact.  A passing locator
     of degree L <= t names L bits whose flip cancels all 2t syndromes: a
@@ -362,10 +321,38 @@ def _decode(received: np.ndarray, code: BchCode) -> tuple[np.ndarray, int] | Non
     packed = _packed_syndromes(received, tables.syndromes)
     if not packed:
         return received[: code.k].copy(), 0
-    for _, locator in _berlekamp_massey(tables.field, packed.to_bytes(2 * code.t, "little")):
-        decoded = _correct(received, code, tables, packed, locator)
-        if decoded is not None:
-            return decoded
+    field = code.field
+    products, exp, log, order = field.products, field.exp, field.log, field.order
+    syndromes = packed.to_bytes(2 * code.t, "little")
+    locator = [1] + [0] * len(syndromes)
+    prev = [1]  # the locator's coefficients when the length last grew
+    prev_log = 0  # log of the discrepancy then
+    length = 0
+    shift = 1
+    last = len(syndromes) - 2
+    for step in range(0, len(syndromes), 2):
+        discrepancy = syndromes[step]
+        for i in range(1, length + 1):
+            discrepancy ^= products[locator[i]][syndromes[step - i]]
+        if discrepancy:
+            scale = products[exp[log[discrepancy] - prev_log + order]]  # exp is 2*order long
+            grows = 2 * length <= step
+            if grows:
+                saved = locator[: length + 1]
+            for i, coef in enumerate(prev, start=shift):
+                locator[i] ^= scale[coef]
+            if grows:
+                prev, prev_log = saved, log[discrepancy]
+                length = step + 1 - length
+                shift = 0
+        shift += 2
+        if not discrepancy or step == last:
+            degree = length
+            while not locator[degree]:
+                degree -= 1
+            decoded = _correct(received, code, tables, packed, locator[: degree + 1])
+            if decoded is not None:
+                return decoded
     return None
 
 

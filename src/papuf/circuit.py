@@ -500,8 +500,8 @@ def _chain_gaps(steps: list[tuple], units: np.ndarray, challenges: np.ndarray, r
 
 def _check_population(devices: Sequence[DeviceInstance], eval_seeds: Sequence[Sequence[int]]) -> None:
     """One ``ValueError`` naming each way in which ``devices`` and ``eval_seeds``
-    are not one population: one row of seeds per device, rows of one length,
-    and one netlist and parameter set."""
+    are not one population: one row of seeds per device, rows of one
+    non-zero length, and one netlist and parameter set."""
     if not devices:
         raise ValueError("population must not be empty")
     problems = []
@@ -510,6 +510,8 @@ def _check_population(devices: Sequence[DeviceInstance], eval_seeds: Sequence[Se
     lengths = sorted({len(seeds) for seeds in eval_seeds})
     if len(lengths) > 1:
         problems.append(f"rows of eval seeds of unequal lengths {lengths}")
+    if 0 in lengths:
+        problems.append(f"empty rows of eval seeds {[row for row, seeds in enumerate(eval_seeds) if len(seeds) == 0]}")
     first = devices[0]
     for field in ("netlist", "params"):
         others = [dev.device_id for dev in devices if getattr(dev, field) != getattr(first, field)]
@@ -589,7 +591,7 @@ def _tapless(device: DeviceInstance, challenges: np.ndarray) -> tuple[np.ndarray
     """A validated batch of a tapless device, and its rows per block."""
     netlist = device.netlist
     if netlist.ff_taps:
-        raise ValueError("clean arrival times and gaps are undefined for feed-forward netlists")
+        raise ValueError("clean arrival times, gaps and read probabilities are defined for tapless netlists only")
     return _validate_challenges(netlist, challenges), _block_rows(max(netlist.stages, netlist.lines))
 
 
@@ -695,8 +697,6 @@ def read_probabilities(device: DeviceInstance, challenges: np.ndarray) -> np.nda
     3-line challenge, beyond it six orthants of the bivariate normal at
     correlation -1/2 by Genz's 12-node rule.  Feed-forward netlists are a ``ValueError``.
     """
-    if device.netlist.ff_taps:
-        raise ValueError("read probabilities are defined for tapless netlists only")
     return _read_probabilities(clean_gaps(device, challenges), device.params)
 
 

@@ -134,6 +134,29 @@ def test_fit_rejects_challenges_of_another_stage_count():
             fit_logistic(challenges, labels, FeatureMap(kind, 64), seed=0)
 
 
+def test_predict_rejects_challenges_of_another_stage_count(apuf_sets):
+    # a 64-stage model on 32-stage challenges: one error naming both counts
+    train_set, holdout = apuf_sets
+    model = train(train_set, seed=0)
+    narrow = dataclasses.replace(holdout, netlist=Netlist(Design.APUF, 32), challenges=holdout.challenges[:, :32])
+    for call in (lambda: model.predict(narrow.challenges), lambda: evaluate_attack(model, narrow)):
+        with pytest.raises(ValueError, match="challenges of 32 stages do not match a feature map of 64"):
+            call()
+
+
+def test_fit_rejects_labels_that_are_not_one_bit_per_row():
+    rng = np.random.default_rng(3)
+    challenges = rng.integers(0, 2, size=(200, 16), dtype=np.uint8)
+    labels = rng.integers(0, 2, size=200, dtype=np.uint8)
+    for bad, message in [
+        (labels[:150], r"one bit per challenge row, shape \(200,\), got shape \(150,\)"),
+        (labels[:, None], r"shape \(200,\), got shape \(200, 1\)"),
+        (labels * 2, "labels must hold only 0 and 1 bits"),  # fitted silently to 0% validation accuracy
+    ]:
+        with pytest.raises(ValueError, match=message):
+            fit_logistic(challenges, bad, FeatureMap("parity", 16), seed=0)
+
+
 def test_feature_map_dimensions():
     assert FeatureMap("parity", 64).dimension == 65
     assert FeatureMap("raw_bits", 64).dimension == 64
@@ -271,6 +294,11 @@ def test_compare_designs_reports_rows():
 def test_compare_designs_requires_same_stage_count():
     with pytest.raises(ValueError):
         compare_designs([Netlist(Design.APUF, 16), Netlist(Design.PA_PUF, 32)])
+
+
+def test_compare_designs_requires_a_design():
+    with pytest.raises(ValueError, match="the attack comparison needs at least one design"):
+        compare_designs([])
 
 
 def test_model_file_round_trip(tmp_path, apuf_sets):

@@ -9,7 +9,6 @@ from papuf import bch
 from papuf.bch import (
     AS_BITS_REDUCE_BYTES,
     BchCode,
-    _berlekamp_massey,
     _bits_to_int,
     _correct,
     _decode,
@@ -246,20 +245,40 @@ def _syndromes(word, code):
     return out
 
 
-def _final_locator(field, syndromes):
-    """The locator of all 2t syndromes: the last one Berlekamp-Massey yields."""
-    *_, (_, locator) = _berlekamp_massey(field, syndromes)
-    return locator
+class _Tries:
+    """Stands in for ``bch._correct`` and records each locator that
+    ``_decode`` tries.  A full run fails every try, so the decoder runs all
+    t Berlekamp-Massey steps and the last locator recorded is the full
+    run's; an early run passes each try on to the real ``_correct``."""
+
+    def __init__(self, monkeypatch):
+        self.full, self.locators = False, []
+        monkeypatch.setattr(bch, "_correct", self)
+
+    def __call__(self, received, code, tables, packed, locator):
+        self.locators.append(locator)
+        return None if self.full else _correct(received, code, tables, packed, locator)
+
+    def run(self, word, code, full):
+        """``_decode(word, code)`` and the locators it tried: [[1]] for a zero syndrome."""
+        self.full, self.locators = full, []
+        return _decode(word, code), self.locators or [[1]]
 
 
-def test_berlekamp_massey_locators_equal_the_pinned_digest(code127):
+def _final_locator(tries, word, code):
+    """The locator of all 2t syndromes: the last one a full run tries."""
+    return tries.run(word, code, full=True)[1][-1]
+
+
+def test_berlekamp_massey_locators_equal_the_pinned_digest(code127, monkeypatch):
     # 11,000 random words, mostly far beyond t; the digest was computed with
     # the variable-length Berlekamp-Massey that this one replaced.
+    tries = _Tries(monkeypatch)
     rng = np.random.default_rng(4)
     digest = hashlib.sha256()
     for _ in range(11_000):
         word = rng.integers(0, 2, size=code127.n, dtype=np.uint8)
-        digest.update(bytes(_final_locator(code127.field, _syndromes(word, code127))) + b"|")
+        digest.update(bytes(_final_locator(tries, word, code127)) + b"|")
     assert digest.hexdigest() == "2e9ee538546bcede9028c6ed85faa0dd8861a887ca202a7d53895f36604af13b"
 
 
@@ -311,15 +330,12 @@ def test_decode_properties(weight, seed):
             assert distance <= code.t and out[1] == distance
 
 
-def _full_decode(received, code):
+def _full_decode(tries, received, code):
     """``_decode`` with the early stop taken out: all t Berlekamp-Massey
-    steps, then one try of the last locator."""
+    steps, then the real ``_correct`` on the last locator."""
     tables = code._tables
     packed = _packed_syndromes(received, tables.syndromes)
-    if not packed:
-        return received[: code.k].copy(), 0
-    locator = _final_locator(tables.field, packed.to_bytes(2 * code.t, "little"))
-    return _correct(received, code, tables, packed, locator)
+    return _correct(received, code, tables, packed, _final_locator(tries, received, code))
 
 
 def _codewords(code, rng, count):
@@ -340,7 +356,7 @@ EQUIVALENCE_WORDS = 17_000  # per code: 102,000 words over the six codes
 
 
 @pytest.mark.parametrize("m,t", CODES_PER_M)
-def test_early_stop_equals_the_full_berlekamp_massey_run(m, t):
+def test_early_stop_equals_the_full_berlekamp_massey_run(m, t, monkeypatch):
     # Three kinds of words, each decoded with and without the early stop:
     # codewords with 0..t + 7 flipped bits, uniform random words, and reads
     # that lie within t of another codeword than the enrolled one, the
@@ -359,8 +375,9 @@ def test_early_stop_equals_the_full_berlekamp_massey_run(m, t):
     reads = responses ^ enrolled ^ others ^ _errors(code, rng, np.arange(count) % (t + 1))
     elsewhere = offsets ^ reads
     words = np.concatenate([near, uniform, elsewhere])
+    tries = _Tries(monkeypatch)
     for index, word in enumerate(words):
-        early, full = _decode(word, code), _full_decode(word, code)
+        early, full = tries.run(word, code, full=False)[0], _full_decode(tries, word, code)
         if full is None:
             assert early is None
             continue
@@ -371,27 +388,23 @@ def test_early_stop_equals_the_full_berlekamp_massey_run(m, t):
 
 
 def test_weight_w_words_stop_by_step_w_plus_one(monkeypatch):
-    # A locator of weight w is final after w steps, so step w + 1 has a zero
-    # discrepancy and its try succeeds; w <= t - 2 leaves steps unrun.
-    run = bch._berlekamp_massey
-    steps = []
-
-    def recording(field, syndromes):
-        for step, locator in run(field, syndromes):
-            steps.append(step)
-            yield step, locator
-
-    monkeypatch.setattr(bch, "_berlekamp_massey", recording)
+    # A locator of weight w is final after w steps, so steps w + 1 .. t all
+    # have zero discrepancy, and a full run tries at each of them.  The early
+    # run tries the same locators until one passes, so it stopped by step
+    # w + 1 exactly when the full run tried at least t - w - 1 more.
+    # w <= t - 2 leaves steps unrun.
+    tries = _Tries(monkeypatch)
     rng = np.random.default_rng(11)
     for m, t in CODES_PER_M:
         code = BchCode.construct(m, t)
         for weight in range(1, t - 1):
             messages, codewords = _codewords(code, rng, 20)
             for message, word in zip(messages, codewords ^ _errors(code, rng, [weight] * 20)):
-                steps.clear()
-                out = bch_decode(word, code)
+                out, early = tries.run(word, code, full=False)
                 assert out is not None and out[1] == weight and np.array_equal(out[0], message)
-                assert steps[-1] <= weight + 1 < t
+                _, full = tries.run(word, code, full=True)
+                assert full[: len(early)] == early
+                assert len(full) - len(early) >= t - weight - 1
 
 
 def test_decode_on_a_second_code_matches_nearest_codeword():

@@ -483,6 +483,8 @@ def test_block_reader_names_each_mismatch_of_its_population():
         (devices, [[1, 2], [3]], [lengths]),
         (noisier, [[1, 2], [3], [4]], ["3 rows", lengths, params]),
         (other, [[1], [2]], [netlists]),
+        (devices[:1], [[]], [r"empty rows of eval seeds \[0\]"]),  # no repetition to read
+        (devices, [[], [1]], [r"unequal lengths \[0, 1\]", r"empty rows of eval seeds \[0\]"]),
     ]:
         with pytest.raises(ValueError) as error:
             next(circuit.propagate_blocks(population, challenges, seeds))

@@ -766,6 +766,19 @@ def _code_that_cannot_correct(tmp_path):
             "no BCH code of length 7 corrects 4 errors")
 
 
+def _model_of_another_stage_count(tmp_path):
+    files = {}
+    for stages in (16, 32):
+        files[stages] = tmp_path / f"crps{stages}.csv"
+        assert run("crp", "gen", "--design", "apuf", "--stages", str(stages), "--population", "1",
+                   "--challenges", "4", "--repetitions", "1", "--response-size", "32",
+                   "--out", str(files[stages]), "--out-dir", str(tmp_path)) == 0
+    model = tmp_path / "model.txt"
+    assert run("attack", "train", "--crps", str(files[16]), "--out", str(model), "--out-dir", str(tmp_path)) == 0
+    return (["attack", "eval", "--model", str(model), "--crps", str(files[32])],
+            "challenges of 32 stages do not match a feature map of 16")
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -778,9 +791,10 @@ def _code_that_cannot_correct(tmp_path):
         _crp_file_without_records,
         _helper_with_a_low_degree_polynomial,
         _code_that_cannot_correct,
+        _model_of_another_stage_count,
     ],
     ids=["unknown-config-key", "no-challenge", "bad-delay", "delay-count", "no-delays-line", "no-crp-records",
-         "polynomial-degree", "code-too-short"],
+         "polynomial-degree", "code-too-short", "model-stage-count"],
 )
 def test_each_rejected_input_gives_its_one_error_line(tmp_path, capsys, monkeypatch, case):
     argv, message = case(tmp_path)
