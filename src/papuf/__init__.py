@@ -25,8 +25,6 @@ from .metrics import (
     bit_aliasing,
     calibrate_noise,
     compute_report,
-    inter_hd,
-    intra_hd,
     measure_reliability,
     reliability,
     robustness,

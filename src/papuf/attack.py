@@ -267,7 +267,7 @@ class ComparisonRow:
 def _attack_dataset(netlist: Netlist, params: DelayParams, crp_budget: int, seed: int) -> tuple[CrpSet, CrpSet]:
     device = synthesize_device(params, netlist, derive_seed(seed, "attack-dev"))
     response_size = 128
-    num_challenges = max(1, crp_budget // response_size)
+    num_challenges = crp_budget // response_size
     train_set = collect_crps([device], num_challenges, 1, response_size, derive_seed(seed, "attack-train"))
     holdout = collect_crps(
         [device], max(1, num_challenges // 4), 1, response_size, derive_seed(seed, "attack-holdout")
@@ -289,6 +289,8 @@ def compare_designs(
     """
     if not designs:
         raise ValueError("the attack comparison needs at least one design")
+    if crp_budget < 128:
+        raise ValueError(f"a CRP budget of {crp_budget} is below one 128-bit response")
     stage_counts = {netlist.stages for netlist in designs}
     if len(stage_counts) != 1:
         raise ValueError("all compared designs must share one stage count")

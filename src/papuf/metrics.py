@@ -1,9 +1,10 @@
 """Statistical evaluation of CRP datasets.
 
 All percentages use fractional Hamming distances scaled by 100.  The
-intra-chip statistic averages HD(R_i, R_{i+1})/n over consecutive responses
-to challenges that differ in one bit; the inter-chip statistic averages
-HD(R_i, R_j)/n over all device pairs for a shared challenge.
+intra-chip histogram counts HD(R_i, R_{i+1}) over consecutive responses of
+one device, to challenges one bit apart in the ``neighbor`` challenge mode;
+uniqueness, the inter-chip statistic, averages HD(R_i, R_j)/n over all
+device pairs for a shared challenge.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import as_bits
 from .circuit import _noise_words, _threshold_reads, clean_gaps, repeated_reads
 from .device import DelayParams, DeviceInstance, synthesize_population
 from .netlist import Design, Netlist, default_ff_taps
@@ -58,13 +58,6 @@ class MetricsReport:
         return {key: value if isinstance(value, str) else f"{value:.4f}" for key, value in pairs.items()}
 
 
-def _as_response_matrix(responses) -> np.ndarray:
-    mat = as_bits(responses, "responses")
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-D array of equal-length responses")
-    return mat
-
-
 def _hd_histogram(bits: np.ndarray, all_pairs: bool = False) -> np.ndarray:
     """Counts of each Hamming distance 0..n between the rows of a (K, ..., n)
     bit array: row i against row i + 1, or with ``all_pairs`` against every
@@ -85,35 +78,6 @@ def _hd_histogram(bits: np.ndarray, all_pairs: bool = False) -> np.ndarray:
         dists = np.bitwise_count(diff, out=diff).sum(axis=-1, dtype=np.intp)
         histogram += np.bincount(dists.ravel(), minlength=n + 1)
     return histogram
-
-
-def _mean_percent(histogram: np.ndarray) -> float:
-    """Mean of the distances binned in ``histogram``, as a percent of n."""
-    n = histogram.size - 1
-    return float((np.arange(n + 1) @ histogram) / histogram.sum() / n * 100.0)
-
-
-def intra_hd(responses) -> tuple[float, np.ndarray]:
-    """Mean percent HD over consecutive response pairs, plus the histogram.
-
-    The input must be ordered so that consecutive entries answer challenges
-    differing in a single bit.  The histogram counts raw HD values, one
-    entry per compared pair.
-    """
-    mat = _as_response_matrix(responses)
-    if mat.shape[0] < 2:
-        raise ValueError("need at least two responses for the intra-chip HD")
-    histogram = _hd_histogram(mat)
-    return _mean_percent(histogram), histogram
-
-
-def inter_hd(responses) -> tuple[float, np.ndarray]:
-    """Mean percent HD over all device pairs for one shared challenge."""
-    mat = _as_response_matrix(responses)
-    if mat.shape[0] < 2:
-        raise ValueError("need at least two devices for the inter-chip HD")
-    histogram = _hd_histogram(mat, all_pairs=True)
-    return _mean_percent(histogram), histogram
 
 
 def uniformity(crps: CrpSet) -> tuple[float, float, float]:

@@ -276,32 +276,6 @@ def naive_nearest_codeword(received, code: BchCode) -> tuple[np.ndarray, int]:
 
 
 # ---------------------------------------------------------------------------
-# naive Hamming-distance statistics
-
-
-def naive_intra_hd(responses) -> float:
-    rows = [[int(b) for b in row] for row in responses]
-    n = len(rows[0])
-    total = 0.0
-    for i in range(len(rows) - 1):
-        hd = sum(a != b for a, b in zip(rows[i], rows[i + 1]))
-        total += hd / n
-    return total / (len(rows) - 1) * 100.0
-
-
-def naive_inter_hd(responses) -> float:
-    rows = [[int(b) for b in row] for row in responses]
-    k = len(rows)
-    n = len(rows[0])
-    total = 0.0
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            hd = sum(a != b for a, b in zip(rows[i], rows[j]))
-            total += hd / n
-    return 2.0 / (k * (k - 1)) * total * 100.0
-
-
-# ---------------------------------------------------------------------------
 # LFSR expansion by clocking the register
 
 

@@ -277,7 +277,9 @@ class CrpSet:
     evaluation r.  A set is a pure function of (population seeds, params,
     master_eval_seed, challenge_mode).  A device id is one field of a CRP
     record, so an empty id, or one that holds a comma, a CR or an LF, is a
-    ``ValueError``.
+    ``ValueError``; so are challenges or responses that hold anything but
+    0 and 1 (``as_bits``), responses that are not 4-D, and challenges that
+    are not (C, stages).
     """
 
     device_ids: list[str]
@@ -292,11 +294,17 @@ class CrpSet:
     def __post_init__(self):
         for device_id in self.device_ids:
             _check_device_id(device_id)
+        self.challenges = as_bits(self.challenges, "challenges")
+        self.responses = as_bits(self.responses, "responses")
+        if self.responses.ndim != 4:
+            raise ValueError(f"responses must be (devices, challenges, repetitions, bits), got shape "
+                             f"{self.responses.shape}")
         d, c, _, _ = self.responses.shape
         if d != len(self.device_ids):
             raise ValueError("device_ids do not match response array")
-        if c != self.challenges.shape[0]:
-            raise ValueError("challenges do not match response array")
+        if self.challenges.shape != (c, self.netlist.stages):
+            raise ValueError(f"challenges of shape {self.challenges.shape} do not match {c} seed challenges "
+                             f"of {self.netlist.stages} stages")
 
     @property
     def n_devices(self) -> int:

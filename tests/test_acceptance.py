@@ -14,11 +14,13 @@ import pytest
 from scipy.stats import spearmanr
 
 from papuf import (
+    CrpSet,
     DelayParams,
     Design,
     Netlist,
     calibrate_noise,
     collect_crps,
+    compute_report,
     default_ff_taps,
     enroll,
     measure_reliability,
@@ -32,7 +34,6 @@ from papuf import (
 from papuf.attack import FeatureMap, evaluate_attack, fit_logistic, train
 from papuf.bch import BchCode, bch_decode, bch_encode, default_code
 from papuf.circuit import repeated_reads
-from papuf.metrics import inter_hd, intra_hd
 from papuf.oracle import _oracle_systematic_codewords, _reference_flip_flops, exhaustive_propagate
 from papuf.response import expand_many, majority_vote, neighbor_seed_challenges, random_seed_challenges
 from papuf.seeds import derive_seed
@@ -85,31 +86,38 @@ def test_c01_priority_arbiter_balance(reporter):
     )
 
 
+def _one_read_set(responses, challenges, netlist, params=BASE_PARAMS):
+    """A CrpSet of one read per (device, challenge): ``responses`` is (D, C, n)."""
+    ids = [f"dev-{d}" for d in range(responses.shape[0])]
+    return CrpSet(ids, challenges, responses[:, :, None, :], netlist, params, 0)
+
+
 def test_c02_hd_formulas_match_naive_oracles(reporter):
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
+    netlist = Netlist(Design.PA_PUF, 16)
     for _ in range(1000):
         n = int(rng.integers(1, 17))
         k = int(rng.integers(2, 7))
         rows = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
 
-        intra_pct, intra_hist = intra_hd(rows)
+        # one device answering k challenges: the intra-chip histogram
+        intra = compute_report(_one_read_set(rows[None], np.zeros((k, 16), np.uint8), netlist))
         naive_dists = [sum(int(a != b) for a, b in zip(rows[i], rows[i + 1])) for i in range(k - 1)]
-        assert np.array_equal(intra_hist, np.bincount(naive_dists, minlength=n + 1))
-        naive_pct = sum(d / n for d in naive_dists) / (k - 1) * 100.0
-        assert abs(intra_pct - naive_pct) < 1e-9
+        assert np.array_equal(intra.intra_hd_histogram, np.bincount(naive_dists, minlength=n + 1))
 
-        inter_pct, inter_hist = inter_hd(rows)
+        # k devices answering one challenge: the inter-chip histogram and uniqueness
+        inter = compute_report(_one_read_set(rows[:, None], np.zeros((1, 16), np.uint8), netlist))
         pair_dists = [
             sum(int(a != b) for a, b in zip(rows[i], rows[j])) for i, j in combinations(range(k), 2)
         ]
-        assert np.array_equal(inter_hist, np.bincount(pair_dists, minlength=n + 1))
+        assert np.array_equal(inter.inter_hd_histogram, np.bincount(pair_dists, minlength=n + 1))
         naive_pct = 2.0 / (k * (k - 1)) * sum(d / n for d in pair_dists) * 100.0
-        assert abs(inter_pct - naive_pct) < 1e-9
+        assert abs(inter.uniqueness - naive_pct) < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     reporter.append(
-        f"C02 hd-formula-oracle-equivalence: PASS (1000 random instances, n<=16, k<=6,"
+        f"C02 hd-formula-oracle-equivalence: PASS (1000 random instances through compute_report, n<=16, k<=6,"
         f" {elapsed:.2f} s)"
     )
 
@@ -234,8 +242,9 @@ def test_c09_intra_hd_histogram_mode(reporter):
     device = device.with_params(BASE_PARAMS.with_noise(result.sigma_noise))
     seeds = neighbor_seed_challenges(64, 401, 99)
     expanded = expand_many(seeds, 128).reshape(-1, 64)
-    bits = propagate_many(device, expanded, derive_seed(7, "c9")).reshape(401, 128)
-    pct, hist = intra_hd(bits)
+    bits = propagate_many(device, expanded, derive_seed(7, "c9")).reshape(1, 401, 128)
+    hist = compute_report(_one_read_set(bits, seeds, FF64, device.params)).intra_hd_histogram
+    pct = (np.arange(129) @ hist) / hist.sum() / 128 * 100.0
     mode = int(np.argmax(hist))
     assert 57 <= mode <= 71
     reporter.append(

@@ -301,6 +301,17 @@ def test_compare_designs_requires_a_design():
         compare_designs([])
 
 
+def test_compare_designs_rejects_a_budget_below_one_response(monkeypatch):
+    # 128 CRPs are one 128-bit response: the smallest set an attack trains on
+    rows = compare_designs([Netlist(Design.APUF, 16)], crp_budget=128, seeds=(0,))
+    assert len(rows) == 2
+    monkeypatch.setattr(attack, "synthesize_device", lambda *args: pytest.fail("work before the budget check"))
+    for budget in (0, 127, -5):
+        with pytest.raises(ValueError) as error:
+            compare_designs([Netlist(Design.APUF, 16)], crp_budget=budget, seeds=(0,))
+        assert str(error.value) == f"a CRP budget of {budget} is below one 128-bit response"
+
+
 def test_model_file_round_trip(tmp_path, apuf_sets):
     train_set, holdout = apuf_sets
     model = train(train_set, seed=0)

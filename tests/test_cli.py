@@ -779,6 +779,11 @@ def _model_of_another_stage_count(tmp_path):
             "challenges of 32 stages do not match a feature map of 16")
 
 
+def _attack_budget_below_one_response(tmp_path):
+    return (["attack", "compare", "--designs", "apuf", "--stages", "16", "--budget", "0", "--seeds", "1"],
+            "a CRP budget of 0 is below one 128-bit response")
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -792,9 +797,10 @@ def _model_of_another_stage_count(tmp_path):
         _helper_with_a_low_degree_polynomial,
         _code_that_cannot_correct,
         _model_of_another_stage_count,
+        _attack_budget_below_one_response,
     ],
     ids=["unknown-config-key", "no-challenge", "bad-delay", "delay-count", "no-delays-line", "no-crp-records",
-         "polynomial-degree", "code-too-short", "model-stage-count"],
+         "polynomial-degree", "code-too-short", "model-stage-count", "attack-budget"],
 )
 def test_each_rejected_input_gives_its_one_error_line(tmp_path, capsys, monkeypatch, case):
     argv, message = case(tmp_path)

@@ -13,8 +13,6 @@ from papuf import (
     calibrate_noise,
     collect_crps,
     compute_report,
-    inter_hd,
-    intra_hd,
     measure_reliability,
     reliability,
     robustness,
@@ -37,7 +35,6 @@ from papuf.metrics import (
     sweep_feed_forward,
     sweep_response_size,
 )
-from papuf.oracle import naive_inter_hd, naive_intra_hd
 from papuf.response import expand_many, random_seed_challenges
 from papuf.seeds import derive_seed
 
@@ -63,48 +60,62 @@ def make_crps(responses, netlist=None, params=None, mode="random"):
 
 
 # ---------------------------------------------------------------------------
-# intra / inter Hamming distance
+# intra / inter Hamming distance, read from the report
+
+
+def intra_report(rows):
+    """The report of one device answering one challenge per row, in order."""
+    return compute_report(make_crps(np.asarray(rows)[None, :, None, :]))
+
+
+def inter_report(rows):
+    """The report of one device per row answering one shared challenge."""
+    return compute_report(make_crps(np.asarray(rows)[:, None, None, :]))
+
+
+def mean_percent(histogram):
+    """Mean of the distances binned in ``histogram``, as a percent of n."""
+    n = histogram.size - 1
+    return float((np.arange(n + 1) @ histogram) / histogram.sum() / n * 100.0)
 
 
 def test_intra_hd_identical_and_complement():
     r = bits("10110100")
-    pct, hist = intra_hd([r, r])
-    assert pct == 0.0
+    hist = intra_report([r, r]).intra_hd_histogram
     assert hist[0] == 1 and hist.sum() == 1
-    pct, hist = intra_hd([r, 1 - r])
-    assert pct == 100.0
-    assert hist[8] == 1
+    hist = intra_report([r, 1 - r]).intra_hd_histogram
+    assert hist[8] == 1 and hist.sum() == 1
 
 
 def test_intra_hd_hand_chain():
     chain = [bits("00001111"), bits("00000111"), bits("10000111")]
-    pct, hist = intra_hd(chain)
-    assert pct == pytest.approx(12.5)
+    hist = intra_report(chain).intra_hd_histogram
+    assert mean_percent(hist) == pytest.approx(12.5)
     assert hist[1] == 2 and hist.sum() == 2
 
 
 def test_inter_hd_hand_examples():
-    pct, _ = inter_hd([bits("0101"), bits("0101")])
-    assert pct == 0.0
-    pct, hist = inter_hd([bits("0000"), bits("1111"), bits("0011")])
-    assert pct == pytest.approx(200.0 / 3.0)
-    assert hist.sum() == 3  # one entry per device pair
+    assert inter_report([bits("0101"), bits("0101")]).uniqueness == 0.0
+    report = inter_report([bits("0000"), bits("1111"), bits("0011")])
+    assert report.uniqueness == pytest.approx(200.0 / 3.0)
+    assert mean_percent(report.inter_hd_histogram) == pytest.approx(200.0 / 3.0)
+    assert report.inter_hd_histogram.sum() == 3  # one entry per device pair
 
 
 def test_inter_hd_symmetric_under_permutation():
     rng = np.random.default_rng(0)
     rows = rng.integers(0, 2, size=(5, 16), dtype=np.uint8)
-    base, _ = inter_hd(rows)
-    shuffled, _ = inter_hd(rows[rng.permutation(5)])
-    assert base == pytest.approx(shuffled)
+    base = inter_report(rows)
+    shuffled = inter_report(rows[rng.permutation(5)])
+    assert base.uniqueness == pytest.approx(shuffled.uniqueness)
+    assert np.array_equal(base.inter_hd_histogram, shuffled.inter_hd_histogram)
 
 
-def _brute_force_hd_histogram(rows, pairs) -> np.ndarray:
-    """Counts of each Hamming distance 0..n over the given (i, j) row pairs, bit by bit."""
-    n = len(rows[0])
+def _brute_force_hd_histogram(pairs, n) -> np.ndarray:
+    """Counts of each Hamming distance 0..n over the given row pairs, bit by bit."""
     histogram = np.zeros(n + 1, dtype=np.int64)
-    for i, j in pairs:
-        histogram[sum(int(a) != int(b) for a, b in zip(rows[i], rows[j]))] += 1
+    for first, second in pairs:
+        histogram[sum(int(a) != int(b) for a, b in zip(first, second))] += 1
     return histogram
 
 
@@ -114,28 +125,16 @@ def test_hd_implementations_match_naive_oracles():
     rng = np.random.default_rng(7)
     widths = [int(rng.integers(1, 131)) for _ in range(200)] + [8, 16, 32, 64, 128, 130]
     for n in widths:
-        k = int(rng.integers(2, 7))
-        rows = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-        intra_mean, intra_histogram = intra_hd(rows)
-        inter_mean, inter_histogram = inter_hd(rows)
-        assert intra_mean == pytest.approx(naive_intra_hd(rows))
-        assert inter_mean == pytest.approx(naive_inter_hd(rows))
-        consecutive = [(i, i + 1) for i in range(k - 1)]
-        every = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        assert np.array_equal(intra_histogram, _brute_force_hd_histogram(rows, consecutive)), n
-        assert np.array_equal(inter_histogram, _brute_force_hd_histogram(rows, every)), n
-
-
-def test_hd_input_validation():
-    with pytest.raises(ValueError):
-        intra_hd([bits("0101")])
-    with pytest.raises(ValueError):
-        inter_hd([bits("0101")])
-    for hd in (intra_hd, inter_hd):
-        # a packed popcount would read the 2 as a 1; a uint8 cast, 256 as 0 and 257 as 1
-        for value in (2, 256, 257):
-            with pytest.raises(ValueError, match="only 0 and 1"):
-                hd(np.array([[0, value], [0, 1]]))
+        d, c, r = int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        responses = rng.integers(0, 2, size=(d, c, r, n), dtype=np.uint8)
+        report = compute_report(make_crps(responses))
+        first = responses[:, :, 0, :]
+        consecutive = [(first[i, j], first[i, j + 1]) for i in range(d) for j in range(c - 1)]
+        device_pairs = [(first[i, j], first[k, j]) for j in range(c) for i in range(d) for k in range(i + 1, d)]
+        assert np.array_equal(report.intra_hd_histogram, _brute_force_hd_histogram(consecutive, n)), n
+        inter_histogram = _brute_force_hd_histogram(device_pairs, n)
+        assert np.array_equal(report.inter_hd_histogram, inter_histogram), n
+        assert report.uniqueness == pytest.approx(mean_percent(inter_histogram)), n
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +253,11 @@ def test_uniqueness_requires_two_devices():
         uniqueness(make_crps(resp))
 
 
-def test_uniqueness_matches_pairwise_inter_hd():
+def test_uniqueness_matches_pairwise_inter_hd_histograms():
     rng = np.random.default_rng(29)
     resp = rng.integers(0, 2, size=(4, 6, 1, 16), dtype=np.uint8)
     crps = make_crps(resp)
-    per_challenge = [inter_hd(resp[:, c, 0, :])[0] for c in range(6)]
+    per_challenge = [mean_percent(inter_report(resp[:, c, 0, :]).inter_hd_histogram) for c in range(6)]
     assert uniqueness(crps) == pytest.approx(np.mean(per_challenge))
 
 

@@ -412,6 +412,45 @@ def test_crp_set_rejects_a_device_id_that_cannot_be_a_record_field(tmp_path, bad
     assert load_crps(tmp_path / "crps.csv").device_ids == ["a b;c", "dev-0"]
 
 
+def _eight_stage_set(challenges, responses):
+    return CrpSet(["dev-0"], challenges, responses, Netlist(Design.PA_PUF, 8), DelayParams(), 1)
+
+
+@pytest.mark.parametrize(
+    "challenges,responses,message",
+    [
+        # a packed popcount would read a 2 as a 1; a uint8 cast, 256 as 0 and 257 as 1
+        *((np.zeros((1, 8), np.uint8), np.full((1, 1, 1, 8), value), "responses must hold only 0 and 1 bits")
+          for value in (2, 256, 257, 0.5)),
+        # save_crps would write a challenge bit of 2 as 1
+        (np.full((1, 8), 2), np.zeros((1, 1, 1, 8), np.uint8), "challenges must hold only 0 and 1 bits"),
+        (np.zeros((1, 8), np.uint8), np.zeros((1, 1, 8), np.uint8),
+         "responses must be (devices, challenges, repetitions, bits), got shape (1, 1, 8)"),
+        # 4-bit challenges would load back from a file as 8 bits, zero-padded
+        (np.zeros((1, 4), np.uint8), np.zeros((1, 1, 1, 8), np.uint8),
+         "challenges of shape (1, 4) do not match 1 seed challenges of 8 stages"),
+        (np.zeros((2, 8), np.uint8), np.zeros((1, 1, 1, 8), np.uint8),
+         "challenges of shape (2, 8) do not match 1 seed challenges of 8 stages"),
+    ],
+    ids=["response-2", "response-256", "response-257", "response-half", "challenge-2", "3-d-responses",
+         "short-challenges", "extra-challenges"],
+)
+def test_crp_set_rejects_arrays_that_are_not_its_bits(challenges, responses, message):
+    with pytest.raises(ValueError) as error:
+        _eight_stage_set(challenges, responses)
+    assert str(error.value) == message
+
+
+def test_crp_set_holds_its_bits_as_uint8():
+    responses = np.ones((1, 2, 1, 8), dtype=np.uint8)
+    challenges = random_seed_challenges(8, 2, 1)
+    crps = _eight_stage_set(challenges, responses)
+    assert crps.responses is responses and crps.challenges is challenges  # no copy
+    crps = _eight_stage_set(challenges.astype(bool), responses.astype(np.int64))
+    assert crps.responses.dtype == crps.challenges.dtype == np.uint8
+    assert np.array_equal(crps.responses, responses) and np.array_equal(crps.challenges, challenges)
+
+
 def test_an_empty_device_id_names_its_line_in_record_order(tmp_path):
     crps = CrpSet(["dev-0"], random_seed_challenges(16, 3, 1), np.zeros((1, 3, 1, 8), dtype=np.uint8),
                   Netlist(Design.PA_PUF, 16), DelayParams(), 1)
