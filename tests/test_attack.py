@@ -17,6 +17,7 @@ from papuf.attack import (
     save_model,
     train,
 )
+from papuf.netlist import default_ff_taps
 from papuf.oracle import reference_parity_features
 from papuf.seeds import SEED_MASK, derive_seed
 
@@ -113,6 +114,59 @@ def test_fit_equals_lbfgs_on_the_float_design(apuf_sets, kind):
     assert np.array_equal(model.predict(x[order[split:]]), val_pred)
 
 
+def _softplus_grid():
+    edges = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 36.7, 37.0, 709.0, 745.0, 800.0, 1e308, np.inf]
+    rng = np.random.default_rng(33)
+    magnitudes = 10.0 ** rng.uniform(-20.0, 3.0, 20_000)
+    return np.concatenate([
+        edges, np.negative(edges),
+        rng.standard_normal(20_000), 10.0 * rng.standard_normal(20_000),
+        magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+    ])
+
+
+def test_softplus_is_logaddexp_within_a_few_ulp():
+    # NaN stays out of the grid: logaddexp warns on it, and every warning fails a test.
+    # The largest difference seen on this grid is 2 ulp; the bound is 4 because numpy
+    # dispatches its exp and log1p to a SIMD loop that depends on the CPU.
+    s = _softplus_grid()
+    np.testing.assert_array_max_ulp(attack._softplus(s), np.logaddexp(0.0, s), maxulp=4)
+    assert attack._softplus(np.array([0.0, -0.0])).tolist() == [np.log(2.0)] * 2
+    assert attack._softplus(np.array([np.inf, -np.inf])).tolist() == np.logaddexp(0.0, [np.inf, -np.inf]).tolist()
+
+
+def _logaddexp_fit(x, y, kind, seed):
+    """``_lbfgs`` on the fit's own design, with the loss through ``np.logaddexp``."""
+    bits = attack._challenge_bits(x, FeatureMap(kind, x.shape[1]))
+    order = np.random.default_rng(seed & SEED_MASK).permutation(len(y))
+    split = int(round(attack.TRAIN_FRACTION * len(y)))
+    xt, yt = attack._design(bits[order[:split]], kind), y[order[:split]].astype(np.float64)
+
+    def objective(weights):
+        scores = xt @ weights
+        loss = np.mean(np.logaddexp(0.0, scores) - yt * scores) + 0.5 * attack.L2 * (weights @ weights)
+        return float(loss), xt.T @ (attack._sigmoid(scores) - yt) / xt.shape[0] + attack.L2 * weights
+
+    return attack._lbfgs(objective, np.zeros(xt.shape[1]), attack.MAX_ITERATIONS)
+
+
+# Seeds at which some recorded losses differ by an ulp or two from the
+# logaddexp fit's, so that the ulp assertion is exercised.
+@pytest.mark.parametrize("seed", [2, 6])
+def test_fits_of_the_benchmark_shapes_equal_the_logaddexp_fit(seed):
+    # the attack workload's designs, stage count and CRP budget
+    for netlist in (Netlist(Design.APUF, 64), Netlist(Design.PA_PUF, 64),
+                    Netlist(Design.FF_PA_PUF, 64, default_ff_taps(64, 2))):
+        train_set, _ = attack._attack_dataset(netlist, DelayParams(), 10_000, seed)
+        x, y = train_set.flat_crps()
+        for kind in ("parity", "raw_bits"):
+            model = fit_logistic(x, y, FeatureMap(kind, 64), seed)
+            weights, losses, evaluations = _logaddexp_fit(x, y, kind, seed)
+            assert np.array_equal(model.weights, weights)
+            assert model.metadata["epochs"] == evaluations
+            np.testing.assert_array_max_ulp(np.array(model.metadata["losses"]), np.array(losses), maxulp=4)
+
+
 def test_non_binary_challenge_bits_are_rejected():
     challenges = np.zeros((120, 8), dtype=np.uint8)
     challenges[5, 3] = 2
@@ -155,6 +209,13 @@ def test_fit_rejects_labels_that_are_not_one_bit_per_row():
     ]:
         with pytest.raises(ValueError, match=message):
             fit_logistic(challenges, bad, FeatureMap("parity", 16), seed=0)
+
+
+@pytest.mark.parametrize("stages", [0, -3])
+def test_feature_map_rejects_fewer_than_one_stage(stages):
+    with pytest.raises(ValueError) as error:
+        FeatureMap("parity", stages)
+    assert str(error.value) == f"a feature map needs at least one stage, got {stages}"
 
 
 def test_feature_map_dimensions():
@@ -334,3 +395,29 @@ def test_model_file_with_a_legacy_learning_rate_still_loads(tmp_path, apuf_sets)
     loaded = load_model(path)
     assert np.array_equal(loaded.weights, model.weights)
     assert "learning_rate" not in loaded.metadata
+
+
+def _edited_model_file(tmp_path, apuf_sets, edit):
+    path = tmp_path / "model.txt"
+    save_model(train(apuf_sets[0], seed=0), path)
+    path.write_text("".join(edit(line) + "\n" for line in path.read_text().splitlines()))
+    return path
+
+
+@pytest.mark.parametrize("first", ["nan inf -inf", "1e999 0 0", "0 -inf 0"])
+def test_model_file_with_non_finite_weights_is_rejected(tmp_path, apuf_sets, first):
+    # 1e999 reads as inf.  A fit cannot write any of these: its L2 term keeps the weights finite.
+    def edit(line):
+        return f"weights={first} " + " ".join(line.split()[3:]) if line.startswith("weights=") else line
+
+    path = _edited_model_file(tmp_path, apuf_sets, edit)
+    with pytest.raises(ValueError) as error:
+        load_model(path)
+    assert str(error.value) == f"{path}: weights must be finite"
+
+
+def test_model_file_with_no_stages_is_rejected(tmp_path, apuf_sets):
+    path = _edited_model_file(tmp_path, apuf_sets, lambda line: "stages=-3" if line == "stages=64" else line)
+    with pytest.raises(ValueError) as error:
+        load_model(path)
+    assert str(error.value) == "a feature map needs at least one stage, got -3"

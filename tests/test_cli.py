@@ -779,6 +779,17 @@ def _model_of_another_stage_count(tmp_path):
             "challenges of 32 stages do not match a feature map of 16")
 
 
+def _model_edit(edit, message):
+    def case(tmp_path):
+        crps, model = tmp_path / "crps.csv", tmp_path / "model.txt"
+        assert run("crp", "gen", "--design", "apuf", "--stages", "16", "--population", "1", "--challenges", "4",
+                   "--repetitions", "1", "--response-size", "32", "--out", str(crps), "--out-dir", str(tmp_path)) == 0
+        assert run("attack", "train", "--crps", str(crps), "--out", str(model), "--out-dir", str(tmp_path)) == 0
+        _edit_lines(model, lambda lines: [edit(line) for line in lines])
+        return ["attack", "eval", "--model", str(model), "--crps", str(crps)], message.format(model=model)
+    return case
+
+
 def _attack_budget_below_one_response(tmp_path):
     return (["attack", "compare", "--designs", "apuf", "--stages", "16", "--budget", "0", "--seeds", "1"],
             "a CRP budget of 0 is below one 128-bit response")
@@ -798,9 +809,14 @@ def _attack_budget_below_one_response(tmp_path):
         _code_that_cannot_correct,
         _model_of_another_stage_count,
         _attack_budget_below_one_response,
+        _model_edit(lambda line: " ".join(["weights=nan", "inf", "-inf", *line.split()[3:]])
+                    if line.startswith("weights=") else line, "{model}: weights must be finite"),
+        _model_edit(lambda line: "stages=-3" if line == "stages=16" else line,
+                    "a feature map needs at least one stage, got -3"),
     ],
     ids=["unknown-config-key", "no-challenge", "bad-delay", "delay-count", "no-delays-line", "no-crp-records",
-         "polynomial-degree", "code-too-short", "model-stage-count", "attack-budget"],
+         "polynomial-degree", "code-too-short", "model-stage-count", "attack-budget", "model-weights-finite",
+         "model-no-stages"],
 )
 def test_each_rejected_input_gives_its_one_error_line(tmp_path, capsys, monkeypatch, case):
     argv, message = case(tmp_path)
